@@ -14,15 +14,24 @@
 // the per-backend rows (including the pre-optimization `baseline_*`
 // timings, pinned from the seed run so the speedup is auditable without
 // digging through git), pairing-engine sub-timings (Miller loop vs
-// final exponentiation, cold vs cached lines), and the global metrics
-// registry snapshot, so the per-backend probe prefixes (core.* vs
-// core.bls381.*) are visible in one artifact.
+// final exponentiation, cold vs cached lines), the point-ingestion
+// timings a cold receiver pays per update (hash-to-curve, decoding and
+// the subgroup test, with the [r]P oracle timed beside it), and the
+// global metrics registry snapshot, so the per-backend probe prefixes
+// (core.* vs core.bls381.*) are visible in one artifact.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "bls12/tre381.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
+#include "hashing/kdf.h"
 
 int main(int argc, char** argv) {
   using namespace tre;
@@ -118,6 +127,59 @@ int main(int argc, char** argv) {
   double pair_cached_ms =
       bench::time_ms(reps, [&] { (void)ctx.pair_cached(bp, bq); });
 
+  // Point-ingestion anatomy (docs/PERF.md "BLS12-381 point ingestion"):
+  // what a receiver pays per update before any pairing when no cache
+  // holds the tag — hash_to_g1 of the tag and g1_from_bytes of the served
+  // point — and the kernels inside them. A batch runs one kernel once on
+  // each of kInputs distinct inputs. Each of kRounds rounds runs one
+  // batch of every kernel in turn, so all kernels, and the membership
+  // test and its [r]P oracle that the PERF381 gate compares, see the
+  // same stretches of host load; a figure is the kernel's fastest batch
+  // mean. The baselines pin hash_to_g1 and g1_from_bytes as they were
+  // with the [r]P membership ladder, bit-serial wide reduction and
+  // square-and-multiply square root: medians of eleven runs of this same
+  // block, alternated with runs of the current kernels on one host.
+  constexpr double kBaselineHashToG1Us = 573.78, kBaselineG1FromBytesUs = 559.97;
+  constexpr int kInputs = 64, kRounds = 15;
+  std::vector<Bytes> ingest_tags, ingest_wide, ingest_encoded;
+  std::vector<bls12::G1Point381> ingest_points;
+  std::vector<bls12::Fp> ingest_squares;
+  for (int i = 0; i < kInputs; ++i) {
+    ingest_tags.push_back(to_bytes("bench-ingest-tag-" + std::to_string(i)));
+    ingest_wide.push_back(hashing::oracle_bytes(
+        "bench-ingest-wide", be32(static_cast<std::uint32_t>(i)), 2 * ctx.fp()->byte_len));
+    const bls12::G1Point381 pt = ctx.hash_to_g1(ingest_tags.back());
+    ingest_points.push_back(pt);
+    ingest_encoded.push_back(ctx.g1_to_bytes(pt));
+    ingest_squares.push_back(pt.y.squared());
+    if (!ctx.g1_in_subgroup(pt) || !ctx.g1_mul(pt, ctx.r()).inf) {
+      std::fprintf(stderr, "ingestion anatomy: hashed point failed membership\n");
+      return 1;
+    }
+  }
+  const std::function<void(size_t)> ingest_kernels[] = {
+      [&](size_t i) { (void)ctx.hash_to_g1(ingest_tags[i]); },
+      [&](size_t i) { (void)ctx.g1_from_bytes(ingest_encoded[i]); },
+      [&](size_t i) { (void)ctx.g1_in_subgroup(ingest_points[i]); },
+      [&](size_t i) { (void)ctx.g1_mul(ingest_points[i], ctx.r()); },
+      [&](size_t i) { (void)ingest_squares[i].sqrt(); },
+      [&](size_t i) { (void)bls12::Fp::from_bytes_wide(ctx.fp(), ingest_wide[i]); },
+  };
+  std::vector<double> ingest_us(std::size(ingest_kernels), 0);
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t k = 0; k < std::size(ingest_kernels); ++k) {
+      auto start = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < kInputs; ++i) ingest_kernels[k](i);
+      std::chrono::duration<double, std::micro> elapsed =
+          std::chrono::steady_clock::now() - start;
+      const double us = elapsed.count() / kInputs;
+      ingest_us[k] = round == 0 ? us : std::min(ingest_us[k], us);
+    }
+  }
+  const double h2c_us = ingest_us[0], decode_us = ingest_us[1],
+               subgroup_us = ingest_us[2], mul_r_us = ingest_us[3],
+               sqrt_us = ingest_us[4], wide_us = ingest_us[5];
+
   std::printf("%-32s | %8s | %9s | %8s | %8s | %9s | %9s | %s\n", "backend",
               "issue ms", "verify ms", "enc ms", "dec ms", "update B",
               "ct-hdr B", "security");
@@ -134,6 +196,12 @@ int main(int argc, char** argv) {
   std::printf("pairing anatomy: prepare_g2 %.2f ms, miller %.2f ms, "
               "final_exp %.2f ms, pair %.2f ms, pair(cached lines) %.2f ms\n",
               prep_ms, miller_ms, fexp_ms, pair_ms, pair_cached_ms);
+  std::printf("ingestion anatomy: hash_to_g1 %.1f us (baseline %.1f), "
+              "g1_from_bytes %.1f us (baseline %.1f), g1_in_subgroup %.1f us "
+              "vs [r]P oracle %.1f us (%.2fx), fp_sqrt %.1f us, "
+              "fp_from_bytes_wide %.2f us\n",
+              h2c_us, kBaselineHashToG1Us, decode_us, kBaselineG1FromBytesUs,
+              subgroup_us, mul_r_us, mul_r_us / subgroup_us, sqrt_us, wide_us);
 
   const char* json_path = argc > 1 ? argv[1] : "BENCH_modern_curve.json";
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -162,6 +230,15 @@ int main(int argc, char** argv) {
                  "\"miller_loop_ms\": %.3f, \"final_exp_ms\": %.3f, "
                  "\"pair_ms\": %.3f, \"pair_cached_ms\": %.3f},\n",
                  prep_ms, miller_ms, fexp_ms, pair_ms, pair_cached_ms);
+    std::fprintf(f,
+                 "  \"ingestion_anatomy_bls381\": {\"hash_to_g1_us\": %.2f, "
+                 "\"g1_from_bytes_us\": %.2f, \"g1_in_subgroup_us\": %.2f, "
+                 "\"g1_mul_r_us\": %.2f, \"fp_sqrt_us\": %.2f, "
+                 "\"fp_from_bytes_wide_us\": %.3f, "
+                 "\"baseline_hash_to_g1_us\": %.2f, "
+                 "\"baseline_g1_from_bytes_us\": %.2f},\n",
+                 h2c_us, decode_us, subgroup_us, mul_r_us, sqrt_us, wide_us,
+                 kBaselineHashToG1Us, kBaselineG1FromBytesUs);
     std::fprintf(f, "%s\n}\n", bench::metrics_json_field(2).c_str());
     std::fclose(f);
     std::printf("wrote %s\n", json_path);

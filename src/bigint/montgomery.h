@@ -6,6 +6,8 @@
 // capacity of the limb array. Multiplication is CIOS.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 
 #include "bigint/bigint.h"
@@ -146,14 +148,40 @@ class MontCtx {
   }
 
   /// a^e mod m with a in Montgomery form; result in Montgomery form.
-  /// Square-and-multiply, MSB first.
+  /// Greedy sliding window, MSB first (the rule of field::Fp2::pow): a run
+  /// of zero bits costs one squaring each; otherwise the window takes the
+  /// next at most kWindow bits, trimmed to end on a set bit, so its value
+  /// is odd and one table entry a^1, a^3, ..., a^15 covers it. Exponents
+  /// shorter than kWindow bits build only the entries they can reach.
   template <size_t LE>
   BigInt<L> pow(const BigInt<L>& a_mont, const BigInt<LE>& e) const {
+    constexpr size_t kWindow = 4;
+    const size_t bits = e.bit_length();
+    if (bits == 0) return one_;
+
+    std::array<BigInt<L>, size_t{1} << (kWindow - 1)> odd;
+    const size_t entries = size_t{1} << (std::min(bits, kWindow) - 1);
+    odd[0] = a_mont;
+    if (entries > 1) {
+      const BigInt<L> sq = sqr(a_mont);
+      for (size_t i = 1; i < entries; ++i) odd[i] = mul(odd[i - 1], sq);
+    }
+
     BigInt<L> acc = one_;
-    size_t bits = e.bit_length();
-    for (size_t i = bits; i-- > 0;) {
-      acc = sqr(acc);
-      if (e.bit(i)) acc = mul(acc, a_mont);
+    size_t i = bits;
+    while (i > 0) {
+      if (!e.bit(i - 1)) {
+        acc = sqr(acc);
+        --i;
+        continue;
+      }
+      size_t j = i >= kWindow ? i - kWindow : 0;
+      while (!e.bit(j)) ++j;
+      size_t val = 0;
+      for (size_t b = i; b-- > j;) val = (val << 1) | static_cast<size_t>(e.bit(b));
+      for (size_t s = 0; s < i - j; ++s) acc = sqr(acc);
+      acc = mul(acc, odd[val >> 1]);
+      i = j;
     }
     return acc;
   }

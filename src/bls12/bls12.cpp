@@ -189,6 +189,32 @@ JacT<T> jac_mul_secret(const JacT<T>& base, const bigint::BigInt<L>& k) {
   return acc;
 }
 
+// [|z|]·P by MSB-first double-and-add over the fixed 64-bit |z|: 63
+// doublings and 5 additions.
+JacT<Fp> jac_mul_abs_z(const JacT<Fp>& p) {
+  JacT<Fp> acc = p;
+  for (int i = 62; i >= 0; --i) {
+    acc = jac_dbl(acc);
+    if ((kAbsZ >> i) & 1) acc = jac_add(acc, p);
+  }
+  return acc;
+}
+
+// Scott's G1 membership test (ePrint 2021/1130 §6, proof corrected in
+// 2022/352): an affine on-curve point P ≠ O of E(F_p) lies in the order-r
+// subgroup iff φ(P) = −[z²]P, where φ(x, y) = (βx, y) for the cube root
+// of unity β that acts on G1 as −z² (docs/PERF.md "BLS12-381 point
+// ingestion"). Two |z| ladders give [z²]P = [|z|]([|z|]P) in Jacobian
+// coordinates; the comparison with (βx, −y) is projective, so nothing
+// is inverted.
+bool phi_is_minus_z2(const G1Point381& a, const Fp& beta, const FpCtx* fp) {
+  const JacT<Fp> z2p = jac_mul_abs_z(jac_mul_abs_z(JacT<Fp>{a.x, a.y, Fp::one(fp)}));
+  if (z2p.inf()) return false;
+  // (X/Z², Y/Z³) == (βx, −y)  ⇔  X == βx·Z² and Y == −y·Z³.
+  const Fp zz = z2p.z.squared();
+  return z2p.x == beta * a.x * zz && z2p.y == -(a.y * zz * z2p.z);
+}
+
 G1Point381 jac_to_g1(const JacT<Fp>& j, const FpCtx* fp) {
   if (j.inf()) return G1Point381{Fp::zero(fp), Fp::zero(fp), true};
   Fp zi = j.z.inverse();
@@ -352,6 +378,29 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
 
   // Generators.
   g1_gen_ = hash_to_g1(to_bytes("BLS12-381 G1 generator / TRE-v1"));
+
+  // G1 membership constant. φ(x, y) = (βx, y), β a primitive cube root of
+  // unity in F_p, is an endomorphism of E; on G1 it acts as one of the two
+  // roots of λ² + λ + 1 ≡ 0 (mod r), which are −z² and z² − 1 because
+  // r = z⁴ − z² + 1. The two cube roots β and β² give the two actions, so
+  // exactly one of them must map the generator to −[z²]G.
+  {
+    FpInt third, third_rem;
+    bigint::divmod(bigint::sub(p, FpInt::from_u64(1)), FpInt::from_u64(3), third, third_rem);
+    require(third_rem.is_zero(), "Bls12Ctx: p != 1 (mod 3)");
+    const Fp one = Fp::one(fp_.get());
+    Fp cube_root = one;
+    for (std::uint64_t g = 2; cube_root == one; ++g) {
+      cube_root = Fp::from_u64(fp_.get(), g).pow(third);
+    }
+    int matches = 0;
+    for (const Fp& beta : {cube_root, cube_root.squared()}) {
+      if (!phi_is_minus_z2(g1_gen_, beta, fp_.get())) continue;
+      beta_ = beta;
+      ++matches;
+    }
+    require(matches == 1, "Bls12Ctx: no unique cube root of unity acts as -z^2 on G1");
+  }
   {
     for (std::uint32_t ctr = 0;; ++ctr) {
       Bytes h = hashing::oracle_bytes("BLS12-G2-gen", be32(ctr), 4 * fp_->byte_len);
@@ -502,8 +551,9 @@ G2Point381 Bls12Ctx::g2_multiexp(std::span<const G2Point381> points,
 }
 
 bool Bls12Ctx::g1_in_subgroup(const G1Point381& a) const {
+  if (a.inf) return true;
   if (!g1_on_curve(a)) return false;
-  return g1_mul(a, r()).inf;
+  return phi_is_minus_z2(a, beta_, fp_.get());
 }
 
 G1Point381 Bls12Ctx::hash_to_g1(ByteSpan msg) const {

@@ -13,8 +13,9 @@
 //   r = z⁴ − z² + 1,  p = (z−1)²·r/3 + z
 // and the context validates all of it at construction (primality, curve
 // orders annihilating sampled points, G_2 generator satisfying the
-// Frobenius eigenvalue π(Q) = [p]Q), so no unchecked magic constants
-// exist in the code.
+// Frobenius eigenvalue π(Q) = [p]Q, the cube root of unity β of the G_1
+// membership test acting as −z² on the generator), so no unchecked
+// magic constants exist in the code.
 //
 // Pairing engine (docs/PERF.md "BLS12-381 pairing engine"):
 //   * Miller loop in homogeneous projective coordinates over F_p2 on the
@@ -142,6 +143,8 @@ class Bls12Ctx {
                                   unsigned threads = 0) const;
   bool g1_eq(const G1Point381& a, const G1Point381& b) const;
   bool g1_on_curve(const G1Point381& a) const;
+  /// Membership in the order-r subgroup: φ(P) == −[z²]P for the GLV
+  /// endomorphism φ (Scott's test; two 64-bit ladders, no inversion).
   bool g1_in_subgroup(const G1Point381& a) const;
   /// Full-domain hash onto the order-r subgroup (try-and-increment +
   /// cofactor clearing) — H1 for the type-3 scheme.
@@ -241,6 +244,7 @@ class Bls12Ctx {
   Fp2 twist_b_;                       // 4(1+u)
   Fp2 twist_b3_;                      // 3·4(1+u) — doubling-step constant
   Fp half_;                           // 1/2 — doubling-step constant
+  Fp beta_;                           // φ(x, y) = (βx, y) acts on G1 as −[z²]
   Fp12 w2_inv_, w3_inv_;              // untwist constants
   G1Point381 g1_gen_;
   G2Point381 g2_gen_;

@@ -197,15 +197,17 @@ void Daemon::accept_ready(std::int64_t now_ms) {
       // Graceful shed: a best-effort error frame, then close. The frame
       // is small enough to fit a fresh socket buffer, so the blocking-
       // free write either lands whole or the peer just sees the close.
+      // Counted before the peer can see the close, so a client that
+      // observes the shed also observes it in stats().
+      shed_.add();
+      error_replies_.add();
+      probes().shed.add();
+      probes().error_replies.add();
       Bytes frame = encode_frame(
           FrameType::kError, encode_error(Errc::kOverloaded, "connection cap"));
       [[maybe_unused]] ssize_t n = ::send(fd, frame.data(), frame.size(),
                                           MSG_NOSIGNAL | MSG_DONTWAIT);
       ::close(fd);
-      shed_.add();
-      error_replies_.add();
-      probes().shed.add();
-      probes().error_replies.add();
       continue;
     }
 

@@ -22,9 +22,23 @@ Fp Fp::from_int(const FpCtx* ctx, const FpInt& v) {
 Fp Fp::from_bytes_wide(const FpCtx* ctx, ByteSpan bytes) {
   require(ctx != nullptr, "Fp: null context");
   require(bytes.size() <= 2 * 8 * kMaxFieldLimbs, "Fp::from_bytes_wide: too long");
-  FpIntWide wide = FpIntWide::from_bytes_be(bytes);
-  FpInt reduced = bigint::mod_wide(wide, ctx->p);
-  return Fp(ctx, ctx->mont.to_mont(reduced));
+  // Horner over chunks of 8n bytes (n active limbs, R = 2^{64n}), most
+  // significant first: acc ← acc·R + chunk, kept in Montgomery form, so
+  // (acc·R + c)·R = to_mont(acc_mont) + to_mont(c). Each to_mont is one
+  // CIOS product by R² mod p < p, and each chunk is below R, so the
+  // product stays below 2p and its one conditional subtraction reduces it.
+  const bigint::MontCtx<kMaxFieldLimbs>& mont = ctx->mont;
+  const size_t chunk = 8 * mont.active_limbs();
+  FpInt acc{};
+  size_t off = 0;
+  size_t take = bytes.size() % chunk == 0 ? chunk : bytes.size() % chunk;
+  while (off < bytes.size()) {
+    FpInt c = FpInt::from_bytes_be(bytes.subspan(off, take));
+    acc = mont.add(mont.to_mont(acc), mont.to_mont(c));
+    off += take;
+    take = chunk;
+  }
+  return Fp(ctx, acc);
 }
 
 Fp Fp::from_bytes(const FpCtx* ctx, ByteSpan bytes) {

@@ -17,7 +17,6 @@ namespace tre::field {
 
 inline constexpr size_t kMaxFieldLimbs = 12;
 using FpInt = bigint::BigInt<kMaxFieldLimbs>;
-using FpIntWide = bigint::BigInt<2 * kMaxFieldLimbs>;
 
 struct FpCtx {
   FpInt p;

@@ -81,6 +81,8 @@ void Sha256::compress(const std::uint8_t* block) {
 }
 
 void Sha256::update(ByteSpan data) {
+  // An empty span may carry a null data(), which memcpy must never see.
+  if (data.empty()) return;
   total_len_ += data.size();
   size_t off = 0;
   if (buffer_len_ > 0) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "hashing/drbg.h"
+#include "hashing/kdf.h"
 
 namespace tre::bls12 {
 namespace {
@@ -107,6 +108,92 @@ TEST_F(Bls12Test, HashToG1) {
   EXPECT_TRUE(ctx_->g1_eq(p1, p2));
   EXPECT_FALSE(ctx_->g1_eq(p1, p3));
   EXPECT_TRUE(ctx_->g1_in_subgroup(p1));
+}
+
+// --- G1 membership: the endomorphism test against the [r]P oracle -----------
+
+// The definition of membership: on the curve and annihilated by r (the
+// check g1_in_subgroup ran before it switched to φ(P) == −[z²]P).
+bool in_subgroup_oracle(const Bls12Ctx& ctx, const G1Point381& p) {
+  return ctx.g1_on_curve(p) && ctx.g1_mul(p, ctx.r()).inf;
+}
+
+// Points of E(F_p) from the encoding map WITHOUT cofactor clearing: with
+// overwhelming probability each has a component of order dividing the
+// cofactor (z−1)²/3, so it lies outside the order-r subgroup.
+std::vector<G1Point381> raw_points(const Bls12Ctx& ctx, size_t count) {
+  const FpCtx* fp = ctx.fp();
+  std::vector<G1Point381> out;
+  for (std::uint32_t ctr = 0; out.size() < count; ++ctr) {
+    Bytes h = hashing::oracle_bytes("bls12-raw-point", be32(ctr), 2 * fp->byte_len);
+    Fp x = Fp::from_bytes_wide(fp, h);
+    auto y = (x.squared() * x + Fp::from_u64(fp, 4)).sqrt();
+    if (y) out.push_back(G1Point381{x, *y, false});
+  }
+  return out;
+}
+
+TEST_F(Bls12Test, G1MembershipMatchesTheROracle) {
+  const Bls12Ctx& ctx = *ctx_;
+  const FpCtx* fp = ctx.fp();
+  std::vector<G1Point381> members, outsiders;
+  for (int i = 0; i < 6; ++i) {
+    members.push_back(ctx.hash_to_g1(to_bytes("member-" + std::to_string(i))));
+  }
+  members.push_back(ctx.g1_generator());
+  members.push_back(ctx.g1_infinity());
+  for (const G1Point381& raw : raw_points(ctx, 6)) {
+    outsiders.push_back(raw);
+    // [r]·P_raw: a pure cofactor-torsion point.
+    outsiders.push_back(ctx.g1_mul(raw, ctx.r()));
+    // A member plus torsion: the order-r part alone must not pass.
+    outsiders.push_back(ctx.g1_add(members[0], ctx.g1_mul(raw, ctx.r())));
+  }
+  // The order-3 points (0, ±2): φ fixes them, −[z²] negates them.
+  outsiders.push_back(G1Point381{Fp::zero(fp), Fp::from_u64(fp, 2), false});
+
+  auto check = [&](const G1Point381& p, bool expected) {
+    EXPECT_EQ(ctx.g1_in_subgroup(p), in_subgroup_oracle(ctx, p));
+    EXPECT_EQ(ctx.g1_in_subgroup(p), expected);
+    EXPECT_EQ(ctx.g1_in_subgroup(ctx.g1_neg(p)), in_subgroup_oracle(ctx, ctx.g1_neg(p)));
+    EXPECT_EQ(ctx.g1_in_subgroup(ctx.g1_neg(p)), expected);
+  };
+  for (const G1Point381& p : members) check(p, true);
+  for (const G1Point381& p : outsiders) {
+    ASSERT_TRUE(ctx.g1_on_curve(p));
+    ASSERT_FALSE(p.inf);
+    check(p, false);
+  }
+
+  // Off-curve points are not members, whatever their multiples do.
+  for (const G1Point381& p : {members[0], outsiders[0]}) {
+    G1Point381 off{p.x, p.y + Fp::one(fp), false};
+    ASSERT_FALSE(ctx.g1_on_curve(off));
+    EXPECT_FALSE(ctx.g1_in_subgroup(off));
+    EXPECT_FALSE(in_subgroup_oracle(ctx, off));
+  }
+}
+
+TEST_F(Bls12Test, DecodersRejectOnCurvePointsOutsideTheSubgroup) {
+  const Bls12Ctx& ctx = *ctx_;
+  const std::string tag = "2030-01-01T00:00:00Z";
+  for (const G1Point381& raw : raw_points(ctx, 3)) {
+    for (const G1Point381& rogue : {raw, ctx.g1_mul(raw, ctx.r())}) {
+      Bytes compressed = ctx.g1_to_bytes(rogue);
+      EXPECT_THROW(ctx.g1_from_bytes(compressed), Error);
+      EXPECT_FALSE(Update381::try_from_bytes(ctx, Update381{tag, rogue}.to_bytes())
+                       .has_value());
+      EXPECT_FALSE(
+          Partial381::try_from_bytes(ctx, Partial381{1, tag, rogue}.to_bytes())
+              .has_value());
+    }
+  }
+  // The same wire images carrying a member parse.
+  G1Point381 member = ctx.hash_to_g1(to_bytes(tag));
+  EXPECT_TRUE(ctx.g1_eq(ctx.g1_from_bytes(ctx.g1_to_bytes(member)), member));
+  EXPECT_TRUE(Update381::try_from_bytes(ctx, Update381{tag, member}.to_bytes()).has_value());
+  EXPECT_TRUE(
+      Partial381::try_from_bytes(ctx, Partial381{1, tag, member}.to_bytes()).has_value());
 }
 
 TEST_F(Bls12Test, SerializationRoundtrips) {

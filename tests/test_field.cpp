@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "bigint/prime.h"
+#include "bls12/bls12.h"
 #include "field/fp2.h"
 #include "hashing/drbg.h"
+#include "params/params.h"
 
 namespace tre::field {
 namespace {
@@ -15,6 +21,22 @@ const char* kToyP = "9b725bbc4bc00b0f29aea58f";
 class FpTest : public ::testing::Test {
  protected:
   FpTest() : ctx_(FpInt::from_hex(kToyP)), rng_(to_bytes("field-tests")) {}
+
+  /// The base fields of the three type-1 parameter sets and both
+  /// BLS12-381 fields: 2, 8, 12, 6 and 4 active limbs, so the fixed CIOS
+  /// kernels and the runtime-bounded one (12 limbs) are all covered.
+  static std::vector<std::pair<const char*, const FpCtx*>> fields() {
+    static const auto toy = params::load("tre-toy-96");
+    static const auto t512 = params::load("tre-512");
+    static const auto t768 = params::load("tre-768");
+    static const auto bls = bls12::Bls12Ctx::get();
+    return {{"tre-toy-96", toy->curve->fp.get()},
+            {"tre-512", t512->curve->fp.get()},
+            {"tre-768", t768->curve->fp.get()},
+            {"bls12-381 p", bls->fp()},
+            {"bls12-381 r", bls->fr()}};
+  }
+
   FpCtx ctx_;
   hashing::HmacDrbg rng_;
 };
@@ -41,6 +63,25 @@ TEST_F(FpTest, FromBytesWideReduces) {
   Bytes wide(2 * ctx_.byte_len, 0xff);
   Fp v = Fp::from_bytes_wide(&ctx_, wide);
   EXPECT_LT(v.to_int(), ctx_.p);
+
+  // The Montgomery Horner reduction is bit-identical to the bit-serial
+  // reference (long division, then Montgomery form) on every length from
+  // 0 to 2·byte_len and at the cap, for random, all-0xff and all-zero input.
+  const size_t kCap = 2 * 8 * kMaxFieldLimbs;
+  for (const auto& [name, fp] : fields()) {
+    std::vector<size_t> lengths;
+    for (size_t n = 0; n <= 2 * fp->byte_len; ++n) lengths.push_back(n);
+    lengths.push_back(kCap);
+    for (size_t n : lengths) {
+      for (const Bytes& in : {rng_.bytes(n), Bytes(n, 0xff), Bytes(n, 0x00)}) {
+        FpInt expected = bigint::mod_wide(
+            bigint::BigInt<2 * kMaxFieldLimbs>::from_bytes_be(in), fp->p);
+        EXPECT_TRUE(Fp::from_bytes_wide(fp, in) == Fp::from_int(fp, expected))
+            << name << ", " << n << " bytes";
+      }
+    }
+  }
+  EXPECT_THROW(Fp::from_bytes_wide(&ctx_, Bytes(kCap + 1, 0)), Error);
 }
 
 TEST_F(FpTest, FieldAxioms) {
@@ -75,6 +116,36 @@ TEST_F(FpTest, PowMatchesRepeatedMul) {
   for (std::uint64_t e = 0; e < 20; ++e) {
     EXPECT_EQ(a.pow(FpInt::from_u64(e)), acc);
     acc = acc * a;
+  }
+}
+
+// The sliding-window Fp::pow against plain square-and-multiply on
+// every parameter set's fields: each short exponent (the table trims to
+// what exponents below 4 bits reach), the square-root and Fermat
+// exponents, and random ones up to the full 768-bit exponent width.
+TEST_F(FpTest, PowMatchesSquareAndMultiply) {
+  auto reference = [](const Fp& a, const FpInt& e) {
+    Fp acc = Fp::one(a.ctx());
+    for (size_t i = e.bit_length(); i-- > 0;) {
+      acc = acc.squared();
+      if (e.bit(i)) acc = acc * a;
+    }
+    return acc;
+  };
+  for (const auto& [name, fp] : fields()) {
+    std::vector<FpInt> exponents;
+    for (std::uint64_t e = 0; e <= 70; ++e) exponents.push_back(FpInt::from_u64(e));
+    exponents.push_back(bigint::shr(bigint::add(fp->p, FpInt::from_u64(1)), 2));
+    exponents.push_back(bigint::sub(fp->p, FpInt::from_u64(1)));
+    for (int i = 0; i < 4; ++i) {
+      exponents.push_back(bigint::random_below(rng_, fp->p));
+      exponents.push_back(FpInt::from_bytes_be(rng_.bytes(8 * kMaxFieldLimbs)));
+    }
+    for (const Fp& a : {Fp::random(fp, rng_), Fp::zero(fp), Fp::one(fp)}) {
+      for (const FpInt& e : exponents) {
+        EXPECT_TRUE(a.pow(e) == reference(a, e)) << name << ", e = " << e.to_hex();
+      }
+    }
   }
 }
 

@@ -47,6 +47,19 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+// An empty span arriving after a partial block (its data() is null) must
+// leave the state alone; before the early return it reached memcpy with a
+// null source, which UBSan reports.
+TEST(Sha256, EmptySpanMidBlockIsANoOp) {
+  Sha256 h;
+  h.update(to_bytes("ab"));
+  h.update(ByteSpan{});
+  h.update(to_bytes("c"));
+  h.update(ByteSpan{});
+  EXPECT_EQ(to_hex(h.finalize()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(Sha256, ResetReusesObject) {
   Sha256 h;
   h.update(to_bytes("garbage"));

@@ -13,6 +13,8 @@
 #                                            # speedup over per-item verification
 #                                            # at N=10^4 on bls12-381
 #   PERF381=1 tools/run_tier1.sh             # BLS12-381 pairing-engine speedup gate
+#                                            # plus G1 membership test >= 1.5x
+#                                            # faster than its [r]P oracle
 #   SELFTEST=1 tools/run_tier1.sh            # power-on KAT gate: every injected
 #                                            # fault must fail, the clean run pass,
 #                                            # plus a TRE_SELFTEST=OFF opt-out build
@@ -65,7 +67,11 @@
 # PERF381_MIN_VERIFY / PERF381_MIN_ENCRYPT / PERF381_MIN_DECRYPT. Like
 # the scaling gate it is opt-in: the baselines were measured on the
 # reference host, so absolute-ratio floors only mean something on
-# comparable hardware.
+# comparable hardware. The same run also FAILS if the endomorphism G1
+# membership test is less than 1.5x faster than its [r]P oracle
+# (g1_mul_r_us / g1_in_subgroup_us in ingestion_anatomy_bls381). The
+# bench times the two in interleaved batches of one process, so, like
+# BATCH, this floor needs no pinned hardware and has no override.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -196,12 +202,35 @@ run_perf381_gate() {
       exit
     }' "$json")"
   echo "$verdict" | head -1
-  if [[ "$(echo "$verdict" | tail -1)" == "PASS" ]]; then
-    echo "perf381 gate: PASS"
-  else
+  local pairing_verdict
+  pairing_verdict="$(echo "$verdict" | tail -1)"
+  verdict="$(awk '
+    function val(key,   s) {
+      s = $0
+      if (!sub(".*\"" key "\": *", "", s)) return 0
+      sub(/[,}].*/, "", s)
+      return s + 0
+    }
+    /"ingestion_anatomy_bls381"/ {
+      sub_us = val("g1_in_subgroup_us")
+      ratio = sub_us > 0 ? val("g1_mul_r_us") / sub_us : 0
+      printf "G1 membership: [r]P oracle / endomorphism test = %.2fx (floor 1.50)\n", ratio
+      print (ratio >= 1.5) ? "PASS" : "FAIL"
+      exit
+    }' "$json")"
+  echo "${verdict:-G1 membership: no ingestion_anatomy_bls381 row}" | head -1
+  local membership_verdict
+  membership_verdict="$(echo "$verdict" | tail -1)"
+  if [[ "$pairing_verdict" != "PASS" ]]; then
     echo "perf381 gate: FAIL — pairing-engine speedup below floor" >&2
+  fi
+  if [[ "$membership_verdict" != "PASS" ]]; then
+    echo "perf381 gate: FAIL — G1 membership test below 1.5x its [r]P oracle" >&2
+  fi
+  if [[ "$pairing_verdict" != "PASS" || "$membership_verdict" != "PASS" ]]; then
     return 1
   fi
+  echo "perf381 gate: PASS"
 }
 
 # DAEMON=1: end-to-end over real sockets. Issues a key pair + one update,
