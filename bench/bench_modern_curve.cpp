@@ -16,22 +16,52 @@
 // digging through git), pairing-engine sub-timings (Miller loop vs
 // final exponentiation, cold vs cached lines), the point-ingestion
 // timings a cold receiver pays per update (hash-to-curve, decoding and
-// the subgroup test, with the [r]P oracle timed beside it), and the
-// global metrics registry snapshot, so the per-backend probe prefixes
+// the subgroup test, with the [r]P oracle timed beside it), the
+// base-field and tower products the pairing is made of (with the generic
+// field::Fp2 product timed beside the backend's own), and the global
+// metrics registry snapshot, so the per-backend probe prefixes
 // (core.* vs core.bls381.*) are visible in one artifact.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "bigint/prime.h"
 #include "bls12/tre381.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
 #include "hashing/kdf.h"
+
+namespace {
+
+/// One timed batch: `ops` operations per call of `run`.
+struct Batch {
+  double ops;
+  std::function<void()> run;
+};
+
+/// Each of `rounds` rounds runs one batch of every kernel in turn, so all
+/// kernels see the same stretches of host load. Returns each kernel's
+/// fastest batch mean, in microseconds per operation.
+std::vector<double> fastest_batch_means(const std::vector<Batch>& batches, int rounds) {
+  std::vector<double> us(batches.size(), 0);
+  for (int round = 0; round < rounds; ++round) {
+    for (size_t k = 0; k < batches.size(); ++k) {
+      auto start = std::chrono::steady_clock::now();
+      batches[k].run();
+      std::chrono::duration<double, std::micro> elapsed =
+          std::chrono::steady_clock::now() - start;
+      const double mean = elapsed.count() / batches[k].ops;
+      us[k] = round == 0 ? mean : std::min(us[k], mean);
+    }
+  }
+  return us;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tre;
@@ -131,11 +161,11 @@ int main(int argc, char** argv) {
   // what a receiver pays per update before any pairing when no cache
   // holds the tag — hash_to_g1 of the tag and g1_from_bytes of the served
   // point — and the kernels inside them. A batch runs one kernel once on
-  // each of kInputs distinct inputs. Each of kRounds rounds runs one
-  // batch of every kernel in turn, so all kernels, and the membership
-  // test and its [r]P oracle that the PERF381 gate compares, see the
-  // same stretches of host load; a figure is the kernel's fastest batch
-  // mean. The baselines pin hash_to_g1 and g1_from_bytes as they were
+  // each of kInputs distinct inputs. Batches interleave
+  // (fastest_batch_means), so the membership test and its [r]P oracle
+  // that the PERF381 gate compares see the same stretches of host load;
+  // a figure is the kernel's fastest batch mean. The baselines pin
+  // hash_to_g1 and g1_from_bytes as they were
   // with the [r]P membership ladder, bit-serial wide reduction and
   // square-and-multiply square root: medians of eleven runs of this same
   // block, alternated with runs of the current kernels on one host.
@@ -143,7 +173,7 @@ int main(int argc, char** argv) {
   constexpr int kInputs = 64, kRounds = 15;
   std::vector<Bytes> ingest_tags, ingest_wide, ingest_encoded;
   std::vector<bls12::G1Point381> ingest_points;
-  std::vector<bls12::Fp> ingest_squares;
+  std::vector<bls12::Fq> ingest_squares;
   for (int i = 0; i < kInputs; ++i) {
     ingest_tags.push_back(to_bytes("bench-ingest-tag-" + std::to_string(i)));
     ingest_wide.push_back(hashing::oracle_bytes(
@@ -157,28 +187,99 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const std::function<void(size_t)> ingest_kernels[] = {
-      [&](size_t i) { (void)ctx.hash_to_g1(ingest_tags[i]); },
-      [&](size_t i) { (void)ctx.g1_from_bytes(ingest_encoded[i]); },
-      [&](size_t i) { (void)ctx.g1_in_subgroup(ingest_points[i]); },
-      [&](size_t i) { (void)ctx.g1_mul(ingest_points[i], ctx.r()); },
-      [&](size_t i) { (void)ingest_squares[i].sqrt(); },
-      [&](size_t i) { (void)bls12::Fp::from_bytes_wide(ctx.fp(), ingest_wide[i]); },
+  auto each_input = [&](std::function<void(size_t)> kernel) {
+    return Batch{kInputs, [=] {
+                   for (size_t i = 0; i < kInputs; ++i) kernel(i);
+                 }};
   };
-  std::vector<double> ingest_us(std::size(ingest_kernels), 0);
-  for (int round = 0; round < kRounds; ++round) {
-    for (size_t k = 0; k < std::size(ingest_kernels); ++k) {
-      auto start = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < kInputs; ++i) ingest_kernels[k](i);
-      std::chrono::duration<double, std::micro> elapsed =
-          std::chrono::steady_clock::now() - start;
-      const double us = elapsed.count() / kInputs;
-      ingest_us[k] = round == 0 ? us : std::min(ingest_us[k], us);
-    }
-  }
+  const std::vector<double> ingest_us = fastest_batch_means(
+      {each_input([&](size_t i) { (void)ctx.hash_to_g1(ingest_tags[i]); }),
+       each_input([&](size_t i) { (void)ctx.g1_from_bytes(ingest_encoded[i]); }),
+       each_input([&](size_t i) { (void)ctx.g1_in_subgroup(ingest_points[i]); }),
+       each_input([&](size_t i) { (void)ctx.g1_mul(ingest_points[i], ctx.r()); }),
+       each_input([&](size_t i) { (void)ingest_squares[i].sqrt(); }),
+       each_input([&](size_t i) { (void)bls12::Fq::from_bytes_wide(ingest_wide[i]); })},
+      kRounds);
   const double h2c_us = ingest_us[0], decode_us = ingest_us[1],
                subgroup_us = ingest_us[2], mul_r_us = ingest_us[3],
                sqrt_us = ingest_us[4], wide_us = ingest_us[5];
+
+  // Base-field anatomy (docs/PERF.md "BLS12-381 base field"): the
+  // products every pairing is made of, on the backend's six-limb
+  // residues; the generic field::Fp2 product over the same modulus, timed
+  // beside the Fq2 one for the PERF381 gate's same-run floor; and
+  // gt_pow_unitary, which a sealed-and-opened message runs twice. A field
+  // or tower batch is a dependent chain (each result feeds the next
+  // operation). The baselines pin these kernels as they were when every
+  // coordinate was a field::Fp (so the Fp2 product was the generic one):
+  // medians of eleven runs of the same batches, alternated with runs of
+  // the current kernels on one host.
+  constexpr double kBaselineFpMulNs = 100.48, kBaselineFp2MulNs = 465.11,
+                   kBaselineFp12MulUs = 10.71, kBaselineCyclotomicSqrUs = 4.61,
+                   kBaselineGtPowUnitaryUs = 1852.25;
+  constexpr int kFieldOps = 2048, kTowerOps = 64, kPowOps = 4;
+  std::vector<bls12::Fq2> fq2_in;
+  std::vector<field::Fp2> generic_in;
+  for (int i = 0; i < kInputs; ++i) {
+    fq2_in.push_back(bls12::Fq2(bls12::Fq::random(rng), bls12::Fq::random(rng)));
+    generic_in.push_back(
+        field::Fp2::from_bytes(ctx.fp(), fq2_in.back().to_bytes()));
+  }
+  const bls12::TowerCtx& tower = ctx.tower();
+  const bls12::Gt381 gt = ctx.pair(bp, bq);
+  std::vector<bls12::Gt381> gt_in;
+  for (std::uint64_t k = 3; k < 11; ++k) {
+    gt_in.push_back(ctx.gt_pow_unitary(gt, bls12::Scalar::from_u64(k)));
+  }
+  std::vector<bls12::Scalar> gt_exponents;
+  for (int i = 0; i < kPowOps; ++i) {
+    gt_exponents.push_back(bigint::random_bits<field::kMaxFieldLimbs>(rng, 255));
+  }
+  bls12::Fq fq_acc = fq2_in[0].re();
+  bls12::Fq2 fq2_acc = fq2_in[0];
+  field::Fp2 generic_acc = generic_in[0];
+  bls12::Gt381 mul_acc = gt, sqr_acc = gt, pow_acc = gt;
+  const std::vector<double> field_us = fastest_batch_means(
+      {{kFieldOps,
+        [&] {
+          for (int i = 0; i < kFieldOps; ++i) fq_acc = fq_acc * fq2_in[i % kInputs].im();
+        }},
+       {kFieldOps,
+        [&] {
+          for (int i = 0; i < kFieldOps; ++i) fq2_acc = fq2_acc * fq2_in[i % kInputs];
+        }},
+       {kFieldOps,
+        [&] {
+          for (int i = 0; i < kFieldOps; ++i) {
+            generic_acc = generic_acc * generic_in[i % kInputs];
+          }
+        }},
+       {kTowerOps,
+        [&] {
+          for (int i = 0; i < kTowerOps; ++i) {
+            mul_acc = bls12::fp12_mul(tower, mul_acc, gt_in[i % gt_in.size()]);
+          }
+        }},
+       {kTowerOps,
+        [&] {
+          for (int i = 0; i < kTowerOps; ++i) {
+            sqr_acc = bls12::fp12_cyclotomic_sqr(tower, sqr_acc);
+          }
+        }},
+       {kPowOps,
+        [&] {
+          for (int i = 0; i < kPowOps; ++i) {
+            pow_acc = ctx.gt_pow_unitary(pow_acc, gt_exponents[i]);
+          }
+        }}},
+      kRounds);
+  if (fq_acc.is_zero() || fq2_acc.is_zero() || generic_acc.is_zero()) {
+    std::fprintf(stderr, "field anatomy: a product chain reached zero\n");
+    return 1;
+  }
+  const double fp_mul_ns = field_us[0] * 1e3, fp2_mul_ns = field_us[1] * 1e3,
+               generic_fp2_mul_ns = field_us[2] * 1e3, fp12_mul_us = field_us[3],
+               cyclotomic_sqr_us = field_us[4], gt_pow_unitary_us = field_us[5];
 
   std::printf("%-32s | %8s | %9s | %8s | %8s | %9s | %9s | %s\n", "backend",
               "issue ms", "verify ms", "enc ms", "dec ms", "update B",
@@ -202,6 +303,14 @@ int main(int argc, char** argv) {
               "fp_from_bytes_wide %.2f us\n",
               h2c_us, kBaselineHashToG1Us, decode_us, kBaselineG1FromBytesUs,
               subgroup_us, mul_r_us, mul_r_us / subgroup_us, sqrt_us, wide_us);
+  std::printf("field anatomy: Fq mul %.1f ns (baseline %.1f), Fq2 mul %.1f ns "
+              "(baseline %.1f) vs field::Fp2 %.1f ns (%.2fx), fp12_mul %.2f us "
+              "(baseline %.2f), cyclotomic_sqr %.2f us (baseline %.2f), "
+              "gt_pow_unitary %.1f us (baseline %.1f)\n",
+              fp_mul_ns, kBaselineFpMulNs, fp2_mul_ns, kBaselineFp2MulNs,
+              generic_fp2_mul_ns, generic_fp2_mul_ns / fp2_mul_ns, fp12_mul_us,
+              kBaselineFp12MulUs, cyclotomic_sqr_us, kBaselineCyclotomicSqrUs,
+              gt_pow_unitary_us, kBaselineGtPowUnitaryUs);
 
   const char* json_path = argc > 1 ? argv[1] : "BENCH_modern_curve.json";
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -239,6 +348,18 @@ int main(int argc, char** argv) {
                  "\"baseline_g1_from_bytes_us\": %.2f},\n",
                  h2c_us, decode_us, subgroup_us, mul_r_us, sqrt_us, wide_us,
                  kBaselineHashToG1Us, kBaselineG1FromBytesUs);
+    std::fprintf(f,
+                 "  \"field_anatomy_bls381\": {\"fp_mul_ns\": %.2f, "
+                 "\"fp2_mul_ns\": %.2f, \"generic_fp2_mul_ns\": %.2f, "
+                 "\"fp12_mul_us\": %.3f, \"cyclotomic_sqr_us\": %.3f, "
+                 "\"gt_pow_unitary_us\": %.2f, \"baseline_fp_mul_ns\": %.2f, "
+                 "\"baseline_fp2_mul_ns\": %.2f, \"baseline_fp12_mul_us\": %.3f, "
+                 "\"baseline_cyclotomic_sqr_us\": %.3f, "
+                 "\"baseline_gt_pow_unitary_us\": %.2f},\n",
+                 fp_mul_ns, fp2_mul_ns, generic_fp2_mul_ns, fp12_mul_us,
+                 cyclotomic_sqr_us, gt_pow_unitary_us, kBaselineFpMulNs,
+                 kBaselineFp2MulNs, kBaselineFp12MulUs, kBaselineCyclotomicSqrUs,
+                 kBaselineGtPowUnitaryUs);
     std::fprintf(f, "%s\n}\n", bench::metrics_json_field(2).c_str());
     std::fclose(f);
     std::printf("wrote %s\n", json_path);

@@ -14,6 +14,46 @@
 
 namespace tre::bigint {
 
+/// a^e by the greedy sliding window, MSB first: a run of zero bits costs
+/// one squaring each; otherwise the window takes the next at most kWindow
+/// bits, trimmed to end on a set bit, so its value is odd and one table
+/// entry a^1, a^3, ..., a^15 covers it. Exponents shorter than kWindow bits
+/// build only the entries they can reach. `mul` and `sqr` are the element
+/// type's product and square, so MontCtx::pow, field::Fp2::pow and the
+/// BLS12-381 base field (bls12/fq.h) share this loop.
+template <class T, size_t LE, class Mul, class Sqr>
+T pow_sliding_window(const T& one, const T& a, const BigInt<LE>& e, Mul mul, Sqr sqr) {
+  constexpr size_t kWindow = 4;
+  const size_t bits = e.bit_length();
+  if (bits == 0) return one;
+
+  std::array<T, size_t{1} << (kWindow - 1)> odd;
+  const size_t entries = size_t{1} << (std::min(bits, kWindow) - 1);
+  odd[0] = a;
+  if (entries > 1) {
+    const T sq = sqr(a);
+    for (size_t i = 1; i < entries; ++i) odd[i] = mul(odd[i - 1], sq);
+  }
+
+  T acc = one;
+  size_t i = bits;
+  while (i > 0) {
+    if (!e.bit(i - 1)) {
+      acc = sqr(acc);
+      --i;
+      continue;
+    }
+    size_t j = i >= kWindow ? i - kWindow : 0;
+    while (!e.bit(j)) ++j;
+    size_t val = 0;
+    for (size_t b = i; b-- > j;) val = (val << 1) | static_cast<size_t>(e.bit(b));
+    for (size_t s = 0; s < i - j; ++s) acc = sqr(acc);
+    acc = mul(acc, odd[val >> 1]);
+    i = j;
+  }
+  return acc;
+}
+
 template <size_t L>
 class MontCtx {
  public:
@@ -147,43 +187,13 @@ class MontCtx {
     return submod(a, b, m_);
   }
 
-  /// a^e mod m with a in Montgomery form; result in Montgomery form.
-  /// Greedy sliding window, MSB first (the rule of field::Fp2::pow): a run
-  /// of zero bits costs one squaring each; otherwise the window takes the
-  /// next at most kWindow bits, trimmed to end on a set bit, so its value
-  /// is odd and one table entry a^1, a^3, ..., a^15 covers it. Exponents
-  /// shorter than kWindow bits build only the entries they can reach.
+  /// a^e mod m with a in Montgomery form; result in Montgomery form
+  /// (pow_sliding_window above).
   template <size_t LE>
   BigInt<L> pow(const BigInt<L>& a_mont, const BigInt<LE>& e) const {
-    constexpr size_t kWindow = 4;
-    const size_t bits = e.bit_length();
-    if (bits == 0) return one_;
-
-    std::array<BigInt<L>, size_t{1} << (kWindow - 1)> odd;
-    const size_t entries = size_t{1} << (std::min(bits, kWindow) - 1);
-    odd[0] = a_mont;
-    if (entries > 1) {
-      const BigInt<L> sq = sqr(a_mont);
-      for (size_t i = 1; i < entries; ++i) odd[i] = mul(odd[i - 1], sq);
-    }
-
-    BigInt<L> acc = one_;
-    size_t i = bits;
-    while (i > 0) {
-      if (!e.bit(i - 1)) {
-        acc = sqr(acc);
-        --i;
-        continue;
-      }
-      size_t j = i >= kWindow ? i - kWindow : 0;
-      while (!e.bit(j)) ++j;
-      size_t val = 0;
-      for (size_t b = i; b-- > j;) val = (val << 1) | static_cast<size_t>(e.bit(b));
-      for (size_t s = 0; s < i - j; ++s) acc = sqr(acc);
-      acc = mul(acc, odd[val >> 1]);
-      i = j;
-    }
-    return acc;
+    return pow_sliding_window(
+        one_, a_mont, e, [this](const BigInt<L>& x, const BigInt<L>& y) { return mul(x, y); },
+        [this](const BigInt<L>& x) { return sqr(x); });
   }
 
   /// Convenience: plain-representation modular exponentiation.

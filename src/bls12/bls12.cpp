@@ -1,5 +1,6 @@
 #include "bls12/bls12.h"
 
+#include <algorithm>
 #include <array>
 #include <mutex>
 #include <string>
@@ -31,6 +32,22 @@ struct PairProbes {
   }
 };
 
+// E: y² = x³ + 4.
+constexpr Fq kCurveB = Fq::from_u64(4);
+
+// An F_p2 element from 192 bytes of hash output: each coordinate is the
+// wide reduction of 96 of them.
+Fq2 fq2_from_wide(ByteSpan h) {
+  return Fq2(Fq::from_bytes_wide(h.first(2 * Fq::kBytes)),
+             Fq::from_bytes_wide(h.subspan(2 * Fq::kBytes, 2 * Fq::kBytes)));
+}
+
+// The point at infinity has one encoding: the 0x00 tag followed by zeros.
+bool is_zero_payload(ByteSpan encoded) {
+  return std::all_of(encoded.begin() + 1, encoded.end(),
+                     [](std::uint8_t b) { return b == 0; });
+}
+
 // Integer square root (Newton), with exactness reported separately.
 Wide isqrt(const Wide& n) {
   if (n.is_zero()) return Wide{};
@@ -45,9 +62,9 @@ Wide isqrt(const Wide& n) {
   }
 }
 
-// Generic Jacobian arithmetic over any field element type T providing
-// ring operators, squared(), inverse(), is_zero() and a one() factory.
-// Valid for a = 0 short-Weierstrass curves (both E and E').
+// Generic Jacobian arithmetic over Fq or Fq2 (ring operators, squared(),
+// inverse(), is_zero(), one(); a default T is zero). Valid for a = 0
+// short-Weierstrass curves (both E and E').
 template <class T>
 struct JacT {
   T x, y, z;
@@ -56,7 +73,7 @@ struct JacT {
 
 template <class T>
 JacT<T> jac_dbl(const JacT<T>& p) {
-  if (p.inf() || p.y.is_zero()) return JacT<T>{p.x, p.y, p.z - p.z};  // zero z
+  if (p.inf() || p.y.is_zero()) return JacT<T>{p.x, p.y, T{}};
   T a = p.x.squared();
   T b = p.y.squared();
   T c = b.squared();
@@ -84,7 +101,7 @@ JacT<T> jac_add(const JacT<T>& p, const JacT<T>& q) {
   T s2 = q.y * p.z * z1z1;
   if (u1 == u2) {
     if (s1 == s2) return jac_dbl(p);
-    return JacT<T>{p.x, p.y, p.z - p.z};
+    return JacT<T>{p.x, p.y, T{}};
   }
   T h = u2 - u1;
   T i = (h + h).squared();
@@ -108,15 +125,14 @@ JacT<T> jac_neg(const JacT<T>& p) {
 // accumulator — the Pippenger bucket-drop workhorse (one fewer field
 // squaring and three fewer multiplications than the general add).
 template <class T>
-JacT<T> jac_add_affine(const JacT<T>& p, const T& x2, const T& y2,
-                       const T& one) {
-  if (p.inf()) return JacT<T>{x2, y2, one};
+JacT<T> jac_add_affine(const JacT<T>& p, const T& x2, const T& y2) {
+  if (p.inf()) return JacT<T>{x2, y2, T::one()};
   T z1z1 = p.z.squared();
   T u2 = x2 * z1z1;
   T s2 = y2 * p.z * z1z1;
   if (u2 == p.x) {
     if (s2 == p.y) return jac_dbl(p);
-    return JacT<T>{p.x, p.y, p.z - p.z};
+    return JacT<T>{p.x, p.y, T{}};
   }
   T h = u2 - p.x;
   T hh = h.squared();
@@ -137,7 +153,7 @@ JacT<T> jac_add_affine(const JacT<T>& p, const T& x2, const T& y2,
 // the plain ladder at ~1/5 the additions.
 template <class T, size_t L>
 JacT<T> jac_mul(const JacT<T>& base, const bigint::BigInt<L>& k) {
-  JacT<T> acc{base.x, base.y, base.z - base.z};  // infinity (z = 0)
+  JacT<T> acc{base.x, base.y, T{}};  // infinity (z = 0)
   if (base.inf() || k.is_zero()) return acc;
   // Odd multiples 1B, 3B, 5B, 7B.
   std::array<JacT<T>, 4> tab;
@@ -165,7 +181,7 @@ JacT<T> jac_mul(const JacT<T>& base, const bigint::BigInt<L>& k) {
 // still vary; documented limitation, PERF.md).
 template <class T, size_t L>
 JacT<T> jac_mul_secret(const JacT<T>& base, const bigint::BigInt<L>& k) {
-  JacT<T> zero{base.x, base.y, base.z - base.z};
+  JacT<T> zero{base.x, base.y, T{}};
   if (base.inf() || k.is_zero()) return zero;
   std::array<JacT<T>, 16> tab;
   tab[0] = zero;
@@ -191,8 +207,8 @@ JacT<T> jac_mul_secret(const JacT<T>& base, const bigint::BigInt<L>& k) {
 
 // [|z|]·P by MSB-first double-and-add over the fixed 64-bit |z|: 63
 // doublings and 5 additions.
-JacT<Fp> jac_mul_abs_z(const JacT<Fp>& p) {
-  JacT<Fp> acc = p;
+JacT<Fq> jac_mul_abs_z(const JacT<Fq>& p) {
+  JacT<Fq> acc = p;
   for (int i = 62; i >= 0; --i) {
     acc = jac_dbl(acc);
     if ((kAbsZ >> i) & 1) acc = jac_add(acc, p);
@@ -207,25 +223,25 @@ JacT<Fp> jac_mul_abs_z(const JacT<Fp>& p) {
 // ingestion"). Two |z| ladders give [z²]P = [|z|]([|z|]P) in Jacobian
 // coordinates; the comparison with (βx, −y) is projective, so nothing
 // is inverted.
-bool phi_is_minus_z2(const G1Point381& a, const Fp& beta, const FpCtx* fp) {
-  const JacT<Fp> z2p = jac_mul_abs_z(jac_mul_abs_z(JacT<Fp>{a.x, a.y, Fp::one(fp)}));
+bool phi_is_minus_z2(const G1Point381& a, const Fq& beta) {
+  const JacT<Fq> z2p = jac_mul_abs_z(jac_mul_abs_z(JacT<Fq>{a.x, a.y, Fq::one()}));
   if (z2p.inf()) return false;
   // (X/Z², Y/Z³) == (βx, −y)  ⇔  X == βx·Z² and Y == −y·Z³.
-  const Fp zz = z2p.z.squared();
+  const Fq zz = z2p.z.squared();
   return z2p.x == beta * a.x * zz && z2p.y == -(a.y * zz * z2p.z);
 }
 
-G1Point381 jac_to_g1(const JacT<Fp>& j, const FpCtx* fp) {
-  if (j.inf()) return G1Point381{Fp::zero(fp), Fp::zero(fp), true};
-  Fp zi = j.z.inverse();
-  Fp zi2 = zi.squared();
+G1Point381 jac_to_g1(const JacT<Fq>& j) {
+  if (j.inf()) return G1Point381{};
+  Fq zi = j.z.inverse();
+  Fq zi2 = zi.squared();
   return G1Point381{j.x * zi2, j.y * zi2 * zi, false};
 }
 
-G2Point381 jac_to_g2(const JacT<Fp2>& j, const FpCtx* fp) {
-  if (j.inf()) return G2Point381{Fp2::zero(fp), Fp2::zero(fp), true};
-  Fp2 zi = j.z.inverse();
-  Fp2 zi2 = zi.squared();
+G2Point381 jac_to_g2(const JacT<Fq2>& j) {
+  if (j.inf()) return G2Point381{};
+  Fq2 zi = j.z.inverse();
+  Fq2 zi2 = zi.squared();
   return G2Point381{j.x * zi2, j.y * zi2 * zi, false};
 }
 
@@ -265,10 +281,14 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
   require(bigint::is_probable_prime(p, validation_rng, 20), "Bls12Ctx: p not prime");
   require(bigint::is_probable_prime(r, validation_rng, 20), "Bls12Ctx: r not prime");
 
+  // The base-field arithmetic runs on Fq, whose modulus is a constant:
+  // it must be the p derived here.
+  require(p == Fq::kModulus.resized<field::kMaxFieldLimbs>(),
+          "Bls12Ctx: Fq's modulus is not the p derived from z");
   fp_ = std::make_shared<const FpCtx>(p);
   fr_ = std::make_shared<const FpCtx>(r);
   require(fp_->p_mod_4_is_3, "Bls12Ctx: p != 3 (mod 4)");
-  tower_ = std::make_unique<TowerCtx>(fp_.get());
+  tower_ = std::make_unique<TowerCtx>();
 
   // G1 cofactor h1 = (z-1)²/3; #E(F_p) = p + |z| = h1·r. The same
   // integer seeds the final-exponentiation chain (c3 below).
@@ -281,14 +301,14 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
           "Bls12Ctx: G1 order identity failed");
 
   // Twist constant b' = 4(1+u), and the doubling-step constants.
-  twist_b_ = tower_->xi.scale(Fp::from_u64(fp_.get(), 4));
+  twist_b_ = tower_->xi.scale(Fq::from_u64(4));
   twist_b3_ = twist_b_ + twist_b_ + twist_b_;
-  half_ = Fp::from_u64(fp_.get(), 2).inverse();
+  half_ = Fq::from_u64(2).inverse();
 
   // Untwist constants 1/w², 1/w³ (w⁶ = ξ so w^{-1} = w⁵/ξ).
   {
     Fp12 w = fp12_zero(*tower_);
-    w.c1.c0 = Fp2::one(fp_.get());  // w
+    w.c1.c0 = Fq2::one();  // w
     Fp12 w_inv = fp12_inv(*tower_, w);
     w2_inv_ = fp12_mul(*tower_, w_inv, w_inv);
     w3_inv_ = fp12_mul(*tower_, w2_inv_, w_inv);
@@ -339,11 +359,9 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
     // divisible by r and (b) annihilates the point.
     G2Point381 sample = g2_infinity();
     for (std::uint32_t ctr = 0; sample.inf; ++ctr) {
-      Bytes h = hashing::oracle_bytes("BLS12-G2-sample", be32(ctr), 4 * fp_->byte_len);
-      Fp2 x(Fp::from_bytes_wide(fp_.get(), ByteSpan(h.data(), 2 * fp_->byte_len)),
-            Fp::from_bytes_wide(fp_.get(),
-                                ByteSpan(h.data() + 2 * fp_->byte_len, 2 * fp_->byte_len)));
-      Fp2 rhs = x.squared() * x + twist_b_;
+      Bytes h = hashing::oracle_bytes("BLS12-G2-sample", be32(ctr), 4 * Fq::kBytes);
+      Fq2 x = fq2_from_wide(h);
+      Fq2 rhs = x.squared() * x + twist_b_;
       auto y = rhs.sqrt();
       if (!y) continue;
       sample = G2Point381{x, *y, false};
@@ -354,7 +372,7 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
       bigint::divmod(n, r.resized<Wide::kLimbs>(), q2, r2);
       if (!r2.is_zero()) continue;
       // n must annihilate the sampled point.
-      JacT<Fp2> jac{sample.x, sample.y, Fp2::one(fp_.get())};
+      JacT<Fq2> jac{sample.x, sample.y, Fq2::one()};
       if (!jac_mul(jac, n).inf()) continue;
       require(q2.bit_length() <= 64 * field::kMaxFieldLimbs,
               "Bls12Ctx: G2 cofactor too large");
@@ -388,14 +406,14 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
     FpInt third, third_rem;
     bigint::divmod(bigint::sub(p, FpInt::from_u64(1)), FpInt::from_u64(3), third, third_rem);
     require(third_rem.is_zero(), "Bls12Ctx: p != 1 (mod 3)");
-    const Fp one = Fp::one(fp_.get());
-    Fp cube_root = one;
+    const Fq one = Fq::one();
+    Fq cube_root = one;
     for (std::uint64_t g = 2; cube_root == one; ++g) {
-      cube_root = Fp::from_u64(fp_.get(), g).pow(third);
+      cube_root = Fq::from_u64(g).pow(third);
     }
     int matches = 0;
-    for (const Fp& beta : {cube_root, cube_root.squared()}) {
-      if (!phi_is_minus_z2(g1_gen_, beta, fp_.get())) continue;
+    for (const Fq& beta : {cube_root, cube_root.squared()}) {
+      if (!phi_is_minus_z2(g1_gen_, beta)) continue;
       beta_ = beta;
       ++matches;
     }
@@ -403,11 +421,9 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
   }
   {
     for (std::uint32_t ctr = 0;; ++ctr) {
-      Bytes h = hashing::oracle_bytes("BLS12-G2-gen", be32(ctr), 4 * fp_->byte_len);
-      Fp2 x(Fp::from_bytes_wide(fp_.get(), ByteSpan(h.data(), 2 * fp_->byte_len)),
-            Fp::from_bytes_wide(fp_.get(),
-                                ByteSpan(h.data() + 2 * fp_->byte_len, 2 * fp_->byte_len)));
-      Fp2 rhs = x.squared() * x + twist_b_;
+      Bytes h = hashing::oracle_bytes("BLS12-G2-gen", be32(ctr), 4 * Fq::kBytes);
+      Fq2 x = fq2_from_wide(h);
+      Fq2 rhs = x.squared() * x + twist_b_;
       auto y = rhs.sqrt();
       if (!y) continue;
       G2Point381 cleared = g2_mul(G2Point381{x, *y, false}, g2_cofactor_);
@@ -433,13 +449,11 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
 // ---------------------------------------------------------------------------
 // G1.
 
-G1Point381 Bls12Ctx::g1_infinity() const {
-  return G1Point381{Fp::zero(fp_.get()), Fp::zero(fp_.get()), true};
-}
+G1Point381 Bls12Ctx::g1_infinity() const { return G1Point381{}; }
 
 bool Bls12Ctx::g1_on_curve(const G1Point381& a) const {
   if (a.inf) return true;
-  return a.y.squared() == a.x.squared() * a.x + Fp::from_u64(fp_.get(), 4);
+  return a.y.squared() == a.x.squared() * a.x + kCurveB;
 }
 
 bool Bls12Ctx::g1_eq(const G1Point381& a, const G1Point381& b) const {
@@ -455,69 +469,67 @@ G1Point381 Bls12Ctx::g1_neg(const G1Point381& a) const {
 G1Point381 Bls12Ctx::g1_add(const G1Point381& a, const G1Point381& b) const {
   if (a.inf) return b;
   if (b.inf) return a;
-  JacT<Fp> ja{a.x, a.y, Fp::one(fp_.get())};
-  JacT<Fp> jb{b.x, b.y, Fp::one(fp_.get())};
-  return jac_to_g1(jac_add(ja, jb), fp_.get());
+  JacT<Fq> ja{a.x, a.y, Fq::one()};
+  JacT<Fq> jb{b.x, b.y, Fq::one()};
+  return jac_to_g1(jac_add(ja, jb));
 }
 
 G1Point381 Bls12Ctx::g1_mul(const G1Point381& a, const Scalar& k) const {
   if (a.inf || k.is_zero()) return g1_infinity();
-  JacT<Fp> ja{a.x, a.y, Fp::one(fp_.get())};
-  return jac_to_g1(jac_mul(ja, k), fp_.get());
+  JacT<Fq> ja{a.x, a.y, Fq::one()};
+  return jac_to_g1(jac_mul(ja, k));
 }
 
 G1Point381 Bls12Ctx::g1_mul_secret(const G1Point381& a, const Scalar& k) const {
   if (a.inf || k.is_zero()) return g1_infinity();
-  JacT<Fp> ja{a.x, a.y, Fp::one(fp_.get())};
-  return jac_to_g1(jac_mul_secret(ja, k), fp_.get());
+  JacT<Fq> ja{a.x, a.y, Fq::one()};
+  return jac_to_g1(jac_mul_secret(ja, k));
 }
 
 namespace {
 
 // Adapter feeding the shared Pippenger engine (ec/multiexp.h) with the
-// private JacT<Fp> kernel: mixed adds for bucket drops, full adds for
+// private JacT<Fq> kernel: mixed adds for bucket drops, full adds for
 // the running-sum fold.
 struct G1MultiexpOps {
-  using Acc = JacT<Fp>;
+  using Acc = JacT<Fq>;
 
   std::span<const G1Point381> points;
-  const FpCtx* fp;
 
-  Acc zero() const { return {Fp::one(fp), Fp::one(fp), Fp::zero(fp)}; }
+  Acc zero() const { return {Fq::one(), Fq::one(), Fq{}}; }
   void add_point(Acc& acc, size_t i) const {
     const G1Point381& p = points[i];
     if (p.inf) return;
-    acc = jac_add_affine(acc, p.x, p.y, Fp::one(fp));
+    acc = jac_add_affine(acc, p.x, p.y);
   }
   void add(Acc& acc, const Acc& other) const { acc = jac_add(acc, other); }
   void dbl(Acc& acc) const { acc = jac_dbl(acc); }
   void sub_point(Acc& acc, size_t i) const {
     const G1Point381& p = points[i];
     if (p.inf) return;
-    acc = jac_add_affine(acc, p.x, -p.y, Fp::one(fp));
+    acc = jac_add_affine(acc, p.x, -p.y);
   }
 };
 
 // The same adapter over the twist: JacT is generic in its field, so the
 // G2 multi-exp reuses every Jacobian kernel verbatim.
 struct G2MultiexpOps {
-  using Acc = JacT<Fp2>;
+  using Acc = JacT<Fq2>;
 
   std::span<const G2Point381> points;
-  const FpCtx* fp;
 
-  Acc zero() const { return {Fp2::one(fp), Fp2::one(fp), Fp2::zero(fp)}; }
+  Acc zero() const { return {Fq2::one(), Fq2::one(), Fq2{}}; }
   void add_point(Acc& acc, size_t i) const {
     const G2Point381& p = points[i];
     if (p.inf) return;
-    acc = jac_add_affine(acc, p.x, p.y, Fp2::one(fp));
+    acc = jac_add_affine(acc, p.x, p.y);
   }
   void add(Acc& acc, const Acc& other) const { acc = jac_add(acc, other); }
   void dbl(Acc& acc) const { acc = jac_dbl(acc); }
   void sub_point(Acc& acc, size_t i) const {
     const G2Point381& p = points[i];
     if (p.inf) return;
-    acc = jac_add_affine(acc, p.x, -p.y, Fp2::one(fp));
+    acc = jac_add_affine(acc, p.x, -p.y);
   }
 };
 
@@ -527,41 +539,38 @@ G1Point381 Bls12Ctx::g1_multiexp(std::span<const G1Point381> points,
                                  std::span<const Scalar> scalars,
                                  unsigned threads) const {
   require(points.size() == scalars.size(), "g1_multiexp: size mismatch");
-  G1MultiexpOps ops{points, fp_.get()};
-  JacT<Fp> acc = ec::multiexp_auto(ops, scalars, threads);
-  return jac_to_g1(acc, fp_.get());
+  G1MultiexpOps ops{points};
+  return jac_to_g1(ec::multiexp_auto(ops, scalars, threads));
 }
 
 G1Point381 Bls12Ctx::g1_multiexp_unsigned(std::span<const G1Point381> points,
                                           std::span<const Scalar> scalars,
                                           unsigned threads) const {
   require(points.size() == scalars.size(), "g1_multiexp: size mismatch");
-  G1MultiexpOps ops{points, fp_.get()};
-  JacT<Fp> acc = ec::multiexp_pippenger(ops, scalars, threads);
-  return jac_to_g1(acc, fp_.get());
+  G1MultiexpOps ops{points};
+  return jac_to_g1(ec::multiexp_pippenger(ops, scalars, threads));
 }
 
 G2Point381 Bls12Ctx::g2_multiexp(std::span<const G2Point381> points,
                                  std::span<const Scalar> scalars,
                                  unsigned threads) const {
   require(points.size() == scalars.size(), "g2_multiexp: size mismatch");
-  G2MultiexpOps ops{points, fp_.get()};
-  JacT<Fp2> acc = ec::multiexp_auto(ops, scalars, threads);
-  return jac_to_g2(acc, fp_.get());
+  G2MultiexpOps ops{points};
+  return jac_to_g2(ec::multiexp_auto(ops, scalars, threads));
 }
 
 bool Bls12Ctx::g1_in_subgroup(const G1Point381& a) const {
   if (a.inf) return true;
   if (!g1_on_curve(a)) return false;
-  return phi_is_minus_z2(a, beta_, fp_.get());
+  return phi_is_minus_z2(a, beta_);
 }
 
 G1Point381 Bls12Ctx::hash_to_g1(ByteSpan msg) const {
   for (std::uint32_t ctr = 0;; ++ctr) {
     Bytes input = concat({msg, be32(ctr)});
-    Bytes h = hashing::oracle_bytes("BLS12-H1", input, 2 * fp_->byte_len);
-    Fp x = Fp::from_bytes_wide(fp_.get(), h);
-    Fp rhs = x.squared() * x + Fp::from_u64(fp_.get(), 4);
+    Bytes h = hashing::oracle_bytes("BLS12-H1", input, 2 * Fq::kBytes);
+    Fq x = Fq::from_bytes_wide(h);
+    Fq rhs = x.squared() * x + kCurveB;
     auto y = rhs.sqrt();
     if (!y) continue;
     G1Point381 cleared = g1_mul(G1Point381{x, *y, false}, g1_cofactor_);
@@ -570,7 +579,7 @@ G1Point381 Bls12Ctx::hash_to_g1(ByteSpan msg) const {
 }
 
 Bytes Bls12Ctx::g1_to_bytes(const G1Point381& a) const {
-  Bytes out(1 + fp_->byte_len, 0);
+  Bytes out(1 + Fq::kBytes, 0);
   if (a.inf) return out;
   out[0] = static_cast<std::uint8_t>(0x02 | (a.y.to_int().w[0] & 1));
   Bytes xb = a.x.to_bytes();
@@ -579,11 +588,14 @@ Bytes Bls12Ctx::g1_to_bytes(const G1Point381& a) const {
 }
 
 G1Point381 Bls12Ctx::g1_from_bytes(ByteSpan bytes) const {
-  require(bytes.size() == 1 + fp_->byte_len, "g1_from_bytes: wrong length");
-  if (bytes[0] == 0x00) return g1_infinity();
+  require(bytes.size() == 1 + Fq::kBytes, "g1_from_bytes: wrong length");
+  if (bytes[0] == 0x00) {
+    require(is_zero_payload(bytes), "g1_from_bytes: malformed infinity");
+    return g1_infinity();
+  }
   require(bytes[0] == 0x02 || bytes[0] == 0x03, "g1_from_bytes: bad tag");
-  Fp x = Fp::from_bytes(fp_.get(), bytes.subspan(1));
-  auto y = (x.squared() * x + Fp::from_u64(fp_.get(), 4)).sqrt();
+  Fq x = Fq::from_bytes(bytes.subspan(1));
+  auto y = (x.squared() * x + kCurveB).sqrt();
   require(y.has_value(), "g1_from_bytes: not on curve");
   if ((y->to_int().w[0] & 1) != (bytes[0] & 1)) *y = -*y;
   G1Point381 p{x, *y, false};
@@ -594,9 +606,7 @@ G1Point381 Bls12Ctx::g1_from_bytes(ByteSpan bytes) const {
 // ---------------------------------------------------------------------------
 // G2 (twist coordinates).
 
-G2Point381 Bls12Ctx::g2_infinity() const {
-  return G2Point381{Fp2::zero(fp_.get()), Fp2::zero(fp_.get()), true};
-}
+G2Point381 Bls12Ctx::g2_infinity() const { return G2Point381{}; }
 
 bool Bls12Ctx::g2_on_curve(const G2Point381& a) const {
   if (a.inf) return true;
@@ -616,21 +626,21 @@ G2Point381 Bls12Ctx::g2_neg(const G2Point381& a) const {
 G2Point381 Bls12Ctx::g2_add(const G2Point381& a, const G2Point381& b) const {
   if (a.inf) return b;
   if (b.inf) return a;
-  JacT<Fp2> ja{a.x, a.y, Fp2::one(fp_.get())};
-  JacT<Fp2> jb{b.x, b.y, Fp2::one(fp_.get())};
-  return jac_to_g2(jac_add(ja, jb), fp_.get());
+  JacT<Fq2> ja{a.x, a.y, Fq2::one()};
+  JacT<Fq2> jb{b.x, b.y, Fq2::one()};
+  return jac_to_g2(jac_add(ja, jb));
 }
 
 G2Point381 Bls12Ctx::g2_mul(const G2Point381& a, const Scalar& k) const {
   if (a.inf || k.is_zero()) return g2_infinity();
-  JacT<Fp2> ja{a.x, a.y, Fp2::one(fp_.get())};
-  return jac_to_g2(jac_mul(ja, k), fp_.get());
+  JacT<Fq2> ja{a.x, a.y, Fq2::one()};
+  return jac_to_g2(jac_mul(ja, k));
 }
 
 G2Point381 Bls12Ctx::g2_mul_secret(const G2Point381& a, const Scalar& k) const {
   if (a.inf || k.is_zero()) return g2_infinity();
-  JacT<Fp2> ja{a.x, a.y, Fp2::one(fp_.get())};
-  return jac_to_g2(jac_mul_secret(ja, k), fp_.get());
+  JacT<Fq2> ja{a.x, a.y, Fq2::one()};
+  return jac_to_g2(jac_mul_secret(ja, k));
 }
 
 bool Bls12Ctx::g2_in_subgroup(const G2Point381& a) const {
@@ -639,7 +649,7 @@ bool Bls12Ctx::g2_in_subgroup(const G2Point381& a) const {
 }
 
 Bytes Bls12Ctx::g2_to_bytes(const G2Point381& a) const {
-  Bytes out(1 + 2 * fp_->byte_len, 0);
+  Bytes out(1 + 2 * Fq::kBytes, 0);
   if (a.inf) return out;
   std::uint64_t parity =
       a.y.re().is_zero() ? (a.y.im().to_int().w[0] & 1) : (a.y.re().to_int().w[0] & 1);
@@ -650,10 +660,13 @@ Bytes Bls12Ctx::g2_to_bytes(const G2Point381& a) const {
 }
 
 G2Point381 Bls12Ctx::g2_from_bytes(ByteSpan bytes) const {
-  require(bytes.size() == 1 + 2 * fp_->byte_len, "g2_from_bytes: wrong length");
-  if (bytes[0] == 0x00) return g2_infinity();
+  require(bytes.size() == 1 + 2 * Fq::kBytes, "g2_from_bytes: wrong length");
+  if (bytes[0] == 0x00) {
+    require(is_zero_payload(bytes), "g2_from_bytes: malformed infinity");
+    return g2_infinity();
+  }
   require(bytes[0] == 0x02 || bytes[0] == 0x03, "g2_from_bytes: bad tag");
-  Fp2 x = Fp2::from_bytes(fp_.get(), bytes.subspan(1));
+  Fq2 x = Fq2::from_bytes(bytes.subspan(1));
   auto y = (x.squared() * x + twist_b_).sqrt();
   require(y.has_value(), "g2_from_bytes: not on curve");
   std::uint64_t parity =
@@ -669,7 +682,6 @@ G2Point381 Bls12Ctx::g2_from_bytes(ByteSpan bytes) const {
 
 G2Comb::G2Comb(std::shared_ptr<const Bls12Ctx> ctx, const G2Point381& base)
     : ctx_(std::move(ctx)), base_(base) {
-  const FpCtx* fp = ctx_->fp();
   if (base_.inf) {
     degenerate_ = true;
     return;
@@ -678,8 +690,8 @@ G2Comb::G2Comb(std::shared_ptr<const Bls12Ctx> ctx, const G2Point381& base)
   constexpr size_t kBits = 256;
   cols_ = kBits / kTeeth;  // 32
   // Tooth bases B_t = 2^(t·cols)·base, then all 2^kTeeth − 1 subset sums.
-  std::array<JacT<Fp2>, kTeeth> tooth;
-  JacT<Fp2> cur{base_.x, base_.y, Fp2::one(fp)};
+  std::array<JacT<Fq2>, kTeeth> tooth;
+  JacT<Fq2> cur{base_.x, base_.y, Fq2::one()};
   for (size_t t = 0; t < kTeeth; ++t) {
     tooth[t] = cur;
     if (t + 1 < kTeeth) {
@@ -687,7 +699,7 @@ G2Comb::G2Comb(std::shared_ptr<const Bls12Ctx> ctx, const G2Point381& base)
     }
   }
   const size_t n = (size_t{1} << kTeeth) - 1;
-  std::vector<JacT<Fp2>> jac(n + 1);
+  std::vector<JacT<Fq2>> jac(n + 1);
   for (size_t m = 1; m <= n; ++m) {
     size_t low = m & (~m + 1);  // lowest set bit
     size_t t = 0;
@@ -697,19 +709,19 @@ G2Comb::G2Comb(std::shared_ptr<const Bls12Ctx> ctx, const G2Point381& base)
   }
   // Batch-normalize the table to affine with one field inversion
   // (Montgomery's trick over the non-infinity z coordinates).
-  std::vector<Fp2> zs;
+  std::vector<Fq2> zs;
   zs.reserve(n);
   for (size_t m = 1; m <= n; ++m) {
     if (!jac[m].inf()) zs.push_back(jac[m].z);
   }
-  std::vector<Fp2> prefix(zs.size(), Fp2::one(fp));
-  Fp2 acc = Fp2::one(fp);
+  std::vector<Fq2> prefix(zs.size(), Fq2::one());
+  Fq2 acc = Fq2::one();
   for (size_t i = 0; i < zs.size(); ++i) {
     prefix[i] = acc;
     acc = acc * zs[i];
   }
-  Fp2 inv = acc.inverse();
-  std::vector<Fp2> zinv(zs.size(), Fp2::one(fp));
+  Fq2 inv = acc.inverse();
+  std::vector<Fq2> zinv(zs.size(), Fq2::one());
   for (size_t i = zs.size(); i-- > 0;) {
     zinv[i] = inv * prefix[i];
     inv = inv * zs[i];
@@ -718,17 +730,16 @@ G2Comb::G2Comb(std::shared_ptr<const Bls12Ctx> ctx, const G2Point381& base)
   size_t zi = 0;
   for (size_t m = 1; m <= n; ++m) {
     if (jac[m].inf()) continue;  // unreachable for an order-r base; kept safe
-    Fp2 i1 = zinv[zi++];
-    Fp2 i2 = i1.squared();
+    Fq2 i1 = zinv[zi++];
+    Fq2 i2 = i1.squared();
     table_[m - 1] = G2Point381{jac[m].x * i2, jac[m].y * i2 * i1, false};
   }
 }
 
 G2Point381 G2Comb::mul(const Scalar& k) const {
-  const FpCtx* fp = ctx_->fp();
   if (degenerate_ || k.is_zero()) return ctx_->g2_infinity();
   if (k.bit_length() > cols_ * kTeeth) return ctx_->g2_mul(base_, k);
-  JacT<Fp2> acc{Fp2::zero(fp), Fp2::zero(fp), Fp2::zero(fp)};
+  JacT<Fq2> acc{};
   for (size_t col = cols_; col-- > 0;) {
     acc = jac_dbl(acc);
     unsigned m = 0;
@@ -737,18 +748,17 @@ G2Point381 G2Comb::mul(const Scalar& k) const {
     }
     if (m != 0) {
       const G2Point381& e = table_[m - 1];
-      acc = jac_add(acc, JacT<Fp2>{e.x, e.y, Fp2::one(fp)});
+      acc = jac_add(acc, JacT<Fq2>{e.x, e.y, Fq2::one()});
     }
   }
-  return jac_to_g2(acc, fp);
+  return jac_to_g2(acc);
 }
 
 G2Point381 G2Comb::mul_secret(const Scalar& k) const {
-  const FpCtx* fp = ctx_->fp();
   if (degenerate_ || k.is_zero()) return ctx_->g2_infinity();
   if (k.bit_length() > cols_ * kTeeth) return ctx_->g2_mul_secret(base_, k);
-  JacT<Fp2> acc{Fp2::zero(fp), Fp2::zero(fp), Fp2::zero(fp)};
-  JacT<Fp2> dummy{base_.x, base_.y, Fp2::one(fp)};
+  JacT<Fq2> acc{};
+  JacT<Fq2> dummy{base_.x, base_.y, Fq2::one()};
   for (size_t col = cols_; col-- > 0;) {
     acc = jac_dbl(acc);
     unsigned m = 0;
@@ -756,14 +766,14 @@ G2Point381 G2Comb::mul_secret(const Scalar& k) const {
       if (k.bit(t * cols_ + col)) m |= 1u << t;
     }
     const G2Point381& e = table_[m != 0 ? m - 1 : 0];
-    JacT<Fp2> ej{e.x, e.y, Fp2::one(fp)};
+    JacT<Fq2> ej{e.x, e.y, Fq2::one()};
     if (m != 0) {
       acc = jac_add(acc, ej);
     } else {
       dummy = jac_add(dummy, ej);  // keep the addition cadence
     }
   }
-  return jac_to_g2(acc, fp);
+  return jac_to_g2(acc);
 }
 
 // ---------------------------------------------------------------------------
@@ -785,37 +795,37 @@ std::shared_ptr<const G2Prepared> Bls12Ctx::prepare_g2(const G2Point381& q) cons
   }
   out->coeffs.reserve(70);
   // R = (X : Y : Z), homogeneous; starts at (x_Q : y_Q : 1).
-  Fp2 rx = q.x, ry = q.y, rz = Fp2::one(fp_.get());
+  Fq2 rx = q.x, ry = q.y, rz = Fq2::one();
   auto dbl_step = [&]() {
     // Costello–Lange–Naehrig doubling with line; b' folded via 3b'.
-    Fp2 a = (rx * ry).scale(half_);
-    Fp2 b = ry.squared();
-    Fp2 c = rz.squared();
-    Fp2 e = twist_b3_ * c;  // 3b'·Z²
-    Fp2 f = e + e + e;
-    Fp2 g = (b + f).scale(half_);
-    Fp2 h = (ry + rz).squared() - (b + c);
-    Fp2 i = e - b;
-    Fp2 j = rx.squared();
-    Fp2 e2 = e.squared();
+    Fq2 a = (rx * ry).scale(half_);
+    Fq2 b = ry.squared();
+    Fq2 c = rz.squared();
+    Fq2 e = twist_b3_ * c;  // 3b'·Z²
+    Fq2 f = e + e + e;
+    Fq2 g = (b + f).scale(half_);
+    Fq2 h = (ry + rz).squared() - (b + c);
+    Fq2 i = e - b;
+    Fq2 j = rx.squared();
+    Fq2 e2 = e.squared();
     rx = a * (b - f);
     ry = g.squared() - (e2 + e2 + e2);
     rz = b * h;
     out->coeffs.push_back(G2Prepared::Coeff{i, j + j + j, -h});
   };
   auto add_step = [&]() {
-    Fp2 theta = ry - q.y * rz;
-    Fp2 lambda = rx - q.x * rz;
-    Fp2 c = theta.squared();
-    Fp2 d = lambda.squared();
-    Fp2 e = lambda * d;
-    Fp2 f = rz * c;
-    Fp2 g = rx * d;
-    Fp2 h = e + f - (g + g);
+    Fq2 theta = ry - q.y * rz;
+    Fq2 lambda = rx - q.x * rz;
+    Fq2 c = theta.squared();
+    Fq2 d = lambda.squared();
+    Fq2 e = lambda * d;
+    Fq2 f = rz * c;
+    Fq2 g = rx * d;
+    Fq2 h = e + f - (g + g);
     rx = lambda * h;
     ry = theta * (g - h) - e * ry;
     rz = rz * e;
-    Fp2 j = theta * q.x - lambda * q.y;
+    Fq2 j = theta * q.x - lambda * q.y;
     out->coeffs.push_back(G2Prepared::Coeff{j, -theta, lambda});
   };
   FpInt loop = FpInt::from_u64(abs_z_);

@@ -17,6 +17,10 @@
 // membership test acting as −z² on the generator), so no unchecked
 // magic constants exist in the code.
 //
+// Every coordinate is a bls12::Fq (bls12/fq.h): a six-limb residue with
+// an inline no-carry Montgomery product, no context pointer
+// (docs/PERF.md "BLS12-381 base field").
+//
 // Pairing engine (docs/PERF.md "BLS12-381 pairing engine"):
 //   * Miller loop in homogeneous projective coordinates over F_p2 on the
 //     twist — no inversions — with each line folded in through the
@@ -54,13 +58,13 @@ using Scalar = FpInt;
 
 /// Point on E(F_p): y² = x³ + 4.
 struct G1Point381 {
-  Fp x, y;
+  Fq x, y;
   bool inf = true;
 };
 
 /// Point on the twist E'(F_p2): y² = x³ + 4(1+u).
 struct G2Point381 {
-  Fp2 x, y;
+  Fq2 x, y;
   bool inf = true;
 };
 
@@ -73,7 +77,7 @@ using Gt381 = Fp12;
 /// prepared Q skips all G_2 point arithmetic.
 struct G2Prepared {
   struct Coeff {
-    Fp2 a, b, c;
+    Fq2 a, b, c;
   };
   std::vector<Coeff> coeffs;
   bool inf = false;
@@ -113,6 +117,9 @@ class Bls12Ctx {
   /// constant fails its self-check.
   static std::shared_ptr<const Bls12Ctx> get();
 
+  /// The generic field::Fp context for p (serialization width; the
+  /// oracle the tests hold Fq against). The backend's own arithmetic runs
+  /// on Fq (bls12/fq.h).
   const FpCtx* fp() const { return fp_.get(); }
   const FpCtx* fr() const { return fr_.get(); }
   const TowerCtx& tower() const { return *tower_; }
@@ -241,10 +248,10 @@ class Bls12Ctx {
   FpInt g1_cofactor_;                 // (z-1)²/3
   FpInt g2_cofactor_;                 // #E'(F_p2)/r — derived + validated
   bigint::BigInt<24> hard_exponent_;  // (p⁴ - p² + 1)/r
-  Fp2 twist_b_;                       // 4(1+u)
-  Fp2 twist_b3_;                      // 3·4(1+u) — doubling-step constant
-  Fp half_;                           // 1/2 — doubling-step constant
-  Fp beta_;                           // φ(x, y) = (βx, y) acts on G1 as −[z²]
+  Fq2 twist_b_;                       // 4(1+u)
+  Fq2 twist_b3_;                      // 3·4(1+u) — doubling-step constant
+  Fq half_;                           // 1/2 — doubling-step constant
+  Fq beta_;                           // φ(x, y) = (βx, y) acts on G1 as −[z²]
   Fp12 w2_inv_, w3_inv_;              // untwist constants
   G1Point381 g1_gen_;
   G2Point381 g2_gen_;

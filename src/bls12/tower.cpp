@@ -4,17 +4,14 @@
 
 namespace tre::bls12 {
 
-TowerCtx::TowerCtx(const FpCtx* fp_ctx) : fp(fp_ctx) {
-  require(fp != nullptr, "TowerCtx: null field");
-  xi = Fp2(Fp::one(fp), Fp::one(fp));  // 1 + u
-
+TowerCtx::TowerCtx() : xi(Fq::one(), Fq::one()) {  // 1 + u
   // (p - 1) / 6 must be exact for the sextic tower to close.
-  FpInt p_minus_1 = bigint::sub(fp->p, FpInt::from_u64(1));
-  FpInt e, rem;
-  bigint::divmod(p_minus_1, FpInt::from_u64(6), e, rem);
+  const Fq::Int p_minus_1 = bigint::sub(Fq::kModulus, Fq::Int::from_u64(1));
+  Fq::Int e, rem;
+  bigint::divmod(p_minus_1, Fq::Int::from_u64(6), e, rem);
   require(rem.is_zero(), "TowerCtx: p != 1 (mod 6)");
 
-  frob_gamma[0] = Fp2::one(fp);
+  frob_gamma[0] = Fq2::one();
   frob_gamma[1] = xi.pow(e);
   for (size_t k = 2; k < 6; ++k) frob_gamma[k] = frob_gamma[k - 1] * frob_gamma[1];
   // γ_1 must have multiplicative order 12 over the conjugation action;
@@ -31,21 +28,17 @@ namespace {
 /// Every ξ· below is on a hot path (F_p6/F_p12 reduction terms, the
 /// cyclotomic squaring), so this is one of the larger constant-factor
 /// wins in the whole pairing.
-inline Fp2 mul_by_xi(const Fp2& a) {
-  return Fp2(a.re() - a.im(), a.re() + a.im());
+inline Fq2 mul_by_xi(const Fq2& a) {
+  return Fq2(a.re() - a.im(), a.re() + a.im());
 }
 
 }  // namespace
 
 // --- F_p6 ----------------------------------------------------------------------
 
-Fp6 fp6_zero(const TowerCtx& t) {
-  return Fp6{Fp2::zero(t.fp), Fp2::zero(t.fp), Fp2::zero(t.fp)};
-}
+Fp6 fp6_zero(const TowerCtx& /*t*/) { return Fp6{}; }
 
-Fp6 fp6_one(const TowerCtx& t) {
-  return Fp6{Fp2::one(t.fp), Fp2::zero(t.fp), Fp2::zero(t.fp)};
-}
+Fp6 fp6_one(const TowerCtx& /*t*/) { return Fp6{Fq2::one(), Fq2(), Fq2()}; }
 
 bool fp6_is_zero(const Fp6& a) {
   return a.c0.is_zero() && a.c1.is_zero() && a.c2.is_zero();
@@ -66,48 +59,48 @@ Fp6 fp6_sub(const Fp6& a, const Fp6& b) {
 Fp6 fp6_neg(const Fp6& a) { return Fp6{-a.c0, -a.c1, -a.c2}; }
 
 Fp6 fp6_mul(const TowerCtx& /*t*/, const Fp6& a, const Fp6& b) {
-  // Toom/Karatsuba with v³ = ξ: 6 Fp2 muls instead of the schoolbook 9.
-  Fp2 t0 = a.c0 * b.c0;
-  Fp2 t1 = a.c1 * b.c1;
-  Fp2 t2 = a.c2 * b.c2;
-  Fp2 c0 = t0 + mul_by_xi((a.c1 + a.c2) * (b.c1 + b.c2) - t1 - t2);
-  Fp2 c1 = (a.c0 + a.c1) * (b.c0 + b.c1) - t0 - t1 + mul_by_xi(t2);
-  Fp2 c2 = (a.c0 + a.c2) * (b.c0 + b.c2) - t0 - t2 + t1;
+  // Toom/Karatsuba with v³ = ξ: 6 Fq2 muls instead of the schoolbook 9.
+  Fq2 t0 = a.c0 * b.c0;
+  Fq2 t1 = a.c1 * b.c1;
+  Fq2 t2 = a.c2 * b.c2;
+  Fq2 c0 = t0 + mul_by_xi((a.c1 + a.c2) * (b.c1 + b.c2) - t1 - t2);
+  Fq2 c1 = (a.c0 + a.c1) * (b.c0 + b.c1) - t0 - t1 + mul_by_xi(t2);
+  Fq2 c2 = (a.c0 + a.c2) * (b.c0 + b.c2) - t0 - t2 + t1;
   return Fp6{c0, c1, c2};
 }
 
 Fp6 fp6_sqr(const TowerCtx& /*t*/, const Fp6& a) {
-  // CH-SQR: 2 Fp2 squarings + 3 Fp2 muls.
-  Fp2 s0 = a.c0.squared();
-  Fp2 cross = a.c1 * a.c2;
-  Fp2 s1 = a.c0 * a.c1;
-  Fp2 s2 = a.c1.squared();
-  Fp2 s3 = a.c0 * a.c2;
+  // CH-SQR: 2 Fq2 squarings + 3 Fq2 muls.
+  Fq2 s0 = a.c0.squared();
+  Fq2 cross = a.c1 * a.c2;
+  Fq2 s1 = a.c0 * a.c1;
+  Fq2 s2 = a.c1.squared();
+  Fq2 s3 = a.c0 * a.c2;
   return Fp6{s0 + mul_by_xi(cross + cross), s1 + s1 + mul_by_xi(a.c2.squared()),
              s2 + s3 + s3};
 }
 
-Fp6 fp6_mul_by_01(const TowerCtx& /*t*/, const Fp6& a, const Fp2& b0, const Fp2& b1) {
-  Fp2 t0 = a.c0 * b0;
-  Fp2 t1 = a.c1 * b1;
-  Fp2 c0 = mul_by_xi((a.c1 + a.c2) * b1 - t1) + t0;
-  Fp2 c1 = (a.c0 + a.c1) * (b0 + b1) - t0 - t1;
-  Fp2 c2 = (a.c0 + a.c2) * b0 - t0 + t1;
+Fp6 fp6_mul_by_01(const TowerCtx& /*t*/, const Fp6& a, const Fq2& b0, const Fq2& b1) {
+  Fq2 t0 = a.c0 * b0;
+  Fq2 t1 = a.c1 * b1;
+  Fq2 c0 = mul_by_xi((a.c1 + a.c2) * b1 - t1) + t0;
+  Fq2 c1 = (a.c0 + a.c1) * (b0 + b1) - t0 - t1;
+  Fq2 c2 = (a.c0 + a.c2) * b0 - t0 + t1;
   return Fp6{c0, c1, c2};
 }
 
-Fp6 fp6_mul_by_1(const TowerCtx& /*t*/, const Fp6& a, const Fp2& b1) {
+Fp6 fp6_mul_by_1(const TowerCtx& /*t*/, const Fp6& a, const Fq2& b1) {
   return Fp6{mul_by_xi(a.c2 * b1), a.c0 * b1, a.c1 * b1};
 }
 
 Fp6 fp6_inv(const TowerCtx& /*t*/, const Fp6& a) {
   require(!fp6_is_zero(a), "fp6_inv: zero");
   // Standard tower inversion.
-  Fp2 big_a = a.c0.squared() - mul_by_xi(a.c1 * a.c2);
-  Fp2 big_b = mul_by_xi(a.c2.squared()) - a.c0 * a.c1;
-  Fp2 big_c = a.c1.squared() - a.c0 * a.c2;
-  Fp2 f = a.c0 * big_a + mul_by_xi(a.c2 * big_b + a.c1 * big_c);
-  Fp2 finv = f.inverse();
+  Fq2 big_a = a.c0.squared() - mul_by_xi(a.c1 * a.c2);
+  Fq2 big_b = mul_by_xi(a.c2.squared()) - a.c0 * a.c1;
+  Fq2 big_c = a.c1.squared() - a.c0 * a.c2;
+  Fq2 f = a.c0 * big_a + mul_by_xi(a.c2 * big_b + a.c1 * big_c);
+  Fq2 finv = f.inverse();
   return Fp6{big_a * finv, big_b * finv, big_c * finv};
 }
 
@@ -160,8 +153,8 @@ Fp12 fp12_sqr(const TowerCtx& t, const Fp12& a) {
 
 Fp12 fp12_conjugate(const Fp12& a) { return Fp12{a.c0, fp6_neg(a.c1)}; }
 
-Fp12 fp12_mul_by_014(const TowerCtx& t, const Fp12& a, const Fp2& c0,
-                     const Fp2& c1, const Fp2& c4) {
+Fp12 fp12_mul_by_014(const TowerCtx& t, const Fp12& a, const Fq2& c0,
+                     const Fq2& c1, const Fq2& c4) {
   // ℓ = (c0 + c1·v) + (c4·v)·w; Karatsuba over w² = v.
   Fp6 aa = fp6_mul_by_01(t, a.c0, c0, c1);
   Fp6 bb = fp6_mul_by_1(t, a.c1, c4);
@@ -178,19 +171,19 @@ Fp12 fp12_cyclotomic_sqr(const TowerCtx& /*t*/, const Fp12& a) {
   // and for cyclotomic a the square is
   //   h0 = 3g0² − 2ḡ0,  h1 = 3s·g2² + 2ḡ1,  h2 = 3g1² − 2ḡ2
   // (bars are the F_p4 conjugation s -> −s).
-  const Fp2& z0 = a.c0.c0;
-  const Fp2& z1 = a.c1.c1;
-  const Fp2& z2 = a.c1.c0;
-  const Fp2& z3 = a.c0.c2;
-  const Fp2& z4 = a.c0.c1;
-  const Fp2& z5 = a.c1.c2;
+  const Fq2& z0 = a.c0.c0;
+  const Fq2& z1 = a.c1.c1;
+  const Fq2& z2 = a.c1.c0;
+  const Fq2& z3 = a.c0.c2;
+  const Fq2& z4 = a.c0.c1;
+  const Fq2& z5 = a.c1.c2;
   // (x + y·s)² = (x² + ξy²) + 2xy·s, via one cross product.
-  auto fp4_sqr = [&](const Fp2& x, const Fp2& y, Fp2& re, Fp2& im) {
-    Fp2 cross = x * y;
+  auto fp4_sqr = [&](const Fq2& x, const Fq2& y, Fq2& re, Fq2& im) {
+    Fq2 cross = x * y;
     re = (x + y) * (x + mul_by_xi(y)) - cross - mul_by_xi(cross);
     im = cross + cross;
   };
-  Fp2 t0, t1, t2, t3, t4, t5;
+  Fq2 t0, t1, t2, t3, t4, t5;
   fp4_sqr(z0, z1, t0, t1);  // g0²
   fp4_sqr(z2, z3, t2, t3);  // g1²
   fp4_sqr(z4, z5, t4, t5);  // g2²
@@ -199,7 +192,7 @@ Fp12 fp12_cyclotomic_sqr(const TowerCtx& /*t*/, const Fp12& a) {
   r.c0.c0 = (t0 - z0) + (t0 - z0) + t0;
   r.c1.c1 = (t1 + z1) + (t1 + z1) + t1;
   // h1 = 3s·g2² + 2ḡ1; s·(t4 + t5·s) = ξt5 + t4·s.
-  Fp2 xi_t5 = mul_by_xi(t5);
+  Fq2 xi_t5 = mul_by_xi(t5);
   r.c1.c0 = (xi_t5 + z2) + (xi_t5 + z2) + xi_t5;
   r.c0.c2 = (t4 - z3) + (t4 - z3) + t4;
   // h2 = 3g1² − 2ḡ2.
@@ -215,13 +208,13 @@ Fp12 fp12_inv(const TowerCtx& t, const Fp12& a) {
   return Fp12{fp6_mul(t, a.c0, dinv), fp6_neg(fp6_mul(t, a.c1, dinv))};
 }
 
-Fp12 fp12_from_fp(const TowerCtx& t, const Fp& a) {
+Fp12 fp12_from_fp(const TowerCtx& t, const Fq& a) {
   Fp12 r = fp12_zero(t);
-  r.c0.c0 = Fp2::from_fp(a);
+  r.c0.c0 = Fq2(a, Fq());
   return r;
 }
 
-Fp12 fp12_from_fp2(const TowerCtx& t, const Fp2& a) {
+Fp12 fp12_from_fp2(const TowerCtx& t, const Fq2& a) {
   Fp12 r = fp12_zero(t);
   r.c0.c0 = a;
   return r;

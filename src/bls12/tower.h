@@ -1,6 +1,6 @@
 // The F_p12 extension tower for BLS12-381.
 //
-//   F_p2  = F_p[u]/(u² + 1)            (reused from field/fp2.h)
+//   F_p2  = F_p[u]/(u² + 1)            (bls12/fq.h)
 //   F_p6  = F_p2[v]/(v³ − ξ), ξ = 1+u
 //   F_p12 = F_p6[w]/(w² − v)           (so w⁶ = ξ)
 //
@@ -12,17 +12,18 @@
 #include <array>
 #include <cstdint>
 
-#include "field/fp2.h"
+#include "bls12/fq.h"
+#include "field/fp.h"
 
 namespace tre::bls12 {
 
-using field::Fp;
-using field::Fp2;
+// Integers at the field layer's width: scalars, exponents and the values
+// the context derives from z.
 using field::FpCtx;
 using field::FpInt;
 
 struct Fp6 {
-  Fp2 c0, c1, c2;  // c0 + c1·v + c2·v²
+  Fq2 c0, c1, c2;  // c0 + c1·v + c2·v²
 };
 
 struct Fp12 {
@@ -30,11 +31,10 @@ struct Fp12 {
 };
 
 struct TowerCtx {
-  const FpCtx* fp;
-  Fp2 xi;                        // 1 + u
-  std::array<Fp2, 6> frob_gamma; // γ_k = ξ^(k(p−1)/6), k = 0..5
+  Fq2 xi;                        // 1 + u
+  std::array<Fq2, 6> frob_gamma; // γ_k = ξ^(k(p−1)/6), k = 0..5
 
-  explicit TowerCtx(const FpCtx* fp_ctx);
+  TowerCtx();
 };
 
 // --- F_p6 ---------------------------------------------------------------------
@@ -51,10 +51,10 @@ Fp6 fp6_sqr(const TowerCtx& t, const Fp6& a);
 Fp6 fp6_inv(const TowerCtx& t, const Fp6& a);
 /// Multiplication by v: (c0, c1, c2) -> (ξ·c2, c0, c1).
 Fp6 fp6_mul_by_v(const TowerCtx& t, const Fp6& a);
-/// a · (b0 + b1·v) — sparse operand with no v² term (5 Fp2 muls).
-Fp6 fp6_mul_by_01(const TowerCtx& t, const Fp6& a, const Fp2& b0, const Fp2& b1);
-/// a · (b1·v) (3 Fp2 muls).
-Fp6 fp6_mul_by_1(const TowerCtx& t, const Fp6& a, const Fp2& b1);
+/// a · (b0 + b1·v) — sparse operand with no v² term (5 Fq2 muls).
+Fp6 fp6_mul_by_01(const TowerCtx& t, const Fp6& a, const Fq2& b0, const Fq2& b1);
+/// a · (b1·v) (3 Fq2 muls).
+Fp6 fp6_mul_by_1(const TowerCtx& t, const Fp6& a, const Fq2& b1);
 
 // --- F_p12 --------------------------------------------------------------------
 
@@ -68,8 +68,8 @@ Fp12 fp12_neg(const Fp12& a);
 Fp12 fp12_mul(const TowerCtx& t, const Fp12& a, const Fp12& b);
 Fp12 fp12_sqr(const TowerCtx& t, const Fp12& a);
 Fp12 fp12_inv(const TowerCtx& t, const Fp12& a);
-Fp12 fp12_from_fp(const TowerCtx& t, const Fp& a);
-Fp12 fp12_from_fp2(const TowerCtx& t, const Fp2& a);
+Fp12 fp12_from_fp(const TowerCtx& t, const Fq& a);
+Fp12 fp12_from_fp2(const TowerCtx& t, const Fq2& a);
 
 /// F_p6-conjugation c0 + c1·w -> c0 − c1·w, i.e. a^(p⁶). On the
 /// cyclotomic subgroup (a^(p⁶+1) = 1, e.g. any final-exponentiation
@@ -78,14 +78,14 @@ Fp12 fp12_conjugate(const Fp12& a);
 
 /// Sparse multiplication by a Miller line ℓ = c0 + c1·v + c4·vw — the
 /// shape every M-twist line evaluation takes (nonzero flattened
-/// coefficients 0, 1 and 4, hence the name). ~13 Fp2 muls vs 18 for a
+/// coefficients 0, 1 and 4, hence the name). ~13 Fq2 muls vs 18 for a
 /// generic fp12_mul.
-Fp12 fp12_mul_by_014(const TowerCtx& t, const Fp12& a, const Fp2& c0,
-                     const Fp2& c1, const Fp2& c4);
+Fp12 fp12_mul_by_014(const TowerCtx& t, const Fp12& a, const Fq2& c0,
+                     const Fq2& c1, const Fq2& c4);
 
 /// Granger–Scott squaring for elements of the cyclotomic subgroup
 /// G_Φ6(p²) = {a : a^(p⁴−p²+1) = 1} (final-exponentiation outputs and
-/// everything the hard part touches). 9 Fp2 muls vs 18 for fp12_sqr.
+/// everything the hard part touches). 9 Fq2 muls vs 18 for fp12_sqr.
 /// PRECONDITION: a is cyclotomic; the formulas are only an identity
 /// there.
 Fp12 fp12_cyclotomic_sqr(const TowerCtx& t, const Fp12& a);

@@ -9,36 +9,9 @@ bool Fp2::is_one() const {
 }
 
 Fp2 Fp2::pow(const FpInt& e) const {
-  const size_t bits = e.bit_length();
-  if (bits == 0) return one(ctx());
-  if (bits <= 4) return pow_binary(e);
-
-  // Odd powers x^1, x^3, ..., x^15.
-  constexpr size_t kWindow = 4;
-  std::array<Fp2, 8> odd;
-  odd[0] = *this;
-  const Fp2 sq = squared();
-  for (size_t i = 1; i < odd.size(); ++i) odd[i] = odd[i - 1] * sq;
-
-  Fp2 acc = one(ctx());
-  size_t i = bits;
-  while (i > 0) {
-    if (!e.bit(i - 1)) {
-      acc = acc.squared();
-      --i;
-      continue;
-    }
-    // Greedy window [i-1, j]: at most kWindow bits, ending on a set bit so
-    // the window value is odd.
-    size_t j = i >= kWindow ? i - kWindow : 0;
-    while (!e.bit(j)) ++j;
-    unsigned val = 0;
-    for (size_t b = i; b-- > j;) val = (val << 1) | static_cast<unsigned>(e.bit(b));
-    for (size_t s = 0; s < i - j; ++s) acc = acc.squared();
-    acc = acc * odd[val >> 1];
-    i = j;
-  }
-  return acc;
+  return bigint::pow_sliding_window(
+      one(ctx()), *this, e, [](const Fp2& x, const Fp2& y) { return x * y; },
+      [](const Fp2& x) { return x.squared(); });
 }
 
 Fp2 Fp2::pow_unitary(const FpInt& e) const {

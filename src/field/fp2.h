@@ -67,9 +67,10 @@ class Fp2 {
   /// nullopt when z is a non-residue. Verified before returning.
   std::optional<Fp2> sqrt() const;
 
-  /// Sliding-window exponentiation (width-4 odd-power table). Bit-identical
-  /// to pow_binary on every input; ~1.4x fewer multiplications on the long
-  /// final-exponentiation and G_T exponents.
+  /// Sliding-window exponentiation (width-4 odd-power table,
+  /// bigint::pow_sliding_window). Bit-identical to pow_binary on every
+  /// input; ~1.4x fewer multiplications on the long final-exponentiation
+  /// and G_T exponents.
   Fp2 pow(const FpInt& e) const;
 
   /// Legacy square-and-multiply, kept as the cross-checked reference for

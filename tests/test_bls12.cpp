@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/prime.h"
 #include "hashing/drbg.h"
 #include "hashing/kdf.h"
 
@@ -16,14 +17,12 @@ class Bls12Test : public ::testing::Test {
  protected:
   Bls12Test() : ctx_(Bls12Ctx::get()), rng_(to_bytes("bls12-tests")) {}
 
-  Fp2 random_fp2() {
-    return Fp2(Fp::random(ctx_->fp(), rng_), Fp::random(ctx_->fp(), rng_));
-  }
+  Fq2 random_fq2() { return Fq2(Fq::random(rng_), Fq::random(rng_)); }
   Fp12 random_fp12() {
     const TowerCtx& t = ctx_->tower();
     Fp12 r = fp12_zero(t);
-    r.c0 = Fp6{random_fp2(), random_fp2(), random_fp2()};
-    r.c1 = Fp6{random_fp2(), random_fp2(), random_fp2()};
+    r.c0 = Fp6{random_fq2(), random_fq2(), random_fq2()};
+    r.c1 = Fp6{random_fq2(), random_fq2(), random_fq2()};
     return r;
   }
 
@@ -67,8 +66,8 @@ TEST_F(Bls12Test, FrobeniusIsThePPowerMap) {
 
 TEST_F(Bls12Test, Fp2SqrtWorks) {
   for (int i = 0; i < 10; ++i) {
-    Fp2 a = random_fp2();
-    Fp2 sq = a.squared();
+    Fq2 a = random_fq2();
+    Fq2 sq = a.squared();
     auto root = sq.sqrt();
     ASSERT_TRUE(root.has_value());
     EXPECT_TRUE(*root == a || *root == -a);
@@ -121,13 +120,12 @@ bool in_subgroup_oracle(const Bls12Ctx& ctx, const G1Point381& p) {
 // Points of E(F_p) from the encoding map WITHOUT cofactor clearing: with
 // overwhelming probability each has a component of order dividing the
 // cofactor (z−1)²/3, so it lies outside the order-r subgroup.
-std::vector<G1Point381> raw_points(const Bls12Ctx& ctx, size_t count) {
-  const FpCtx* fp = ctx.fp();
+std::vector<G1Point381> raw_points(size_t count) {
   std::vector<G1Point381> out;
   for (std::uint32_t ctr = 0; out.size() < count; ++ctr) {
-    Bytes h = hashing::oracle_bytes("bls12-raw-point", be32(ctr), 2 * fp->byte_len);
-    Fp x = Fp::from_bytes_wide(fp, h);
-    auto y = (x.squared() * x + Fp::from_u64(fp, 4)).sqrt();
+    Bytes h = hashing::oracle_bytes("bls12-raw-point", be32(ctr), 2 * Fq::kBytes);
+    Fq x = Fq::from_bytes_wide(h);
+    auto y = (x.squared() * x + Fq::from_u64(4)).sqrt();
     if (y) out.push_back(G1Point381{x, *y, false});
   }
   return out;
@@ -135,14 +133,13 @@ std::vector<G1Point381> raw_points(const Bls12Ctx& ctx, size_t count) {
 
 TEST_F(Bls12Test, G1MembershipMatchesTheROracle) {
   const Bls12Ctx& ctx = *ctx_;
-  const FpCtx* fp = ctx.fp();
   std::vector<G1Point381> members, outsiders;
   for (int i = 0; i < 6; ++i) {
     members.push_back(ctx.hash_to_g1(to_bytes("member-" + std::to_string(i))));
   }
   members.push_back(ctx.g1_generator());
   members.push_back(ctx.g1_infinity());
-  for (const G1Point381& raw : raw_points(ctx, 6)) {
+  for (const G1Point381& raw : raw_points(6)) {
     outsiders.push_back(raw);
     // [r]·P_raw: a pure cofactor-torsion point.
     outsiders.push_back(ctx.g1_mul(raw, ctx.r()));
@@ -150,7 +147,7 @@ TEST_F(Bls12Test, G1MembershipMatchesTheROracle) {
     outsiders.push_back(ctx.g1_add(members[0], ctx.g1_mul(raw, ctx.r())));
   }
   // The order-3 points (0, ±2): φ fixes them, −[z²] negates them.
-  outsiders.push_back(G1Point381{Fp::zero(fp), Fp::from_u64(fp, 2), false});
+  outsiders.push_back(G1Point381{Fq::zero(), Fq::from_u64(2), false});
 
   auto check = [&](const G1Point381& p, bool expected) {
     EXPECT_EQ(ctx.g1_in_subgroup(p), in_subgroup_oracle(ctx, p));
@@ -167,7 +164,7 @@ TEST_F(Bls12Test, G1MembershipMatchesTheROracle) {
 
   // Off-curve points are not members, whatever their multiples do.
   for (const G1Point381& p : {members[0], outsiders[0]}) {
-    G1Point381 off{p.x, p.y + Fp::one(fp), false};
+    G1Point381 off{p.x, p.y + Fq::one(), false};
     ASSERT_FALSE(ctx.g1_on_curve(off));
     EXPECT_FALSE(ctx.g1_in_subgroup(off));
     EXPECT_FALSE(in_subgroup_oracle(ctx, off));
@@ -177,7 +174,7 @@ TEST_F(Bls12Test, G1MembershipMatchesTheROracle) {
 TEST_F(Bls12Test, DecodersRejectOnCurvePointsOutsideTheSubgroup) {
   const Bls12Ctx& ctx = *ctx_;
   const std::string tag = "2030-01-01T00:00:00Z";
-  for (const G1Point381& raw : raw_points(ctx, 3)) {
+  for (const G1Point381& raw : raw_points(3)) {
     for (const G1Point381& rogue : {raw, ctx.g1_mul(raw, ctx.r())}) {
       Bytes compressed = ctx.g1_to_bytes(rogue);
       EXPECT_THROW(ctx.g1_from_bytes(compressed), Error);
@@ -241,6 +238,223 @@ TEST_F(Bls12Test, PairingsEqualHelper) {
   EXPECT_TRUE(ctx_->pairings_equal(ctx_->g1_mul(hm, s), h, hm, ctx_->g2_mul(h, s)));
   EXPECT_FALSE(ctx_->pairings_equal(ctx_->g1_mul(hm, s), h, hm, h));
   (void)g;
+}
+
+// --- Fq and Fq2 against the generic field layer on the same modulus ----------
+
+// field::Fp over Bls12Ctx::fp() is the oracle: the same p, independent code.
+// Values cross between the two through their canonical bytes.
+field::Fp to_oracle(const FpCtx* fp, const Fq& a) {
+  return field::Fp::from_bytes(fp, a.to_bytes());
+}
+field::Fp2 to_oracle(const FpCtx* fp, const Fq2& a) {
+  return field::Fp2(to_oracle(fp, a.re()), to_oracle(fp, a.im()));
+}
+Fq from_int(const FpInt& v) { return Fq::from_bytes(v.to_bytes_be(Fq::kBytes)); }
+
+// 0, 1, p − 1, (p − 1)/2 and random elements.
+std::vector<Fq> sample_fq(const Bls12Ctx& ctx, hashing::RandomSource& rng) {
+  const FpInt p_minus_1 = bigint::sub(ctx.p(), FpInt::from_u64(1));
+  std::vector<Fq> out = {Fq::zero(), Fq::one(), from_int(p_minus_1),
+                         from_int(bigint::shr(p_minus_1, 1))};
+  for (int i = 0; i < 8; ++i) out.push_back(Fq::random(rng));
+  return out;
+}
+
+TEST_F(Bls12Test, FqMatchesTheGenericField) {
+  const FpCtx* fp = ctx_->fp();
+  ASSERT_EQ(Fq::kModulus.resized<field::kMaxFieldLimbs>(), ctx_->p());
+  const std::vector<Fq> xs = sample_fq(*ctx_, rng_);
+  const FpInt p_minus_1 = bigint::sub(ctx_->p(), FpInt::from_u64(1));
+  const std::vector<FpInt> exponents = {
+      FpInt{}, FpInt::from_u64(1), FpInt::from_u64(2), FpInt::from_u64(5),
+      FpInt::from_u64(0xffff), fp->sqrt_exponent, p_minus_1,
+      bigint::random_bits<field::kMaxFieldLimbs>(rng_, 381)};
+  size_t residues = 0, non_residues = 0;
+  for (const Fq& a : xs) {
+    const field::Fp fa = to_oracle(fp, a);
+    EXPECT_EQ(a.to_int().resized<field::kMaxFieldLimbs>(), fa.to_int());
+    EXPECT_EQ(a.to_bytes(), fa.to_bytes());
+    EXPECT_EQ((-a).to_bytes(), (-fa).to_bytes());
+    EXPECT_EQ(a.squared().to_bytes(), fa.squared().to_bytes());
+    if (a.is_zero()) {
+      EXPECT_THROW(a.inverse(), Error);
+    } else {
+      EXPECT_EQ(a.inverse().to_bytes(), fa.inverse().to_bytes());
+    }
+    for (const Fq& c : {a, a.squared()}) {
+      const auto root = c.sqrt();
+      const auto oracle_root = to_oracle(fp, c).sqrt();
+      ASSERT_EQ(root.has_value(), oracle_root.has_value());
+      if (root) {
+        EXPECT_EQ(root->to_bytes(), oracle_root->to_bytes());
+        ++residues;
+      } else {
+        ++non_residues;
+      }
+    }
+    for (const FpInt& e : exponents) {
+      EXPECT_EQ(a.pow(e).to_bytes(), fa.pow(e).to_bytes());
+    }
+    for (const Fq& b : xs) {
+      const field::Fp fb = to_oracle(fp, b);
+      EXPECT_EQ((a + b).to_bytes(), (fa + fb).to_bytes());
+      EXPECT_EQ((a - b).to_bytes(), (fa - fb).to_bytes());
+      EXPECT_EQ((a * b).to_bytes(), (fa * fb).to_bytes());
+      EXPECT_EQ(a == b, fa == fb);
+    }
+  }
+  EXPECT_GT(residues, 0u);
+  EXPECT_GT(non_residues, 0u);  // p − 1 = −1 is one (p ≡ 3 mod 4)
+}
+
+TEST_F(Bls12Test, FqDecodingMatchesTheGenericField) {
+  const FpCtx* fp = ctx_->fp();
+  // Every wide length, random bytes and all-ones bytes.
+  for (size_t len = 0; len <= 2 * Fq::kBytes; ++len) {
+    for (const Bytes& in : {rng_.bytes(len), Bytes(len, 0xff)}) {
+      EXPECT_EQ(Fq::from_bytes_wide(in).to_bytes(),
+                field::Fp::from_bytes_wide(fp, in).to_bytes())
+          << "length " << len;
+    }
+  }
+  EXPECT_THROW(Fq::from_bytes_wide(Bytes(2 * Fq::kBytes + 1, 0)), Error);
+
+  // Canonical decoding takes exactly the values below p.
+  const FpInt p = ctx_->p();
+  const FpInt p_minus_1 = bigint::sub(p, FpInt::from_u64(1));
+  const Bytes reduced = p_minus_1.to_bytes_be(Fq::kBytes);
+  EXPECT_EQ(Fq::from_bytes(reduced).to_bytes(), reduced);
+  EXPECT_EQ(Fq::from_bytes(reduced), -Fq::one());
+  for (const Bytes& unreduced :
+       {p.to_bytes_be(Fq::kBytes), bigint::add(p, FpInt::from_u64(1)).to_bytes_be(Fq::kBytes),
+        Bytes(Fq::kBytes, 0xff)}) {
+    EXPECT_THROW(Fq::from_bytes(unreduced), Error);
+    EXPECT_THROW(field::Fp::from_bytes(fp, unreduced), Error);
+  }
+  EXPECT_THROW(Fq::from_bytes(Bytes(Fq::kBytes - 1, 0)), Error);
+  EXPECT_THROW(Fq::from_bytes(Bytes(Fq::kBytes + 1, 0)), Error);
+}
+
+TEST_F(Bls12Test, Fq2MatchesTheGenericField) {
+  const FpCtx* fp = ctx_->fp();
+  const std::vector<Fq> base = sample_fq(*ctx_, rng_);
+  std::vector<Fq2> xs = {Fq2::zero(), Fq2::one(), Fq2(Fq::zero(), Fq::one())};
+  for (size_t i = 0; i < base.size(); ++i) {
+    xs.push_back(Fq2(base[i], base[(i * 5 + 3) % base.size()]));
+  }
+  const std::vector<FpInt> exponents = {FpInt{}, FpInt::from_u64(1), FpInt::from_u64(7),
+                                        bigint::random_bits<field::kMaxFieldLimbs>(rng_, 381)};
+  size_t residues = 0, non_residues = 0;
+  for (const Fq2& a : xs) {
+    const field::Fp2 fa = to_oracle(fp, a);
+    EXPECT_EQ(a.to_bytes(), fa.to_bytes());
+    EXPECT_EQ(Fq2::from_bytes(a.to_bytes()), a);
+    EXPECT_EQ((-a).to_bytes(), (-fa).to_bytes());
+    EXPECT_EQ(a.squared().to_bytes(), fa.squared().to_bytes());
+    EXPECT_EQ(a.conjugate().to_bytes(), fa.conjugate().to_bytes());
+    EXPECT_EQ(a.norm().to_bytes(), fa.norm().to_bytes());
+    EXPECT_EQ(a.is_one(), fa.is_one());
+    if (a.is_zero()) {
+      EXPECT_THROW(a.inverse(), Error);
+    } else {
+      EXPECT_EQ(a.inverse().to_bytes(), fa.inverse().to_bytes());
+    }
+    for (const Fq2& c : {a, a.squared()}) {
+      const auto root = c.sqrt();
+      const auto oracle_root = to_oracle(fp, c).sqrt();
+      ASSERT_EQ(root.has_value(), oracle_root.has_value());
+      if (root) {
+        EXPECT_EQ(root->to_bytes(), oracle_root->to_bytes());
+        ++residues;
+      } else {
+        ++non_residues;
+      }
+    }
+    for (const FpInt& e : exponents) {
+      EXPECT_EQ(a.pow(e).to_bytes(), fa.pow(e).to_bytes());
+    }
+    for (const Fq2& b : xs) {
+      const field::Fp2 fb = to_oracle(fp, b);
+      EXPECT_EQ((a + b).to_bytes(), (fa + fb).to_bytes());
+      EXPECT_EQ((a - b).to_bytes(), (fa - fb).to_bytes());
+      EXPECT_EQ((a * b).to_bytes(), (fa * fb).to_bytes());
+      EXPECT_EQ(a.scale(b.re()).to_bytes(), fa.scale(fb.re()).to_bytes());
+    }
+  }
+  EXPECT_GT(residues, 0u);
+  EXPECT_GT(non_residues, 0u);
+}
+
+TEST_F(Bls12Test, CyclotomicSquaringMatchesSquaringOnFinalExpOutputs) {
+  const TowerCtx& t = ctx_->tower();
+  std::vector<Fp12> outputs = {ctx_->pair(ctx_->g1_generator(), ctx_->g2_generator())};
+  for (int i = 0; i < 3; ++i) outputs.push_back(ctx_->final_exponentiation(random_fp12()));
+  for (Fp12 g : outputs) {
+    // Along a chain of squarings, which stays in the cyclotomic subgroup.
+    for (int k = 0; k < 4; ++k) {
+      const Fp12 sq = fp12_sqr(t, g);
+      EXPECT_TRUE(fp12_eq(fp12_cyclotomic_sqr(t, g), sq));
+      g = sq;
+    }
+  }
+}
+
+TEST_F(Bls12Test, GtPowUnitaryMatchesGtPow) {
+  const Gt381 e = ctx_->pair(ctx_->hash_to_g1(to_bytes("gt-pow")), ctx_->g2_generator());
+  const Scalar r_minus_1 = bigint::sub(ctx_->r(), Scalar::from_u64(1));
+  std::vector<Scalar> exponents = {Scalar{}, Scalar::from_u64(1), r_minus_1};
+  for (int i = 0; i < 3; ++i) {
+    exponents.push_back(bigint::random_bits<field::kMaxFieldLimbs>(rng_, 255));
+  }
+  exponents.push_back(ctx_->random_scalar(rng_));
+  for (const Scalar& k : exponents) {
+    EXPECT_TRUE(ctx_->gt_eq(ctx_->gt_pow_unitary(e, k), ctx_->gt_pow(e, k)));
+  }
+  // e^(r−1) = e⁻¹, which on G_T is the conjugate.
+  EXPECT_TRUE(ctx_->gt_eq(ctx_->gt_pow_unitary(e, r_minus_1), fp12_conjugate(e)));
+}
+
+TEST_F(Bls12Test, DecodersRejectMalformedInfinity) {
+  const Bls12Ctx& ctx = *ctx_;
+  const std::string tag = "2030-01-01T00:00:00Z";
+  // The one encoding of O: tag 0x00 and a zero payload. It decodes and
+  // re-encodes to itself, bare and inside an update or a partial.
+  const Bytes g1_inf = ctx.g1_to_bytes(ctx.g1_infinity());
+  const Bytes g2_inf = ctx.g2_to_bytes(ctx.g2_infinity());
+  ASSERT_EQ(g1_inf, Bytes(49, 0));
+  ASSERT_EQ(g2_inf, Bytes(97, 0));
+  EXPECT_TRUE(ctx.g1_from_bytes(g1_inf).inf);
+  EXPECT_EQ(ctx.g1_to_bytes(ctx.g1_from_bytes(g1_inf)), g1_inf);
+  EXPECT_TRUE(ctx.g2_from_bytes(g2_inf).inf);
+  EXPECT_EQ(ctx.g2_to_bytes(ctx.g2_from_bytes(g2_inf)), g2_inf);
+  const Bytes update = Update381{tag, ctx.g1_infinity()}.to_bytes();
+  const Bytes partial = Partial381{1, tag, ctx.g1_infinity()}.to_bytes();
+  ASSERT_TRUE(Update381::try_from_bytes(ctx, update).has_value());
+  EXPECT_EQ(Update381::try_from_bytes(ctx, update)->to_bytes(), update);
+  ASSERT_TRUE(Partial381::try_from_bytes(ctx, partial).has_value());
+  EXPECT_EQ(Partial381::try_from_bytes(ctx, partial)->to_bytes(), partial);
+
+  // Any nonzero byte after the 0x00 tag is malformed. The point is the
+  // last 49 bytes of an update or a partial.
+  for (size_t pos : {size_t{1}, size_t{17}, size_t{48}}) {
+    for (std::uint8_t junk : {std::uint8_t{0x01}, std::uint8_t{0xab}, std::uint8_t{0xff}}) {
+      Bytes bad = g1_inf;
+      bad[pos] = junk;
+      EXPECT_THROW(ctx.g1_from_bytes(bad), Error);
+      Bytes bad_update = update;
+      bad_update[update.size() - g1_inf.size() + pos] = junk;
+      EXPECT_FALSE(Update381::try_from_bytes(ctx, bad_update).has_value());
+      Bytes bad_partial = partial;
+      bad_partial[partial.size() - g1_inf.size() + pos] = junk;
+      EXPECT_FALSE(Partial381::try_from_bytes(ctx, bad_partial).has_value());
+    }
+  }
+  for (size_t pos : {size_t{1}, size_t{48}, size_t{49}, size_t{96}}) {
+    Bytes bad = g2_inf;
+    bad[pos] = 0xcd;
+    EXPECT_THROW(ctx.g2_from_bytes(bad), Error);
+  }
 }
 
 // --- The TRE scheme on BLS12-381 (tlock layout) ---------------------------------

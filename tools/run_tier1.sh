@@ -14,7 +14,12 @@
 #                                            # at N=10^4 on bls12-381
 #   PERF381=1 tools/run_tier1.sh             # BLS12-381 pairing-engine speedup gate
 #                                            # plus G1 membership test >= 1.5x
-#                                            # faster than its [r]P oracle
+#                                            # faster than its [r]P oracle and the
+#                                            # Fq2 product >= 1.3x faster than the
+#                                            # generic field::Fp2 one
+#   E2E=1 tools/run_tier1.sh                 # end-to-end benchmark's own checks:
+#                                            # e2ebench/ builds src/ from source
+#                                            # and e2ebench/check.py must pass
 #   SELFTEST=1 tools/run_tier1.sh            # power-on KAT gate: every injected
 #                                            # fault must fail, the clean run pass,
 #                                            # plus a TRE_SELFTEST=OFF opt-out build
@@ -69,9 +74,22 @@
 # reference host, so absolute-ratio floors only mean something on
 # comparable hardware. The same run also FAILS if the endomorphism G1
 # membership test is less than 1.5x faster than its [r]P oracle
-# (g1_mul_r_us / g1_in_subgroup_us in ingestion_anatomy_bls381). The
-# bench times the two in interleaved batches of one process, so, like
-# BATCH, this floor needs no pinned hardware and has no override.
+# (g1_mul_r_us / g1_in_subgroup_us in ingestion_anatomy_bls381), or if
+# the backend's own F_p2 product is less than 1.3x faster than the
+# generic field::Fp2 product over the same modulus (generic_fp2_mul_ns /
+# fp2_mul_ns in field_anatomy_bls381). The bench times each pair in
+# interleaved batches of one process, so, like BATCH, these two floors
+# need no pinned hardware and have no override. All three verdicts are
+# printed before the gate decides.
+#
+# E2E=1 (after the test leg) runs python3 e2ebench/check.py and FAILS on
+# any failed check. e2ebench/ is a CMake package of its own: it compiles
+# src/ from source into .bench_build/ and calls the BLS12-381 kernels
+# (Fp12, G1Point381, G2Point381, the Bls12Ctx pairing methods) directly,
+# so a change to their signatures breaks it without breaking this tree.
+# check.py builds it, runs every workload for a fixed op count and checks
+# that every op is correct, that per-op counts repeat for a repeated
+# seed, and that the metrics are the ones BENCHMARK.json names.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -180,12 +198,13 @@ run_perf381_gate() {
   local json="$build_dir/BENCH_modern_curve_gate.json"
   echo "=== perf381 gate: bench_modern_curve speedup floors -> $json ==="
   "$build_dir/bench/bench_modern_curve" "$json"
-  # The bls12-381 backend row is one JSON object per line; pull the
-  # measured and pinned-baseline timings out of it without jq.
-  local verdict
-  verdict="$(awk -v minv="${PERF381_MIN_VERIFY:-10.0}" \
-                 -v mine="${PERF381_MIN_ENCRYPT:-5.0}" \
-                 -v mind="${PERF381_MIN_DECRYPT:-10.0}" '
+  # The bls12-381 backend row and each anatomy object are one JSON line
+  # apiece; pull the gated figures out without jq. Every floor gets a
+  # "<name>: PASS|FAIL" line, a missing row counting as FAIL.
+  local report
+  report="$(awk -v minv="${PERF381_MIN_VERIFY:-10.0}" \
+                -v mine="${PERF381_MIN_ENCRYPT:-5.0}" \
+                -v mind="${PERF381_MIN_DECRYPT:-10.0}" '
     function val(key,   s) {
       s = $0
       if (!sub(".*\"" key "\": *", "", s)) return 0
@@ -198,39 +217,42 @@ run_perf381_gate() {
       sd = val("baseline_decrypt_ms") / val("decrypt_ms")
       printf "speedup vs seed: verify %.1fx (floor %.1f), encrypt %.1fx (floor %.1f), decrypt %.1fx (floor %.1f)\n", \
              sv, minv, se, mine, sd, mind
-      print (sv >= minv && se >= mine && sd >= mind) ? "PASS" : "FAIL"
-      exit
-    }' "$json")"
-  echo "$verdict" | head -1
-  local pairing_verdict
-  pairing_verdict="$(echo "$verdict" | tail -1)"
-  verdict="$(awk '
-    function val(key,   s) {
-      s = $0
-      if (!sub(".*\"" key "\": *", "", s)) return 0
-      sub(/[,}].*/, "", s)
-      return s + 0
+      pairing = (sv >= minv && se >= mine && sd >= mind) ? "PASS" : "FAIL"
     }
     /"ingestion_anatomy_bls381"/ {
       sub_us = val("g1_in_subgroup_us")
       ratio = sub_us > 0 ? val("g1_mul_r_us") / sub_us : 0
       printf "G1 membership: [r]P oracle / endomorphism test = %.2fx (floor 1.50)\n", ratio
-      print (ratio >= 1.5) ? "PASS" : "FAIL"
-      exit
+      membership = (ratio >= 1.5) ? "PASS" : "FAIL"
+    }
+    /"field_anatomy_bls381"/ {
+      fq2_ns = val("fp2_mul_ns")
+      ratio = fq2_ns > 0 ? val("generic_fp2_mul_ns") / fq2_ns : 0
+      printf "F_p2 product: generic field::Fp2 / Fq2 = %.2fx (floor 1.30)\n", ratio
+      field = (ratio >= 1.3) ? "PASS" : "FAIL"
+    }
+    END {
+      print "pairing-engine speedup: " (pairing ? pairing : "FAIL")
+      print "G1 membership test: " (membership ? membership : "FAIL")
+      print "F_p2 product: " (field ? field : "FAIL")
     }' "$json")"
-  echo "${verdict:-G1 membership: no ingestion_anatomy_bls381 row}" | head -1
-  local membership_verdict
-  membership_verdict="$(echo "$verdict" | tail -1)"
-  if [[ "$pairing_verdict" != "PASS" ]]; then
-    echo "perf381 gate: FAIL — pairing-engine speedup below floor" >&2
-  fi
-  if [[ "$membership_verdict" != "PASS" ]]; then
-    echo "perf381 gate: FAIL — G1 membership test below 1.5x its [r]P oracle" >&2
-  fi
-  if [[ "$pairing_verdict" != "PASS" || "$membership_verdict" != "PASS" ]]; then
+  echo "$report"
+  local failed
+  failed="$(echo "$report" | awk -F': ' '$2 == "FAIL" {print $1}' | paste -sd, -)"
+  if [[ -n "$failed" ]]; then
+    echo "perf381 gate: FAIL — below floor: $failed" >&2
     return 1
   fi
   echo "perf381 gate: PASS"
+}
+
+run_e2e_gate() {
+  echo "=== e2e gate: python3 e2ebench/check.py ==="
+  if ! python3 e2ebench/check.py; then
+    echo "e2e gate: FAIL — e2ebench/check.py reported failed checks" >&2
+    return 1
+  fi
+  echo "e2e gate: PASS"
 }
 
 # DAEMON=1: end-to-end over real sockets. Issues a key pair + one update,
@@ -438,6 +460,10 @@ fi
 
 if [[ "${PERF381:-0}" == "1" ]]; then
   run_perf381_gate "${BUILD_DIR:-$DEFAULT_DIR}"
+fi
+
+if [[ "${E2E:-0}" == "1" ]]; then
+  run_e2e_gate
 fi
 
 if [[ "${SELFTEST:-0}" == "1" ]]; then
