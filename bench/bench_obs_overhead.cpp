@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                 "batch thread-locally; total <= 2% of an encrypt");
 
   auto params = params::load("tre-512");
-  core::TreScheme scheme(params, core::Tuning::fast());
+  core::TreScheme scheme(params);
   hashing::HmacDrbg rng(to_bytes("bench-obs-overhead"));
   const char* tag = "2030-01-01T00:00:00Z";
   core::ServerKeyPair server = scheme.server_keygen(rng);

@@ -22,7 +22,6 @@
 #include "client/fetcher.h"
 #include "client/simnet_source.h"
 #include "core/multiserver.h"
-#include "core/threshold.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
 #include "threshold/dkg.h"
@@ -141,7 +140,7 @@ std::vector<Row> run_backend(std::shared_ptr<const typename B::Params> params,
 // E15: the original threshold-vs-§5.3.5 cost table (tre-512).
 void run_e15_comparison() {
   auto params = params::load("tre-512");
-  core::ThresholdTre ttre(params);
+  threshold::BasicThresholdScheme<core::Tre512Backend> ttre(params);
   core::MultiServerTre mstre(params);
   core::TreScheme scheme(params);
   hashing::HmacDrbg rng(to_bytes("bench-e15"));
@@ -155,10 +154,10 @@ void run_e15_comparison() {
               "------------+-----------\n");
 
   for (auto [n, k] : {std::pair<size_t, size_t>{3, 2}, {5, 3}, {9, 5}}) {
-    auto [key, shares] = ttre.setup(core::ThresholdConfig{n, k}, rng);
+    auto [key, shares] = ttre.setup(threshold::ThresholdConfig{n, k}, rng);
     core::UserKeyPair user = scheme.user_keygen(key.group, rng);
     auto ct = scheme.encrypt(msg, user.pub, key.group, tag, rng, core::KeyCheck::kSkip);
-    std::vector<core::PartialUpdate> partials;
+    std::vector<threshold::BasicPartialUpdate<core::Tre512Backend>> partials;
     for (size_t i = 1; i <= k; ++i) partials.push_back(ttre.issue_partial(shares[i - 1], tag));
 
     double enc_ms = bench::time_ms(5, [&] {

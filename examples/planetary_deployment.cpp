@@ -13,20 +13,21 @@
 #include <optional>
 #include <vector>
 
-#include "core/threshold.h"
+#include "core/tre.h"
 #include "hashing/drbg.h"
 #include "simnet/mirrors.h"
+#include "threshold/threshold.h"
 #include "timeserver/timespec.h"
 
 int main() {
   using namespace tre;
   auto params = params::load("tre-toy-96");
-  core::ThresholdTre network(params);
+  threshold::BasicThresholdScheme<core::Tre512Backend> network(params);
   const core::TreScheme& scheme = network.scheme();
   hashing::HmacDrbg rng(to_bytes("planetary-example"));
 
   // Operator ceremony.
-  auto [net_key, shares] = network.setup(core::ThresholdConfig{5, 3}, rng);
+  auto [net_key, shares] = network.setup(threshold::ThresholdConfig{5, 3}, rng);
   std::printf("time service: 5 operators, threshold 3\n");
 
   // Regional infrastructure over a simulated WAN.
@@ -60,7 +61,7 @@ int main() {
   // At the release instant: three operators are up, partials combine,
   // the update goes to the mirrors.
   timeline.schedule(60, [&] {
-    std::vector<core::PartialUpdate> partials = {
+    std::vector<threshold::BasicPartialUpdate<core::Tre512Backend>> partials = {
         network.issue_partial(shares[0], release.canonical()),
         network.issue_partial(shares[2], release.canonical()),
         network.issue_partial(shares[4], release.canonical()),

@@ -11,16 +11,17 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/threshold.h"
+#include "core/tre.h"
 #include "hashing/drbg.h"
+#include "threshold/threshold.h"
 
 int main() {
   using namespace tre;
-  core::ThresholdTre network(params::load("tre-512"));
+  threshold::BasicThresholdScheme<core::Tre512Backend> network(params::load("tre-512"));
   hashing::HmacDrbg rng(to_bytes("threshold-example"));
 
   // Dealer ceremony: 5 operators, threshold 3.
-  auto [net_key, shares] = network.setup(core::ThresholdConfig{5, 3}, rng);
+  auto [net_key, shares] = network.setup(threshold::ThresholdConfig{5, 3}, rng);
   std::printf("network of %zu operators, threshold %zu; group key published\n",
               net_key.config.n, net_key.config.k);
 
@@ -34,9 +35,10 @@ int main() {
 
   // The release minute arrives. Operators 2 and 5 are down; 4 is
   // malicious and publishes garbage.
-  std::vector<core::PartialUpdate> received;
+  std::vector<threshold::BasicPartialUpdate<core::Tre512Backend>> received;
   for (size_t op : {1u, 3u, 4u}) {
-    core::PartialUpdate p = network.issue_partial(shares[op - 1], release);
+    threshold::BasicPartialUpdate<core::Tre512Backend> p =
+        network.issue_partial(shares[op - 1], release);
     if (op == 4) p.sig = p.sig.doubled();  // corrupted
     bool ok = network.verify_partial(net_key, p);
     std::printf("operator %zu broadcast a partial: %s\n", op,

@@ -84,9 +84,6 @@ struct Bls381Backend {
   }
 
   // --- header-group (G_2) operations ------------------------------------------
-  static Gh gh_mul(const Params& p, const Gh& q, const core::Scalar& k) {
-    return p.g2_mul(q, k);
-  }
   static Gh gh_mul_secret(const Params& p, const Gh& q, const core::Scalar& k) {
     return p.g2_mul_secret(q, k);  // constant-pattern fixed-window ladder
   }
@@ -114,6 +111,8 @@ struct Bls381Backend {
   }
 
   // --- update-group (G_1) operations ------------------------------------------
+  /// Variable-time wNAF, for public scalars only (the multi-exp tests'
+  /// reference).
   static Gu gu_mul(const Params& p, const Gu& q, const core::Scalar& k) {
     return p.g1_mul(q, k);
   }
@@ -155,10 +154,6 @@ struct Bls381Backend {
   static Gt pair_session(const Params& p, const Gh& asg, const Gu& h1t) {
     return p.pair_cached(h1t, asg);
   }
-  /// ê(I_T, U)^a — decryption; `fixed` is the update/epoch key.
-  static Gt pair_decrypt(const Params& p, const Gu& fixed, const Gh& u) {
-    return p.pair(fixed, u);
-  }
   static bool pairings_equal_uh(const Params& p, const Gu& u1, const Gh& h1,
                                 const Gu& u2, const Gh& h2) {
     return p.pairings_equal(u1, h1, u2, h2);
@@ -173,11 +168,10 @@ struct Bls381Backend {
                           const Gu& cert_ag, const Gh& /*new_g*/) {
     return gu_eq(cand_ag, cert_ag);
   }
-  /// Unitary inputs (pairing outputs) take cyclotomic squarings + wNAF
-  /// with conjugation-inverses; the generic power stays the fallback.
-  static Gt gt_pow(const Params& p, const Gt& k, const core::Scalar& e,
-                   bool unitary) {
-    return unitary ? p.gt_pow_unitary(k, e) : p.gt_pow(k, e);
+  /// Pairing outputs are unitary: cyclotomic squarings + wNAF with
+  /// conjugation-inverses.
+  static Gt gt_pow_unitary(const Params& p, const Gt& k, const core::Scalar& e) {
+    return p.gt_pow_unitary(k, e);
   }
   static Bytes gt_to_bytes(const Params& p, const Gt& k) { return p.gt_to_bytes(k); }
 };

@@ -3,7 +3,7 @@
 //
 // This is the SAME generic core as core::TreScheme (core/tre_core.h):
 // seal/open for all three modes, the §5.1 step-1 key check, the five
-// Tuning memo caches, the batch APIs and the obs probes (under
+// memo caches, the batch APIs and the obs probes (under
 // "core.bls381.*") are one template, bound here to the Bls381Backend
 // policy. See bls12/backend381.h for the type-3 artifact-placement notes
 // (updates and the user anchor in G_1, keys and ciphertext headers in
@@ -12,7 +12,7 @@
 //   server : s, public (G = h·G_2gen, S = s·G) — like the type-1 scheme
 //            the server chooses its own G_2 generator; the fixed-generator
 //            drand layout is the special case G = G_2gen (see
-//            ThresholdKey381::as_server_public_key)
+//            threshold::BasicThresholdKey::as_server_public_key)
 //   user   : a, public (A1 = a·G_1gen, A2 = a·S); the sender's
 //            §5.1-step-1 check is ê(A1, S) == ê(G_1gen, A2)
 //   update : I_T = s·H1(T) ∈ G_1 (49 B compressed vs the 2005 curve's
@@ -44,10 +44,7 @@ using SealedCiphertext381 = core::BasicSealedCiphertext<Bls381Backend>;
 using EpochKey381 = core::BasicEpochKey<Bls381Backend>;
 
 /// Convenience constructor: the 381 scheme over the cached validated
-/// context. Pairings here are reference-speed (~tens of ms), so prefer
-/// Tuning::fast() (the default), whose memo caches amortize them.
-inline Tre381Scheme make_tre381(core::Tuning tuning = core::Tuning::fast()) {
-  return Tre381Scheme(Bls12Ctx::get(), tuning);
-}
+/// context.
+inline Tre381Scheme make_tre381() { return Tre381Scheme(Bls12Ctx::get()); }
 
 }  // namespace tre::bls12

@@ -1,7 +1,9 @@
 // Library health latch for the FIPS-style power-on self-test gate.
 //
-// Key-producing entry points (keygen, issue_update, seal/open, epoch-key
-// derivation, keystore seal/open, the time-lock solver) call
+// Key-producing entry points (keygen and key rebinding, issue_update,
+// seal/open and their batch and epoch-key variants, epoch-key
+// derivation, threshold setup / partial issuance / DKG keygen, keystore
+// seal/open, the time-lock solver) call
 // `health::ensure_operational()` before touching secret material. The
 // first such call triggers the registered self-test runner once; if any
 // known-answer test fails — a miscompiled kernel, a corrupted constant, a

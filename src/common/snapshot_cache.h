@@ -1,10 +1,10 @@
 // Read-mostly memoization cache with RCU-style snapshot reads.
 //
-// The core::Tuning caches (tag hashes, verified-key checks, comb tables,
-// pair bases, Miller lines) are written a handful of times per epoch and
-// read on every encrypt/decrypt. A single mutex around a map serializes
-// the whole hot path; this container makes the common case — a hit on a
-// warm cache — touch NO shared mutable memory at all:
+// The TRE core's memo caches (tag hashes, verified-key checks, comb
+// tables, pair bases, Miller lines) are written a handful of times per
+// epoch and read on every encrypt/decrypt. A single mutex around a map
+// serializes the whole hot path; this container makes the common case —
+// a hit on a warm cache — touch NO shared mutable memory at all:
 //
 //   * The map lives in immutable snapshots (`std::shared_ptr<const Map>`),
 //     republished copy-on-write by writers.
@@ -32,10 +32,6 @@
 // Slots are keyed by a process-unique shard id (never reused), so a
 // destroyed cache cannot be confused with a new one at the same address;
 // stale slots age out of the bounded per-thread slot list.
-//
-// `Options::snapshots = false` selects the legacy single-lock-per-shard
-// path (a plain map behind the shard mutex) — the "before" side of the
-// equivalence tests. Both modes are output-identical by construction.
 #pragma once
 
 #include <atomic>
@@ -56,9 +52,7 @@ struct SnapshotCacheOptions {
   /// Aggregate entry bound; a shard that reaches its share is cleared
   /// wholesale (same flood-guard policy as the seed-era caches).
   size_t max_entries = 1024;
-  /// false = legacy locked mode: plain map behind the shard mutex.
-  bool snapshots = true;
-  /// Called with the nanoseconds a writer (or locked-mode reader) spent
+  /// Called with the nanoseconds a writer or a refreshing reader spent
   /// blocked on a CONTENDED shard mutex; uncontended acquisitions do not
   /// report. Hook must be callable from any thread without locks.
   void (*lock_wait_ns)(std::uint64_t) = nullptr;
@@ -145,20 +139,10 @@ class SnapshotCache {
   SnapshotCache(const SnapshotCache&) = delete;
   SnapshotCache& operator=(const SnapshotCache&) = delete;
 
-  bool snapshots_enabled() const { return opt_.snapshots; }
-
-  /// Value for `key`, or nullopt. Snapshot mode: lock-free, zero shared
-  /// writes when the calling thread's slot is current.
+  /// Value for `key`, or nullopt. Lock-free, zero shared writes when the
+  /// calling thread's slot is current.
   std::optional<V> find(std::string_view key) const {
-    const Shard& s = shard_for(key);
-    if (!opt_.snapshots) {
-      detail::lock_reporting_wait(s.mu, opt_.lock_wait_ns);
-      std::lock_guard<std::mutex> guard(s.mu, std::adopt_lock);
-      auto it = s.plain.find(key);
-      if (it == s.plain.end()) return std::nullopt;
-      return it->second;
-    }
-    const Map* m = acquire(s);
+    const Map* m = acquire(shard_for(key));
     auto it = m->find(key);
     if (it == m->end()) return std::nullopt;
     return it->second;
@@ -172,11 +156,6 @@ class SnapshotCache {
     Shard& s = shard_for(key);
     detail::lock_reporting_wait(s.mu, opt_.lock_wait_ns);
     std::lock_guard<std::mutex> guard(s.mu, std::adopt_lock);
-    if (!opt_.snapshots) {
-      if (s.plain.size() >= per_shard_bound()) s.plain.clear();
-      s.plain.emplace(std::string(key), value);
-      return;
-    }
     if (s.snap->find(key) != s.snap->end()) return;
     auto next = std::make_shared<Map>(*s.snap);
     if (next->size() >= per_shard_bound()) next->clear();
@@ -192,7 +171,7 @@ class SnapshotCache {
     size_t total = 0;
     for (const Shard& s : shards_) {
       std::scoped_lock lock(s.mu);
-      total += opt_.snapshots ? s.snap->size() : s.plain.size();
+      total += s.snap->size();
     }
     return total;
   }
@@ -201,11 +180,10 @@ class SnapshotCache {
   static constexpr size_t kShards = 4;
 
   struct Shard {
-    mutable std::mutex mu;  // writers; locked-mode readers; slot refresh
-    std::shared_ptr<const Map> snap;         // current snapshot (snapshot mode)
-    std::atomic<std::uint64_t> version{1};   // bumped per republish
-    Map plain;                               // locked mode storage
-    std::uint64_t id = 0;                    // process-unique, never reused
+    mutable std::mutex mu;                  // writers; slot refresh
+    std::shared_ptr<const Map> snap;        // current snapshot
+    std::atomic<std::uint64_t> version{1};  // bumped per republish
+    std::uint64_t id = 0;                   // process-unique, never reused
   };
 
   size_t per_shard_bound() const {

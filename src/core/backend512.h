@@ -51,7 +51,6 @@ struct Tre512Backend {
   static const Gu& anchor_base(const Params&, const Gh& server_g) { return server_g; }
 
   // --- header-group (Gh) operations ------------------------------------------
-  static Gh gh_mul(const Params&, const Gh& p, const Scalar& k) { return p.mul(k); }
   static Gh gh_mul_secret(const Params&, const Gh& p, const Scalar& k) {
     return p.mul_secret(k);
   }
@@ -74,9 +73,9 @@ struct Tre512Backend {
   }
 
   // --- update-group (Gu) operations: the same group on this curve ------------
-  static Gu gu_mul(const Params& p, const Gu& q, const Scalar& k) {
-    return gh_mul(p, q, k);
-  }
+  /// Variable-time wNAF, for public scalars only (the multi-exp tests'
+  /// reference).
+  static Gu gu_mul(const Params&, const Gu& q, const Scalar& k) { return q.mul(k); }
   static Gu gu_mul_secret(const Params& p, const Gu& q, const Scalar& k) {
     return gh_mul_secret(p, q, k);
   }
@@ -110,11 +109,6 @@ struct Tre512Backend {
   static Gt pair_session(const Params&, const Gh& asg, const Gu& h1t) {
     return pairing::pair(asg, h1t);
   }
-  /// Decrypt-side ê(U, I_T): `fixed` is the update/epoch key the Miller
-  /// lines are cached for, `u` the ciphertext header.
-  static Gt pair_decrypt(const Params&, const Gu& fixed, const Gh& u) {
-    return pairing::pair(u, fixed);
-  }
   /// ê(u1, h1) == ê(u2, h2) — the user-key check orientation.
   static bool pairings_equal_uh(const Params&, const Gu& u1, const Gh& h1,
                                 const Gu& u2, const Gh& h2) {
@@ -132,8 +126,9 @@ struct Tre512Backend {
                           const Gu& cert_ag, const Gh& new_g) {
     return pairing::pairings_equal(cand_ag, old_gen, cert_ag, new_g);
   }
-  static Gt gt_pow(const Params&, const Gt& k, const Scalar& e, bool unitary) {
-    return unitary ? k.pow_unitary(e) : k.pow(e);
+  /// Pairing outputs are norm-1, so the power runs the conjugate-wNAF.
+  static Gt gt_pow_unitary(const Params&, const Gt& k, const Scalar& e) {
+    return k.pow_unitary(e);
   }
   static Bytes gt_to_bytes(const Params&, const Gt& k) { return k.to_bytes(); }
 };

@@ -3,8 +3,8 @@
 //
 // The construction only assumes a Gap Diffie-Hellman group with a
 // pairing, so the whole production surface (seal/open modes, the step-1
-// receiver-key check, the Tuning memo caches, the batch APIs, the obs
-// probes, the wire codecs) is a template over a `PairingBackend` policy
+// receiver-key check, the memo caches, the batch APIs, the obs probes,
+// the wire codecs) is a template over a `PairingBackend` policy
 // and instantiated per curve:
 //   * core::Tre512Backend  (core/backend512.h)  — the 2005-era type-1
 //     supersingular curve. `core::TreScheme` is that instantiation, and
@@ -20,10 +20,10 @@
 //     sG / a·sG, and the ciphertext header U = rG. G_1 again on the
 //     symmetric curve; G_2 on BLS12-381.
 // The pairing is oriented Gu × Gh -> Gt by named operations
-// (pair_session, pair_decrypt, pairings_equal_{uh,hu}) so that each
-// type-1 call site keeps its exact historical argument order — that is
-// what keeps the 512 instantiation bit-identical (test_seal's golden
-// vectors enforce it).
+// (pair_session, pairings_equal_{uh,hu}) so that each type-1 call site
+// keeps its exact historical argument order — that is what keeps the
+// 512 instantiation bit-identical (test_seal's golden vectors enforce
+// it).
 //
 // The backend policy (all static; `Params` is the curve context):
 //   types   : Params, Gu, Gh, Gt, GhPrecomp (fixed-base engine),
@@ -33,10 +33,10 @@
 //             in Gh and shares its comb cache; type-3: it is a·G1gen)
 //   scalars : random_scalar, scalar_bytes, group_order
 //   hashing : hash_tag (H1 onto Gu)
-//   groups  : {gu,gh}_{mul,mul_secret,is_infinity,in_subgroup,eq,
-//             to_bytes,from_bytes,wire_bytes}, header_base, anchor_base
-//   pairing : pair_session(asg, h1t), pair_decrypt(sig, u),
-//             pairings_equal_uh/hu, same_secret, gt_pow, gt_to_bytes
+//   groups  : {gu,gh}_{mul_secret,is_infinity,in_subgroup,eq,to_bytes,
+//             from_bytes,wire_bytes,multiexp}, header_base, anchor_base
+//   pairing : pair_session(asg, h1t), pairings_equal_uh/hu, same_secret,
+//             gt_pow_unitary, gt_to_bytes
 //   precomp : make_comb, make_lines
 #pragma once
 
@@ -86,39 +86,6 @@ inline const char* mode_name(Mode m) {
 /// receiver public key. The check proves asg is really a·(sG), i.e. the
 /// receiver cannot decrypt without the server's update.
 enum class KeyCheck { kVerify, kSkip };
-
-/// Feature switches of the scalar-multiplication / precomputation engine.
-/// The default enables everything; legacy() reproduces the seed cost
-/// profile (no tables, no memoization, binary G_T exponentiation) and is
-/// what the before/after benchmarks and the equivalence tests run against.
-/// Every switch is output-transparent: ciphertexts and plaintexts are
-/// bit-identical across tunings.
-struct Tuning {
-  bool fixed_base_comb = true;     ///< comb tables per generator
-  bool cache_tags = true;          ///< memoize H1(T) per scheme
-  bool cache_key_checks = true;    ///< memoize successful receiver-key pairing checks
-  bool cache_pair_bases = true;    ///< memoize ê(asG, H1(T)); encrypt pays one G_T pow
-  bool cache_update_lines = true;  ///< Miller-loop line precomp per key update
-  bool unitary_gt_pow = true;      ///< conjugate-wNAF G_T exponentiation (type-1 only)
-  /// Read-mostly cache concurrency: true = RCU-style snapshot reads with
-  /// zero shared writes on a hit (common/snapshot_cache.h); false = the
-  /// PR-1-era behaviour of taking a lock on every cache access. Purely a
-  /// concurrency-substrate switch — cached values, hit/miss pattern and
-  /// all outputs are bit-identical either way (test_concurrency proves it).
-  bool snapshot_caches = true;
-
-  static Tuning fast() { return Tuning{}; }
-  /// fast() on the locked cache substrate — the "before" side of the
-  /// multicore scaling comparison and of the cache-equivalence tests.
-  static Tuning fast_locked() {
-    Tuning t;
-    t.snapshot_caches = false;
-    return t;
-  }
-  static Tuning legacy() {
-    return Tuning{false, false, false, false, false, false, false};
-  }
-};
 
 namespace detail {
 
@@ -228,10 +195,9 @@ struct SchemeProbes {
 };
 
 template <class B>
-SnapshotCacheOptions cache_options(bool snapshots) {
+SnapshotCacheOptions cache_options() {
   SnapshotCacheOptions opt;
   opt.max_entries = kMaxCacheEntries;
-  opt.snapshots = snapshots;
   opt.lock_wait_ns = +[](std::uint64_t ns) {
     SchemeProbes<B>::get().cache_lock_wait_ns.record(ns);
   };
@@ -515,16 +481,12 @@ class BasicTreScheme {
   using Backend = B;
   using Gt = typename B::Gt;
 
-  explicit BasicTreScheme(std::shared_ptr<const typename B::Params> params,
-                          Tuning tuning = Tuning::fast())
-      : params_(std::move(params)),
-        tuning_(tuning),
-        cache_(std::make_shared<Cache>(tuning.snapshot_caches)) {
+  explicit BasicTreScheme(std::shared_ptr<const typename B::Params> params)
+      : params_(std::move(params)), cache_(std::make_shared<Cache>()) {
     require(params_ != nullptr, "TreScheme: null params");
   }
 
   const typename B::Params& params() const { return *params_; }
-  const Tuning& tuning() const { return tuning_; }
 
   // --- Key generation -------------------------------------------------------
 
@@ -924,6 +886,7 @@ class BasicTreScheme {
       const BasicServerPublicKey<B>& server, std::string_view tag,
       tre::hashing::RandomSource& rng, KeyCheck check = KeyCheck::kVerify,
       unsigned threads = 0) const {
+    health::ensure_operational();
     if (check == KeyCheck::kVerify) {
       require(checked_user_key(server, user),
               "TRE encrypt_batch: receiver public key fails the pairing check");
@@ -940,28 +903,17 @@ class BasicTreScheme {
     }
 
     const typename B::Gu h1t = hash_tag(tag);
-    if (tuning_.cache_pair_bases) {
-      const Gt base = pair_base(user.asg, tag, h1t);  // one pairing for the batch
-      auto comb = comb_for(server.g);
-      tre::parallel_for(
-          msgs.size(),
-          [&](size_t i) {
-            typename B::Gh u =
-                comb ? comb->mul_secret(rs[i]) : mul_fixed_base(server.g, rs[i]);
-            Gt k = gt_pow(base, rs[i]);
-            out[i] = BasicCiphertext<B>{u, xor_bytes(msgs[i], mask_h2(k, msgs[i].size()))};
-          },
-          threads);
-    } else {
-      tre::parallel_for(
-          msgs.size(),
-          [&](size_t i) {
-            typename B::Gh u = mul_fixed_base(server.g, rs[i]);
-            Gt k = B::pair_session(*params_, mul_varying_gh(user.asg, rs[i]), h1t);
-            out[i] = BasicCiphertext<B>{u, xor_bytes(msgs[i], mask_h2(k, msgs[i].size()))};
-          },
-          threads);
-    }
+    const Gt base = pair_base(user.asg, tag, h1t);  // one pairing for the batch
+    auto comb = comb_for(server.g);
+    tre::parallel_for(
+        msgs.size(),
+        [&](size_t i) {
+          typename B::Gh u =
+              comb ? comb->mul_secret(rs[i]) : mul_fixed_base(server.g, rs[i]);
+          Gt k = B::gt_pow_unitary(*params_, base, rs[i]);
+          out[i] = BasicCiphertext<B>{u, xor_bytes(msgs[i], mask_h2(k, msgs[i].size()))};
+        },
+        threads);
     return out;
   }
 
@@ -971,7 +923,7 @@ class BasicTreScheme {
                 const BasicKeyUpdate<B>& update) const {
     health::ensure_operational();
     obs::Span span(probes().decrypt_ns);
-    Gt k = gt_pow(pair_with_lines(update.sig, ct.u), a);
+    Gt k = B::gt_pow_unitary(*params_, pair_with_lines(update.sig, ct.u), a);
     return xor_bytes(ct.v, mask_h2(k, ct.v.size()));
   }
 
@@ -993,7 +945,7 @@ class BasicTreScheme {
     health::ensure_operational();
     if (ct.c_sigma.size() != detail::kSigmaBytes) return std::nullopt;
     obs::Span span(probes().decrypt_ns);
-    Gt k = gt_pow(pair_with_lines(update.sig, ct.u), a);
+    Gt k = B::gt_pow_unitary(*params_, pair_with_lines(update.sig, ct.u), a);
     Bytes sigma = xor_bytes(ct.c_sigma, mask_h2(k, detail::kSigmaBytes));
     Bytes msg =
         xor_bytes(ct.c_msg, hashing::oracle_bytes("TRE-H4", sigma, ct.c_msg.size()));
@@ -1022,7 +974,7 @@ class BasicTreScheme {
       return std::nullopt;
     }
     obs::Span span(probes().decrypt_ns);
-    Gt k = gt_pow(pair_with_lines(update.sig, ct.u), a);
+    Gt k = B::gt_pow_unitary(*params_, pair_with_lines(update.sig, ct.u), a);
     Bytes witness = xor_bytes(ct.c_r, mask_h2(k, detail::kSigmaBytes));
     Bytes msg =
         xor_bytes(ct.c_msg, hashing::oracle_bytes("TRE-G", witness, ct.c_msg.size()));
@@ -1049,12 +1001,14 @@ class BasicTreScheme {
   /// Insecure-device step: decrypt using only the epoch key.
   Bytes decrypt_with_epoch_key(const BasicCiphertext<B>& ct,
                                const BasicEpochKey<B>& key) const {
+    health::ensure_operational();
     Gt k = pair_with_lines(key.d, ct.u);
     return xor_bytes(ct.v, mask_h2(k, ct.v.size()));
   }
   std::optional<Bytes> decrypt_fo_with_epoch_key(
       const BasicFoCiphertext<B>& ct, const BasicEpochKey<B>& key,
       const BasicServerPublicKey<B>& server) const {
+    health::ensure_operational();
     if (ct.c_sigma.size() != detail::kSigmaBytes) return std::nullopt;
     Gt k = pair_with_lines(key.d, ct.u);
     Bytes sigma = xor_bytes(ct.c_sigma, mask_h2(k, detail::kSigmaBytes));
@@ -1072,6 +1026,7 @@ class BasicTreScheme {
   /// server-independent, so only the asg half actually changes.
   BasicUserPublicKey<B> rebind_user_key(const Scalar& a,
                                         const BasicServerPublicKey<B>& new_server) const {
+    health::ensure_operational();
     return BasicUserPublicKey<B>{mul_anchor(new_server, a),
                                  mul_fixed_base(new_server.sg, a)};
   }
@@ -1100,8 +1055,17 @@ class BasicTreScheme {
 
   // --- Shared internals (used by the multi-server and policy variants) ---
 
-  /// H1 onto G_u with the scheme's domain separation.
-  typename B::Gu hash_tag(std::string_view tag) const { return cached_hash_tag(tag); }
+  /// H1 onto G_u with the scheme's domain separation, memoized per tag.
+  typename B::Gu hash_tag(std::string_view tag) const {
+    if (auto hit = cache_->tags.find(tag)) {
+      probes().tag_hit.add();
+      return *hit;
+    }
+    probes().tag_miss.add();
+    typename B::Gu h = B::hash_tag(*params_, tre::to_bytes(tag));
+    cache_->tags.insert(tag, h);
+    return h;
+  }
 
   /// Mask bytes H2(K) of a given length.
   Bytes mask_h2(const Gt& k, size_t len) const {
@@ -1142,12 +1106,12 @@ class BasicTreScheme {
   // (a handful of generators, one tag per epoch, one update per epoch)
   // are tiny, so eviction policy does not matter.
   struct Cache {
-    explicit Cache(bool snapshots)
-        : tags(detail::cache_options<B>(snapshots)),
-          good_keys(detail::cache_options<B>(snapshots)),
-          combs(detail::cache_options<B>(snapshots)),
-          pair_bases(detail::cache_options<B>(snapshots)),
-          lines(detail::cache_options<B>(snapshots)) {}
+    Cache()
+        : tags(detail::cache_options<B>()),
+          good_keys(detail::cache_options<B>()),
+          combs(detail::cache_options<B>()),
+          pair_bases(detail::cache_options<B>()),
+          lines(detail::cache_options<B>()) {}
 
     SnapshotCache<typename B::Gu> tags;  // tag -> H1(T)
     SnapshotCache<char> good_keys;       // verified (server, user) keys (presence set)
@@ -1156,23 +1120,10 @@ class BasicTreScheme {
     SnapshotCache<std::shared_ptr<const typename B::PairPrecomp>> lines;
   };
 
-  /// H1(T), memoized when tuning_.cache_tags.
-  typename B::Gu cached_hash_tag(std::string_view tag) const {
-    if (!tuning_.cache_tags) return B::hash_tag(*params_, tre::to_bytes(tag));
-    if (auto hit = cache_->tags.find(tag)) {
-      probes().tag_hit.add();
-      return *hit;
-    }
-    probes().tag_miss.add();
-    typename B::Gu h = B::hash_tag(*params_, tre::to_bytes(tag));
-    cache_->tags.insert(tag, h);
-    return h;
-  }
-
-  /// Comb table for a long-lived generator, memoized when
-  /// tuning_.fixed_base_comb; nullptr when the comb engine is disabled.
+  /// Comb table for a long-lived generator, memoized per base; nullptr
+  /// for the point at infinity.
   std::shared_ptr<const typename B::GhPrecomp> comb_for(const typename B::Gh& base) const {
-    if (!tuning_.fixed_base_comb || B::gh_is_infinity(base)) return nullptr;
+    if (B::gh_is_infinity(base)) return nullptr;
     const std::string key = point_key_gh(base);
     if (auto hit = cache_->combs.find(key)) {
       probes().comb_hit.add();
@@ -1185,53 +1136,49 @@ class BasicTreScheme {
   }
 
   /// base·k for secret k where base is a long-lived generator (params
-  /// base, server G / sG): fixed-pattern comb walk when enabled, seed-era
-  /// wNAF otherwise.
+  /// base, server G / sG): fixed-pattern comb walk.
   typename B::Gh mul_fixed_base(const typename B::Gh& base, const Scalar& k) const {
     if (auto comb = comb_for(base)) {
       probes().mul_comb.add();
       return comb->mul_secret(k);
     }
     probes().mul_fixed.add();
-    return tuning_.fixed_base_comb ? B::gh_mul_secret(*params_, base, k)
-                                   : B::gh_mul(*params_, base, k);
+    return B::gh_mul_secret(*params_, base, k);
   }
 
-  /// base·k for secret k where base varies call to call (the asg half of
-  /// a receiver key during non-cached encrypt, fresh server generators):
-  /// fixed-window ladder when the engine is on, wNAF otherwise.
+  /// base·k for secret k where base varies call to call (a fresh server
+  /// generator): constant-pattern fixed-window ladder.
   typename B::Gh mul_varying_gh(const typename B::Gh& base, const Scalar& k) const {
     // A comb table costs hundreds of additions to build; for a base seen
     // once the fixed-window ladder wins.
     probes().mul_varying.add();
-    return tuning_.fixed_base_comb ? B::gh_mul_secret(*params_, base, k)
-                                   : B::gh_mul(*params_, base, k);
+    return B::gh_mul_secret(*params_, base, k);
   }
 
-  /// Same, for the update group (H1(T), update signatures).
+  /// Same, for the update group (H1(T), update signatures, the type-3
+  /// anchor).
   typename B::Gu mul_varying_gu(const typename B::Gu& base, const Scalar& k) const {
     probes().mul_varying.add();
-    return tuning_.fixed_base_comb ? B::gu_mul_secret(*params_, base, k)
-                                   : B::gu_mul(*params_, base, k);
+    return B::gu_mul_secret(*params_, base, k);
   }
 
   /// The user's certifiable anchor a·(anchor base). On type-1 the anchor
   /// base IS the server generator, so this shares the Gh comb cache (and
   /// its probe counts) with every other fixed-base multiply; on type-3 it
-  /// is the context's G_1 generator.
+  /// is the context's G_1 generator, multiplied on the secret-scalar
+  /// ladder because a is the user's long-term secret.
   typename B::Gu mul_anchor(const BasicServerPublicKey<B>& server,
                             const Scalar& a) const {
     if constexpr (B::kAnchorIsGh) {
       return mul_fixed_base(server.g, a);
     } else {
-      return B::gu_mul(*params_, B::anchor_base(*params_, server.g), a);
+      return mul_varying_gu(B::anchor_base(*params_, server.g), a);
     }
   }
 
   /// verify_user_public_key with positive results memoized.
   bool checked_user_key(const BasicServerPublicKey<B>& server,
                         const BasicUserPublicKey<B>& user) const {
-    if (!tuning_.cache_key_checks) return verify_user_public_key(server, user);
     Bytes sk = server.to_bytes();
     Bytes uk = user.to_bytes();
     std::string key(sk.begin(), sk.end());
@@ -1253,10 +1200,6 @@ class BasicTreScheme {
   /// encryption key is then base^r.
   Gt pair_base(const typename B::Gh& asg, std::string_view tag,
                const typename B::Gu& h1t) const {
-    if (!tuning_.cache_pair_bases) {
-      probes().pairings.add();
-      return B::pair_session(*params_, asg, h1t);
-    }
     std::string key = point_key_gh(asg);  // fixed length, so asg||tag is unambiguous
     key.append(tag);
     if (auto hit = cache_->pair_bases.find(key)) {
@@ -1274,7 +1217,6 @@ class BasicTreScheme {
   /// signature or epoch key, reused across every ciphertext of an epoch).
   Gt pair_with_lines(const typename B::Gu& fixed, const typename B::Gh& u) const {
     probes().pairings.add();
-    if (!tuning_.cache_update_lines) return B::pair_decrypt(*params_, fixed, u);
     const std::string key = point_key_gu(fixed);
     std::shared_ptr<const typename B::PairPrecomp> lines;
     if (auto hit = cache_->lines.find(key)) {
@@ -1286,11 +1228,6 @@ class BasicTreScheme {
       cache_->lines.insert(key, lines);
     }
     return lines->pair(u);
-  }
-
-  /// k^e in G_T honouring tuning_.unitary_gt_pow.
-  Gt gt_pow(const Gt& k, const Scalar& e) const {
-    return B::gt_pow(*params_, k, e, tuning_.unitary_gt_pow);
   }
 
   // Per-flavour implementations behind seal()/open(); the public
@@ -1311,9 +1248,7 @@ class BasicTreScheme {
     typename B::Gu h1t = hash_tag(tag);
     // ê(r·asG, H1(T)) == ê(asG, H1(T))^r: with the base pairing memoized,
     // the per-message cost is one comb multiply and one G_T exponentiation.
-    Gt k = tuning_.cache_pair_bases
-               ? gt_pow(pair_base(user.asg, tag, h1t), r)
-               : B::pair_session(*params_, mul_varying_gh(user.asg, r), h1t);
+    Gt k = B::gt_pow_unitary(*params_, pair_base(user.asg, tag, h1t), r);
     return BasicCiphertext<B>{u, xor_bytes(msg, mask_h2(k, msg.size()))};
   }
 
@@ -1333,9 +1268,7 @@ class BasicTreScheme {
     Scalar r = hash_to_scalar("TRE-H3", concat({sigma, msg}));
     typename B::Gh u = mul_fixed_base(server.g, r);
     typename B::Gu h1t = hash_tag(tag);
-    Gt k = tuning_.cache_pair_bases
-               ? gt_pow(pair_base(user.asg, tag, h1t), r)
-               : B::pair_session(*params_, mul_varying_gh(user.asg, r), h1t);
+    Gt k = B::gt_pow_unitary(*params_, pair_base(user.asg, tag, h1t), r);
     Bytes c_sigma = xor_bytes(sigma, mask_h2(k, detail::kSigmaBytes));
     Bytes c_msg = xor_bytes(msg, hashing::oracle_bytes("TRE-H4", sigma, msg.size()));
     return BasicFoCiphertext<B>{u, std::move(c_sigma), std::move(c_msg)};
@@ -1356,9 +1289,7 @@ class BasicTreScheme {
     Scalar r = B::random_scalar(*params_, rng);
     typename B::Gh u = mul_fixed_base(server.g, r);
     typename B::Gu h1t = hash_tag(tag);
-    Gt k = tuning_.cache_pair_bases
-               ? gt_pow(pair_base(user.asg, tag, h1t), r)
-               : B::pair_session(*params_, mul_varying_gh(user.asg, r), h1t);
+    Gt k = B::gt_pow_unitary(*params_, pair_base(user.asg, tag, h1t), r);
     Bytes c_r = xor_bytes(witness, mask_h2(k, detail::kSigmaBytes));
     Bytes c_msg = xor_bytes(msg, hashing::oracle_bytes("TRE-G", witness, msg.size()));
     Bytes mac = hashing::oracle_bytes(
@@ -1368,7 +1299,6 @@ class BasicTreScheme {
   }
 
   std::shared_ptr<const typename B::Params> params_;
-  Tuning tuning_;
   std::shared_ptr<Cache> cache_;
 };
 

@@ -109,6 +109,7 @@ class DkgNode {
   DkgNode(std::shared_ptr<const typename B::Params> params, ThresholdConfig config,
           size_t index, tre::hashing::RandomSource& rng)
       : params_(std::move(params)), config_(config), index_(index) {
+    health::ensure_operational();
     require(params_ != nullptr, "dkg: null params");
     require(config.k >= 1 && config.k <= config.n, "dkg: need 1 <= k <= n");
     require(index >= 1 && index <= config.n, "dkg: node index out of range");

@@ -13,11 +13,9 @@
 // insulation, archives — runs unchanged on top. Corruption resistance is
 // k-1 nodes; liveness tolerates n-k failures.
 //
-// This header subsumes the two earlier per-backend sketches
-// (core::ThresholdTre on tre-512 and bls12::Threshold381 on BLS12-381):
-// one BasicThresholdScheme<B> is instantiated over the same
-// PairingBackend policies as the generic TRE core, and the old names
-// survive as thin aliases. Artifact placement follows the core scheme:
+// One BasicThresholdScheme<B> is instantiated over the same
+// PairingBackend policies as the generic TRE core, on tre-512 and on
+// BLS12-381 alike. Artifact placement follows the core scheme:
 // share commitments s_i·G live in the header group Gh (next to sG),
 // partial updates s_i·H1(T) in the update group Gu.
 //
@@ -43,6 +41,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/health.h"
 #include "core/tre_core.h"
 #include "core/wipe.h"
 
@@ -252,9 +251,8 @@ class BasicThresholdScheme {
  public:
   using Backend = B;
 
-  explicit BasicThresholdScheme(std::shared_ptr<const typename B::Params> params,
-                                core::Tuning tuning = core::Tuning::fast())
-      : scheme_(std::move(params), tuning) {}
+  explicit BasicThresholdScheme(std::shared_ptr<const typename B::Params> params)
+      : scheme_(std::move(params)) {}
 
   const typename B::Params& params() const { return scheme_.params(); }
   const core::BasicTreScheme<B>& scheme() const { return scheme_; }
@@ -265,6 +263,7 @@ class BasicThresholdScheme {
   /// (threshold/dkg.h) produces the same types without the dealer.
   std::pair<BasicThresholdKey<B>, std::vector<BasicServerShare<B>>> setup(
       ThresholdConfig config, tre::hashing::RandomSource& rng) const {
+    health::ensure_operational();
     require(config.k >= 1 && config.k <= config.n, "threshold: need 1 <= k <= n");
     require(config.n <= kMaxNodes, "threshold: too many nodes");
     probes().setups.add();
@@ -295,6 +294,7 @@ class BasicThresholdScheme {
 
   BasicPartialUpdate<B> issue_partial(const BasicServerShare<B>& share,
                                       std::string_view tag) const {
+    health::ensure_operational();
     require(share.index >= 1, "threshold: share index must be >= 1");
     probes().partials_issued.add();
     return BasicPartialUpdate<B>{

@@ -145,7 +145,7 @@ class BasicTimeServer {
     require(share.index >= 1 && share.index <= key.config.n,
             "enable_beacon: share index out of range");
     beacon_.emplace(Beacon{
-        threshold::BasicThresholdScheme<B>(params_, scheme_.tuning()),
+        threshold::BasicThresholdScheme<B>(params_),
         std::move(key), std::move(share)});
   }
 

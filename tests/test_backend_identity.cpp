@@ -112,9 +112,9 @@ struct Golden {
 // Replays exactly the capture program's operation sequence (keygen, keygen,
 // password keygen, issue, encrypt, encrypt_fo, encrypt_react, seal) so the
 // DRBG stream lines up draw for draw.
-void check_golden(const char* set_name, const Golden& g, core::Tuning tuning) {
+void check_golden(const char* set_name, const Golden& g) {
   auto params = params::load(set_name);
-  core::TreScheme scheme(params, tuning);
+  core::TreScheme scheme(params);
   hashing::HmacDrbg rng(to_bytes(std::string("golden-") + set_name));
   core::ServerKeyPair server = scheme.server_keygen(rng);
   core::UserKeyPair user = scheme.user_keygen(server.pub, rng);
@@ -152,19 +152,11 @@ constexpr Golden k512{k512Server, k512User, k512PwUser, k512Update,
                       k512Basic,  k512Fo,   k512React,  k512Sealed};
 
 TEST(BackendIdentityTest, Toy96MatchesPreRefactorBytes) {
-  check_golden("tre-toy-96", kToy, core::Tuning::fast());
-}
-
-TEST(BackendIdentityTest, Toy96MatchesUnderLegacyTuning) {
-  check_golden("tre-toy-96", kToy, core::Tuning::legacy());
+  check_golden("tre-toy-96", kToy);
 }
 
 TEST(BackendIdentityTest, Tre512MatchesPreRefactorBytes) {
-  check_golden("tre-512", k512, core::Tuning::fast());
-}
-
-TEST(BackendIdentityTest, Tre512MatchesUnderLockedCaches) {
-  check_golden("tre-512", k512, core::Tuning::fast_locked());
+  check_golden("tre-512", k512);
 }
 
 }  // namespace

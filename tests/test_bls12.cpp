@@ -2,16 +2,20 @@
 // test — ate-pairing bilinearity. The context itself validates p, r,
 // curve orders and the Frobenius eigenvalue at construction, so merely
 // constructing it exercises the self-checks.
-#include "bls12/threshold381.h"
+#include "bls12/tre381.h"
 
 #include <gtest/gtest.h>
 
 #include "bigint/prime.h"
 #include "hashing/drbg.h"
 #include "hashing/kdf.h"
+#include "obs/metrics.h"
+#include "threshold/threshold.h"
 
 namespace tre::bls12 {
 namespace {
+
+using Partial = threshold::BasicPartialUpdate<Bls381Backend>;
 
 class Bls12Test : public ::testing::Test {
  protected:
@@ -181,8 +185,7 @@ TEST_F(Bls12Test, DecodersRejectOnCurvePointsOutsideTheSubgroup) {
       EXPECT_FALSE(Update381::try_from_bytes(ctx, Update381{tag, rogue}.to_bytes())
                        .has_value());
       EXPECT_FALSE(
-          Partial381::try_from_bytes(ctx, Partial381{1, tag, rogue}.to_bytes())
-              .has_value());
+          Partial::try_from_bytes(ctx, Partial{1, tag, rogue}.to_bytes()).has_value());
     }
   }
   // The same wire images carrying a member parse.
@@ -190,7 +193,7 @@ TEST_F(Bls12Test, DecodersRejectOnCurvePointsOutsideTheSubgroup) {
   EXPECT_TRUE(ctx.g1_eq(ctx.g1_from_bytes(ctx.g1_to_bytes(member)), member));
   EXPECT_TRUE(Update381::try_from_bytes(ctx, Update381{tag, member}.to_bytes()).has_value());
   EXPECT_TRUE(
-      Partial381::try_from_bytes(ctx, Partial381{1, tag, member}.to_bytes()).has_value());
+      Partial::try_from_bytes(ctx, Partial{1, tag, member}.to_bytes()).has_value());
 }
 
 TEST_F(Bls12Test, SerializationRoundtrips) {
@@ -429,11 +432,11 @@ TEST_F(Bls12Test, DecodersRejectMalformedInfinity) {
   EXPECT_TRUE(ctx.g2_from_bytes(g2_inf).inf);
   EXPECT_EQ(ctx.g2_to_bytes(ctx.g2_from_bytes(g2_inf)), g2_inf);
   const Bytes update = Update381{tag, ctx.g1_infinity()}.to_bytes();
-  const Bytes partial = Partial381{1, tag, ctx.g1_infinity()}.to_bytes();
+  const Bytes partial = Partial{1, tag, ctx.g1_infinity()}.to_bytes();
   ASSERT_TRUE(Update381::try_from_bytes(ctx, update).has_value());
   EXPECT_EQ(Update381::try_from_bytes(ctx, update)->to_bytes(), update);
-  ASSERT_TRUE(Partial381::try_from_bytes(ctx, partial).has_value());
-  EXPECT_EQ(Partial381::try_from_bytes(ctx, partial)->to_bytes(), partial);
+  ASSERT_TRUE(Partial::try_from_bytes(ctx, partial).has_value());
+  EXPECT_EQ(Partial::try_from_bytes(ctx, partial)->to_bytes(), partial);
 
   // Any nonzero byte after the 0x00 tag is malformed. The point is the
   // last 49 bytes of an update or a partial.
@@ -447,7 +450,7 @@ TEST_F(Bls12Test, DecodersRejectMalformedInfinity) {
       EXPECT_FALSE(Update381::try_from_bytes(ctx, bad_update).has_value());
       Bytes bad_partial = partial;
       bad_partial[partial.size() - g1_inf.size() + pos] = junk;
-      EXPECT_FALSE(Partial381::try_from_bytes(ctx, bad_partial).has_value());
+      EXPECT_FALSE(Partial::try_from_bytes(ctx, bad_partial).has_value());
     }
   }
   for (size_t pos : {size_t{1}, size_t{48}, size_t{49}, size_t{96}}) {
@@ -484,6 +487,19 @@ TEST_F(Tre381Test, KeysAndUpdatesVerify) {
   UserKey381 eve = scheme_.user_keygen(server_.pub, rng_);
   UserPublicKey381 mixed{user_.pub.ag, eve.pub.asg};
   EXPECT_FALSE(scheme_.verify_user_public_key(server_.pub, mixed));
+}
+
+TEST_F(Tre381Test, UserKeygenAnchorTakesTheSecretLadder) {
+  // A1 = a·G1gen multiplies the user's long-term secret: it must run on
+  // the constant-pattern ladder, counted as one varying-base multiply
+  // (A2 = a·S goes through the comb and is counted there).
+  obs::Registry& g = obs::Registry::global();
+  const std::uint64_t before = g.counter_value("core.bls381.mul.varying_base");
+  UserKey381 eve = scheme_.user_keygen(server_.pub, rng_);
+  EXPECT_EQ(g.counter_value("core.bls381.mul.varying_base") - before,
+            obs::kEnabled ? 1u : 0u);
+  const Bls12Ctx& ctx = scheme_.params();
+  EXPECT_TRUE(ctx.g1_eq(eve.pub.ag, ctx.g1_mul(ctx.g1_generator(), eve.a)));
 }
 
 TEST_F(Tre381Test, RoundtripAndTimeLock) {
@@ -548,7 +564,7 @@ TEST_F(Tre381Test, WireRoundtrips) {
 // --- drand-shaped threshold network on BLS12-381 ---------------------------------
 
 TEST(Threshold381Test, ThreeOfFiveEndToEnd) {
-  Threshold381 net(Bls12Ctx::get());
+  threshold::BasicThresholdScheme<Bls381Backend> net(Bls12Ctx::get());
   Tre381Scheme scheme = make_tre381();
   auto ctx = Bls12Ctx::get();
   hashing::HmacDrbg rng(to_bytes("threshold381-tests"));
@@ -562,11 +578,11 @@ TEST(Threshold381Test, ThreeOfFiveEndToEnd) {
   auto ct = scheme.encrypt(msg, user.pub, group, "round-12345", rng);
 
   // Operators 1, 3, 5 publish partials; 4 is corrupt.
-  std::vector<Partial381> partials = {net.issue_partial(shares[0], "round-12345"),
-                                      net.issue_partial(shares[2], "round-12345"),
-                                      net.issue_partial(shares[4], "round-12345")};
+  std::vector<Partial> partials = {net.issue_partial(shares[0], "round-12345"),
+                                   net.issue_partial(shares[2], "round-12345"),
+                                   net.issue_partial(shares[4], "round-12345")};
   for (const auto& p : partials) EXPECT_TRUE(net.verify_partial(key, p));
-  Partial381 corrupt = net.issue_partial(shares[3], "round-12345");
+  Partial corrupt = net.issue_partial(shares[3], "round-12345");
   corrupt.sig = ctx->g1_add(corrupt.sig, corrupt.sig);
   EXPECT_FALSE(net.verify_partial(key, corrupt));
 
@@ -575,14 +591,14 @@ TEST(Threshold381Test, ThreeOfFiveEndToEnd) {
   EXPECT_EQ(scheme.decrypt(ct, user.a, update), msg);
 
   // Any other k-subset combines to the identical update.
-  std::vector<Partial381> other = {net.issue_partial(shares[1], "round-12345"),
-                                   net.issue_partial(shares[3], "round-12345"),
-                                   net.issue_partial(shares[0], "round-12345")};
+  std::vector<Partial> other = {net.issue_partial(shares[1], "round-12345"),
+                                net.issue_partial(shares[3], "round-12345"),
+                                net.issue_partial(shares[0], "round-12345")};
   Update381 update2 = net.combine(key, other);
   EXPECT_TRUE(ctx->g1_eq(update.sig, update2.sig));
 
   // Below threshold fails.
-  std::vector<Partial381> two(partials.begin(), partials.begin() + 2);
+  std::vector<Partial> two(partials.begin(), partials.begin() + 2);
   EXPECT_THROW(net.combine(key, two), Error);
 }
 

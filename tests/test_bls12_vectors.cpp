@@ -251,10 +251,9 @@ TEST_F(Bls381VectorsTest, SecretLaddersAndCombMatchPublicLadder) {
 
 // Replays exactly the capture program's operation sequence (keygen,
 // keygen, password keygen, issue, encrypt, encrypt_fo, encrypt_react,
-// seal) so the DRBG stream lines up draw for draw. Tuning must not
-// change any byte — the engines are value-identical by construction.
-void check_golden_381(core::Tuning tuning) {
-  Tre381Scheme scheme = make_tre381(tuning);
+// seal) so the DRBG stream lines up draw for draw.
+TEST(Bls381GoldenTest, MatchesPreRewriteBytes) {
+  Tre381Scheme scheme = make_tre381();
   hashing::HmacDrbg rng(to_bytes(std::string("golden-tre-bls12-381")));
   auto server = scheme.server_keygen(rng);
   auto user = scheme.user_keygen(server.pub, rng);
@@ -284,18 +283,6 @@ void check_golden_381(core::Tuning tuning) {
   auto open_out = scheme.open(sealed, user.a, upd, server.pub);
   ASSERT_TRUE(open_out.has_value());
   EXPECT_EQ(*open_out, msg);
-}
-
-TEST(Bls381GoldenTest, MatchesPreRewriteBytes) {
-  check_golden_381(core::Tuning::fast());
-}
-
-TEST(Bls381GoldenTest, MatchesUnderLegacyTuning) {
-  check_golden_381(core::Tuning::legacy());
-}
-
-TEST(Bls381GoldenTest, MatchesUnderLockedCaches) {
-  check_golden_381(core::Tuning::fast_locked());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Contention test for the core::Tuning memoization caches: many threads
+// Contention test for the TRE core's memoization caches: many threads
 // share ONE TreScheme (and therefore one Cache) while exercising every
 // cache-touching path — tag hashing, comb tables, key-check memoization,
 // pair-base and Miller-line caches — concurrently. Correctness is
-// asserted functionally (every decrypt round-trips); the data-race proof
-// is TSan's, which is why this binary joins ctest only under
+// asserted functionally (every decrypt round-trips, racing ciphertexts
+// match a serial run byte for byte); the data-race proof is TSan's, under
 // -DTRE_SANITIZE=thread (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
@@ -121,9 +121,8 @@ Bytes ciphertext_bytes(const Ciphertext& ct) {
 
 TEST(SharedSchemeContention, MixedSealOpenIssueBitIdentical) {
   // The snapshot caches must be a pure concurrency substrate: a cold
-  // shared scheme hammered by racing threads, a warm serial scheme, and
-  // a serial scheme in legacy locked mode must all emit byte-identical
-  // ciphertexts for the same per-job DRBG seeds.
+  // shared scheme hammered by racing threads and a warm serial scheme
+  // must emit byte-identical ciphertexts for the same per-job DRBG seeds.
   auto params = params::load("tre-toy-96");
   hashing::HmacDrbg key_rng(to_bytes("bit-identical-keys"));
   TreScheme keygen_scheme(params);
@@ -140,19 +139,13 @@ TEST(SharedSchemeContention, MixedSealOpenIssueBitIdentical) {
                            static_cast<size_t>(j) % tags.size()});
   }
 
-  auto run_serial = [&](Tuning tuning) {
-    TreScheme scheme(params, tuning);
-    std::vector<Bytes> out(jobs.size());
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      hashing::HmacDrbg rng(to_bytes(jobs[j].seed));
-      out[j] = ciphertext_bytes(
-          scheme.encrypt(jobs[j].msg, user.pub, server.pub, tags[jobs[j].tag], rng));
-    }
-    return out;
-  };
-  const std::vector<Bytes> reference = run_serial(Tuning{});
-  EXPECT_EQ(run_serial(Tuning::fast_locked()), reference)
-      << "snapshot and locked cache substrates disagree";
+  TreScheme serial(params);
+  std::vector<Bytes> reference(jobs.size());
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    hashing::HmacDrbg rng(to_bytes(jobs[j].seed));
+    reference[j] = ciphertext_bytes(
+        serial.encrypt(jobs[j].msg, user.pub, server.pub, tags[jobs[j].tag], rng));
+  }
 
   // Concurrent run: one cold shared scheme, every thread also opening
   // ciphertexts and issuing updates so all five caches warm up racily.

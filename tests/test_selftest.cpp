@@ -11,6 +11,8 @@
 #include "keystore/keystore.h"
 #include "params/params.h"
 #include "selftest/selftest.h"
+#include "threshold/dkg.h"
+#include "threshold/threshold.h"
 
 namespace tre::selftest {
 namespace {
@@ -66,12 +68,37 @@ TEST_F(SelftestGate, FirstGatedCallRunsTheSuiteOnce) {
 }
 
 TEST_F(SelftestGate, PoisonedStateFailsClosedAcrossEntryPoints) {
-  health::poison();
-  core::TreScheme scheme(params::load("tre-toy-96"));
+  // Keys, ciphertexts and shares are built while the latch is healthy,
+  // so each gated call below fails on the latch alone.
+  using B = core::Tre512Backend;
+  auto params = params::load("tre-toy-96");
+  core::TreScheme scheme(params);
   hashing::HmacDrbg rng(to_bytes("poisoned"));
+  core::ServerKeyPair server = scheme.server_keygen(rng);
+  core::UserKeyPair user = scheme.user_keygen(server.pub, rng);
+  core::KeyUpdate update = scheme.issue_update(server, "T");
+  core::EpochKey epoch = scheme.derive_epoch_key(user.a, update);
+  const Bytes m = to_bytes("m");
+  core::Ciphertext ct = scheme.encrypt(m, user.pub, server.pub, "T", rng);
+  core::FoCiphertext fo = scheme.encrypt_fo(m, user.pub, server.pub, "T", rng);
+  threshold::BasicThresholdScheme<B> tscheme(params);
+  auto [tkey, shares] = tscheme.setup({3, 2}, rng);
+  threshold::BasicThresholdScheme<bls12::Bls381Backend> tscheme381(
+      bls12::Bls12Ctx::get());
+  auto [tkey381, shares381] = tscheme381.setup({3, 2}, rng);
+  const std::vector<Bytes> msgs = {m};
 
+  health::poison();
   EXPECT_THROW(scheme.server_keygen(rng), SelftestError);
   EXPECT_THROW(scheme.issue_update(core::ServerKeyPair{}, "T"), SelftestError);
+  EXPECT_THROW(scheme.encrypt_batch(msgs, user.pub, server.pub, "T", rng), SelftestError);
+  EXPECT_THROW(scheme.rebind_user_key(user.a, server.pub), SelftestError);
+  EXPECT_THROW(scheme.decrypt_with_epoch_key(ct, epoch), SelftestError);
+  EXPECT_THROW(scheme.decrypt_fo_with_epoch_key(fo, epoch, server.pub), SelftestError);
+  EXPECT_THROW(tscheme.setup({3, 2}, rng), SelftestError);
+  EXPECT_THROW(tscheme.issue_partial(shares[0], "T"), SelftestError);
+  EXPECT_THROW(threshold::run_dkg<B>(params, {3, 2}, rng), SelftestError);
+  EXPECT_THROW(tscheme381.issue_partial(shares381[0], "T"), SelftestError);
 
   bls12::Tre381Scheme scheme381 = bls12::make_tre381();
   EXPECT_THROW(scheme381.server_keygen(rng), SelftestError);

@@ -1,14 +1,15 @@
-// SnapshotCache: the RCU-style read-mostly map behind the core::Tuning
-// memo caches. Covers both substrates (snapshot and legacy locked mode),
-// the flood-guard bound, first-write-wins inserts, the contended-lock
-// hook, and multi-threaded read/write storms (the data-race proof is
-// TSan's, via the sanitizer tree; the assertions here are functional).
+// SnapshotCache: the RCU-style read-mostly map behind the TRE core's
+// memo caches. Covers lookups against a plain-map model, the flood-guard
+// bound, first-write-wins inserts, the contended-lock hook, and
+// multi-threaded read/write storms (the data-race proof is TSan's, via
+// the sanitizer tree; the assertions here are functional).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/snapshot_cache.h"
@@ -16,17 +17,12 @@
 namespace tre {
 namespace {
 
-SnapshotCacheOptions with_mode(bool snapshots, size_t max_entries = 1024) {
-  SnapshotCacheOptions opt;
-  opt.max_entries = max_entries;
-  opt.snapshots = snapshots;
-  return opt;
-}
-
+// Value-parameterized only for its recorded case names
+// (`BothSubstrates/.../snapshot`); every case runs the one substrate.
 class SnapshotCacheModes : public ::testing::TestWithParam<bool> {};
 
 TEST_P(SnapshotCacheModes, InsertFindRoundtrip) {
-  SnapshotCache<int> cache(with_mode(GetParam()));
+  SnapshotCache<int> cache;
   EXPECT_FALSE(cache.find("missing").has_value());
   EXPECT_FALSE(cache.contains("missing"));
 
@@ -44,7 +40,7 @@ TEST_P(SnapshotCacheModes, InsertFindRoundtrip) {
 TEST_P(SnapshotCacheModes, FirstWriteWins) {
   // Values are deterministic per key in every cache this backs, so a
   // duplicate insert (two threads racing the same miss) must be a no-op.
-  SnapshotCache<int> cache(with_mode(GetParam()));
+  SnapshotCache<int> cache;
   cache.insert("k", 7);
   cache.insert("k", 99);
   EXPECT_EQ(*cache.find("k"), 7);
@@ -53,7 +49,7 @@ TEST_P(SnapshotCacheModes, FirstWriteWins) {
 
 TEST_P(SnapshotCacheModes, FloodGuardBoundsEachShard) {
   constexpr size_t kMax = 64;  // 16 per shard
-  SnapshotCache<int> cache(with_mode(GetParam(), kMax));
+  SnapshotCache<int> cache(SnapshotCacheOptions{.max_entries = kMax});
   for (int i = 0; i < 10 * static_cast<int>(kMax); ++i) {
     cache.insert("flood-" + std::to_string(i), i);
   }
@@ -63,7 +59,7 @@ TEST_P(SnapshotCacheModes, FloodGuardBoundsEachShard) {
 }
 
 TEST_P(SnapshotCacheModes, ReadersSeeWritesAcrossThreads) {
-  SnapshotCache<std::uint64_t> cache(with_mode(GetParam()));
+  SnapshotCache<std::uint64_t> cache;
   constexpr int kThreads = 8;
   constexpr int kKeys = 32;
   std::atomic<int> mismatches{0};
@@ -94,26 +90,25 @@ TEST_P(SnapshotCacheModes, ReadersSeeWritesAcrossThreads) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothSubstrates, SnapshotCacheModes, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("snapshot")
-                                             : std::string("locked");
+INSTANTIATE_TEST_SUITE_P(BothSubstrates, SnapshotCacheModes, ::testing::Values(true),
+                         [](const ::testing::TestParamInfo<bool>&) {
+                           return std::string("snapshot");
                          });
 
-TEST(SnapshotCacheEquivalence, ModesAgreeOnEveryLookup) {
-  SnapshotCache<int> fast(with_mode(true));
-  SnapshotCache<int> locked(with_mode(false));
+TEST(SnapshotCacheEquivalence, MatchesPlainMapModel) {
+  // The model is a plain map whose emplace keeps the first value written
+  // per key, the cache's contract. 50 keys stay under the bound, so no
+  // shard clears.
+  SnapshotCache<int> cache;
+  std::unordered_map<std::string, int> model;
   for (int i = 0; i < 200; ++i) {
     const std::string key = "k" + std::to_string(i % 50);
-    fast.insert(key, i % 50);
-    locked.insert(key, i % 50);
+    cache.insert(key, i);
+    model.emplace(key, i);
   }
-  for (int i = 0; i < 50; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    EXPECT_EQ(fast.find(key), locked.find(key));
-  }
-  EXPECT_EQ(fast.size(), locked.size());
-  EXPECT_EQ(fast.find("absent"), locked.find("absent"));
+  for (const auto& [key, value] : model) EXPECT_EQ(cache.find(key), value) << key;
+  EXPECT_EQ(cache.size(), model.size());
+  EXPECT_FALSE(cache.find("absent").has_value());
 }
 
 std::atomic<std::uint64_t> g_waits{0};
@@ -149,7 +144,7 @@ TEST(SnapshotCacheLifetime, NewCacheDoesNotInheritStaleSlots) {
   // Shard ids are process-unique: a fresh cache must miss where a
   // destroyed cache (whose slots may linger in this thread's TLS) hit.
   for (int round = 0; round < 3; ++round) {
-    SnapshotCache<int> cache(with_mode(true));
+    SnapshotCache<int> cache;
     EXPECT_FALSE(cache.find("x").has_value());
     cache.insert("x", round);
     EXPECT_EQ(*cache.find("x"), round);

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "ec/curve.h"
 #include "hashing/drbg.h"
 #include "hashing/kdf.h"
+#include "pairing/pairing.h"
 
 namespace tre::core {
 namespace {
@@ -350,32 +352,26 @@ TEST_F(TreTest, UpdateWireSizeIsOneCompressedPoint) {
             2 + std::string(kTag).size() + scheme_.params().g1_compressed_bytes());
 }
 
-// --- Scalar-engine tuning and batch APIs --------------------------------------
+// --- Oracle check and batch APIs ----------------------------------------------
 
-TEST_F(TreTest, LegacyTuningInteroperatesWithFast) {
-  // Ciphertexts are bit-identical across tunings given the same
-  // randomness, and either scheme decrypts the other's output.
-  TreScheme legacy(params::load("tre-toy-96"), Tuning::legacy());
-  ServerKeyPair server = legacy.server_keygen(rng_);
-  UserKeyPair user = legacy.user_keygen(server.pub, rng_);
-  KeyUpdate upd = scheme_.issue_update(server, kTag);
-  EXPECT_EQ(upd, legacy.issue_update(server, kTag));
+TEST_F(TreTest, SealMatchesUncachedPairingOracle) {
+  // seal(kBasic) draws r first, so a replayed DRBG recovers it. The §5.1
+  // equations are then checked from public primitives alone: no memo
+  // cache, no comb, no Miller-line precomp, no unitary G_T power.
+  hashing::HmacDrbg rng_seal(to_bytes("session-key-oracle"));
+  hashing::HmacDrbg rng_replay(to_bytes("session-key-oracle"));
+  const Bytes m = msg();
+  SealedCiphertext sc = scheme_.seal(Mode::kBasic, m, user_.pub, server_.pub, kTag, rng_seal);
+  const Ciphertext& ct = std::get<Ciphertext>(sc.body);
+  const Scalar r = params::random_scalar(scheme_.params(), rng_replay);
 
-  hashing::HmacDrbg rng_fast(to_bytes("tuning-interop"));
-  hashing::HmacDrbg rng_legacy(to_bytes("tuning-interop"));
-  Ciphertext fast_ct = scheme_.encrypt(msg(), user.pub, server.pub, kTag, rng_fast);
-  Ciphertext legacy_ct = legacy.encrypt(msg(), user.pub, server.pub, kTag, rng_legacy);
-  EXPECT_EQ(fast_ct.to_bytes(), legacy_ct.to_bytes());
-  EXPECT_EQ(legacy.decrypt(fast_ct, user.a, upd), msg());
-  EXPECT_EQ(scheme_.decrypt(legacy_ct, user.a, upd), msg());
-
-  // Same interop for the CCA variants.
-  hashing::HmacDrbg rf2(to_bytes("tuning-fo")), rl2(to_bytes("tuning-fo"));
-  FoCiphertext fo_fast = scheme_.encrypt_fo(msg(), user.pub, server.pub, kTag, rf2);
-  FoCiphertext fo_legacy = legacy.encrypt_fo(msg(), user.pub, server.pub, kTag, rl2);
-  EXPECT_EQ(fo_fast.to_bytes(), fo_legacy.to_bytes());
-  EXPECT_EQ(legacy.decrypt_fo(fo_fast, user.a, upd, server.pub), msg());
-  EXPECT_EQ(scheme_.decrypt_fo(fo_legacy, user.a, upd, server.pub), msg());
+  EXPECT_EQ(ct.u, server_.pub.g.mul(r));  // U = r·G
+  // K = ê(r·asG, H1(T)); V = M ⊕ H2(K).
+  const ec::G1Point h1t = ec::hash_to_g1(scheme_.params().ctx(), to_bytes(kTag));
+  const Gt k = pairing::pair(user_.pub.asg.mul(r), h1t);
+  EXPECT_EQ(ct.v, xor_bytes(m, hashing::oracle_bytes("TRE-H2", k.to_bytes(), m.size())));
+  // The receiver's side: ê(U, I_T)^a == K with I_T = s·H1(T).
+  EXPECT_EQ(pairing::pair(ct.u, h1t.mul(server_.s)).pow(user_.a), k);
 }
 
 TEST_F(TreTest, EncryptBatchMatchesSequentialEncrypt) {
@@ -401,20 +397,6 @@ TEST_F(TreTest, EncryptBatchMatchesSequentialEncrypt) {
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(scheme_.decrypt(got[i], user_.a, upd), msgs[i]);
-  }
-}
-
-TEST_F(TreTest, EncryptBatchLegacyTuningAgrees) {
-  TreScheme legacy(params::load("tre-toy-96"), Tuning::legacy());
-  std::vector<Bytes> msgs = {msg("one"), msg("two"), msg("three")};
-  hashing::HmacDrbg ra(to_bytes("batch-legacy")), rb(to_bytes("batch-legacy"));
-  std::vector<Ciphertext> fast =
-      scheme_.encrypt_batch(msgs, user_.pub, server_.pub, kTag, ra);
-  std::vector<Ciphertext> slow =
-      legacy.encrypt_batch(msgs, user_.pub, server_.pub, kTag, rb);
-  ASSERT_EQ(fast.size(), slow.size());
-  for (size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].to_bytes(), slow[i].to_bytes());
   }
 }
 

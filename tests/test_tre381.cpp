@@ -10,6 +10,7 @@
 #include "bls12/tre381.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
+#include "hashing/kdf.h"
 
 namespace tre {
 namespace {
@@ -205,6 +206,30 @@ TEST_F(Tre381ParityTest, CrossBackendBytesRejectedCleanly) {
                                           toy_server.pub, kTag, rng);
   EXPECT_FALSE(
       bls12::SealedCiphertext381::try_from_bytes(ctx, sc512.to_bytes()).has_value());
+}
+
+TEST_F(Tre381ParityTest, SealMatchesUncachedPairingOracle) {
+  // test_tre.cpp's oracle on the type-3 layout: seal(kBasic) draws r
+  // first, so a replayed DRBG recovers it, and the equations are checked
+  // with the context's uncached pairing and generic G_T power.
+  const bls12::Bls12Ctx& ctx = scheme_->params();
+  hashing::HmacDrbg rng_seal(to_bytes("session-key-oracle"));
+  hashing::HmacDrbg rng_replay(to_bytes("session-key-oracle"));
+  Bytes msg = to_bytes(kMsg);
+  bls12::SealedCiphertext381 sc = scheme_->seal(
+      Mode::kBasic, msg, user_->pub, server_->pub, kTag, rng_seal, KeyCheck::kSkip);
+  const auto& ct = std::get<bls12::Ciphertext381>(sc.body);
+  const core::Scalar r = ctx.random_scalar(rng_replay);
+
+  EXPECT_TRUE(ctx.g2_eq(ct.u, ctx.g2_mul(server_->pub.g, r)));  // U = r·G
+  // K = ê(H1(T), r·asG); V = M ⊕ H2(K).
+  const bls12::G1Point381 h1t = ctx.hash_to_g1(to_bytes(kTag));
+  const bls12::Gt381 k = ctx.pair(h1t, ctx.g2_mul(user_->pub.asg, r));
+  EXPECT_EQ(ct.v, xor_bytes(msg, hashing::oracle_bytes("TRE-H2", ctx.gt_to_bytes(k),
+                                                       msg.size())));
+  // The receiver's side: ê(I_T, U)^a == K with I_T = s·H1(T).
+  const bls12::G1Point381 i_t = ctx.g1_mul(h1t, server_->s);
+  EXPECT_TRUE(ctx.gt_eq(ctx.gt_pow(ctx.pair(i_t, ct.u), user_->a), k));
 }
 
 TEST_F(Tre381ParityTest, EpochKeyDecryptsWithoutLongTermSecret) {

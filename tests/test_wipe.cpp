@@ -4,12 +4,12 @@
 // stores); point-holding types are checked for their structural reset.
 #include <gtest/gtest.h>
 
-#include "bls12/threshold381.h"
 #include "bls12/tre381.h"
 #include "core/tre.h"
 #include "core/wipe.h"
 #include "hashing/drbg.h"
 #include "params/params.h"
+#include "threshold/threshold.h"
 
 namespace tre::core {
 namespace {
@@ -104,7 +104,7 @@ TEST_F(Wipe381, EpochKey) {
 }
 
 TEST_F(Wipe381, ThresholdShareAndGroupKey) {
-  bls12::Threshold381 service(bls12::Bls12Ctx::get());
+  threshold::BasicThresholdScheme<bls12::Bls381Backend> service(bls12::Bls12Ctx::get());
   auto [key, shares] = service.setup({5, 3}, rng_);
   ASSERT_FALSE(shares.empty());
 

@@ -41,10 +41,10 @@
 #   build         plain (fast, the default tier-1 gate)
 #   build-asan    address+undefined — memory safety of the adversarial
 #                 deserialization corpus (tests/test_wire_robustness.cpp)
-#   build-tsan    thread — data races on the shared core::Tuning caches,
+#   build-tsan    thread — data races on the shared scheme memo caches,
 #                 the persistent parallel_for pool, and the snapshot
-#                 registry (tests/test_concurrency.cpp joins ctest only
-#                 here)
+#                 registry (tests/test_concurrency.cpp, which every tree
+#                 runs, is the contention driver)
 #
 # METRICS=0 selects a metrics-off tree (default BUILD_DIR build-nometrics)
 # and proves the suite — including the exact-value accounting tests —
