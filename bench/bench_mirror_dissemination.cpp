@@ -3,16 +3,21 @@
 //
 // Measures, for growing receiver populations and mirror counts:
 //   * availability latency: seconds from the release instant until a
-//     receiver holds the (missed) update, via mirror polling;
+//     receiver holds the (missed) update, VERIFIED, via the same
+//     client::UpdateFetcher pipeline every other experiment uses
+//     (reply deadline, jittered backoff, pairing check);
 //   * origin offload: what fraction of fetch traffic the mirrors absorb.
 // The passive-server design makes this trivially shardable — updates are
 // public, self-authenticating, identical for everyone — which is exactly
 // why one update per instant scales to any audience.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.h"
+#include "client/fetcher.h"
+#include "client/simnet_source.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
 #include "simnet/mirrors.h"
@@ -38,7 +43,7 @@ int main() {
       server::Timeline timeline(0);
       simnet::Network net(timeline, to_bytes("e16"));
       // Replication links: 1-3 s WAN latency, 1% loss is handled by the
-      // receivers' polling retry.
+      // receivers' retries.
       simnet::MirroredArchive cluster(params, net, timeline, mirrors,
                                       simnet::LinkSpec{.base_delay = 1, .jitter = 2});
 
@@ -48,17 +53,32 @@ int main() {
 
       std::vector<std::int64_t> availability;
       availability.reserve(receivers);
+      // Sources outlive the fetchers that read them (destroyed in reverse).
+      std::vector<std::unique_ptr<client::SimnetSource>> sources;
+      std::vector<std::unique_ptr<client::UpdateFetcher>> fetchers;
+      // Receivers' access links: 2 s latency with up to 1 s jitter. The
+      // reply deadline is set just past the worst round trip on it, so a
+      // silent mirror (one the replica has not reached yet) costs as
+      // little waiting as the link allows.
+      const simnet::LinkSpec access{.base_delay = 2, .jitter = 1};
+      client::FetcherConfig cfg;
+      cfg.attempts_per_tag = 20;
+      cfg.reply_timeout = 2 * (access.base_delay + access.jitter) + 1;
       for (size_t i = 0; i < receivers; ++i) {
+        // Receivers spread over mirrors round-robin; each draws its
+        // backoff jitter from its own seed.
         simnet::NodeId rx = net.add_node("rx" + std::to_string(i));
-        // Receivers start polling at the release instant, spread over
-        // mirrors round-robin, 2 s access latency with jitter.
-        timeline.schedule(10, [&, rx, i] {
-          cluster.fetch(rx, i % mirrors, "T-release",
-                        simnet::LinkSpec{.base_delay = 2, .jitter = 1},
-                        /*poll_period=*/5, /*max_polls=*/20,
-                        [&availability, &timeline](const core::KeyUpdate&) {
-                          availability.push_back(timeline.now() - 10);
-                        });
+        sources.push_back(std::make_unique<client::SimnetSource>(cluster, rx, access));
+        fetchers.push_back(std::make_unique<client::UpdateFetcher>(
+            scheme, server.pub, *sources.back(), timeline,
+            std::vector<size_t>{i % mirrors}, to_bytes("e16-rx" + std::to_string(i)),
+            cfg));
+        // Receivers start fetching at the release instant.
+        timeline.schedule(10, [&, f = fetchers.back().get()] {
+          f->fetch_verified({"T-release"},
+                            [&availability, &timeline](const client::FetchResult&) {
+                              availability.push_back(timeline.now() - 10);
+                            });
         });
       }
       timeline.advance_to(500);

@@ -4,15 +4,19 @@
 //     server (no operator pair can cheat, two may crash);
 //   * the combined updates are pushed to regional MIRRORS over a
 //     simulated WAN (latency + jitter);
-//   * receivers on three continents poll their regional mirror and
-//     decrypt — the origin serves no reads and knows no receivers,
-//     reproducing the paper's GPS analogy end to end.
+//   * receivers on three continents fetch from their regional mirror
+//     through the verify-everything client pipeline and decrypt — the
+//     origin serves no reads and knows no receivers, reproducing the
+//     paper's GPS analogy end to end.
 //
 // Build & run:  ./examples/planetary_deployment
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "client/fetcher.h"
+#include "client/simnet_source.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
 #include "simnet/mirrors.h"
@@ -78,23 +82,27 @@ int main() {
     mirrors.publish(update);
   });
 
-  // Receivers poll their regional mirror from the release instant.
+  // Receivers fetch from their regional mirror from the release instant;
+  // each fetcher verifies the update against the network's group key.
+  std::vector<std::unique_ptr<client::SimnetSource>> sources;
+  std::vector<std::unique_ptr<client::UpdateFetcher>> fetchers;
   for (size_t r = 0; r < receivers.size(); ++r) {
+    sources.push_back(std::make_unique<client::SimnetSource>(
+        mirrors, receivers[r].node, simnet::LinkSpec{.base_delay = 1, .jitter = 1}));
+    fetchers.push_back(std::make_unique<client::UpdateFetcher>(
+        scheme, net_key.group, *sources[r], timeline, std::vector<size_t>{r},
+        to_bytes(std::string("planetary-") + region_names[r])));
     timeline.schedule(60, [&, r] {
-      mirrors.fetch(receivers[r].node, r, release.canonical(),
-                    simnet::LinkSpec{.base_delay = 1, .jitter = 1},
-                    /*poll_period=*/3, /*max_polls=*/10,
-                    [&, r](const core::KeyUpdate& update) {
-                      if (!scheme.verify_update(net_key.group, update)) return;
-                      receivers[r].opened =
-                          scheme.decrypt(receivers[r].mail, receivers[r].keys.a, update);
-                      std::printf("t=%lld: %s decrypted: %.*s\n",
-                                  static_cast<long long>(timeline.now()),
-                                  wan.name_of(receivers[r].node).c_str(),
-                                  static_cast<int>(receivers[r].opened->size()),
-                                  reinterpret_cast<const char*>(
-                                      receivers[r].opened->data()));
-                    });
+      fetchers[r]->fetch_verified(
+          {release.canonical()}, [&, r](const client::FetchResult& got) {
+            receivers[r].opened =
+                scheme.decrypt(receivers[r].mail, receivers[r].keys.a, got.update);
+            std::printf("t=%lld: %s decrypted: %.*s\n",
+                        static_cast<long long>(timeline.now()),
+                        wan.name_of(receivers[r].node).c_str(),
+                        static_cast<int>(receivers[r].opened->size()),
+                        reinterpret_cast<const char*>(receivers[r].opened->data()));
+          });
     });
   }
 

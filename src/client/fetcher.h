@@ -6,13 +6,16 @@
 // point per tag, so ANY path can carry an update and the receiver needs
 // trust in nobody along it. UpdateFetcher turns that observation into a
 // pipeline. Every reply from a mirror crosses one trust boundary before
-// acceptance:
+// acceptance, and all three entry points (fetch_verified,
+// fetch_range_verified, fetch_threshold) run the same stage:
 //
-//       wire bytes ──parse──► KeyUpdate ──tag == requested?──►
-//            ──ê(sG,H1(T)) == ê(G,I_T)?──► accepted
+//       wire bytes ──parse──► item ──tag == requested?──►
+//            ──pairing or RLC check──► accepted
 //
-// and each stage's rejections are counted separately (garbage, relabel,
-// forgery). Around that boundary sits the liveness machinery:
+// Each rejection is counted against its cause (garbage, relabel,
+// forgery) in the call's own result and in the fleet-wide
+// client.rejected.* probes, and the slot that served it is rated. Around
+// that boundary sits the liveness machinery:
 //   * exponential backoff with decorrelated jitter (drawn from the
 //     node's own HmacDrbg — deterministic per seed, uncorrelated across
 //     receivers, so retry storms don't synchronize);
@@ -54,6 +57,8 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,23 +83,28 @@ struct FetcherConfig {
   int max_health = 4;              ///< health score ceiling
 };
 
-/// Per-fetch accounting, split by rejection cause so experiments can
-/// attribute latency to the right adversary. Computed as a delta over
-/// the fetcher's registry counters (baseline taken when the fetch
-/// starts); the same counters feed obs::Registry::global() as
-/// client.fetch.* / client.rejected.* for fleet-wide telemetry.
-struct FetchStats {
-  size_t attempts = 0;        ///< requests sent
-  size_t timeouts = 0;        ///< attempts with no reply inside the deadline
+/// What the trust boundary threw away, by the stage that caught it. Every
+/// entry point's result carries its own counts — one call's rejections
+/// never show up in another call's result.
+struct Rejections {
   size_t rejected_parse = 0;  ///< malformed bytes (garbage, framing damage)
-  size_t rejected_tag = 0;    ///< well-formed update for the WRONG tag (relabel)
+  size_t rejected_tag = 0;    ///< well-formed, but for the WRONG tag (relabel)
   size_t rejected_sig = 0;    ///< parsed clean but failed self-authentication
-  size_t failovers = 0;       ///< mirror rotations
-  size_t fallback_steps = 0;  ///< coarser chain tags resorted to
-  size_t backoff_wait = 0;    ///< total seconds spent in retry backoff
   size_t total_rejected() const {
     return rejected_parse + rejected_tag + rejected_sig;
   }
+};
+
+/// Accounting of one fetch_verified call, split by rejection cause so
+/// experiments can attribute latency to the right adversary. Reset when
+/// the fetch starts; the fleet-wide client.fetch.* / client.rejected.*
+/// probes count the same events across every fetcher in the process.
+struct FetchStats : Rejections {
+  size_t attempts = 0;        ///< requests sent
+  size_t timeouts = 0;        ///< attempts with no reply inside the deadline
+  size_t failovers = 0;       ///< mirror rotations
+  size_t fallback_steps = 0;  ///< coarser chain tags resorted to
+  size_t backoff_wait = 0;    ///< total seconds spent in retry backoff
 };
 
 template <class B>
@@ -107,15 +117,23 @@ struct BasicFetchResult {
 
 /// One batch-verified catch-up page (BasicUpdateFetcher::
 /// fetch_range_verified): everything in `updates` passed the trust
-/// boundary; the reject counts attribute what did not.
+/// boundary; the reject counts attribute what did not (rejected_tag stays
+/// 0: a range scan requests no tag).
 template <class B>
-struct BasicRangeFetchResult {
+struct BasicRangeFetchResult : Rejections {
   std::vector<core::BasicKeyUpdate<B>> updates;  ///< VERIFIED, archive order
   std::uint64_t total = 0;    ///< mirror's claimed archive size
   std::uint64_t start = 0;    ///< archive index of the page's first item
   size_t served = 0;          ///< raw items in the page, rejects included
-  size_t rejected_parse = 0;  ///< malformed page items
-  size_t rejected_sig = 0;    ///< forged/relabeled items bisected out
+};
+
+/// A whole-archive catch-up (BasicUpdateFetcher::fetch_archive_verified):
+/// the updates and reject counts of the last mirror scanned, which is the
+/// one that served a full scan when `complete`.
+template <class B>
+struct BasicArchiveFetchResult : Rejections {
+  std::vector<core::BasicKeyUpdate<B>> updates;  ///< VERIFIED, archive order, one per tag
+  bool complete = false;  ///< a mirror paged through to the total it claimed
 };
 
 /// Quorum collection over a t-of-n threshold beacon
@@ -127,24 +145,20 @@ struct BasicRangeFetchResult {
 /// indices) whose partials failed the pairing check — exact attribution,
 /// courtesy of the RLC batch's bisection.
 template <class B>
-struct BasicThresholdFetchResult {
+struct BasicThresholdFetchResult : Rejections {
   core::BasicKeyUpdate<B> update;  ///< VERIFIED against the group key
   size_t partials_used = 0;        ///< quorum size actually combined (k)
   size_t slots_polled = 0;         ///< mirror slots asked for a partial
   size_t silent = 0;               ///< slots with no reply (crash/drop)
-  size_t rejected_parse = 0;       ///< malformed partial bytes
-  size_t rejected_tag = 0;         ///< well-formed partial, wrong tag
   size_t rejected_dup = 0;         ///< share index already in hand
-  size_t rejected_sig = 0;         ///< failed the pairing check (forged)
   std::vector<size_t> byzantine_nodes;  ///< share indices of forgers, sorted
 };
 
 namespace detail {
 
-// Fleet-wide mirrors of the per-instance counters: every fetcher in the
-// process contributes, so E18 reads per-cause rejection totals straight
-// from the global registry (compiled out under -DTRE_METRICS=OFF).
-// Shared across backends; per-instance registries keep fetchers apart.
+// Fleet-wide telemetry: every fetcher in the process contributes, so E18
+// reads per-cause rejection totals straight from the global registry
+// (compiled out under -DTRE_METRICS=OFF). Shared across backends.
 struct FetcherProbes {
   obs::CounterProbe attempts{"client.fetch.attempts"};
   obs::CounterProbe timeouts{"client.fetch.timeouts"};
@@ -226,7 +240,7 @@ class BasicUpdateFetcher {
     busy_ = true;
     tags_ = std::move(tags);
     tag_index_ = 0;
-    baseline_ = lifetime_stats();  // stats() now reads zero for this fetch
+    stats_ = FetchStats{};
     done_ = std::move(done);
     failed_ = std::move(failed);
     // Start from the healthiest known mirror: knowledge from earlier
@@ -252,8 +266,8 @@ class BasicUpdateFetcher {
   bool busy() const { return busy_; }
 
   /// Batch-verified catch-up: one range page from `mirrors[slot]`, pushed
-  /// through the SAME parse → pairing trust boundary as fetch_verified,
-  /// but with the N pairing checks folded into one RLC batch
+  /// through the SAME trust boundary as fetch_verified, but with the N
+  /// pairing checks folded into one RLC batch
   /// (TreScheme::verify_updates_batch); when the batch fails, bisection
   /// attributes the guilty items and they are dropped, never surfaced.
   /// There is no per-item tag stage here — a range scan requests no
@@ -262,17 +276,19 @@ class BasicUpdateFetcher {
   ///
   /// Synchronous (catch-up is a bulk path, not a latency path) and
   /// independent of any in-flight fetch_verified state machine. Returns
-  /// nullopt when the source has no range facility or the round trip
-  /// failed; mirror health and backoff react exactly like the per-tag
-  /// path (clean page promotes and resets backoff, rejects demote).
+  /// nullopt when the source has no range facility, the round trip
+  /// failed, or the page does not answer the request (it starts anywhere
+  /// but `start`, or holds more than `max_count` items); each of those
+  /// demotes the slot. A served page is rated as one reply: any reject
+  /// demotes, a clean non-empty page promotes and resets backoff.
   std::optional<BasicRangeFetchResult<B>> fetch_range_verified(
       size_t slot, std::uint64_t start, std::uint32_t max_count,
       unsigned rlc_bits = 128) {
     require(slot < mirrors_.size(), "UpdateFetcher: bad mirror slot");
     std::optional<RangePage> page =
         source_->request_range(mirrors_[slot], start, max_count);
-    if (!page) {
-      health_[slot] = std::max(config_.min_health, health_[slot] - 1);
+    if (!page || page->start != start || page->updates.size() > max_count) {
+      rate(slot, false);
       return std::nullopt;
     }
     BasicRangeFetchResult<B> out;
@@ -283,37 +299,67 @@ class BasicUpdateFetcher {
     parsed.reserve(page->updates.size());
     for (const Bytes& wire : page->updates) {
       std::optional<core::BasicKeyUpdate<B>> u =
-          core::BasicKeyUpdate<B>::try_from_bytes(scheme_.params(), wire);
-      if (!u) {
-        ++out.rejected_parse;
-        rejected_parse_c_.add();
-        detail::fetcher_probes().rejected_parse.add();
-        continue;
-      }
-      parsed.push_back(std::move(*u));
+          admit<core::BasicKeyUpdate<B>>(scheme_.params(), wire, nullptr, out);
+      if (u) parsed.push_back(std::move(*u));
     }
-    std::vector<size_t> bad =
-        scheme_.verify_updates_batch(server_, parsed, rng_, rlc_bits);
-    if (!bad.empty()) detail::fetcher_probes().batch_bisect.add();
-    out.rejected_sig = bad.size();
-    rejected_sig_c_.add(bad.size());
-    detail::fetcher_probes().rejected_sig.add(bad.size());
-    size_t next_bad = 0;
-    for (size_t i = 0; i < parsed.size(); ++i) {
-      if (next_bad < bad.size() && bad[next_bad] == i) {
-        ++next_bad;
-        continue;
-      }
-      out.updates.push_back(std::move(parsed[i]));
+    const detail::FetcherProbes& probes = detail::fetcher_probes();
+    settle<core::BasicKeyUpdate<B>>(
+        parsed,
+        [&](std::span<const core::BasicKeyUpdate<B>> items) {
+          std::vector<size_t> bad =
+              scheme_.verify_updates_batch(server_, items, rng_, rlc_bits);
+          if (!bad.empty()) probes.batch_bisect.add();
+          return bad;
+        },
+        out,
+        [&](size_t i, bool verified) {
+          if (verified) out.updates.push_back(std::move(parsed[i]));
+        });
+    probes.batch_accept.add(out.updates.size());
+    if (out.total_rejected() > 0) {
+      rate(slot, false);
+    } else if (!out.updates.empty()) {
+      rate(slot, true);
     }
-    detail::fetcher_probes().batch_accept.add(out.updates.size());
-    if (out.rejected_parse == 0 && out.rejected_sig == 0) {
-      if (!out.updates.empty()) {
-        health_[slot] = std::min(config_.max_health, health_[slot] + 1);
-        slot_backoff_[slot] = config_.base_backoff;
+    return out;
+  }
+
+  /// Whole-archive catch-up: scans the mirrors in slot order, paging each
+  /// one's archive through fetch_range_verified `page_size` items at a
+  /// time, until one serves pages up to the total it claims. A tag the
+  /// scan already holds is skipped, and a page that adds no new tag ends
+  /// that mirror's scan as incomplete: an honest archive never repeats a
+  /// tag (daemon::Store::put refuses equivocation), so a mirror that
+  /// replays itself or serves only forgeries cannot keep a scan alive,
+  /// and that page demotes its slot. A failed or non-answering page moves
+  /// on to the next mirror as well.
+  BasicArchiveFetchResult<B> fetch_archive_verified(std::uint32_t page_size) {
+    BasicArchiveFetchResult<B> out;
+    for (size_t slot = 0; slot < mirrors_.size(); ++slot) {
+      out = BasicArchiveFetchResult<B>{};  // a fresh mirror restarts the scan
+      std::set<std::string> seen;
+      for (std::uint64_t pos = 0;;) {
+        std::optional<BasicRangeFetchResult<B>> page =
+            fetch_range_verified(slot, pos, page_size);
+        if (!page) break;
+        out.rejected_parse += page->rejected_parse;
+        out.rejected_sig += page->rejected_sig;
+        size_t added = 0;
+        for (core::BasicKeyUpdate<B>& u : page->updates) {
+          if (!seen.insert(u.tag).second) continue;
+          out.updates.push_back(std::move(u));
+          ++added;
+        }
+        pos += page->served;
+        if (pos >= page->total) {
+          out.complete = true;
+          return out;
+        }
+        if (added == 0) {
+          rate(slot, false);  // a replay is no answer, however well it verifies
+          break;
+        }
       }
-    } else {
-      health_[slot] = std::max(config_.min_health, health_[slot] - 1);
     }
     return out;
   }
@@ -325,13 +371,13 @@ class BasicUpdateFetcher {
   /// Lagrange-aggregates them (threshold/threshold.h) into the ordinary
   /// update and verifies THAT against the group key.
   ///
-  /// Each reply crosses the same boundary shape as fetch_verified —
-  /// parse, tag check, pairing check — but the pairing stage is the RLC
-  /// batch with bisection, so a whole quorum costs two multi-exps and
-  /// two pairings when honest, and forged partials are attributed to
-  /// their exact share indices when not. Health and backoff react per
-  /// slot: a verified partial promotes and resets backoff, every reject
-  /// or silence demotes.
+  /// Each reply crosses the same boundary as fetch_verified — parse, tag
+  /// check, pairing check — but the pairing stage is the RLC batch with
+  /// bisection, so a whole quorum costs two multi-exps and two pairings
+  /// when honest, and forged partials are attributed to their exact
+  /// share indices when not. Health and backoff react per slot: a
+  /// verified partial promotes and resets backoff, every reject or
+  /// silence demotes.
   ///
   /// Synchronous (quorum collection is a bulk path, like range catch-up)
   /// and independent of any in-flight fetch_verified. Errors:
@@ -342,8 +388,10 @@ class BasicUpdateFetcher {
       const threshold::BasicThresholdScheme<B>& tscheme,
       const threshold::BasicThresholdKey<B>& key, const std::string& tag,
       unsigned rlc_bits = 128) {
+    using Partial = threshold::BasicPartialUpdate<B>;
     const size_t k = key.config.k;
     require(k >= 1, "fetch_threshold: malformed threshold key");
+    const detail::FetcherProbes& probes = detail::fetcher_probes();
 
     // Healthiest first; ties keep preference order (stable sort).
     std::vector<size_t> order(mirrors_.size());
@@ -353,47 +401,29 @@ class BasicUpdateFetcher {
     });
 
     BasicThresholdFetchResult<B> out;
-    std::vector<threshold::BasicPartialUpdate<B>> verified;
-    std::vector<threshold::BasicPartialUpdate<B>> pending;
+    std::vector<Partial> verified;
+    std::vector<Partial> pending;
     std::vector<size_t> pending_slots;  // slot that served pending[i]
     std::vector<size_t> seen_indices;   // share indices already in hand
-
-    const auto demote = [this](size_t slot) {
-      health_[slot] = std::max(config_.min_health, health_[slot] - 1);
-    };
-    const auto reject = [&](size_t slot, size_t& counter,
-                            obs::Counter& instance_c,
-                            const obs::CounterProbe& fleet_c) {
-      ++counter;
-      instance_c.add();
-      fleet_c.add();
-      detail::fetcher_probes().partial_rejected.add();
-      demote(slot);
-    };
 
     // The pending batch holds structurally clean partials whose pairing
     // check is deferred; one RLC batch settles them all, bisection
     // attributing any forgery to its exact share index and slot.
     const auto flush_pending = [&]() {
-      if (pending.empty()) return;
-      std::vector<size_t> bad =
-          tscheme.verify_partials_batch(key, pending, rng_, rlc_bits);
-      size_t next_bad = 0;
-      for (size_t i = 0; i < pending.size(); ++i) {
-        if (next_bad < bad.size() && bad[next_bad] == i) {
-          ++next_bad;
-          out.byzantine_nodes.push_back(pending[i].index);
-          reject(pending_slots[i], out.rejected_sig, rejected_sig_c_,
-                 detail::fetcher_probes().rejected_sig);
-          continue;
-        }
-        // Verified: promote the slot, the partial joins the quorum.
-        health_[pending_slots[i]] =
-            std::min(config_.max_health, health_[pending_slots[i]] + 1);
-        slot_backoff_[pending_slots[i]] = config_.base_backoff;
-        detail::fetcher_probes().partial_accepted.add();
-        verified.push_back(std::move(pending[i]));
-      }
+      settle<Partial>(
+          pending,
+          [&](std::span<const Partial> items) {
+            return tscheme.verify_partials_batch(key, items, rng_, rlc_bits);
+          },
+          out,
+          [&](size_t i, bool ok) {
+            rate(pending_slots[i], ok);
+            if (ok) {
+              verified.push_back(std::move(pending[i]));
+            } else {
+              out.byzantine_nodes.push_back(pending[i].index);
+            }
+          });
       pending.clear();
       pending_slots.clear();
     };
@@ -401,33 +431,23 @@ class BasicUpdateFetcher {
     for (size_t slot : order) {
       if (verified.size() >= k) break;
       ++out.slots_polled;
-      detail::fetcher_probes().partial_requests.add();
+      probes.partial_requests.add();
       std::optional<Bytes> wire = source_->request_partial(mirrors_[slot], tag);
+      std::optional<Partial> partial;
       if (!wire) {
         ++out.silent;
-        demote(slot);
-        continue;
+      } else {
+        partial = admit<Partial>(tscheme.params(), *wire, &tag, out);
       }
-      std::optional<threshold::BasicPartialUpdate<B>> partial =
-          threshold::BasicPartialUpdate<B>::try_from_bytes(tscheme.params(),
-                                                           *wire);
-      if (!partial) {
-        reject(slot, out.rejected_parse, rejected_parse_c_,
-               detail::fetcher_probes().rejected_parse);
-        continue;
-      }
-      if (partial->tag != tag) {
-        reject(slot, out.rejected_tag, rejected_tag_c_,
-               detail::fetcher_probes().rejected_tag);
-        continue;
-      }
-      if (std::find(seen_indices.begin(), seen_indices.end(),
-                    partial->index) != seen_indices.end()) {
+      if (partial && std::find(seen_indices.begin(), seen_indices.end(),
+                               partial->index) != seen_indices.end()) {
         // A share index can only contribute once to the quorum; a second
         // copy (honest echo or replayed forgery) is dead weight.
         ++out.rejected_dup;
-        detail::fetcher_probes().partial_rejected.add();
-        demote(slot);
+        partial.reset();
+      }
+      if (!partial) {
+        rate(slot, false);
         continue;
       }
       seen_indices.push_back(partial->index);
@@ -436,6 +456,8 @@ class BasicUpdateFetcher {
       if (verified.size() + pending.size() >= k) flush_pending();
     }
     flush_pending();
+    probes.partial_accepted.add(verified.size());
+    probes.partial_rejected.add(out.total_rejected() + out.rejected_dup);
 
     if (verified.size() < k) return Errc::kInsufficientPartials;
     core::BasicKeyUpdate<B> update = tscheme.combine(key, verified);
@@ -446,7 +468,7 @@ class BasicUpdateFetcher {
       return Errc::kBadPartial;
     }
     std::sort(out.byzantine_nodes.begin(), out.byzantine_nodes.end());
-    detail::fetcher_probes().threshold_combines.add();
+    probes.threshold_combines.add();
     out.update = std::move(update);
     out.partials_used = k;
     return out;
@@ -467,44 +489,76 @@ class BasicUpdateFetcher {
     return slot_backoff_[slot];
   }
 
-  /// Accounting for the current/most recent fetch (a view over the
-  /// registry counters, relative to the baseline at fetch start).
-  FetchStats stats() const {
-    FetchStats now = lifetime_stats();
-    return FetchStats{now.attempts - baseline_.attempts,
-                      now.timeouts - baseline_.timeouts,
-                      now.rejected_parse - baseline_.rejected_parse,
-                      now.rejected_tag - baseline_.rejected_tag,
-                      now.rejected_sig - baseline_.rejected_sig,
-                      now.failovers - baseline_.failovers,
-                      now.fallback_steps - baseline_.fallback_steps,
-                      now.backoff_wait - baseline_.backoff_wait};
-  }
-
-  /// Lifetime totals across every fetch this fetcher ran.
-  FetchStats lifetime_stats() const {
-    FetchStats s;
-    s.attempts = attempts_c_.value();
-    s.timeouts = timeouts_c_.value();
-    s.rejected_parse = rejected_parse_c_.value();
-    s.rejected_tag = rejected_tag_c_.value();
-    s.rejected_sig = rejected_sig_c_.value();
-    s.failovers = failovers_c_.value();
-    s.fallback_steps = fallback_steps_c_.value();
-    s.backoff_wait = backoff_wait_c_.value();
-    return s;
-  }
-
-  /// The instance-local registry backing stats() (snapshot/export hook).
-  const obs::Registry& metrics() const { return reg_; }
-
  private:
+  // ---- The trust boundary ----------------------------------------------
+  // The one stage every entry point runs on what a slot served, in this
+  // order: admit() parses with B's codec and checks the tag when one was
+  // requested; the pairing or RLC check follows (settle() for a batch);
+  // rate() scores the slot. Each rejection is counted in the calling entry
+  // point's own result and in the fleet-wide client.rejected.* probe
+  // together, in admit() or reject_sig().
+
+  /// Parse, then — when `want` names the requested tag — the tag check.
+  /// nullopt once the item is rejected and counted.
+  template <class T>
+  static std::optional<T> admit(const typename B::Params& params, ByteSpan wire,
+                                const std::string* want, Rejections& tally) {
+    std::optional<T> item = T::try_from_bytes(params, wire);
+    if (!item) {
+      ++tally.rejected_parse;
+      detail::fetcher_probes().rejected_parse.add();
+    } else if (want != nullptr && item->tag != *want) {
+      ++tally.rejected_tag;
+      detail::fetcher_probes().rejected_tag.add();
+      item.reset();
+    }
+    return item;
+  }
+
+  /// Counts `n` items that failed the pairing or RLC check.
+  static void reject_sig(Rejections& tally, size_t n) {
+    tally.rejected_sig += n;
+    detail::fetcher_probes().rejected_sig.add(n);
+  }
+
+  /// The batch pairing stage: `check` runs the RLC check over `items`
+  /// and returns the sorted positions that failed it. Those are counted;
+  /// then every position is handed to `sort(i, verified)` in order, so the
+  /// caller keeps the survivors and rates the slots behind them.
+  template <class T, class Check, class Sort>
+  static void settle(std::span<const T> items, Check&& check, Rejections& tally,
+                     Sort&& sort) {
+    if (items.empty()) return;
+    const std::vector<size_t> bad = check(items);
+    reject_sig(tally, bad.size());
+    size_t next_bad = 0;
+    for (size_t i = 0; i < items.size(); ++i) {
+      const bool convicted = next_bad < bad.size() && bad[next_bad] == i;
+      if (convicted) ++next_bad;
+      sort(i, !convicted);
+    }
+  }
+
+  /// The slot's verdict. A verified reply promotes it and resets its
+  /// backoff — the only thing that earns the reset; a reject, a silence
+  /// or a failed round trip demotes it.
+  void rate(size_t slot, bool ok) {
+    if (ok) {
+      health_[slot] = std::min(config_.max_health, health_[slot] + 1);
+      slot_backoff_[slot] = config_.base_backoff;
+    } else {
+      health_[slot] = std::max(config_.min_health, health_[slot] - 1);
+    }
+  }
+
+  // ---- fetch_verified's state machine -----------------------------------
+
   void start_tag() {
     attempts_left_ = config_.attempts_per_tag;
     // Deliberately NO backoff reset here: slot_backoff_ is per-mirror
     // state that only a verified success clears.
     if (tag_index_ > 0) {
-      fallback_steps_c_.add();
+      ++stats_.fallback_steps;
       detail::fetcher_probes().fallback_steps.add();
     }
     attempt();
@@ -519,17 +573,17 @@ class BasicUpdateFetcher {
         busy_ = false;
         live_attempt_ = 0;
         detail::fetcher_probes().failures.add();
-        if (failed_) {
-          FetchStats view = stats();
-          failed_(view);
-        }
+        // Moved out first: the callback may start the next fetch.
+        FailureFn failed = std::move(failed_);
+        const FetchStats stats = stats_;
+        if (failed) failed(stats);
         return;
       }
       start_tag();
       return;
     }
     --attempts_left_;
-    attempts_c_.add();
+    ++stats_.attempts;
     detail::fetcher_probes().attempts.add();
     std::uint64_t id = ++attempt_seq_;
     live_attempt_ = id;
@@ -543,62 +597,52 @@ class BasicUpdateFetcher {
 
   void on_reply(std::uint64_t id, Bytes wire) {
     if (!busy_ || id != live_attempt_) return;  // stale or already settled
-    const std::string& want = tags_[tag_index_];
-    // The trust boundary: parse, tag check, self-authentication — in that
-    // order, each failure attributed to its own counter.
-    std::optional<core::BasicKeyUpdate<B>> parsed =
-        core::BasicKeyUpdate<B>::try_from_bytes(scheme_.params(), wire);
-    if (!parsed) {
-      rejected_parse_c_.add();
-      detail::fetcher_probes().rejected_parse.add();
-    } else if (parsed->tag != want) {
-      rejected_tag_c_.add();
-      detail::fetcher_probes().rejected_tag.add();
-    } else if (!scheme_.verify_update(server_, *parsed)) {
-      rejected_sig_c_.add();
-      detail::fetcher_probes().rejected_sig.add();
-    } else {
-      // Verified: the ONLY path to acceptance.
-      busy_ = false;
-      live_attempt_ = 0;
-      health_[current_slot_] =
-          std::min(config_.max_health, health_[current_slot_] + 1);
-      slot_backoff_[current_slot_] = config_.base_backoff;  // earned a reset
-      detail::fetcher_probes().successes.add();
-      BasicFetchResult<B> result;
-      result.update = std::move(*parsed);
-      result.via_fallback = tag_index_ > 0;
-      result.completed_at = timeline_.now();
-      result.stats = stats();
-      done_(result);
+    std::optional<core::BasicKeyUpdate<B>> update = admit<core::BasicKeyUpdate<B>>(
+        scheme_.params(), wire, &tags_[tag_index_], stats_);
+    if (update && !scheme_.verify_update(server_, *update)) {
+      reject_sig(stats_, 1);
+      update.reset();
+    }
+    if (!update) {
+      fail_attempt();
       return;
     }
-    fail_attempt();
+    // Verified: the ONLY path to acceptance.
+    busy_ = false;
+    live_attempt_ = 0;
+    rate(current_slot_, true);
+    detail::fetcher_probes().successes.add();
+    BasicFetchResult<B> result;
+    result.update = std::move(*update);
+    result.via_fallback = tag_index_ > 0;
+    result.completed_at = timeline_.now();
+    result.stats = stats_;
+    SuccessFn done = std::move(done_);  // the callback may start the next fetch
+    done(result);
   }
 
   void on_timeout(std::uint64_t id) {
     if (!busy_ || id != live_attempt_) return;  // answered (or settled) in time
-    timeouts_c_.add();
+    ++stats_.timeouts;
     detail::fetcher_probes().timeouts.add();
     fail_attempt();
   }
 
   void fail_attempt() {
     live_attempt_ = 0;  // a late reply to this attempt is ignored
-    health_[current_slot_] =
-        std::max(config_.min_health, health_[current_slot_] - 1);
+    rate(current_slot_, false);
     ++consecutive_failures_;
     if (consecutive_failures_ >= config_.failover_after && mirrors_.size() > 1) {
       rotate();
     }
     std::int64_t sleep = next_backoff();
-    backoff_wait_c_.add(static_cast<std::uint64_t>(sleep));
+    stats_.backoff_wait += static_cast<size_t>(sleep);
     detail::fetcher_probes().backoff_wait.add(static_cast<std::uint64_t>(sleep));
     timeline_.schedule(sleep, [this] { attempt(); });
   }
 
   void rotate() {
-    failovers_c_.add();
+    ++stats_.failovers;
     detail::fetcher_probes().failovers.add();
     consecutive_failures_ = 0;
     // Healthiest alternative wins; ties resolve round-robin after the
@@ -642,7 +686,7 @@ class BasicUpdateFetcher {
   FetcherConfig config_;
   hashing::HmacDrbg rng_;
 
-  // Per-fetch state.
+  // Per-fetch state of fetch_verified.
   bool busy_ = false;
   std::vector<std::string> tags_;
   size_t tag_index_ = 0;
@@ -651,19 +695,7 @@ class BasicUpdateFetcher {
   size_t consecutive_failures_ = 0;
   std::uint64_t attempt_seq_ = 0;
   std::uint64_t live_attempt_ = 0;  // 0 = none in flight
-  // Lifetime accounting in a private registry; handles resolved once
-  // because registry lookup takes a lock. baseline_ snapshots the
-  // counters when a fetch starts, making stats() per-fetch.
-  obs::Registry reg_;
-  obs::Counter& attempts_c_ = reg_.counter("attempts");
-  obs::Counter& timeouts_c_ = reg_.counter("timeouts");
-  obs::Counter& rejected_parse_c_ = reg_.counter("rejected_parse");
-  obs::Counter& rejected_tag_c_ = reg_.counter("rejected_tag");
-  obs::Counter& rejected_sig_c_ = reg_.counter("rejected_sig");
-  obs::Counter& failovers_c_ = reg_.counter("failovers");
-  obs::Counter& fallback_steps_c_ = reg_.counter("fallback_steps");
-  obs::Counter& backoff_wait_c_ = reg_.counter("backoff_wait");
-  FetchStats baseline_;
+  FetchStats stats_;
   SuccessFn done_;
   FailureFn failed_;
 };

@@ -16,10 +16,17 @@ std::uint64_t now_ns() noexcept {
 std::uint64_t Histogram::quantile_bound(double q) const noexcept {
   std::uint64_t total = count();
   if (total == 0) return 0;
-  // Ceiling, clamped into [1, total]: q=1.0 lands on the last sample.
-  auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
-  if (rank < 1) rank = 1;
-  if (rank > total) rank = total;
+  // Ceiling of q·total, clamped into [1, total]: q=1.0 lands on the last
+  // sample. The double only leaves through a cast once it is known to lie
+  // in (1, total), where the conversion is exact-or-truncating and defined.
+  const double want = q * static_cast<double>(total);
+  std::uint64_t rank = total;
+  if (!(want > 1.0)) {
+    rank = 1;
+  } else if (want < static_cast<double>(total)) {
+    rank = static_cast<std::uint64_t>(want);
+    if (static_cast<double>(rank) < want) ++rank;
+  }
   std::uint64_t cumulative = 0;
   for (size_t b = 0; b < kBuckets; ++b) {
     cumulative += bucket(b);

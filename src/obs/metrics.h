@@ -4,11 +4,12 @@
 //
 //   * Instruments (`Counter`, `Gauge`, `Histogram`) and the `Registry`
 //     that names them are ALWAYS functional, in every build. They back
-//     API-level accounting — `client::FetchStats`, the mirror archive's
-//     poll counters, `simnet::Network::Stats` — which is protocol-visible
-//     data, not telemetry, and must stay exact even when metrics are
-//     compiled out. Updates are relaxed atomics: lock-free, no ordering,
-//     safe under concurrent readers/writers (TSan-clean by construction).
+//     API-level accounting — `simnet::Network::Stats`, the mirror
+//     archive's replication and request counters, `daemon::Daemon::Stats`
+//     — which is protocol-visible data, not telemetry, and must stay
+//     exact even when metrics are compiled out. Updates are relaxed
+//     atomics: lock-free, no ordering, safe under concurrent
+//     readers/writers (TSan-clean by construction).
 //
 //   * Probes (`CounterProbe`, `HistogramProbe`, `Span`) are the telemetry
 //     hooks threaded through the hot paths. They resolve a name in the

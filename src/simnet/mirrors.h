@@ -3,10 +3,11 @@
 // The paper's server keeps old updates "at a publicly accessible place";
 // at planetary scale that place is a set of replicas. The origin pushes
 // each new update to every mirror over its link; receivers poll their
-// assigned mirror with bounded retry until the update is present. What
-// the model surfaces (experiments E16/E18):
+// mirrors through client::UpdateFetcher (over client::BasicSimnetSource)
+// until the update is present. What the model surfaces (experiments
+// E16/E18):
 //   * availability latency — how long after the release instant a
-//     receiver actually holds the update (replication + poll delay),
+//     receiver actually holds the update (replication + retry delay),
 //   * origin offload — requests absorbed by mirrors instead of the
 //     origin, the reason the passive-server design scales reads,
 //   * Byzantine tolerance — mirrors are UNTRUSTED; with a FaultPlan
@@ -16,13 +17,11 @@
 //     check client/fetcher.h builds its pipeline on.
 //
 // Backend-generic: BasicMirroredArchive<B> replicates whichever
-// backend's updates the server broadcasts; the trust boundary in fetch()
-// uses that backend's wire codec, so e.g. a type-1 update served to a
-// BLS12-381 receiver is rejected at parse time. `MirroredArchive` is the
-// type-1 instantiation.
+// backend's updates the server broadcasts. It serves bytes and never
+// judges them; the receiver's trust boundary is the fetcher's.
+// `MirroredArchive` is the type-1 instantiation.
 #pragma once
 
-#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -48,9 +47,6 @@ struct MirrorProbes {
   obs::CounterProbe byzantine_bitflip{"simnet.archive.byzantine.bitflip"};
   obs::CounterProbe byzantine_relabel{"simnet.archive.byzantine.relabel"};
   obs::CounterProbe byzantine_garbage{"simnet.archive.byzantine.garbage"};
-  obs::CounterProbe fetch_successes{"simnet.archive.fetch_successes"};
-  obs::CounterProbe fetch_rejected{"simnet.archive.fetch_rejected"};
-  obs::CounterProbe fetch_timeouts{"simnet.archive.fetch_timeouts"};
   // Threshold-beacon traffic: mirrors doubling as beacon nodes serving
   // their own partial updates.
   obs::CounterProbe partial_publishes{"simnet.archive.partial_publishes"};
@@ -68,8 +64,8 @@ template <class B>
 class BasicMirroredArchive {
  public:
   /// Builds origin + `mirror_count` mirrors, all linked to the origin
-  /// with `replication_link`. `params` is needed receiver-side: fetched
-  /// bytes are parsed (and possibly rejected) at the trust boundary.
+  /// with `replication_link`. `params` sizes the garbage a Byzantine
+  /// replica serves when it holds nothing to corrupt.
   BasicMirroredArchive(std::shared_ptr<const typename B::Params> params,
                        Network& net, server::Timeline& timeline,
                        size_t mirror_count, LinkSpec replication_link)
@@ -212,34 +208,6 @@ class BasicMirroredArchive {
     return std::nullopt;
   }
 
-  /// Receiver-side convenience poller: polls `mirror_idx` (or the origin
-  /// when mirror_idx == kOrigin) over `access_link` until a reply parses
-  /// as an update for `tag` (and passes `verify` when provided), then
-  /// invokes `done` with it. Retries use exponential backoff starting at
-  /// `poll_period` seconds (doubling per poll, capped at 8×). A reply
-  /// that is garbage, relabelled, or unverifiable counts as a failed
-  /// poll and is recorded in Stats::fetch_rejected. Gives up after
-  /// `max_polls` polls. For the hardened multi-mirror pipeline
-  /// (failover, health, jittered backoff) use client::UpdateFetcher.
-  void fetch(NodeId receiver, size_t mirror_idx, std::string tag,
-             LinkSpec access_link, std::int64_t poll_period, size_t max_polls,
-             std::function<void(const core::BasicKeyUpdate<B>&)> done,
-             std::function<bool(const core::BasicKeyUpdate<B>&)> verify = nullptr) {
-    require(mirror_idx == kOrigin || mirror_idx < mirrors_.size(),
-            "MirroredArchive: bad mirror index");
-    require(poll_period > 0, "MirroredArchive: poll period must be positive");
-    auto job = std::make_shared<FetchJob>();
-    job->receiver = receiver;
-    job->mirror_idx = mirror_idx;
-    job->tag = std::move(tag);
-    job->access_link = access_link;
-    job->base_period = poll_period;
-    job->polls_left = max_polls;
-    job->on_done = std::move(done);
-    job->verify = std::move(verify);
-    poll_once(std::move(job));
-  }
-
   /// Point-in-time view over the instance registry (mirrored into
   /// obs::Registry::global() as simnet.archive.*).
   struct Stats {
@@ -248,16 +216,12 @@ class BasicMirroredArchive {
     std::uint64_t origin_requests = 0;
     std::uint64_t mirror_requests = 0;
     std::uint64_t byzantine_replies = 0;  // dishonest bytes actually served
-    std::uint64_t fetch_successes = 0;
-    std::uint64_t fetch_rejected = 0;     // replies discarded by fetch()
-    std::uint64_t fetch_timeouts = 0;
   };
 
   Stats stats() const {
-    return Stats{publishes_.value(),         replication_messages_.value(),
-                 origin_requests_.value(),   mirror_requests_.value(),
-                 byzantine_replies_.value(), fetch_successes_.value(),
-                 fetch_rejected_.value(),    fetch_timeouts_.value()};
+    return Stats{publishes_.value(), replication_messages_.value(),
+                 origin_requests_.value(), mirror_requests_.value(),
+                 byzantine_replies_.value()};
   }
 
   /// The instance-local registry backing stats() (snapshot/export hook).
@@ -276,20 +240,6 @@ class BasicMirroredArchive {
     detail::mirror_probes().byzantine_replies.add();
     breakdown.add();
   }
-
-  struct FetchJob {
-    NodeId receiver;
-    size_t mirror_idx;
-    std::string tag;
-    LinkSpec access_link;
-    std::int64_t base_period;
-    size_t polls_left;
-    size_t backoff_shift = 0;  // doubling exponent, capped at 8× the base
-    bool done = false;
-    bool timed_out = false;
-    std::function<void(const core::BasicKeyUpdate<B>&)> on_done;
-    std::function<bool(const core::BasicKeyUpdate<B>&)> verify;
-  };
 
   NodeId node_for(size_t mirror_idx) const {
     return mirror_idx == kOrigin ? origin_ : mirrors_[mirror_idx].node;
@@ -317,9 +267,7 @@ class BasicMirroredArchive {
         return std::nullopt;
       case ByzantineMode::kBitFlip:
         if (!found) return std::nullopt;  // nothing to corrupt yet
-        byzantine_replies_.add();
-        detail::mirror_probes().byzantine_replies.add();
-        detail::mirror_probes().byzantine_bitflip.add();
+        count_byzantine(detail::mirror_probes().byzantine_bitflip);
         return plan->flip_one_bit(found->to_bytes());
       case ByzantineMode::kRelabel: {
         // Serve some OTHER archived update's signature under the requested
@@ -327,65 +275,23 @@ class BasicMirroredArchive {
         const auto& all = archive.all();
         for (auto it = all.rbegin(); it != all.rend(); ++it) {
           if (it->tag != tag) {
-            byzantine_replies_.add();
-            detail::mirror_probes().byzantine_replies.add();
-            detail::mirror_probes().byzantine_relabel.add();
+            count_byzantine(detail::mirror_probes().byzantine_relabel);
             return core::BasicKeyUpdate<B>{tag, it->sig}.to_bytes();
           }
         }
         if (all.empty()) return std::nullopt;
         // Only the requested update exists: degrade to garbage of honest size.
-        byzantine_replies_.add();
-        detail::mirror_probes().byzantine_replies.add();
-        detail::mirror_probes().byzantine_garbage.add();
+        count_byzantine(detail::mirror_probes().byzantine_garbage);
         return plan->garbage(all.front().to_bytes().size());
       }
       case ByzantineMode::kGarbage: {
         size_t len = found ? found->to_bytes().size()
                            : tag.size() + 2 + B::gu_wire_bytes(*params_);
-        byzantine_replies_.add();
-        detail::mirror_probes().byzantine_replies.add();
-        detail::mirror_probes().byzantine_garbage.add();
+        count_byzantine(detail::mirror_probes().byzantine_garbage);
         return plan->garbage(len);
       }
     }
     return std::nullopt;
-  }
-
-  void poll_once(std::shared_ptr<FetchJob> job) {
-    if (job->done || job->timed_out) return;
-    if (job->polls_left == 0) {
-      job->timed_out = true;
-      fetch_timeouts_.add();
-      detail::mirror_probes().fetch_timeouts.add();
-      return;
-    }
-    --job->polls_left;
-    request(job->receiver, job->mirror_idx, job->tag, job->access_link,
-            [this, job](Bytes wire) {
-              if (job->done || job->timed_out) return;
-              // The trust boundary: bytes from an untrusted replica must
-              // parse, carry the requested tag (relabelling is an attack),
-              // and pass the caller's verification before acceptance.
-              std::optional<core::BasicKeyUpdate<B>> parsed =
-                  core::BasicKeyUpdate<B>::try_from_bytes(*params_, wire);
-              if (!parsed || parsed->tag != job->tag ||
-                  (job->verify && !job->verify(*parsed))) {
-                fetch_rejected_.add();  // a failed poll; retry is already armed
-                detail::mirror_probes().fetch_rejected.add();
-                return;
-              }
-              job->done = true;
-              fetch_successes_.add();
-              detail::mirror_probes().fetch_successes.add();
-              job->on_done(*parsed);
-            });
-    // Receiver-driven exponential backoff: the next poll fires whether or
-    // not the replica answers (absence and garbage cost the same).
-    std::int64_t delay = job->base_period
-                         << std::min<size_t>(job->backoff_shift, 3);
-    ++job->backoff_shift;
-    timeline_.schedule(delay, [this, job] { poll_once(job); });
   }
 
   std::shared_ptr<const typename B::Params> params_;
@@ -402,9 +308,6 @@ class BasicMirroredArchive {
   obs::Counter& origin_requests_ = reg_.counter("origin_requests");
   obs::Counter& mirror_requests_ = reg_.counter("mirror_requests");
   obs::Counter& byzantine_replies_ = reg_.counter("byzantine_replies");
-  obs::Counter& fetch_successes_ = reg_.counter("fetch_successes");
-  obs::Counter& fetch_rejected_ = reg_.counter("fetch_rejected");
-  obs::Counter& fetch_timeouts_ = reg_.counter("fetch_timeouts");
 };
 
 using MirroredArchive = BasicMirroredArchive<core::Tre512Backend>;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "client/fetcher.h"
+#include "client/simnet_source.h"
 #include "simnet/mirrors.h"
 
 namespace tre::simnet {
@@ -133,12 +135,19 @@ TEST_F(FaultedNetworkTest, CrashedMirrorMissesReplication) {
   cluster.publish(scheme.issue_update(server, "T1"));
   timeline_.advance_to(20);
 
+  // One fetcher per mirror on the same receiver node, each through the
+  // verify-everything pipeline with a two-poll budget.
+  client::FetcherConfig cfg;
+  cfg.attempts_per_tag = 2;
   NodeId rx = net_.add_node("rx");
+  client::SimnetSource source(cluster, rx, LinkSpec{.base_delay = 1});
+  client::UpdateFetcher f0(scheme, server.pub, source, timeline_, {0},
+                           to_bytes("crash-jitter"), cfg);
+  client::UpdateFetcher f1(scheme, server.pub, source, timeline_, {1},
+                           to_bytes("crash-jitter"), cfg);
   bool got0 = false, got1 = false;
-  cluster.fetch(rx, 0, "T1", LinkSpec{.base_delay = 1}, 4, 2,
-                [&](const core::KeyUpdate&) { got0 = true; });
-  cluster.fetch(rx, 1, "T1", LinkSpec{.base_delay = 1}, 4, 2,
-                [&](const core::KeyUpdate&) { got1 = true; });
+  f0.fetch_verified({"T1"}, [&](const client::FetchResult&) { got0 = true; });
+  f1.fetch_verified({"T1"}, [&](const client::FetchResult&) { got1 = true; });
   timeline_.advance_to(100);
   EXPECT_FALSE(got0);  // replica never stored the update
   EXPECT_TRUE(got1);

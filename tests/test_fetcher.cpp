@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "bls12/tre381.h"
 #include "timeserver/timespec.h"
 
 namespace tre::client {
@@ -327,6 +330,341 @@ TEST_F(FetcherTest, BackoffStatePersistsAcrossFetches) {
   timeline_.advance_to(20000);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(f->backoff_hint(0), cfg.base_backoff);
+}
+
+// --- The trust gate, on both backends ----------------------------------------
+//
+// The three entry points share one gate: parse, tag check, pairing or RLC
+// check, then one verdict on the slot. These tests pin that each entry
+// point counts a reject once, demotes on failure and promotes — resetting
+// backoff — on a verified reply, over a scripted source.
+
+template <class B>
+struct Glue;
+
+template <>
+struct Glue<core::Tre512Backend> {
+  static std::shared_ptr<const params::GdhParams> params() {
+    return params::load("tre-toy-96");
+  }
+};
+
+template <>
+struct Glue<bls12::Bls381Backend> {
+  static std::shared_ptr<const bls12::Bls12Ctx> params() {
+    return bls12::Bls12Ctx::get();
+  }
+};
+
+// Every facility answers synchronously from what the test scripted.
+class ScriptedSource final : public UpdateSource {
+ public:
+  size_t mirror_count() const override { return 3; }
+  void request(size_t, const std::string&,
+               std::function<void(Bytes)> on_reply) override {
+    if (reply) on_reply(*reply);  // nullopt: the mirror stays silent
+  }
+  std::optional<RangePage> request_range(size_t, std::uint64_t start,
+                                         std::uint32_t max_count) override {
+    ++range_requests;
+    return range ? range(start, max_count) : std::nullopt;
+  }
+  std::optional<Bytes> request_partial(size_t idx, const std::string&) override {
+    return partials[idx];
+  }
+
+  std::optional<Bytes> reply;
+  std::function<std::optional<RangePage>(std::uint64_t, std::uint32_t)> range;
+  std::optional<Bytes> partials[3];
+  size_t range_requests = 0;
+};
+
+template <class B>
+class FetcherGateTest : public ::testing::Test {
+ protected:
+  FetcherGateTest()
+      : params_(Glue<B>::params()),
+        scheme_(params_),
+        tscheme_(params_),
+        rng_(to_bytes("gate-rng")),
+        server_(scheme_.server_keygen(rng_)) {}
+
+  BasicUpdateFetcher<B> fetcher(std::vector<size_t> mirrors = {0, 1, 2},
+                                size_t attempts = 1) {
+    FetcherConfig cfg;
+    cfg.attempts_per_tag = attempts;
+    return BasicUpdateFetcher<B>(scheme_, server_.pub, source_, timeline_,
+                                 std::move(mirrors), to_bytes("gate-jitter"), cfg);
+  }
+
+  Bytes update(const std::string& tag) {
+    return scheme_.issue_update(server_, tag).to_bytes();
+  }
+
+  // A page that answers the request honestly, holding `items`.
+  void serve_page(std::vector<Bytes> items, std::uint64_t total) {
+    source_.range = [items, total](std::uint64_t start, std::uint32_t) {
+      return std::optional<RangePage>(RangePage{total, start, items});
+    };
+  }
+
+  // A whole archive, paged the way tred pages it: the request's start
+  // echoed, at most max_count items.
+  void serve_archive(std::vector<Bytes> archive) {
+    source_.range = [archive](std::uint64_t start, std::uint32_t max_count) {
+      RangePage page{archive.size(), start, {}};
+      for (std::uint64_t i = start; i < archive.size() && page.updates.size() < max_count;
+           ++i) {
+        page.updates.push_back(archive[i]);
+      }
+      return std::optional<RangePage>(page);
+    };
+  }
+
+  // Runs one fetch_verified of `tag` to its end, returning its stats.
+  // The last reply deadline fires too (a no-op once settled), so no
+  // event of `f` outlives it on the shared timeline.
+  FetchStats run_fetch(BasicUpdateFetcher<B>& f, const std::string& tag,
+                       bool* accepted = nullptr) {
+    FetchStats stats;
+    f.fetch_verified(
+        {tag},
+        [&](const BasicFetchResult<B>& r) {
+          stats = r.stats;
+          if (accepted) *accepted = true;
+        },
+        [&](const FetchStats& s) { stats = s; });
+    while (f.busy()) timeline_.advance_by(1);
+    timeline_.advance_by(FetcherConfig{}.reply_timeout);
+    return stats;
+  }
+
+  // Silent replies until slot 0's backoff seed rises above base.
+  void penalize(BasicUpdateFetcher<B>& f) {
+    source_.reply.reset();
+    for (int i = 0; i < 16 && f.backoff_hint(0) == FetcherConfig{}.base_backoff; ++i) {
+      run_fetch(f, "absent");
+    }
+    ASSERT_GT(f.backoff_hint(0), FetcherConfig{}.base_backoff);
+  }
+
+  static std::uint64_t parse_rejects() {
+    return obs::Registry::global().counter_value("client.rejected.parse");
+  }
+
+  std::shared_ptr<const typename B::Params> params_;
+  core::BasicTreScheme<B> scheme_;
+  threshold::BasicThresholdScheme<B> tscheme_;
+  hashing::HmacDrbg rng_;
+  core::BasicServerKeyPair<B> server_;
+  server::Timeline timeline_{0};
+  ScriptedSource source_;
+};
+
+using Backends = ::testing::Types<core::Tre512Backend, bls12::Bls381Backend>;
+TYPED_TEST_SUITE(FetcherGateTest, Backends);
+
+TYPED_TEST(FetcherGateTest, GarbageReplyIsOneParseRejectAndDemotes) {
+  using B = TypeParam;
+  const Bytes garbage = to_bytes("garbage, not an update");
+  const std::uint64_t one = obs::kEnabled ? 1 : 0;
+
+  {  // fetch_verified
+    BasicUpdateFetcher<B> f = this->fetcher();
+    this->source_.reply = garbage;
+    const std::uint64_t before = this->parse_rejects();
+    FetchStats stats = this->run_fetch(f, "T1");
+    EXPECT_EQ(this->parse_rejects() - before, one);
+    EXPECT_EQ(stats.rejected_parse, 1u);
+    EXPECT_EQ(stats.total_rejected(), 1u);
+    EXPECT_EQ(f.health(0), -1);
+  }
+  {  // fetch_range_verified
+    BasicUpdateFetcher<B> f = this->fetcher();
+    this->serve_page({garbage}, 1);
+    const std::uint64_t before = this->parse_rejects();
+    auto page = f.fetch_range_verified(0, 0, 16);
+    ASSERT_TRUE(page.has_value());
+    EXPECT_EQ(this->parse_rejects() - before, one);
+    EXPECT_EQ(page->rejected_parse, 1u);
+    EXPECT_EQ(page->total_rejected(), 1u);
+    EXPECT_TRUE(page->updates.empty());
+    EXPECT_EQ(f.health(0), -1);
+  }
+  {  // fetch_threshold
+    BasicUpdateFetcher<B> f = this->fetcher();
+    auto [key, shares] = this->tscheme_.setup(threshold::ThresholdConfig{3, 2}, this->rng_);
+    this->source_.partials[0] = garbage;
+    for (size_t i = 1; i < 3; ++i) {
+      this->source_.partials[i] = this->tscheme_.issue_partial(shares[i], "T1").to_bytes();
+    }
+    const std::uint64_t before = this->parse_rejects();
+    auto res = f.fetch_threshold(this->tscheme_, key, "T1");
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(this->parse_rejects() - before, one);
+    EXPECT_EQ(res->rejected_parse, 1u);
+    EXPECT_EQ(res->total_rejected(), 1u);
+    EXPECT_EQ(f.health(0), -1);
+  }
+}
+
+// A page must answer the request it was asked: one that starts elsewhere
+// or holds more than max_count items is a failed round trip, like no page
+// at all, and each demotes the slot.
+TYPED_TEST(FetcherGateTest, RangePageMustAnswerTheRequest) {
+  using B = TypeParam;
+  BasicUpdateFetcher<B> f = this->fetcher();
+  const Bytes u = this->update("T1");
+
+  this->source_.range = nullptr;  // no page at all
+  EXPECT_FALSE(f.fetch_range_verified(0, 0, 4).has_value());
+  EXPECT_EQ(f.health(0), -1);
+
+  this->source_.range = [u](std::uint64_t start, std::uint32_t) {
+    return std::optional<RangePage>(RangePage{100, start + 7, {u}});
+  };
+  EXPECT_FALSE(f.fetch_range_verified(0, 0, 4).has_value());
+  EXPECT_EQ(f.health(0), -2);
+
+  this->source_.range = [u](std::uint64_t start, std::uint32_t max_count) {
+    return std::optional<RangePage>(
+        RangePage{100, start, std::vector<Bytes>(max_count + 1, u)});
+  };
+  EXPECT_FALSE(f.fetch_range_verified(0, 0, 4).has_value());
+  EXPECT_EQ(f.health(0), -3);
+
+  // The same items, asked for honestly, pass.
+  this->serve_page({u}, 100);
+  auto page = f.fetch_range_verified(0, 0, 4);
+  ASSERT_TRUE(page.has_value());
+  EXPECT_EQ(page->updates.size(), 1u);
+  EXPECT_EQ(f.health(0), -2);
+}
+
+TYPED_TEST(FetcherGateTest, VerifiedRepliesPromoteAndResetBackoff) {
+  using B = TypeParam;
+  const std::int64_t base = FetcherConfig{}.base_backoff;
+  {  // fetch_verified: a verified update
+    BasicUpdateFetcher<B> f = this->fetcher({0});
+    this->penalize(f);
+    const int health = f.health(0);
+    this->source_.reply = this->update("T1");
+    bool accepted = false;
+    this->run_fetch(f, "T1", &accepted);
+    EXPECT_TRUE(accepted);
+    EXPECT_EQ(f.health(0), health + 1);
+    EXPECT_EQ(f.backoff_hint(0), base);
+  }
+  {  // fetch_range_verified: a clean page
+    BasicUpdateFetcher<B> f = this->fetcher({0});
+    this->penalize(f);
+    const int health = f.health(0);
+    this->serve_page({this->update("T1"), this->update("T2")}, 2);
+    auto page = f.fetch_range_verified(0, 0, 16);
+    ASSERT_TRUE(page.has_value());
+    EXPECT_EQ(page->updates.size(), 2u);
+    EXPECT_EQ(f.health(0), health + 1);
+    EXPECT_EQ(f.backoff_hint(0), base);
+  }
+  {  // fetch_threshold: a verified partial
+    BasicUpdateFetcher<B> f = this->fetcher();
+    this->penalize(f);
+    const int health = f.health(0);
+    auto [key, shares] = this->tscheme_.setup(threshold::ThresholdConfig{3, 2}, this->rng_);
+    // Slot 1 is silent, so the quorum needs slot 0's partial.
+    this->source_.partials[0] = this->tscheme_.issue_partial(shares[0], "T1").to_bytes();
+    this->source_.partials[1].reset();
+    this->source_.partials[2] = this->tscheme_.issue_partial(shares[2], "T1").to_bytes();
+    auto res = f.fetch_threshold(this->tscheme_, key, "T1");
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(f.health(0), health + 1);
+    EXPECT_EQ(f.backoff_hint(0), base);
+  }
+}
+
+// FetchStats belongs to one fetch_verified call: a forged range page and a
+// threshold reject taken while it is in flight stay in their own results.
+TYPED_TEST(FetcherGateTest, OtherEntryPointsStayOutOfFetchStats) {
+  using B = TypeParam;
+  BasicUpdateFetcher<B> f = this->fetcher({0, 1, 2}, /*attempts=*/2);
+  std::optional<BasicFetchResult<B>> got;
+  this->source_.reply.reset();  // the first attempt goes unanswered
+  f.fetch_verified({"T1"}, [&](const BasicFetchResult<B>& r) { got = r; });
+  ASSERT_TRUE(f.busy());
+
+  core::BasicKeyUpdate<B> relabeled{"T-relabeled",
+                                    this->scheme_.issue_update(this->server_, "T1").sig};
+  this->serve_page({relabeled.to_bytes()}, 1);
+  auto page = f.fetch_range_verified(1, 0, 16);
+  ASSERT_TRUE(page.has_value());
+  EXPECT_EQ(page->rejected_sig, 1u);
+
+  auto [key, shares] = this->tscheme_.setup(threshold::ThresholdConfig{3, 2}, this->rng_);
+  for (auto& partial : this->source_.partials) partial = to_bytes("garbage");
+  EXPECT_FALSE(f.fetch_threshold(this->tscheme_, key, "T1").ok());
+
+  this->source_.reply = this->update("T1");
+  while (f.busy()) this->timeline_.advance_by(1);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->stats.attempts, 2u);
+  EXPECT_EQ(got->stats.timeouts, 1u);
+  EXPECT_EQ(got->stats.total_rejected(), 0u);
+}
+
+TYPED_TEST(FetcherGateTest, ArchiveScanPagesAnHonestArchive) {
+  using B = TypeParam;
+  BasicUpdateFetcher<B> f = this->fetcher();
+  std::vector<Bytes> archive;
+  for (int i = 0; i < 5; ++i) archive.push_back(this->update("T" + std::to_string(i)));
+  this->serve_archive(archive);
+  BasicArchiveFetchResult<B> scan = f.fetch_archive_verified(2);
+  EXPECT_TRUE(scan.complete);
+  EXPECT_EQ(scan.total_rejected(), 0u);
+  ASSERT_EQ(scan.updates.size(), 5u);
+  for (size_t i = 0; i < archive.size(); ++i) {
+    EXPECT_EQ(scan.updates[i].to_bytes(), archive[i]);
+  }
+  EXPECT_EQ(this->source_.range_requests, 3u);
+}
+
+// A mirror that claims an endless archive and replays one valid update
+// cannot keep catch-up paging: the second page adds no new tag, so the
+// scan of that mirror ends incomplete, and one such page is all the
+// liar gets to serve. The replay page verifies, but it demotes the slot
+// again: each mirror keeps only the first page's promotion.
+TYPED_TEST(FetcherGateTest, ArchiveScanEndsOnAReplayingMirror) {
+  using B = TypeParam;
+  BasicUpdateFetcher<B> f = this->fetcher();
+  const Bytes u = this->update("T1");
+  this->source_.range = [u](std::uint64_t start, std::uint32_t max_count) {
+    return std::optional<RangePage>(RangePage{
+        std::numeric_limits<std::uint64_t>::max(), start,
+        std::vector<Bytes>(max_count, u)});
+  };
+  BasicArchiveFetchResult<B> scan = f.fetch_archive_verified(8);
+  EXPECT_FALSE(scan.complete);
+  ASSERT_EQ(scan.updates.size(), 1u);  // the replayed tag, once
+  EXPECT_EQ(scan.updates[0].to_bytes(), u);
+  EXPECT_EQ(this->source_.range_requests, 2u * 3u);  // two pages per mirror
+  for (size_t slot = 0; slot < 3; ++slot) EXPECT_EQ(f.health(slot), 1);
+}
+
+// The same liar, also moving `start` and overfilling its pages: every
+// page fails the gate, so no mirror gets past its first page.
+TYPED_TEST(FetcherGateTest, ArchiveScanRefusesPagesThatMissTheRequest) {
+  using B = TypeParam;
+  BasicUpdateFetcher<B> f = this->fetcher();
+  const Bytes u = this->update("T1");
+  this->source_.range = [u](std::uint64_t start, std::uint32_t max_count) {
+    return std::optional<RangePage>(RangePage{
+        std::numeric_limits<std::uint64_t>::max(), start + 7,
+        std::vector<Bytes>(2 * static_cast<size_t>(max_count), u)});
+  };
+  BasicArchiveFetchResult<B> scan = f.fetch_archive_verified(8);
+  EXPECT_FALSE(scan.complete);
+  EXPECT_TRUE(scan.updates.empty());
+  EXPECT_EQ(this->source_.range_requests, 3u);  // one page per mirror
+  for (size_t slot = 0; slot < 3; ++slot) EXPECT_EQ(f.health(slot), -1);
 }
 
 }  // namespace

@@ -101,6 +101,16 @@ TEST(Histogram, QuantileBounds) {
   EXPECT_EQ(h.quantile_bound(0.90), 3u);
   EXPECT_EQ(h.quantile_bound(0.95), 1023u);
   EXPECT_EQ(h.quantile_bound(1.0), 1023u);
+
+  // Four samples: p95 and p99 need the ceiling of q·4 = 3.8, 3.96 — the
+  // fourth sample, not the third.
+  Histogram tail;
+  for (int i = 0; i < 3; ++i) tail.record(100);  // bucket 7, bound 127
+  tail.record(1000000);                          // bucket 20, bound 2^20 - 1
+  EXPECT_EQ(tail.quantile_bound(0.50), 127u);
+  EXPECT_EQ(tail.quantile_bound(0.75), 127u);
+  EXPECT_EQ(tail.quantile_bound(0.95), 1048575u);
+  EXPECT_EQ(tail.quantile_bound(0.99), 1048575u);
 }
 
 TEST(RegistryTest, NamesAreStableAndUnique) {

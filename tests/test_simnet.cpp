@@ -1,8 +1,13 @@
-// Discrete-event network simulation and the mirrored update archive.
+// Discrete-event network simulation and the mirrored update archive,
+// read by receivers through the verify-everything fetch pipeline.
 #include "simnet/mirrors.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "client/fetcher.h"
+#include "client/simnet_source.h"
 #include "hashing/drbg.h"
 
 namespace tre::simnet {
@@ -93,12 +98,39 @@ class MirrorTest : public ::testing::Test {
 
   core::KeyUpdate update(const char* tag) { return scheme_.issue_update(server_, tag); }
 
+  // A receiver on its own node (1 s access link), fetching `mirrors` of
+  // `cluster` through the verify-everything pipeline under `key`.
+  client::UpdateFetcher& fetcher(MirroredArchive& cluster, std::vector<size_t> mirrors,
+                                 client::FetcherConfig cfg,
+                                 const core::ServerPublicKey& key) {
+    NodeId rx = net_.add_node("rx-" + std::to_string(sources_.size()));
+    sources_.push_back(std::make_unique<client::SimnetSource>(
+        cluster, rx, LinkSpec{.base_delay = 1}));
+    fetchers_.push_back(std::make_unique<client::UpdateFetcher>(
+        scheme_, key, *sources_.back(), timeline_, std::move(mirrors),
+        to_bytes("mirror-jitter"), cfg));
+    return *fetchers_.back();
+  }
+  client::UpdateFetcher& fetcher(MirroredArchive& cluster, std::vector<size_t> mirrors,
+                                 client::FetcherConfig cfg = {}) {
+    return fetcher(cluster, std::move(mirrors), cfg, server_.pub);
+  }
+
+  static client::FetcherConfig budget(size_t attempts) {
+    client::FetcherConfig cfg;
+    cfg.attempts_per_tag = attempts;
+    return cfg;
+  }
+
   server::Timeline timeline_;
   Network net_;
   std::shared_ptr<const params::GdhParams> params_;
   core::TreScheme scheme_;
   hashing::HmacDrbg rng_;
   core::ServerKeyPair server_;
+  // Sources outlive the fetchers that read them (destroyed in reverse).
+  std::vector<std::unique_ptr<client::SimnetSource>> sources_;
+  std::vector<std::unique_ptr<client::UpdateFetcher>> fetchers_;
 };
 
 TEST_F(MirrorTest, ReplicationReachesAllMirrors) {
@@ -107,19 +139,19 @@ TEST_F(MirrorTest, ReplicationReachesAllMirrors) {
   EXPECT_EQ(cluster.stats().replication_messages, 3u);
 
   // A receiver polling a mirror BEFORE replication lands needs a retry.
-  NodeId rx = net_.add_node("receiver");
+  client::FetcherConfig cfg;
+  cfg.reply_timeout = 3;               // > the 2 s round trip
+  cfg.max_backoff = cfg.base_backoff;  // a fixed 1 s retry sleep
   std::int64_t got_at = -1;
-  cluster.fetch(rx, 1, "T1", LinkSpec{.base_delay = 1}, /*poll_period=*/4,
-                /*max_polls=*/5, [&](const core::KeyUpdate& u) {
-                  got_at = timeline_.now();
-                  EXPECT_TRUE(scheme_.verify_update(server_.pub, u));
-                });
+  fetcher(cluster, {1}, cfg).fetch_verified({"T1"}, [&](const client::FetchResult& r) {
+    got_at = r.completed_at;
+    EXPECT_EQ(r.update, update("T1"));
+  });
   timeline_.advance_to(60);
   // Poll 1 arrives at t=1 (mirror still empty; the replica lands at
-  // t=2); the receiver's backoff timer fires poll 2 at t=4, which
-  // reaches the mirror at t=5 and the response arrives at t=6.
+  // t=2) and goes unanswered; its deadline fires at t=3, the retry
+  // leaves at t=4, reaches the mirror at t=5 and the reply arrives at t=6.
   EXPECT_EQ(got_at, 6);
-  EXPECT_EQ(cluster.stats().fetch_successes, 1u);
   EXPECT_EQ(cluster.stats().mirror_requests, 2u);
   EXPECT_EQ(cluster.stats().origin_requests, 0u);
 }
@@ -127,10 +159,9 @@ TEST_F(MirrorTest, ReplicationReachesAllMirrors) {
 TEST_F(MirrorTest, OriginServesDirectly) {
   MirroredArchive cluster(params_, net_, timeline_, 2, LinkSpec{.base_delay = 10});
   cluster.publish(update("T1"));
-  NodeId rx = net_.add_node("receiver");
   bool got = false;
-  cluster.fetch(rx, MirroredArchive::kOrigin, "T1", LinkSpec{.base_delay = 1}, 4, 5,
-                [&](const core::KeyUpdate&) { got = true; });
+  fetcher(cluster, {client::UpdateSource::kOrigin})
+      .fetch_verified({"T1"}, [&](const client::FetchResult&) { got = true; });
   timeline_.advance_to(10);
   EXPECT_TRUE(got);
   EXPECT_EQ(cluster.stats().origin_requests, 1u);
@@ -138,13 +169,16 @@ TEST_F(MirrorTest, OriginServesDirectly) {
 
 TEST_F(MirrorTest, FetchTimesOutWhenUpdateNeverAppears) {
   MirroredArchive cluster(params_, net_, timeline_, 1, LinkSpec{});
-  NodeId rx = net_.add_node("receiver");
   bool got = false;
-  cluster.fetch(rx, 0, "never-published", LinkSpec{.base_delay = 1}, 2, 3,
-                [&](const core::KeyUpdate&) { got = true; });
-  timeline_.advance_to(100);
+  std::optional<client::FetchStats> failure;
+  fetcher(cluster, {0}, budget(3))
+      .fetch_verified({"never-published"}, [&](const client::FetchResult&) { got = true; },
+                      [&](const client::FetchStats& s) { failure = s; });
+  timeline_.advance_to(1000);
   EXPECT_FALSE(got);
-  EXPECT_EQ(cluster.stats().fetch_timeouts, 1u);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->attempts, 3u);
+  EXPECT_EQ(failure->timeouts, 3u);
   EXPECT_EQ(cluster.stats().mirror_requests, 3u);
 }
 
@@ -154,10 +188,9 @@ TEST_F(MirrorTest, ManyReceiversOffloadTheOrigin) {
   timeline_.advance_to(2);  // replication done
   int got = 0;
   for (size_t i = 0; i < 40; ++i) {
-    NodeId rx = net_.add_node("rx-" + std::to_string(i));
-    // Poll period > round-trip time, so a present update costs one poll.
-    cluster.fetch(rx, i % 4, "T1", LinkSpec{.base_delay = 1}, 4, 3,
-                  [&](const core::KeyUpdate&) { ++got; });
+    // Reply deadline > round-trip time, so a present update costs one poll.
+    fetcher(cluster, {i % 4})
+        .fetch_verified({"T1"}, [&](const client::FetchResult&) { ++got; });
   }
   timeline_.advance_to(30);
   EXPECT_EQ(got, 40);
@@ -166,20 +199,38 @@ TEST_F(MirrorTest, ManyReceiversOffloadTheOrigin) {
   EXPECT_EQ(net_.inbound_count(cluster.origin()), 0u);
 }
 
+// Unanswered polls back off with decorrelated jitter: each retry sleep is
+// drawn from [base, 3 x the previous sleep], capped at max_backoff, so
+// the bound on the gap between polls grows geometrically to the cap.
 TEST_F(MirrorTest, PollingBacksOffExponentially) {
   MirroredArchive cluster(params_, net_, timeline_, 1, LinkSpec{});
-  NodeId rx = net_.add_node("receiver");
-  cluster.fetch(rx, 0, "absent", LinkSpec{.base_delay = 1}, /*poll_period=*/2,
-                /*max_polls=*/5, [](const core::KeyUpdate&) { FAIL(); });
-  // Polls fire at t = 0, 2, 6, 14, 30 (doubling, capped at 8x base).
-  const std::int64_t expected[] = {0, 2, 6, 14, 30};
-  for (size_t i = 0; i < 5; ++i) {
-    timeline_.advance_to(expected[i]);
-    EXPECT_EQ(cluster.stats().mirror_requests, i + 1) << "poll " << i;
+  client::FetcherConfig cfg = budget(6);
+  cfg.reply_timeout = 2;
+  cfg.base_backoff = 2;
+  cfg.max_backoff = 16;
+  client::UpdateFetcher& f = fetcher(cluster, {0}, cfg);
+  f.fetch_verified({"absent"}, [](const client::FetchResult&) { FAIL(); },
+                   [](const client::FetchStats&) {});
+  std::vector<std::int64_t> polls;
+  for (std::int64_t t = 0; t <= 500; ++t) {
+    timeline_.advance_to(t);
+    while (polls.size() < cluster.stats().mirror_requests) polls.push_back(t);
   }
-  timeline_.advance_to(100);
-  EXPECT_EQ(cluster.stats().mirror_requests, 5u);
-  EXPECT_EQ(cluster.stats().fetch_timeouts, 1u);
+  ASSERT_EQ(polls.size(), 6u);
+  EXPECT_EQ(polls[0], 0);
+  std::int64_t prev = cfg.base_backoff;
+  std::int64_t longest = 0;
+  for (size_t i = 1; i < polls.size(); ++i) {
+    const std::int64_t sleep = polls[i] - polls[i - 1] - cfg.reply_timeout;
+    EXPECT_GE(sleep, cfg.base_backoff) << "poll " << i;
+    EXPECT_LE(sleep, std::min(cfg.max_backoff, 3 * prev)) << "poll " << i;
+    prev = sleep;
+    longest = std::max(longest, sleep);
+  }
+  // The bound is not all that grows: with this seed the sleeps reach past
+  // 3 x base, which no run pinned at base_backoff could.
+  EXPECT_GT(longest, 3 * cfg.base_backoff);
+  EXPECT_FALSE(f.busy());
 }
 
 TEST_F(MirrorTest, GarbageReplyCountsAsFailedPoll) {
@@ -190,37 +241,41 @@ TEST_F(MirrorTest, GarbageReplyCountsAsFailedPoll) {
   cluster.publish(update("T1"));
   timeline_.advance_to(2);  // replication done
 
-  NodeId rx = net_.add_node("receiver");
   bool got = false;
-  cluster.fetch(rx, 0, "T1", LinkSpec{.base_delay = 1}, /*poll_period=*/2,
-                /*max_polls=*/3, [&](const core::KeyUpdate&) { got = true; });
-  timeline_.advance_to(100);
-  // Every reply was garbage: each poll failed, nothing was accepted.
+  std::optional<client::FetchStats> failure;
+  fetcher(cluster, {0}, budget(3))
+      .fetch_verified({"T1"}, [&](const client::FetchResult&) { got = true; },
+                      [&](const client::FetchStats& s) { failure = s; });
+  timeline_.advance_to(1000);
+  // Every reply was garbage: each poll failed at the parse stage and
+  // nothing was accepted.
   EXPECT_FALSE(got);
-  EXPECT_EQ(cluster.stats().fetch_rejected, 3u);
-  EXPECT_EQ(cluster.stats().fetch_timeouts, 1u);
-  EXPECT_EQ(cluster.stats().fetch_successes, 0u);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->attempts, 3u);
+  EXPECT_EQ(failure->rejected_parse, 3u);
+  EXPECT_EQ(failure->timeouts, 0u);
   EXPECT_EQ(cluster.stats().byzantine_replies, 3u);
 }
 
 TEST_F(MirrorTest, UnverifiableReplyCountsAsFailedPoll) {
-  // The mirror is honest at the wire level, but the caller's verifier
-  // (here: against a DIFFERENT server key) must still be able to refuse.
+  // The mirror is honest at the wire level, but a receiver that trusts a
+  // DIFFERENT server key must still refuse what it serves.
   MirroredArchive cluster(params_, net_, timeline_, 1, LinkSpec{.base_delay = 1});
   cluster.publish(update("T1"));
   timeline_.advance_to(2);
 
   core::ServerKeyPair other = scheme_.server_keygen(rng_);
-  NodeId rx = net_.add_node("receiver");
   bool got = false;
-  cluster.fetch(
-      rx, 0, "T1", LinkSpec{.base_delay = 1}, /*poll_period=*/2, /*max_polls=*/2,
-      [&](const core::KeyUpdate&) { got = true; },
-      [&](const core::KeyUpdate& u) { return scheme_.verify_update(other.pub, u); });
-  timeline_.advance_to(100);
+  std::optional<client::FetchStats> failure;
+  fetcher(cluster, {0}, budget(2), other.pub)
+      .fetch_verified({"T1"}, [&](const client::FetchResult&) { got = true; },
+                      [&](const client::FetchStats& s) { failure = s; });
+  timeline_.advance_to(1000);
   EXPECT_FALSE(got);
-  EXPECT_EQ(cluster.stats().fetch_rejected, 2u);
-  EXPECT_EQ(cluster.stats().fetch_timeouts, 1u);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->rejected_sig, 2u);
+  EXPECT_EQ(failure->total_rejected(), 2u);
+  EXPECT_EQ(failure->timeouts, 0u);
 }
 
 TEST_F(MirrorTest, RelabelledReplyIsRejectedByTagCheck) {
@@ -232,22 +287,18 @@ TEST_F(MirrorTest, RelabelledReplyIsRejectedByTagCheck) {
   cluster.publish(update("T1"));
   timeline_.advance_to(2);
 
-  NodeId rx = net_.add_node("receiver");
   bool got = false;
-  size_t verifier_saw_wrong_tag = 0;
-  cluster.fetch(
-      rx, 0, "T1", LinkSpec{.base_delay = 1}, /*poll_period=*/2, /*max_polls=*/2,
-      [&](const core::KeyUpdate&) { got = true; },
-      [&](const core::KeyUpdate& u) {
-        if (u.tag != "T1") ++verifier_saw_wrong_tag;
-        return scheme_.verify_update(server_.pub, u);
-      });
-  timeline_.advance_to(100);
+  std::optional<client::FetchStats> failure;
+  fetcher(cluster, {0}, budget(2))
+      .fetch_verified({"T1"}, [&](const client::FetchResult&) { got = true; },
+                      [&](const client::FetchStats& s) { failure = s; });
+  timeline_.advance_to(1000);
   // The relabelled update claims tag T1 but carries the stale tag's
   // signature: the tag check passes, self-authentication fails.
   EXPECT_FALSE(got);
-  EXPECT_EQ(verifier_saw_wrong_tag, 0u);  // relabelling forges the tag field
-  EXPECT_EQ(cluster.stats().fetch_rejected, 2u);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->rejected_tag, 0u);  // relabelling forges the tag field
+  EXPECT_EQ(failure->rejected_sig, 2u);
   EXPECT_GE(cluster.stats().byzantine_replies, 2u);
 }
 

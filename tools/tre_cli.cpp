@@ -556,6 +556,43 @@ int cmd_issue_partial_g(std::shared_ptr<const typename B::Params> p,
   return 0;
 }
 
+// The set-up every fetch mode shares: each --remote HOST:PORT is one
+// fetcher slot, in the order given, behind one SocketTransport with
+// --timeout-ms. The fetcher checks replies against `server` and seeds
+// its backoff jitter from `label`.
+client::SocketTransport socket_transport(const Args& args) {
+  std::vector<client::SocketTransport::Endpoint> endpoints;
+  for (const std::string& hp : cli::split_commas(args.get("remote"))) {
+    cli::HostPort parsed = cli::parse_host_port(hp, "--remote");
+    endpoints.push_back({parsed.host, parsed.port});
+  }
+  require(!endpoints.empty(), "fetch: --remote needs at least one HOST:PORT");
+  int timeout_ms = static_cast<int>(
+      parse_u64(args.get_or("timeout-ms", "2000"), "--timeout-ms"));
+  return client::SocketTransport(std::move(endpoints), timeout_ms);
+}
+
+template <class B>
+struct SocketFetch {
+  SocketFetch(std::shared_ptr<const typename B::Params> p,
+              core::BasicServerPublicKey<B> server, const Args& args,
+              const char* label, client::FetcherConfig cfg = {})
+      : transport(socket_transport(args)),
+        fetcher(core::BasicTreScheme<B>(std::move(p)), std::move(server),
+                transport, timeline, slots(transport.mirror_count()),
+                to_bytes(label), cfg) {}
+
+  static std::vector<size_t> slots(size_t n) {
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i) order[i] = i;
+    return order;
+  }
+
+  client::SocketTransport transport;
+  server::Timeline timeline{0};
+  client::BasicUpdateFetcher<B> fetcher;
+};
+
 // fetch --threshold K: quorum collection over live tred endpoints. Every
 // endpoint is one beacon node; the fetcher's RLC batch attributes forged
 // partials to their exact share indices before aggregation.
@@ -571,32 +608,15 @@ int cmd_fetch_threshold_g(std::shared_ptr<const typename B::Params> p,
           "fetch: --threshold does not match the key's t (cross-check)");
 
   threshold::BasicThresholdScheme<B> ts(p);
-  core::BasicTreScheme<B> scheme(p);
-
-  std::vector<client::SocketTransport::Endpoint> endpoints;
-  for (const std::string& hp : cli::split_commas(args.get("remote"))) {
-    cli::HostPort parsed = cli::parse_host_port(hp, "--remote");
-    endpoints.push_back({parsed.host, parsed.port});
-  }
-  require(!endpoints.empty(), "fetch: --remote needs at least one HOST:PORT");
-  int timeout_ms = static_cast<int>(
-      parse_u64(args.get_or("timeout-ms", "2000"), "--timeout-ms"));
-  client::SocketTransport transport(endpoints, timeout_ms);
-
-  std::vector<size_t> order(endpoints.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  server::Timeline timeline(0);
-  client::BasicUpdateFetcher<B> fetcher(scheme, key.as_server_public_key(),
-                                        transport, timeline, order,
-                                        to_bytes("tre-cli-threshold"), {});
+  SocketFetch<B> net(p, key.as_server_public_key(), args, "tre-cli-threshold");
 
   const std::string tag = tag_arg(args);
-  auto res = fetcher.fetch_threshold(ts, key, tag);
+  auto res = net.fetcher.fetch_threshold(ts, key, tag);
   if (!res.ok()) {
     std::fprintf(stderr,
                  "fetch: could not field %zu valid partials for \"%s\" "
                  "from %zu endpoints\n",
-                 key.config.k, tag.c_str(), endpoints.size());
+                 key.config.k, tag.c_str(), net.transport.mirror_count());
     return 1;
   }
   write_envelope(args.get("out"), FileKind::kUpdate, set_name,
@@ -772,66 +792,35 @@ int cmd_fetch_range_g(std::shared_ptr<const typename B::Params> p,
 
   core::BasicServerPublicKey<B> server =
       core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
-  core::BasicTreScheme<B> scheme(p);
-
-  std::vector<client::SocketTransport::Endpoint> endpoints;
-  for (const std::string& hp : cli::split_commas(args.get("remote"))) {
-    cli::HostPort parsed = cli::parse_host_port(hp, "--remote");
-    endpoints.push_back({parsed.host, parsed.port});
-  }
-  require(!endpoints.empty(), "fetch: --remote needs at least one HOST:PORT");
-  int timeout_ms = static_cast<int>(
-      parse_u64(args.get_or("timeout-ms", "2000"), "--timeout-ms"));
-  client::SocketTransport transport(endpoints, timeout_ms);
-
-  std::vector<size_t> order(endpoints.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  server::Timeline timeline(0);
-  client::BasicUpdateFetcher<B> fetcher(scheme, server, transport, timeline,
-                                        order, to_bytes("tre-cli-catchup"), {});
-
+  SocketFetch<B> net(p, std::move(server), args, "tre-cli-catchup");
   const std::uint32_t page_size = static_cast<std::uint32_t>(
       parse_u64(args.get_or("page", "256"), "--page"));
 
-  // Walk the archive on each mirror in turn until one serves a full
-  // scan; forged pages demote a mirror but never poison the output.
-  size_t written = 0, dropped = 0, skipped = 0;
-  bool complete = false;
-  for (size_t slot = 0; slot < order.size() && !complete; ++slot) {
-    std::uint64_t pos = 0;
-    written = dropped = skipped = 0;  // a fresh mirror restarts the scan
-    for (;;) {
-      std::optional<client::BasicRangeFetchResult<B>> res =
-          fetcher.fetch_range_verified(slot, pos, page_size);
-      if (!res) break;  // wire trouble: try the next mirror
-      dropped += res->rejected_sig + res->rejected_parse;
-      for (const core::BasicKeyUpdate<B>& u : res->updates) {
-        std::optional<server::TimeSpec> t = server::TimeSpec::parse(u.tag);
-        if (!t || *t < *from || *to < *t) {
-          ++skipped;
-          continue;
-        }
-        char name[32];
-        std::snprintf(name, sizeof name, "update-%06zu.bin", written);
-        write_envelope(out_dir + "/" + name, FileKind::kUpdate, set_name,
-                       u.to_bytes());
-        ++written;
-      }
-      pos += res->served;
-      if (pos >= res->total || res->served == 0) {
-        complete = pos >= res->total;
-        break;
-      }
-    }
-  }
-  if (!complete) {
+  // One mirror after another until one serves a full scan; forged pages
+  // demote a mirror but never poison the output.
+  client::BasicArchiveFetchResult<B> scan =
+      net.fetcher.fetch_archive_verified(page_size);
+  if (!scan.complete) {
     std::fprintf(stderr, "fetch: no mirror served a full archive scan\n");
     return 1;
+  }
+  size_t written = 0, skipped = 0;
+  for (const core::BasicKeyUpdate<B>& u : scan.updates) {
+    std::optional<server::TimeSpec> t = server::TimeSpec::parse(u.tag);
+    if (!t || *t < *from || *to < *t) {
+      ++skipped;
+      continue;
+    }
+    char name[32];
+    std::snprintf(name, sizeof name, "update-%06zu.bin", written);
+    write_envelope(out_dir + "/" + name, FileKind::kUpdate, set_name,
+                   u.to_bytes());
+    ++written;
   }
   std::printf("catch-up [%s, %s]: %zu updates fetched and VERIFIED "
               "(%zu outside range, %zu forged/damaged dropped)\n",
               from->canonical().c_str(), to->canonical().c_str(), written,
-              skipped, dropped);
+              skipped, scan.total_rejected());
   return 0;
 }
 
@@ -844,42 +833,25 @@ int cmd_fetch_g(std::shared_ptr<const typename B::Params> p,
   }
   core::BasicServerPublicKey<B> server =
       core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
-  core::BasicTreScheme<B> scheme(p);
-
-  std::vector<client::SocketTransport::Endpoint> endpoints;
-  for (const std::string& hp : cli::split_commas(args.get("remote"))) {
-    cli::HostPort parsed = cli::parse_host_port(hp, "--remote");
-    endpoints.push_back({parsed.host, parsed.port});
-  }
-  require(!endpoints.empty(), "fetch: --remote needs at least one HOST:PORT");
-  int timeout_ms = static_cast<int>(
-      parse_u64(args.get_or("timeout-ms", "2000"), "--timeout-ms"));
-  client::SocketTransport transport(endpoints, timeout_ms);
-
-  std::vector<size_t> order(endpoints.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   client::FetcherConfig cfg;
   cfg.attempts_per_tag = static_cast<size_t>(
       parse_u64(args.get_or("attempts", "8"), "--attempts"));
-  server::Timeline timeline(0);
-  client::BasicUpdateFetcher<B> fetcher(scheme, server, transport, timeline,
-                                        order, to_bytes("tre-cli-fetch"), cfg);
+  SocketFetch<B> net(p, std::move(server), args, "tre-cli-fetch", cfg);
 
   std::string tag = tag_arg(args);
   std::optional<core::BasicKeyUpdate<B>> got;
-  bool failed = false;
-  fetcher.fetch_verified({tag},
-                         [&](const client::BasicFetchResult<B>& r) {
-                           got = r.update;
-                         },
-                         [&](const client::FetchStats&) { failed = true; });
+  client::FetchStats stats;
+  net.fetcher.fetch_verified({tag},
+                             [&](const client::BasicFetchResult<B>& r) {
+                               got = r.update;
+                               stats = r.stats;
+                             },
+                             [&](const client::FetchStats& s) { stats = s; });
   // Socket replies land synchronously inside request(); the timeline only
   // drives the retry/backoff schedule, so advancing one tick at a time
   // runs the state machine to completion.
-  while (fetcher.busy()) timeline.advance_by(1);
-  (void)failed;
+  while (net.fetcher.busy()) net.timeline.advance_by(1);
 
-  client::FetchStats stats = fetcher.stats();
   if (!got) {
     std::fprintf(stderr,
                  "fetch: no verifiable update for \"%s\" (%zu attempts, "
