@@ -84,10 +84,12 @@ int main() {
   // (d) the paper's Encryption step-1 receiver-key check.
   Bytes msg = rng.bytes(256);
   double enc_checked = bench::time_ms(reps, [&] {
-    (void)scheme.encrypt(msg, user.pub, server.pub, "T", rng, core::KeyCheck::kVerify);
+    (void)scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, "T", rng,
+                      core::KeyCheck::kVerify);
   });
   double enc_skipped = bench::time_ms(reps, [&] {
-    (void)scheme.encrypt(msg, user.pub, server.pub, "T", rng, core::KeyCheck::kSkip);
+    (void)scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, "T", rng,
+                      core::KeyCheck::kSkip);
   });
   std::printf("(d) encrypt with per-message key check: %8.2f ms\n", enc_checked);
   std::printf("    encrypt, key pre-checked          : %8.2f ms  (check adds %.2f ms,"

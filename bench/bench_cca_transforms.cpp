@@ -16,9 +16,12 @@ struct Fx {
   core::UserKeyPair user = scheme.user_keygen(server.pub, rng);
   core::KeyUpdate update = scheme.issue_update(server, "T");
   Bytes msg = rng.bytes(1024);
-  core::Ciphertext basic = scheme.encrypt(msg, user.pub, server.pub, "T", rng);
-  core::FoCiphertext fo = scheme.encrypt_fo(msg, user.pub, server.pub, "T", rng);
-  core::ReactCiphertext react = scheme.encrypt_react(msg, user.pub, server.pub, "T", rng);
+  core::SealedCiphertext basic =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, "T", rng);
+  core::SealedCiphertext fo =
+      scheme.seal(core::Mode::kFo, msg, user.pub, server.pub, "T", rng);
+  core::SealedCiphertext react =
+      scheme.seal(core::Mode::kReact, msg, user.pub, server.pub, "T", rng);
 };
 
 Fx& fx() {
@@ -30,7 +33,8 @@ void BM_EncryptBasic(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        f.scheme.encrypt(f.msg, f.user.pub, f.server.pub, "T", f.rng, core::KeyCheck::kSkip));
+        f.scheme.seal(core::Mode::kBasic, f.msg, f.user.pub, f.server.pub, "T", f.rng,
+                      core::KeyCheck::kSkip));
   }
   state.counters["ct_bytes"] = static_cast<double>(f.basic.to_bytes().size());
 }
@@ -39,8 +43,9 @@ BENCHMARK(BM_EncryptBasic)->Unit(benchmark::kMillisecond);
 void BM_EncryptFo(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.encrypt_fo(f.msg, f.user.pub, f.server.pub, "T",
-                                                 f.rng, core::KeyCheck::kSkip));
+    benchmark::DoNotOptimize(f.scheme.seal(core::Mode::kFo, f.msg, f.user.pub,
+                                           f.server.pub, "T", f.rng,
+                                           core::KeyCheck::kSkip));
   }
   state.counters["ct_bytes"] = static_cast<double>(f.fo.to_bytes().size());
 }
@@ -49,8 +54,9 @@ BENCHMARK(BM_EncryptFo)->Unit(benchmark::kMillisecond);
 void BM_EncryptReact(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.encrypt_react(f.msg, f.user.pub, f.server.pub, "T",
-                                                    f.rng, core::KeyCheck::kSkip));
+    benchmark::DoNotOptimize(f.scheme.seal(core::Mode::kReact, f.msg, f.user.pub,
+                                           f.server.pub, "T", f.rng,
+                                           core::KeyCheck::kSkip));
   }
   state.counters["ct_bytes"] = static_cast<double>(f.react.to_bytes().size());
 }
@@ -59,7 +65,7 @@ BENCHMARK(BM_EncryptReact)->Unit(benchmark::kMillisecond);
 void BM_DecryptBasic(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.decrypt(f.basic, f.user.a, f.update));
+    benchmark::DoNotOptimize(f.scheme.open(f.basic, f.user.a, f.update, f.server.pub));
   }
 }
 BENCHMARK(BM_DecryptBasic)->Unit(benchmark::kMillisecond);
@@ -67,7 +73,7 @@ BENCHMARK(BM_DecryptBasic)->Unit(benchmark::kMillisecond);
 void BM_DecryptFo(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.decrypt_fo(f.fo, f.user.a, f.update, f.server.pub));
+    benchmark::DoNotOptimize(f.scheme.open(f.fo, f.user.a, f.update, f.server.pub));
   }
 }
 BENCHMARK(BM_DecryptFo)->Unit(benchmark::kMillisecond);
@@ -75,7 +81,7 @@ BENCHMARK(BM_DecryptFo)->Unit(benchmark::kMillisecond);
 void BM_DecryptReact(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.decrypt_react(f.react, f.user.a, f.update));
+    benchmark::DoNotOptimize(f.scheme.open(f.react, f.user.a, f.update, f.server.pub));
   }
 }
 BENCHMARK(BM_DecryptReact)->Unit(benchmark::kMillisecond);

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       const std::array<std::uint64_t, 3> cause_base = rejected_by_cause();
 
       for (int seed = 0; seed < kSeeds; ++seed) {
-        std::string tag = "s" + std::to_string(seed);
+        std::string tag = std::string("s").append(std::to_string(seed));
         server::Timeline timeline(0);
         simnet::Network net(timeline, to_bytes("e18-net-" + tag));
         simnet::FaultPlan plan(to_bytes("e18-plan-" + tag));

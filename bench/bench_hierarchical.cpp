@@ -77,15 +77,16 @@ int main() {
   // Flat TRE reference.
   core::ServerKeyPair flat_server = scheme.server_keygen(rng);
   core::UserKeyPair flat_user = scheme.user_keygen(flat_server.pub, rng);
-  auto flat_ct = scheme.encrypt(msg, flat_user.pub, flat_server.pub, "T", rng,
-                                core::KeyCheck::kSkip);
+  auto flat_ct = scheme.seal(core::Mode::kBasic, msg, flat_user.pub, flat_server.pub, "T",
+                             rng, core::KeyCheck::kSkip);
   core::KeyUpdate flat_upd = scheme.issue_update(flat_server, "T");
   double flat_enc = bench::time_ms(5, [&] {
-    (void)scheme.encrypt(msg, flat_user.pub, flat_server.pub, "T", rng,
-                         core::KeyCheck::kSkip);
+    (void)scheme.seal(core::Mode::kBasic, msg, flat_user.pub, flat_server.pub, "T", rng,
+                      core::KeyCheck::kSkip);
   });
   double flat_dec =
-      bench::time_ms(5, [&] { (void)scheme.decrypt(flat_ct, flat_user.a, flat_upd); });
+      bench::time_ms(
+          5, [&] { (void)scheme.open(flat_ct, flat_user.a, flat_upd, flat_server.pub); });
 
   std::printf("\nscheme costs (tre-512, 256-byte message):\n");
   std::printf("%-44s %10.2f ms\n", "flat TRE encrypt:", flat_enc);

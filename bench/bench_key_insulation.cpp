@@ -20,16 +20,17 @@ int main() {
   const char* tag = "2030-01-01";
   core::KeyUpdate update = scheme.issue_update(server, tag);
   Bytes msg = rng.bytes(256);
-  core::Ciphertext ct = scheme.encrypt(msg, user.pub, server.pub, tag, rng);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, tag, rng);
   core::EpochKey ek = scheme.derive_epoch_key(user.a, update);
 
   const int reps = 20;
   double derive_ms =
       bench::time_ms(reps, [&] { (void)scheme.derive_epoch_key(user.a, update); });
   double direct_ms =
-      bench::time_ms(reps, [&] { (void)scheme.decrypt(ct, user.a, update); });
+      bench::time_ms(reps, [&] { (void)scheme.open(ct, user.a, update, server.pub); });
   double insulated_ms =
-      bench::time_ms(reps, [&] { (void)scheme.decrypt_with_epoch_key(ct, ek); });
+      bench::time_ms(reps, [&] { (void)scheme.open_with_epoch_key(ct, ek, server.pub); });
 
   std::printf("%-44s %10.3f ms\n", "safe-device epoch-key derivation (per epoch):",
               derive_ms);

@@ -79,14 +79,16 @@ int main(int argc, char** argv) {
   core::ServerKeyPair s1 = t1.server_keygen(rng);
   core::UserKeyPair u1 = t1.user_keygen(s1.pub, rng);
   core::KeyUpdate upd1 = t1.issue_update(s1, tag);
-  auto ct1 = t1.encrypt(msg, u1.pub, s1.pub, tag, rng, core::KeyCheck::kSkip);
+  auto ct1 =
+      t1.seal(core::Mode::kBasic, msg, u1.pub, s1.pub, tag, rng, core::KeyCheck::kSkip);
 
   // Type-3 (BLS12-381) through the SAME generic core.
   bls12::Tre381Scheme t3 = bls12::make_tre381();
   bls12::ServerKey381 s3 = t3.server_keygen(rng);
   bls12::UserKey381 u3 = t3.user_keygen(s3.pub, rng);
   bls12::Update381 upd3 = t3.issue_update(s3, tag);
-  auto ct3 = t3.encrypt(msg, u3.pub, s3.pub, tag, rng, core::KeyCheck::kSkip);
+  auto ct3 =
+      t3.seal(core::Mode::kBasic, msg, u3.pub, s3.pub, tag, rng, core::KeyCheck::kSkip);
 
   // Warm every memo cache (tag hashes, Miller lines, pair bases, combs)
   // before timing: the table documents steady-state costs, matching the
@@ -94,9 +96,9 @@ int main(int argc, char** argv) {
   // per-op costs are single-digit milliseconds, so the rep count is high
   // enough that a stray scheduler blip does not dominate the mean.
   (void)t1.verify_update(s1.pub, upd1);
-  (void)t1.decrypt(ct1, u1.a, upd1);
+  (void)t1.open(ct1, u1.a, upd1, s1.pub);
   (void)t3.verify_update(s3.pub, upd3);
-  (void)t3.decrypt(ct3, u3.a, upd3);
+  (void)t3.open(ct3, u3.a, upd3, s3.pub);
 
   const int reps = 20;
   // The seed tree's timings (affine F_p12 Miller loop, generic
@@ -122,9 +124,10 @@ int main(int argc, char** argv) {
                 bench::time_ms(reps, [&] { (void)t1.issue_update(s1, tag); }),
                 bench::time_ms(reps, [&] { (void)t1.verify_update(s1.pub, upd1); }),
                 bench::time_ms(reps, [&] {
-                  (void)t1.encrypt(msg, u1.pub, s1.pub, tag, rng, core::KeyCheck::kSkip);
+                  (void)t1.seal(core::Mode::kBasic, msg, u1.pub, s1.pub, tag, rng,
+                                core::KeyCheck::kSkip);
                 }),
-                bench::time_ms(reps, [&] { (void)t1.decrypt(ct1, u1.a, upd1); }),
+                bench::time_ms(reps, [&] { (void)t1.open(ct1, u1.a, upd1, s1.pub); }),
                 kBaseline512, t1.params().g1_compressed_bytes(),
                 upd1.to_bytes().size(), t1.params().g1_compressed_bytes(),
                 "~80-bit"};
@@ -134,9 +137,10 @@ int main(int argc, char** argv) {
                 bench::time_ms(reps, [&] { (void)t3.issue_update(s3, tag); }),
                 bench::time_ms(reps, [&] { (void)t3.verify_update(s3.pub, upd3); }),
                 bench::time_ms(reps, [&] {
-                  (void)t3.encrypt(msg, u3.pub, s3.pub, tag, rng, core::KeyCheck::kSkip);
+                  (void)t3.seal(core::Mode::kBasic, msg, u3.pub, s3.pub, tag, rng,
+                                core::KeyCheck::kSkip);
                 }),
-                bench::time_ms(reps, [&] { (void)t3.decrypt(ct3, u3.a, upd3); }),
+                bench::time_ms(reps, [&] { (void)t3.open(ct3, u3.a, upd3, s3.pub); }),
                 kBaseline381, bls12::Bls381Backend::gu_wire_bytes(ctx),
                 upd3.to_bytes().size(), bls12::Bls381Backend::gh_wire_bytes(ctx),
                 "~128-bit"};

@@ -46,16 +46,20 @@ int main(int argc, char** argv) {
                    kProbeReps;
 
   // The hot loop. Warmed caches: the steady state the probes sit in.
-  scheme.encrypt(msg, user.pub, server.pub, tag, rng);
+  scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, tag, rng);
   constexpr int kOpsReps = 200;
-  double encrypt_ms =
-      bench::time_ms(kOpsReps, [&] { scheme.encrypt(msg, user.pub, server.pub, tag, rng); });
-  core::Ciphertext ct = scheme.encrypt(msg, user.pub, server.pub, tag, rng);
-  double decrypt_ms = bench::time_ms(kOpsReps, [&] { scheme.decrypt(ct, user.a, update); });
+  double encrypt_ms = bench::time_ms(kOpsReps, [&] {
+    scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, tag, rng);
+  });
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, tag, rng);
+  double decrypt_ms =
+      bench::time_ms(kOpsReps, [&] { scheme.open(ct, user.a, update, server.pub); });
 
-  // A steady-state encrypt fires ~6 counter probes (cache hits, mul
-  // kinds) and one span; bound the per-op probe bill generously at 8
-  // counters + 1 span.
+  // A steady-state seal fires 6 counter probes (core.seals, the
+  // key-check, comb, tag and pair-base cache hits, the comb multiply)
+  // and one span; bound the per-op probe bill generously at 8 counters
+  // + 1 span.
   double probe_bill_ns = 8 * counter_ns + span_ns;
   double overhead_pct = 100.0 * probe_bill_ns / (encrypt_ms * 1e6);
 

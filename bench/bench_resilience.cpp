@@ -26,11 +26,11 @@ int main() {
 
   // Plain TRE for reference.
   double plain_enc = bench::time_ms(10, [&] {
-    (void)scheme.encrypt(msg, user.pub, srv.pub, release.canonical(), rng,
-                         core::KeyCheck::kSkip);
+    (void)scheme.seal(core::Mode::kBasic, msg, user.pub, srv.pub, release.canonical(),
+                      rng, core::KeyCheck::kSkip);
   });
-  auto plain_ct = scheme.encrypt(msg, user.pub, srv.pub, release.canonical(), rng,
-                                 core::KeyCheck::kSkip);
+  auto plain_ct = scheme.seal(core::Mode::kBasic, msg, user.pub, srv.pub,
+                              release.canonical(), rng, core::KeyCheck::kSkip);
 
   std::printf("%-28s | %9s | %9s | %9s | %-24s\n", "scheme / coarsest fallback",
               "enc ms", "dec ms", "ct bytes", "worst delay after outage");

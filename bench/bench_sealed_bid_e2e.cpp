@@ -32,15 +32,14 @@ int main() {
     server::TimeSpec deadline = server::TimeSpec::from_unix(3600, server::Granularity::kHour);
 
     // Seal: every bidder FO-encrypts their bid.
-    std::vector<core::FoCiphertext> sealed;
+    std::vector<core::SealedCiphertext> sealed;
     sealed.reserve(bidders);
     double seal_ms = bench::time_ms(1, [&] {
       for (size_t i = 0; i < bidders; ++i) {
         std::string bid = "bidder-" + std::to_string(i) + " bids $" +
                           std::to_string(1000000 + i);
-        sealed.push_back(scheme.encrypt_fo(to_bytes(bid), office.pub,
-                                           authority.public_key(),
-                                           deadline.canonical(), rng));
+        sealed.push_back(scheme.seal(core::Mode::kFo, to_bytes(bid), office.pub,
+                                     authority.public_key(), deadline.canonical(), rng));
       }
     });
 
@@ -60,7 +59,7 @@ int main() {
     double open_ms = bench::time_ms(1, [&] {
       opened = 0;
       for (const auto& ct : sealed) {
-        if (scheme.decrypt_fo(ct, office.a, update, authority.public_key())) ++opened;
+        if (scheme.open(ct, office.a, update, authority.public_key())) ++opened;
       }
     });
     if (opened != bidders) {

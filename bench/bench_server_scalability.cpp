@@ -52,7 +52,8 @@ int main() {
     Bytes msg(256, 0xab);
     double may_ms = bench::time_ms(1, [&] {
       for (size_t i = 0; i < n; ++i) {
-        agent.deposit("s" + std::to_string(i), "r" + std::to_string(i), msg, 1000);
+        agent.deposit(std::string("s").append(std::to_string(i)),
+                      std::string("r").append(std::to_string(i)), msg, 1000);
       }
     });
     std::printf("%-8zu | %-26s | %12.3f | %14zu (storage)\n", n, "May escrow agent",

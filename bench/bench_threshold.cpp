@@ -156,16 +156,19 @@ void run_e15_comparison() {
   for (auto [n, k] : {std::pair<size_t, size_t>{3, 2}, {5, 3}, {9, 5}}) {
     auto [key, shares] = ttre.setup(threshold::ThresholdConfig{n, k}, rng);
     core::UserKeyPair user = scheme.user_keygen(key.group, rng);
-    auto ct = scheme.encrypt(msg, user.pub, key.group, tag, rng, core::KeyCheck::kSkip);
+    auto ct = scheme.seal(core::Mode::kBasic, msg, user.pub, key.group, tag, rng,
+                          core::KeyCheck::kSkip);
     std::vector<threshold::BasicPartialUpdate<core::Tre512Backend>> partials;
     for (size_t i = 1; i <= k; ++i) partials.push_back(ttre.issue_partial(shares[i - 1], tag));
 
     double enc_ms = bench::time_ms(5, [&] {
-      (void)scheme.encrypt(msg, user.pub, key.group, tag, rng, core::KeyCheck::kSkip);
+      (void)scheme.seal(core::Mode::kBasic, msg, user.pub, key.group, tag, rng,
+                        core::KeyCheck::kSkip);
     });
     double combine_ms = bench::time_ms(5, [&] { (void)ttre.combine(key, partials); });
     core::KeyUpdate update = ttre.combine(key, partials);
-    double dec_ms = bench::time_ms(5, [&] { (void)scheme.decrypt(ct, user.a, update); });
+    double dec_ms =
+        bench::time_ms(5, [&] { (void)scheme.open(ct, user.a, update, key.group); });
     std::printf("threshold %zu-of-%zu  | %10.2f | %10.2f | %10zu | %12.2f | %zu crashes\n",
                 k, n, enc_ms, dec_ms, ct.to_bytes().size(), combine_ms, n - k);
 

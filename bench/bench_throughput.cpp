@@ -85,12 +85,12 @@ int main(int argc, char** argv) {
   // A population of receivers, each with their own mail.
   constexpr size_t kReceivers = 64;
   std::vector<core::UserKeyPair> users;
-  std::vector<core::Ciphertext> mail;
+  std::vector<core::SealedCiphertext> mail;
   Bytes msg = rng.bytes(128);
   for (size_t i = 0; i < kReceivers; ++i) {
     users.push_back(scheme.user_keygen(server.pub, rng));
-    mail.push_back(scheme.encrypt(msg, users.back().pub, server.pub, tag, rng,
-                                  core::KeyCheck::kSkip));
+    mail.push_back(scheme.seal(core::Mode::kBasic, msg, users.back().pub, server.pub, tag,
+                               rng, core::KeyCheck::kSkip));
   }
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -116,8 +116,9 @@ int main(int argc, char** argv) {
           for (;;) {
             size_t i = next.fetch_add(1);
             if (i >= kReceivers) return;
-            Bytes out = scheme.decrypt(mail[i], users[i].a, update);
-            if (out == msg) ok.fetch_add(1);
+            if (scheme.open(mail[i], users[i].a, update, server.pub) == msg) {
+              ok.fetch_add(1);
+            }
           }
         });
       }

@@ -34,8 +34,9 @@ struct SchemeFixture {
   core::UserKeyPair user = scheme.user_keygen(server.pub, rng);
   core::KeyUpdate update = scheme.issue_update(server, "2030-01-01T00:00:00Z");
   Bytes msg = rng.bytes(256);
-  core::Ciphertext ct =
-      scheme.encrypt(msg, user.pub, server.pub, "2030-01-01T00:00:00Z", rng);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, "2030-01-01T00:00:00Z",
+                  rng);
 };
 
 SchemeFixture& fx() {
@@ -82,9 +83,9 @@ BENCHMARK(BM_VerifyUpdate)->Unit(benchmark::kMillisecond);
 void BM_EncryptWithKeyCheck(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.encrypt(f.msg, f.user.pub, f.server.pub,
-                                              "2030-01-01T00:00:00Z", f.rng,
-                                              core::KeyCheck::kVerify));
+    benchmark::DoNotOptimize(f.scheme.seal(core::Mode::kBasic, f.msg, f.user.pub,
+                                           f.server.pub, "2030-01-01T00:00:00Z", f.rng,
+                                           core::KeyCheck::kVerify));
   }
 }
 BENCHMARK(BM_EncryptWithKeyCheck)->Unit(benchmark::kMillisecond);
@@ -92,9 +93,9 @@ BENCHMARK(BM_EncryptWithKeyCheck)->Unit(benchmark::kMillisecond);
 void BM_EncryptKeyPrechecked(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.encrypt(f.msg, f.user.pub, f.server.pub,
-                                              "2030-01-01T00:00:00Z", f.rng,
-                                              core::KeyCheck::kSkip));
+    benchmark::DoNotOptimize(f.scheme.seal(core::Mode::kBasic, f.msg, f.user.pub,
+                                           f.server.pub, "2030-01-01T00:00:00Z", f.rng,
+                                           core::KeyCheck::kSkip));
   }
 }
 BENCHMARK(BM_EncryptKeyPrechecked)->Unit(benchmark::kMillisecond);
@@ -102,7 +103,7 @@ BENCHMARK(BM_EncryptKeyPrechecked)->Unit(benchmark::kMillisecond);
 void BM_Decrypt(benchmark::State& state) {
   auto& f = fx();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.decrypt(f.ct, f.user.a, f.update));
+    benchmark::DoNotOptimize(f.scheme.open(f.ct, f.user.a, f.update, f.server.pub));
   }
 }
 BENCHMARK(BM_Decrypt)->Unit(benchmark::kMillisecond);
@@ -119,7 +120,7 @@ void BM_DecryptWithEpochKey(benchmark::State& state) {
   auto& f = fx();
   core::EpochKey ek = f.scheme.derive_epoch_key(f.user.a, f.update);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.scheme.decrypt_with_epoch_key(f.ct, ek));
+    benchmark::DoNotOptimize(f.scheme.open_with_epoch_key(f.ct, ek, f.server.pub));
   }
 }
 BENCHMARK(BM_DecryptWithEpochKey)->Unit(benchmark::kMillisecond);
@@ -215,12 +216,13 @@ int run_comparison(const std::string& json_path) {
   // Protocol rows at steady state: the scheme's tag/key/pairing caches
   // are warm, which is the operating point the engine is designed for.
   Bytes msg = rng.bytes(256);
-  rows.push_back(
-      {"encrypt", kSeedEncryptOps,
-       ops_per_sec([&] { scheme.encrypt(msg, user.pub, server.pub, tag, rng); })});
-  core::Ciphertext ct = scheme.encrypt(msg, user.pub, server.pub, tag, rng);
+  rows.push_back({"encrypt", kSeedEncryptOps, ops_per_sec([&] {
+                    scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, tag, rng);
+                  })});
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, tag, rng);
   rows.push_back({"decrypt", kSeedDecryptOps,
-                  ops_per_sec([&] { scheme.decrypt(ct, user.a, update); })});
+                  ops_per_sec([&] { scheme.open(ct, user.a, update, server.pub); })});
   rows.push_back({"issue_update", kSeedIssueUpdateOps,
                   ops_per_sec([&] { scheme.issue_update(server, tag); })});
 

@@ -26,10 +26,10 @@ int main() {
   const std::vector<std::string> days = {"2005-06-06", "2005-06-07", "2005-06-08"};
 
   // Senders queue one message per day.
-  std::map<std::string, core::Ciphertext> mailbox;
+  std::map<std::string, core::SealedCiphertext> mailbox;
   for (const auto& day : days) {
-    mailbox.emplace(day, scheme.encrypt(to_bytes("mail for " + day),
-                                        card_holder.pub, time_server.pub, day, rng));
+    mailbox.emplace(day, scheme.seal(core::Mode::kBasic, to_bytes("mail for " + day),
+                                     card_holder.pub, time_server.pub, day, rng));
   }
 
   // Each day: update arrives -> smart card derives the epoch key ->
@@ -38,7 +38,10 @@ int main() {
   for (const auto& day : days) {
     core::KeyUpdate update = scheme.issue_update(time_server, day);
     laptop_keys.emplace(day, scheme.derive_epoch_key(card_holder.a, update));
-    Bytes mail = scheme.decrypt_with_epoch_key(mailbox.at(day), laptop_keys.at(day));
+    // A basic ciphertext always opens to some bytes (no integrity check).
+    Bytes mail =
+        *scheme.open_with_epoch_key(mailbox.at(day), laptop_keys.at(day),
+                                    time_server.pub);
     std::printf("%s laptop reads: %.*s\n", day.c_str(),
                 static_cast<int>(mail.size()),
                 reinterpret_cast<const char*>(mail.data()));
@@ -47,13 +50,15 @@ int main() {
   // Compromise: the attacker steals the laptop with day-2's epoch key.
   const core::EpochKey& stolen = laptop_keys.at("2005-06-07");
   std::printf("\nattacker steals the %s epoch key...\n", stolen.tag.c_str());
-  Bytes day2 = scheme.decrypt_with_epoch_key(mailbox.at("2005-06-07"), stolen);
+  Bytes day2 =
+      *scheme.open_with_epoch_key(mailbox.at("2005-06-07"), stolen, time_server.pub);
   std::printf("  day-2 mail: %s\n",
               day2 == to_bytes("mail for 2005-06-07") ? "EXPOSED (expected: that epoch is lost)"
                                                       : "safe");
   // But the same key is useless against other days:
   for (const char* other : {"2005-06-06", "2005-06-08"}) {
-    Bytes attempt = scheme.decrypt_with_epoch_key(mailbox.at(other), stolen);
+    Bytes attempt =
+        *scheme.open_with_epoch_key(mailbox.at(other), stolen, time_server.pub);
     bool exposed = attempt == to_bytes(std::string("mail for ") + other);
     std::printf("  %s mail: %s\n", other, exposed ? "EXPOSED (bug!)" : "safe");
     if (exposed) return 1;

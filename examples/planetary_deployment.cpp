@@ -45,7 +45,7 @@ int main() {
   const server::TimeSpec release = server::TimeSpec::from_unix(60);
   struct Receiver {
     core::UserKeyPair keys;
-    core::Ciphertext mail;
+    core::SealedCiphertext mail;
     simnet::NodeId node;
     std::optional<Bytes> opened;
   };
@@ -53,8 +53,8 @@ int main() {
   for (int r = 0; r < 3; ++r) {
     core::UserKeyPair keys = scheme.user_keygen(net_key.group, rng);
     Bytes msg = to_bytes(std::string("briefing for ") + region_names[r]);
-    core::Ciphertext mail =
-        scheme.encrypt(msg, keys.pub, net_key.group, release.canonical(), rng);
+    core::SealedCiphertext mail = scheme.seal(core::Mode::kBasic, msg, keys.pub,
+                                              net_key.group, release.canonical(), rng);
     receivers.push_back(Receiver{keys, mail,
                                  wan.add_node(std::string("rx-") + region_names[r]),
                                  std::nullopt});
@@ -96,7 +96,8 @@ int main() {
       fetchers[r]->fetch_verified(
           {release.canonical()}, [&, r](const client::FetchResult& got) {
             receivers[r].opened =
-                scheme.decrypt(receivers[r].mail, receivers[r].keys.a, got.update);
+                scheme.open(receivers[r].mail, receivers[r].keys.a, got.update,
+                            net_key.group);
             std::printf("t=%lld: %s decrypted: %.*s\n",
                         static_cast<long long>(timeline.now()),
                         wan.name_of(receivers[r].node).c_str(),

@@ -34,24 +34,26 @@ int main() {
   struct Team {
     std::string name;
     core::UserKeyPair keys;
-    core::Ciphertext handout;
+    core::SealedCiphertext handout;
     std::optional<Bytes> opened;
   };
   std::vector<Team> teams;
   for (const char* name : {"Toronto", "Tokyo", "Tbilisi", "Tulsa", "Tromso"}) {
     core::UserKeyPair keys = scheme.user_keygen(authority.public_key(), rng);
     // Midnight: organizers distribute per-team encrypted handouts.
-    core::Ciphertext handout =
-        scheme.encrypt(problems, keys.pub, authority.public_key(), contest_start, rng);
+    core::SealedCiphertext handout = scheme.seal(core::Mode::kBasic, problems, keys.pub,
+                                                 authority.public_key(), contest_start,
+                                                 rng);
     teams.push_back(Team{name, keys, handout, std::nullopt});
   }
   std::printf("%zu teams received the encrypted problem set at 00:00\n", teams.size());
 
   // Each team listens for the broadcast.
   for (auto& team : teams) {
-    authority.bus().subscribe([&team, &scheme, contest_start](const core::KeyUpdate& upd) {
+    authority.bus().subscribe([&team, &scheme, &authority,
+                               contest_start](const core::KeyUpdate& upd) {
       if (upd.tag == contest_start && !team.opened) {
-        team.opened = scheme.decrypt(team.handout, team.keys.a, upd);
+        team.opened = scheme.open(team.handout, team.keys.a, upd, authority.public_key());
       }
     });
   }
@@ -73,7 +75,8 @@ int main() {
   core::KeyUpdate archived = *authority.archive().find(contest_start);
   for (auto& team : teams) {
     if (!team.opened) {
-      team.opened = scheme.decrypt(team.handout, team.keys.a, archived);
+      team.opened =
+          scheme.open(team.handout, team.keys.a, archived, authority.public_key());
       std::printf("team %-8s recovered the update from the archive\n",
                   team.name.c_str());
     }

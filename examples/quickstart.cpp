@@ -32,8 +32,9 @@ int main() {
   // 3. Sender: encrypt for a release time, entirely offline.
   const char* release_time = "2030-01-01T00:00:00Z";
   Bytes message = to_bytes("Happy New Year 2030!");
-  core::Ciphertext ct =
-      scheme.encrypt(message, receiver.pub, server.pub, release_time, rng);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, message, receiver.pub, server.pub, release_time,
+                  rng);
   std::printf("ciphertext: %zu bytes for a %zu-byte message\n",
               ct.to_bytes().size(), message.size());
 
@@ -44,13 +45,14 @@ int main() {
               update.to_bytes().size());
 
   // 5. Receiver decrypts with private key + update.
-  Bytes opened = scheme.decrypt(ct, receiver.a, update);
+  Bytes opened = *scheme.open(ct, receiver.a, update, server.pub);
   std::printf("decrypted: %.*s\n", static_cast<int>(opened.size()),
               reinterpret_cast<const char*>(opened.data()));
 
   // Before the release time there is no update, and a wrong one fails:
   core::KeyUpdate early = scheme.issue_update(server, "2029-12-31T23:59:59Z");
-  Bytes garbage = scheme.decrypt(ct, receiver.a, early);
+  // A basic ciphertext has no integrity check: it opens to garbage bytes.
+  Bytes garbage = *scheme.open(ct, receiver.a, early, server.pub);
   std::printf("decrypting with the 23:59:59 update instead: %s\n",
               garbage == message ? "OPENED (bug!)" : "garbage, as intended");
   return garbage == message ? 1 : 0;

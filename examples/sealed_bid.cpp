@@ -33,7 +33,7 @@ int main() {
   struct Bid {
     std::string bidder;
     long amount;
-    core::FoCiphertext sealed;
+    core::SealedCiphertext sealed;
   };
   std::vector<Bid> bids;
   for (const auto& [bidder, amount] : std::initializer_list<std::pair<const char*, long>>{
@@ -42,8 +42,8 @@ int main() {
            {"Carver & Sons", 1'310'000}}) {
     std::string plaintext = std::string(bidder) + " bids $" + std::to_string(amount);
     bids.push_back(Bid{bidder, amount,
-                       scheme.encrypt_fo(to_bytes(plaintext), office.pub,
-                                         clock_authority.public_key(), deadline, rng)});
+                       scheme.seal(core::Mode::kFo, to_bytes(plaintext), office.pub,
+                                   clock_authority.public_key(), deadline, rng)});
     std::printf("%-14s submitted a sealed bid (%zu bytes)\n", bidder,
                 bids.back().sealed.to_bytes().size());
   }
@@ -71,7 +71,7 @@ int main() {
   std::string winner;
   for (const auto& bid : bids) {
     auto opened =
-        scheme.decrypt_fo(bid.sealed, office.a, update, clock_authority.public_key());
+        scheme.open(bid.sealed, office.a, update, clock_authority.public_key());
     if (!opened) {
       std::printf("%-14s ciphertext invalid (tampered?)\n", bid.bidder.c_str());
       continue;

@@ -30,7 +30,8 @@ int main() {
   core::UserKeyPair user = scheme.user_keygen(net_key.group, rng);
   const char* release = "2030-01-01T00:00:00Z";
   Bytes msg = to_bytes("released by any 3 of 5 operators");
-  core::Ciphertext ct = scheme.encrypt(msg, user.pub, net_key.group, release, rng);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, net_key.group, release, rng);
   std::printf("message sealed for %s\n\n", release);
 
   // The release minute arrives. Operators 2 and 5 are down; 4 is
@@ -62,7 +63,7 @@ int main() {
   std::printf("combined update self-authenticates: %s\n",
               scheme.verify_update(net_key.group, update) ? "yes" : "no");
 
-  Bytes opened = scheme.decrypt(ct, user.a, update);
+  Bytes opened = *scheme.open(ct, user.a, update, net_key.group);
   std::printf("decrypted: %.*s\n", static_cast<int>(opened.size()),
               reinterpret_cast<const char*>(opened.data()));
   return opened == msg ? 0 : 1;

@@ -41,8 +41,8 @@ Scalar RivestPkList::release_epoch_secret(std::uint64_t epoch) const {
   return secrets_[epoch];
 }
 
-Bytes RivestPkList::decrypt(const params::GdhParams& params, const EpochCiphertext& ct,
-                            const Scalar& epoch_secret) {
+Bytes RivestPkList::decrypt(const params::GdhParams& /*params*/,
+                            const EpochCiphertext& ct, const Scalar& epoch_secret) {
   G1Point shared = ct.c1.mul(epoch_secret);
   Bytes stream = hashing::oracle_bytes("RSW-PKLIST", shared.to_bytes_compressed(),
                                        ct.body.size());

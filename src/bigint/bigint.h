@@ -92,7 +92,7 @@ struct BigInt {
         out.push_back("0123456789abcdef"[nib]);
       }
     }
-    if (out.empty()) out = "0";
+    if (out.empty()) out.push_back('0');
     return out;
   }
 

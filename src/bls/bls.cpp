@@ -48,21 +48,4 @@ bool BlsScheme::verify_aggregate(const G1Point& g, const G1Point& pk,
   return pairing::pairings_equal(pk, hsum, g, aggregate_sig.sig);
 }
 
-bool BlsScheme::verify_batch(const G1Point& g, const G1Point& pk,
-                             std::span<const SignedMessage> batch,
-                             tre::hashing::RandomSource& rng) const {
-  if (batch.empty()) return true;
-  G1Point sig_sum = G1Point::infinity(params_->ctx());
-  G1Point hash_sum = G1Point::infinity(params_->ctx());
-  for (const auto& sm : batch) {
-    if (sm.sig.sig.is_infinity()) return false;
-    Bytes wb = rng.bytes(8);
-    Scalar w = Scalar::from_bytes_be(wb);
-    if (w.is_zero()) w = Scalar::from_u64(1);
-    sig_sum = sig_sum + sm.sig.sig.mul(w);
-    hash_sum = hash_sum + ec::hash_to_g1(params_->ctx(), to_bytes(sm.msg)).mul(w);
-  }
-  return pairing::pairings_equal(pk, hash_sum, g, sig_sum);
-}
-
 }  // namespace tre::bls

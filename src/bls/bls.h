@@ -3,14 +3,12 @@
 // The paper's §5.3.1 observation made first-class: a time-bound key
 // update IS the BLS signature s·H1(T), self-authenticating against the
 // public key (G, sG). This module exposes the signature scheme on its
-// own, plus the two group-structure features the TRE deployment benefits
-// from:
-//   * aggregation — n signatures (same signer, distinct messages)
-//     compress to one group element, verified with one pairing product;
-//   * randomized batch verification — a receiver catching up on an
-//     archive of n updates validates all of them with 2 pairings instead
-//     of 2n (each signature is weighted by a random scalar so a forgery
-//     cannot hide in the sum).
+// own, plus aggregation: n signatures (same signer, distinct messages)
+// compress to one group element, verified with one pairing product.
+// Randomized batch verification of key updates lives in the TRE core
+// (TreScheme::verify_updates_batch): a receiver catching up on an archive
+// of n updates validates them with one RLC pairing check instead of n,
+// and a failed batch is bisected to the exact forged updates.
 #pragma once
 
 #include <span>
@@ -63,14 +61,6 @@ class BlsScheme {
   bool verify_aggregate(const ec::G1Point& g, const ec::G1Point& pk,
                         std::span<const std::string> msgs,
                         const Signature& aggregate_sig) const;
-
-  /// Randomized batch verification of n individual signatures by one
-  /// signer: picks random 64-bit weights w_i and checks
-  /// ê(g, Σ w_i·sig_i) == ê(pk, Σ w_i·H1(m_i)). A single invalid
-  /// signature escapes detection with probability 2^-64.
-  bool verify_batch(const ec::G1Point& g, const ec::G1Point& pk,
-                    std::span<const SignedMessage> batch,
-                    tre::hashing::RandomSource& rng) const;
 
  private:
   std::shared_ptr<const params::GdhParams> params_;

@@ -176,18 +176,20 @@ JacT<T> jac_mul(const JacT<T>& base, const bigint::BigInt<L>& k) {
 
 // Width-4 fixed-window ladder with a constant double/add pattern: every
 // window performs exactly four doublings and one addition (a dummy
-// accumulator absorbs zero windows). Mirrors ec::G1Point::mul_secret —
-// constant-pattern, not constant-time (field ops and the window count
-// still vary; documented limitation, PERF.md).
+// accumulator absorbs zero windows), over a window count fixed by
+// max(|r|, |k|) so a short secret runs as many windows as a long one.
+// Mirrors ec::G1Point::mul_secret — constant-pattern, not constant-time
+// (field ops still vary; documented limitation, PERF.md).
 template <class T, size_t L>
-JacT<T> jac_mul_secret(const JacT<T>& base, const bigint::BigInt<L>& k) {
+JacT<T> jac_mul_secret(const JacT<T>& base, const bigint::BigInt<L>& k,
+                       size_t order_bits) {
   JacT<T> zero{base.x, base.y, T{}};
   if (base.inf() || k.is_zero()) return zero;
   std::array<JacT<T>, 16> tab;
   tab[0] = zero;
   tab[1] = base;
   for (size_t i = 2; i < 16; ++i) tab[i] = jac_add(tab[i - 1], base);
-  size_t windows = (k.bit_length() + 3) / 4;
+  size_t windows = (std::max(order_bits, k.bit_length()) + 3) / 4;
   JacT<T> acc = zero;
   JacT<T> dummy = base;
   for (size_t w = windows; w-- > 0;) {
@@ -483,7 +485,7 @@ G1Point381 Bls12Ctx::g1_mul(const G1Point381& a, const Scalar& k) const {
 G1Point381 Bls12Ctx::g1_mul_secret(const G1Point381& a, const Scalar& k) const {
   if (a.inf || k.is_zero()) return g1_infinity();
   JacT<Fq> ja{a.x, a.y, Fq::one()};
-  return jac_to_g1(jac_mul_secret(ja, k));
+  return jac_to_g1(jac_mul_secret(ja, k, r().bit_length()));
 }
 
 namespace {
@@ -640,7 +642,7 @@ G2Point381 Bls12Ctx::g2_mul(const G2Point381& a, const Scalar& k) const {
 G2Point381 Bls12Ctx::g2_mul_secret(const G2Point381& a, const Scalar& k) const {
   if (a.inf || k.is_zero()) return g2_infinity();
   JacT<Fq2> ja{a.x, a.y, Fq2::one()};
-  return jac_to_g2(jac_mul_secret(ja, k));
+  return jac_to_g2(jac_mul_secret(ja, k, r().bit_length()));
 }
 
 bool Bls12Ctx::g2_in_subgroup(const G2Point381& a) const {

@@ -1,7 +1,7 @@
 // Library health latch for the FIPS-style power-on self-test gate.
 //
 // Key-producing entry points (keygen and key rebinding, issue_update,
-// seal/open and their batch and epoch-key variants, epoch-key
+// seal, encrypt_batch, open, open_with_epoch_key, open_batch, epoch-key
 // derivation, threshold setup / partial issuance / DKG keygen, keystore
 // seal/open, the time-lock solver) call
 // `health::ensure_operational()` before touching secret material. The

@@ -25,12 +25,14 @@ Ciphertext PolicyLock::lock(ByteSpan msg, const UserPublicKey& user,
                             const ServerPublicKey& witness,
                             std::string_view condition,
                             tre::hashing::RandomSource& rng) const {
-  return scheme_.encrypt(msg, user, witness, condition, rng);
+  return std::get<Ciphertext>(
+      scheme_.seal(Mode::kBasic, msg, user, witness, condition, rng).body);
 }
 
 Bytes PolicyLock::unlock(const Ciphertext& ct, const Scalar& a,
-                         const WitnessStatement& st) const {
-  return scheme_.decrypt(ct, a, st);
+                         const WitnessStatement& st,
+                         const ServerPublicKey& witness) const {
+  return *scheme_.open(SealedCiphertext{ct}, a, st, witness);
 }
 
 G1Point PolicyLock::sum_of_hashes(std::span<const std::string> conditions) const {

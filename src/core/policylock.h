@@ -42,13 +42,15 @@ class PolicyLock {
   bool verify_statement(const ServerPublicKey& witness,
                         const WitnessStatement& st) const;
 
-  /// Locks msg under a single condition (delegates to TreScheme).
+  /// Locks msg under a single condition: a basic-flavour TreScheme seal.
   Ciphertext lock(ByteSpan msg, const UserPublicKey& user,
                   const ServerPublicKey& witness, std::string_view condition,
                   tre::hashing::RandomSource& rng) const;
 
-  Bytes unlock(const Ciphertext& ct, const Scalar& a,
-               const WitnessStatement& st) const;
+  /// Opens a single-condition lock through TreScheme::open, which takes
+  /// the witness key with the statement.
+  Bytes unlock(const Ciphertext& ct, const Scalar& a, const WitnessStatement& st,
+               const ServerPublicKey& witness) const;
 
   /// Locks msg so that *all* conditions must be attested:
   /// K = ê(r·asG, Σ_j H1(C_j)).

@@ -25,6 +25,14 @@
 // 512 instantiation bit-identical (test_seal's golden vectors enforce
 // it).
 //
+// The encrypt/decrypt surface is seal, open, open_with_epoch_key and
+// open_batch (plus encrypt_batch, the basic-only batch sealer). Every
+// ciphertext has one session value K = ê(asG, H1(T))^r = ê(I_T, U)^a;
+// the flavours differ only in how K masks the message, so each flavour's
+// seal step and its unmask-from-K step are written once, and the open
+// routes differ only in how they reach K (ê(I_T, U)^a for open, cached
+// Miller lines of the §5.3.3 epoch key a·I_T for the other two).
+//
 // The backend policy (all static; `Params` is the curve context):
 //   types   : Params, Gu, Gh, Gt, GhPrecomp (fixed-base engine),
 //             PairPrecomp (Miller-line engine)
@@ -82,7 +90,7 @@ inline const char* mode_name(Mode m) {
   return "unknown";
 }
 
-/// Whether encrypt() performs the paper's step-1 pairing check on the
+/// Whether seal() performs the paper's step-1 pairing check on the
 /// receiver public key. The check proves asg is really a·(sG), i.e. the
 /// receiver cannot decrypt without the server's update.
 enum class KeyCheck { kVerify, kSkip };
@@ -202,6 +210,44 @@ SnapshotCacheOptions cache_options() {
     SchemeProbes<B>::get().cache_lock_wait_ns.record(ns);
   };
   return opt;
+}
+
+/// The random-linear-combination (RLC) bisection behind every batch
+/// check: update signatures, threshold partials and FO re-encryption
+/// checks. Over items [0, n), each fold of two or more items draws fresh
+/// scalars cᵢ ∈ [0, 2^rlc_bits) from `rng` and asks `holds(lo, hi, c)`
+/// whether the combined equation over [lo, hi) holds; a failed fold
+/// counts one bisection and splits in half, lower half first. A size-1
+/// leaf runs `leaf(i)`, the caller's exact single-item check, so
+/// attribution is exact and a lone item draws nothing.
+template <class Holds, class Leaf>
+void rlc_bisect(size_t n, tre::hashing::RandomSource& rng, unsigned rlc_bits,
+                const obs::CounterProbe& bisections, Holds&& holds, Leaf&& leaf) {
+  const size_t scalar_len = (rlc_bits + 7) / 8;
+  auto check = [&](auto&& self, size_t lo, size_t hi) -> void {
+    const size_t m = hi - lo;
+    if (m == 0) return;
+    if (m == 1) {
+      leaf(lo);
+      return;
+    }
+    std::vector<Scalar> c;
+    c.reserve(m);
+    Bytes buf = rng.bytes(m * scalar_len);
+    for (size_t i = 0; i < m; ++i) {
+      std::span<std::uint8_t> chunk(buf.data() + i * scalar_len, scalar_len);
+      if (rlc_bits % 8 != 0) {
+        chunk[0] &= static_cast<std::uint8_t>((1u << (rlc_bits % 8)) - 1);
+      }
+      c.push_back(Scalar::from_bytes_be(chunk));
+    }
+    if (holds(lo, hi, std::span<const Scalar>(c))) return;
+    bisections.add();
+    const size_t mid = lo + m / 2;
+    self(self, lo, mid);
+    self(self, mid, hi);
+  };
+  check(check, 0, n);
 }
 
 }  // namespace detail
@@ -420,9 +466,9 @@ struct BasicReactCiphertext {
 
 /// Mode-tagged ciphertext: any flavour under ONE wire format (a 1-byte
 /// mode header followed by the flavour's own encoding). seal() produces
-/// it, open() consumes it; the per-flavour entry points remain as thin
-/// wrappers and interoperate bit-for-bit (a SealedCiphertext's payload
-/// IS the legacy encoding).
+/// it and the open routes consume it; the payload after the mode byte is
+/// the flavour struct's own to_bytes() (tre_cli's per-flavour file kinds
+/// store exactly that payload).
 template <class B>
 struct BasicSealedCiphertext {
   std::variant<BasicCiphertext<B>, BasicFoCiphertext<B>, BasicReactCiphertext<B>> body;
@@ -626,55 +672,28 @@ class BasicTreScheme {
       h1.push_back(hash_tag(updates[i].tag));
     }
 
-    const size_t scalar_len = (rlc_bits + 7) / 8;
-    auto draw_scalars = [&](size_t n) {
-      std::vector<Scalar> out;
-      out.reserve(n);
-      Bytes buf = rng.bytes(n * scalar_len);
-      for (size_t i = 0; i < n; ++i) {
-        std::span<std::uint8_t> chunk(buf.data() + i * scalar_len, scalar_len);
-        if (rlc_bits % 8 != 0) {
-          chunk[0] &= static_cast<std::uint8_t>((1u << (rlc_bits % 8)) - 1);
-        }
-        out.push_back(Scalar::from_bytes_be(chunk));
-      }
-      return out;
-    };
-
     // One RLC check over live[lo, hi): two Gu multi-exps + one size-2
     // pairing comparison.
-    auto rlc_holds = [&](size_t lo, size_t hi) {
+    auto holds = [&](size_t lo, size_t hi, std::span<const Scalar> c) {
       const size_t n = hi - lo;
-      std::vector<Scalar> c = draw_scalars(n);
       std::vector<typename B::Gu> sigs;
       sigs.reserve(n);
       for (size_t k = lo; k < hi; ++k) sigs.push_back(updates[live[k]].sig);
       probes().multiexp_calls.add(2);
       probes().multiexp_points.add(2 * n);
-      typename B::Gu p =
-          B::gu_multiexp(*params_, std::span<const typename B::Gu>(h1).subspan(lo, n),
-                         std::span<const Scalar>(c), threads);
-      typename B::Gu q = B::gu_multiexp(
-          *params_, std::span<const typename B::Gu>(sigs), std::span<const Scalar>(c), threads);
+      typename B::Gu p = B::gu_multiexp(
+          *params_, std::span<const typename B::Gu>(h1).subspan(lo, n), c, threads);
+      typename B::Gu q =
+          B::gu_multiexp(*params_, std::span<const typename B::Gu>(sigs), c, threads);
       probes().pairings.add(2);
       return B::pairings_equal_hu(*params_, server.sg, p, server.g, q);
     };
-
-    auto check = [&](auto&& self, size_t lo, size_t hi) -> void {
-      const size_t n = hi - lo;
-      if (n == 0) return;
-      if (n == 1) {
-        const size_t idx = live[lo];
-        if (!verify_update(server, updates[idx])) bad.push_back(idx);
-        return;
-      }
-      if (rlc_holds(lo, hi)) return;
-      probes().batch_bisections.add();
-      const size_t mid = lo + n / 2;
-      self(self, lo, mid);
-      self(self, mid, hi);
-    };
-    check(check, 0, live.size());
+    detail::rlc_bisect(live.size(), rng, rlc_bits, probes().batch_bisections, holds,
+                       [&](size_t k) {
+                         if (!verify_update(server, updates[live[k]])) {
+                           bad.push_back(live[k]);
+                         }
+                       });
 
     std::sort(bad.begin(), bad.end());
     probes().batch_rejected.add(bad.size());
@@ -682,60 +701,81 @@ class BasicTreScheme {
     return bad;
   }
 
-  // --- Unified seal/open ------------------------------------------------------
+  // --- Seal and open ------------------------------------------------------------
 
-  /// One entry point for all three flavours: seal(Mode::kBasic, ...) is
-  /// bit-identical to encrypt(...) drawing the same randomness, and
-  /// likewise for kFo/kReact. The legacy per-flavour encrypt_* methods
-  /// below are thin wrappers over this.
+  /// Seals `msg` for `user` under the release tag, in any flavour. Every
+  /// flavour sends U = r·G and derives K = ê(asG, H1(T))^r; they differ
+  /// in how r is drawn (FO: r = H3(σ, M); basic and REACT: at random)
+  /// and in how K masks the message (the ciphertext structs above).
   BasicSealedCiphertext<B> seal(Mode mode, ByteSpan msg,
                                 const BasicUserPublicKey<B>& user,
                                 const BasicServerPublicKey<B>& server,
                                 std::string_view tag, tre::hashing::RandomSource& rng,
                                 KeyCheck check = KeyCheck::kVerify) const {
-    probes().seals.add();
-    switch (mode) {
-      case Mode::kBasic:
-        return BasicSealedCiphertext<B>{seal_basic(msg, user, server, tag, rng, check)};
-      case Mode::kFo:
-        return BasicSealedCiphertext<B>{seal_fo(msg, user, server, tag, rng, check)};
-      case Mode::kReact:
-        return BasicSealedCiphertext<B>{seal_react(msg, user, server, tag, rng, check)};
-      case Mode::kHybrid:
-        throw Error("seal: hybrid envelopes are built by timelock::seal_hybrid");
+    if (mode == Mode::kHybrid) {
+      throw Error("seal: hybrid envelopes are built by timelock::seal_hybrid");
     }
-    throw Error("seal: unknown mode");
+    require(mode == Mode::kBasic || mode == Mode::kFo || mode == Mode::kReact,
+            "seal: unknown mode");
+    health::ensure_operational();
+    obs::Span span(probes().encrypt_ns);
+    probes().seals.add();
+    if (check == KeyCheck::kVerify) {
+      require(checked_user_key(server, user),
+              "TRE seal: receiver public key fails the pairing check");
+    }
+    // FO's σ or REACT's R is drawn before r, as the golden vectors fix.
+    Bytes nonce;
+    Scalar r;
+    if (mode == Mode::kFo) {
+      nonce = rng.bytes(detail::kSigmaBytes);
+      // r = H3(σ, M): opening re-derives it, making the scheme
+      // plaintext-aware (CCA in the ROM per Fujisaki-Okamoto).
+      r = hash_to_scalar("TRE-H3", concat({nonce, msg}));
+    } else {
+      if (mode == Mode::kReact) nonce = rng.bytes(detail::kSigmaBytes);
+      r = B::random_scalar(*params_, rng);
+    }
+    typename B::Gh u = mul_fixed_base(server.g, r);
+    typename B::Gu h1t = hash_tag(tag);
+    // ê(r·asG, H1(T)) == ê(asG, H1(T))^r: with the base pairing memoized,
+    // the per-message cost is one comb multiply and one G_T exponentiation.
+    Gt k = B::gt_pow_unitary(*params_, pair_base(user.asg, tag, h1t), r);
+
+    if (mode == Mode::kBasic) {
+      return {BasicCiphertext<B>{u, xor_bytes(msg, mask_h2(k, msg.size()))}};
+    }
+    Bytes c_nonce = xor_bytes(nonce, mask_h2(k, detail::kSigmaBytes));
+    if (mode == Mode::kFo) {
+      Bytes c_msg = xor_bytes(msg, hashing::oracle_bytes("TRE-H4", nonce, msg.size()));
+      return {BasicFoCiphertext<B>{u, std::move(c_nonce), std::move(c_msg)}};
+    }
+    Bytes c_msg = xor_bytes(msg, hashing::oracle_bytes("TRE-G", nonce, msg.size()));
+    Bytes mac = hashing::oracle_bytes(
+        "TRE-H5", concat({nonce, msg, B::gh_to_bytes(u), c_nonce, c_msg}),
+        detail::kMacBytes);
+    return {BasicReactCiphertext<B>{u, std::move(c_nonce), std::move(c_msg),
+                                    std::move(mac)}};
   }
 
-  /// Decrypts any flavour; dispatches on the ciphertext's mode. nullopt
-  /// on tampering (kFo/kReact) — kBasic has no integrity, so its result
-  /// is always engaged but only meaningful for matching inputs. `server`
-  /// is needed by the FO re-encryption check only.
+  /// Opens any flavour with the receiver's secret and the epoch's update:
+  /// K = ê(I_T, U)^a. nullopt on tampering (kFo/kReact) — kBasic has no
+  /// integrity, so its result is always engaged but only meaningful for
+  /// matching inputs. `server` is needed by the FO re-encryption check.
   std::optional<Bytes> open(const BasicSealedCiphertext<B>& ct, const Scalar& a,
                             const BasicKeyUpdate<B>& update,
                             const BasicServerPublicKey<B>& server) const {
-    probes().opens.add();
-    return std::visit(
-        [&](const auto& body) -> std::optional<Bytes> {
-          using T = std::decay_t<decltype(body)>;
-          if constexpr (std::is_same_v<T, BasicCiphertext<B>>) {
-            return decrypt(body, a, update);
-          } else if constexpr (std::is_same_v<T, BasicFoCiphertext<B>>) {
-            return decrypt_fo(body, a, update, server);
-          } else {
-            return decrypt_react(body, a, update);
-          }
-        },
-        ct.body);
+    return open_with(ct, server, [&](const typename B::Gh& u) {
+      return B::gt_pow_unitary(*params_, pair_with_lines(update.sig, u), a);
+    });
   }
 
   /// Batch-opens N same-tag ciphertexts for one receiver through the
   /// multi-exp engine. Two batch effects:
-  ///   * The decrypt pairing ê(I_T, U)^a equals ê(a·I_T, U) by
-  ///     bilinearity, so the epoch key d = a·I_T is derived ONCE and the
-  ///     per-item G_T exponentiation disappears (d's Miller lines are
-  ///     cached, matching the §5.3.3 insecure-device path — masks stay
-  ///     bit-identical to per-item decryption).
+  ///   * The epoch key d = a·I_T is derived ONCE and each K = ê(d, U)
+  ///     pairs through d's cached Miller lines, as open_with_epoch_key
+  ///     does; bilinearity makes it equal open()'s ê(I_T, U)^a, so the
+  ///     per-item G_T exponentiation disappears.
   ///   * FO re-encryption checks fold into one RLC equation
   ///     (Σᵢ cᵢ·rᵢ)·G == Σᵢ cᵢ·Uᵢ — one comb multiply + one Gh
   ///     multi-exp instead of N comb multiplies — with bisection
@@ -759,128 +799,62 @@ class BasicTreScheme {
     // re-encryption checks so those can fold into one RLC equation.
     std::vector<Scalar> fo_r(cts.size());
     std::vector<std::uint8_t> is_fo(cts.size(), 0);
+    auto epoch_key_of = [&](const typename B::Gh& u) {
+      return pair_with_lines(epoch.d, u);
+    };
     tre::parallel_for(
         cts.size(),
         [&](size_t i) {
-          std::visit(
-              [&](const auto& body) {
-                using T = std::decay_t<decltype(body)>;
-                if constexpr (std::is_same_v<T, BasicCiphertext<B>>) {
-                  out[i] = decrypt_with_epoch_key(body, epoch);
-                } else if constexpr (std::is_same_v<T, BasicFoCiphertext<B>>) {
-                  if (body.c_sigma.size() != detail::kSigmaBytes) return;
-                  Gt k = pair_with_lines(epoch.d, body.u);
-                  Bytes sigma =
-                      xor_bytes(body.c_sigma, mask_h2(k, detail::kSigmaBytes));
-                  Bytes msg = xor_bytes(
-                      body.c_msg,
-                      hashing::oracle_bytes("TRE-H4", sigma, body.c_msg.size()));
-                  fo_r[i] = hash_to_scalar("TRE-H3", concat({sigma, msg}));
-                  is_fo[i] = 1;
-                  out[i] = std::move(msg);  // provisional until the RLC passes
-                } else {  // REACT: the MAC check is per-item hashing, no pairing
-                  if (body.c_r.size() != detail::kSigmaBytes ||
-                      body.mac.size() != detail::kMacBytes) {
-                    return;
-                  }
-                  Gt k = pair_with_lines(epoch.d, body.u);
-                  Bytes witness =
-                      xor_bytes(body.c_r, mask_h2(k, detail::kSigmaBytes));
-                  Bytes msg = xor_bytes(
-                      body.c_msg,
-                      hashing::oracle_bytes("TRE-G", witness, body.c_msg.size()));
-                  Bytes mac = hashing::oracle_bytes(
-                      "TRE-H5",
-                      concat({witness, msg, B::gh_to_bytes(body.u), body.c_r,
-                              body.c_msg}),
-                      detail::kMacBytes);
-                  if (ct_equal(mac, body.mac)) out[i] = std::move(msg);
-                }
-              },
-              cts[i].body);
+          auto defer = [&](const Scalar& r, const typename B::Gh&) {
+            fo_r[i] = r;
+            is_fo[i] = 1;
+            return true;  // provisional until the RLC passes
+          };
+          out[i] = unmask(cts[i], epoch_key_of, defer);
         },
         threads);
 
     // One RLC re-encryption check over every FO item that unmasked.
     std::vector<size_t> fo_idx;
     for (size_t i = 0; i < cts.size(); ++i) {
-      if (is_fo[i] && out[i].has_value()) fo_idx.push_back(i);
+      if (is_fo[i]) fo_idx.push_back(i);
     }
-    if (fo_idx.empty()) return out;
-
     const field::FpCtx* fq = B::scalar_field(*params_);
-    const size_t scalar_len = (rlc_bits + 7) / 8;
-    auto draw_scalars = [&](size_t n) {
-      std::vector<Scalar> c;
-      c.reserve(n);
-      Bytes buf = rng.bytes(n * scalar_len);
-      for (size_t k = 0; k < n; ++k) {
-        std::span<std::uint8_t> chunk(buf.data() + k * scalar_len, scalar_len);
-        if (rlc_bits % 8 != 0) {
-          chunk[0] &= static_cast<std::uint8_t>((1u << (rlc_bits % 8)) - 1);
-        }
-        c.push_back(Scalar::from_bytes_be(chunk));
-      }
-      return c;
+    auto header_of = [&](size_t k) -> const typename B::Gh& {
+      return std::get<BasicFoCiphertext<B>>(cts[fo_idx[k]].body).u;
     };
-    auto header_of = [&](size_t idx) -> const typename B::Gh& {
-      return std::get<BasicFoCiphertext<B>>(cts[idx].body).u;
-    };
-    auto rlc_holds = [&](size_t lo, size_t hi) {
+    auto holds = [&](size_t lo, size_t hi, std::span<const Scalar> c) {
       const size_t n = hi - lo;
-      std::vector<Scalar> c = draw_scalars(n);
       field::Fp rho = field::Fp::zero(fq);
       std::vector<typename B::Gh> us;
       us.reserve(n);
       for (size_t k = 0; k < n; ++k) {
-        const size_t idx = fo_idx[lo + k];
         rho = rho + field::Fp::from_int(fq, c[k]) *
-                        field::Fp::from_int(fq, fo_r[idx]);
-        us.push_back(header_of(idx));
+                        field::Fp::from_int(fq, fo_r[fo_idx[lo + k]]);
+        us.push_back(header_of(lo + k));
       }
       probes().multiexp_calls.add();
       probes().multiexp_points.add(n);
       typename B::Gh rhs =
-          B::gh_multiexp(*params_, std::span<const typename B::Gh>(us),
-                         std::span<const Scalar>(c), threads);
+          B::gh_multiexp(*params_, std::span<const typename B::Gh>(us), c, threads);
       return B::gh_eq(mul_fixed_base(server.g, rho.to_int()), rhs);
     };
-    auto check = [&](auto&& self, size_t lo, size_t hi) -> void {
-      const size_t n = hi - lo;
-      if (n == 0) return;
-      if (n == 1) {
-        const size_t idx = fo_idx[lo];
-        if (!B::gh_eq(mul_fixed_base(server.g, fo_r[idx]), header_of(idx))) {
-          out[idx].reset();
-        }
-        return;
-      }
-      if (rlc_holds(lo, hi)) return;
-      probes().batch_bisections.add();
-      const size_t mid = lo + n / 2;
-      self(self, lo, mid);
-      self(self, mid, hi);
-    };
-    check(check, 0, fo_idx.size());
+    detail::rlc_bisect(fo_idx.size(), rng, rlc_bits, probes().batch_bisections, holds,
+                       [&](size_t k) {
+                         if (!reencrypts(server, fo_r[fo_idx[k]], header_of(k))) {
+                           out[fo_idx[k]].reset();
+                         }
+                       });
     return out;
   }
 
-  // --- §5.1 basic scheme ------------------------------------------------------
-
-  BasicCiphertext<B> encrypt(ByteSpan msg, const BasicUserPublicKey<B>& user,
-                             const BasicServerPublicKey<B>& server,
-                             std::string_view tag, tre::hashing::RandomSource& rng,
-                             KeyCheck check = KeyCheck::kVerify) const {
-    return seal_basic(msg, user, server, tag, rng, check);
-  }
-
-  /// Encrypts every message under ONE tag for one receiver, paying the
-  /// receiver-key pairing check, tag hash, and base pairing once for the
-  /// whole batch; per-message work drops to one fixed-base comb multiply
-  /// and one G_T exponentiation. With `threads` != 1 the per-message work
-  /// fans out on the persistent worker pool (0 = hardware_concurrency).
-  /// Output is bit-identical to sequential encrypt() calls drawing the
-  /// same randomness.
+  /// Seals every message under ONE tag for one receiver in the basic
+  /// flavour, paying the receiver-key pairing check, tag hash, and base
+  /// pairing once for the whole batch; per-message work drops to one
+  /// fixed-base comb multiply and one G_T exponentiation. With `threads`
+  /// != 1 the per-message work fans out on the persistent worker pool
+  /// (0 = hardware_concurrency). Output is bit-identical to sequential
+  /// seal(Mode::kBasic, ...) bodies drawing the same randomness.
   std::vector<BasicCiphertext<B>> encrypt_batch(
       std::span<const Bytes> msgs, const BasicUserPublicKey<B>& user,
       const BasicServerPublicKey<B>& server, std::string_view tag,
@@ -895,7 +869,7 @@ class BasicTreScheme {
     if (msgs.empty()) return out;
 
     // All randomness is drawn up front, in order, so the batch produces
-    // exactly the ciphertexts |msgs| sequential encrypt() calls would.
+    // exactly the ciphertexts |msgs| sequential seals would.
     std::vector<Scalar> rs;
     rs.reserve(msgs.size());
     for (size_t i = 0; i < msgs.size(); ++i) {
@@ -917,74 +891,6 @@ class BasicTreScheme {
     return out;
   }
 
-  /// The basic scheme has no integrity: output is only meaningful when the
-  /// inputs match the ciphertext (use the FO/REACT variants otherwise).
-  Bytes decrypt(const BasicCiphertext<B>& ct, const Scalar& a,
-                const BasicKeyUpdate<B>& update) const {
-    health::ensure_operational();
-    obs::Span span(probes().decrypt_ns);
-    Gt k = B::gt_pow_unitary(*params_, pair_with_lines(update.sig, ct.u), a);
-    return xor_bytes(ct.v, mask_h2(k, ct.v.size()));
-  }
-
-  // --- Fujisaki-Okamoto (CCA) -------------------------------------------------
-
-  BasicFoCiphertext<B> encrypt_fo(ByteSpan msg, const BasicUserPublicKey<B>& user,
-                                  const BasicServerPublicKey<B>& server,
-                                  std::string_view tag,
-                                  tre::hashing::RandomSource& rng,
-                                  KeyCheck check = KeyCheck::kVerify) const {
-    return seal_fo(msg, user, server, tag, rng, check);
-  }
-
-  /// nullopt on any tampering (re-encryption check fails). The server key
-  /// is needed to recompute U = H3(σ, M)·G.
-  std::optional<Bytes> decrypt_fo(const BasicFoCiphertext<B>& ct, const Scalar& a,
-                                  const BasicKeyUpdate<B>& update,
-                                  const BasicServerPublicKey<B>& server) const {
-    health::ensure_operational();
-    if (ct.c_sigma.size() != detail::kSigmaBytes) return std::nullopt;
-    obs::Span span(probes().decrypt_ns);
-    Gt k = B::gt_pow_unitary(*params_, pair_with_lines(update.sig, ct.u), a);
-    Bytes sigma = xor_bytes(ct.c_sigma, mask_h2(k, detail::kSigmaBytes));
-    Bytes msg =
-        xor_bytes(ct.c_msg, hashing::oracle_bytes("TRE-H4", sigma, ct.c_msg.size()));
-    Scalar r = hash_to_scalar("TRE-H3", concat({sigma, msg}));
-    // Re-encryption check through the same comb table as encryption.
-    if (!B::gh_eq(mul_fixed_base(server.g, r), ct.u)) return std::nullopt;
-    return msg;
-  }
-
-  // --- REACT (CCA) -------------------------------------------------------------
-
-  BasicReactCiphertext<B> encrypt_react(ByteSpan msg,
-                                        const BasicUserPublicKey<B>& user,
-                                        const BasicServerPublicKey<B>& server,
-                                        std::string_view tag,
-                                        tre::hashing::RandomSource& rng,
-                                        KeyCheck check = KeyCheck::kVerify) const {
-    return seal_react(msg, user, server, tag, rng, check);
-  }
-
-  std::optional<Bytes> decrypt_react(const BasicReactCiphertext<B>& ct,
-                                     const Scalar& a,
-                                     const BasicKeyUpdate<B>& update) const {
-    health::ensure_operational();
-    if (ct.c_r.size() != detail::kSigmaBytes || ct.mac.size() != detail::kMacBytes) {
-      return std::nullopt;
-    }
-    obs::Span span(probes().decrypt_ns);
-    Gt k = B::gt_pow_unitary(*params_, pair_with_lines(update.sig, ct.u), a);
-    Bytes witness = xor_bytes(ct.c_r, mask_h2(k, detail::kSigmaBytes));
-    Bytes msg =
-        xor_bytes(ct.c_msg, hashing::oracle_bytes("TRE-G", witness, ct.c_msg.size()));
-    Bytes mac = hashing::oracle_bytes(
-        "TRE-H5", concat({witness, msg, B::gh_to_bytes(ct.u), ct.c_r, ct.c_msg}),
-        detail::kMacBytes);
-    if (!ct_equal(mac, ct.mac)) return std::nullopt;
-    return msg;
-  }
-
   // --- §5.3.3 key insulation ----------------------------------------------------
 
   /// Safe-device step: combine the long-term secret with a fresh update.
@@ -998,25 +904,14 @@ class BasicTreScheme {
     return BasicEpochKey<B>{update.tag, mul_varying_gu(update.sig, a)};
   }
 
-  /// Insecure-device step: decrypt using only the epoch key.
-  Bytes decrypt_with_epoch_key(const BasicCiphertext<B>& ct,
-                               const BasicEpochKey<B>& key) const {
-    health::ensure_operational();
-    Gt k = pair_with_lines(key.d, ct.u);
-    return xor_bytes(ct.v, mask_h2(k, ct.v.size()));
-  }
-  std::optional<Bytes> decrypt_fo_with_epoch_key(
-      const BasicFoCiphertext<B>& ct, const BasicEpochKey<B>& key,
-      const BasicServerPublicKey<B>& server) const {
-    health::ensure_operational();
-    if (ct.c_sigma.size() != detail::kSigmaBytes) return std::nullopt;
-    Gt k = pair_with_lines(key.d, ct.u);
-    Bytes sigma = xor_bytes(ct.c_sigma, mask_h2(k, detail::kSigmaBytes));
-    Bytes msg =
-        xor_bytes(ct.c_msg, hashing::oracle_bytes("TRE-H4", sigma, ct.c_msg.size()));
-    Scalar r = hash_to_scalar("TRE-H3", concat({sigma, msg}));
-    if (!B::gh_eq(mul_fixed_base(server.g, r), ct.u)) return std::nullopt;
-    return msg;
+  /// Insecure-device step: opens any flavour with only the epoch key,
+  /// K = ê(a·I_T, U) through the key's cached Miller lines. Same results
+  /// as open() with the update the key was derived from.
+  std::optional<Bytes> open_with_epoch_key(const BasicSealedCiphertext<B>& ct,
+                                           const BasicEpochKey<B>& key,
+                                           const BasicServerPublicKey<B>& server) const {
+    return open_with(ct, server,
+                     [&](const typename B::Gh& u) { return pair_with_lines(key.d, u); });
   }
 
   // --- §5.3.4 time-server change --------------------------------------------------
@@ -1230,96 +1125,73 @@ class BasicTreScheme {
     return lines->pair(u);
   }
 
-  // Per-flavour implementations behind seal()/open(); the public
-  // encrypt_*/decrypt_* entry points delegate here too, so both API
-  // generations share one body per flavour.
-  BasicCiphertext<B> seal_basic(ByteSpan msg, const BasicUserPublicKey<B>& user,
-                                const BasicServerPublicKey<B>& server,
-                                std::string_view tag, tre::hashing::RandomSource& rng,
-                                KeyCheck check) const {
-    health::ensure_operational();
-    obs::Span span(probes().encrypt_ns);
-    if (check == KeyCheck::kVerify) {
-      require(checked_user_key(server, user),
-              "TRE encrypt: receiver public key fails the pairing check");
-    }
-    Scalar r = B::random_scalar(*params_, rng);
-    typename B::Gh u = mul_fixed_base(server.g, r);
-    typename B::Gu h1t = hash_tag(tag);
-    // ê(r·asG, H1(T)) == ê(asG, H1(T))^r: with the base pairing memoized,
-    // the per-message cost is one comb multiply and one G_T exponentiation.
-    Gt k = B::gt_pow_unitary(*params_, pair_base(user.asg, tag, h1t), r);
-    return BasicCiphertext<B>{u, xor_bytes(msg, mask_h2(k, msg.size()))};
+  /// FO's re-encryption check U == H3(σ, M)·G, through the same comb
+  /// table as sealing.
+  bool reencrypts(const BasicServerPublicKey<B>& server, const Scalar& r,
+                  const typename B::Gh& u) const {
+    return B::gh_eq(mul_fixed_base(server.g, r), u);
   }
 
-  BasicFoCiphertext<B> seal_fo(ByteSpan msg, const BasicUserPublicKey<B>& user,
-                               const BasicServerPublicKey<B>& server,
-                               std::string_view tag, tre::hashing::RandomSource& rng,
-                               KeyCheck check) const {
-    health::ensure_operational();
-    obs::Span span(probes().encrypt_ns);
-    if (check == KeyCheck::kVerify) {
-      require(checked_user_key(server, user),
-              "TRE encrypt_fo: receiver public key fails the pairing check");
-    }
-    Bytes sigma = rng.bytes(detail::kSigmaBytes);
-    // r = H3(sigma, M): decryption re-derives it, making the scheme
-    // plaintext-aware (CCA in the ROM per Fujisaki-Okamoto).
-    Scalar r = hash_to_scalar("TRE-H3", concat({sigma, msg}));
-    typename B::Gh u = mul_fixed_base(server.g, r);
-    typename B::Gu h1t = hash_tag(tag);
-    Gt k = B::gt_pow_unitary(*params_, pair_base(user.asg, tag, h1t), r);
-    Bytes c_sigma = xor_bytes(sigma, mask_h2(k, detail::kSigmaBytes));
-    Bytes c_msg = xor_bytes(msg, hashing::oracle_bytes("TRE-H4", sigma, msg.size()));
-    return BasicFoCiphertext<B>{u, std::move(c_sigma), std::move(c_msg)};
+  /// Each flavour's unmask step, written once: `key_of(U)` supplies the
+  /// session value K, which the open routes reach in different ways.
+  /// Malformed FO/REACT bodies return nullopt before K is formed, and a
+  /// REACT body whose MAC fails returns nullopt. An FO body hands
+  /// r = H3(σ, M) and U to `fo_check`, the re-encryption check, and
+  /// returns nullopt when it fails.
+  template <class KeyOf, class FoCheck>
+  std::optional<Bytes> unmask(const BasicSealedCiphertext<B>& ct, KeyOf&& key_of,
+                              FoCheck&& fo_check) const {
+    return std::visit(
+        [&](const auto& body) -> std::optional<Bytes> {
+          using T = std::decay_t<decltype(body)>;
+          if constexpr (std::is_same_v<T, BasicCiphertext<B>>) {
+            return xor_bytes(body.v, mask_h2(key_of(body.u), body.v.size()));
+          } else if constexpr (std::is_same_v<T, BasicFoCiphertext<B>>) {
+            if (body.c_sigma.size() != detail::kSigmaBytes) return std::nullopt;
+            Bytes sigma =
+                xor_bytes(body.c_sigma, mask_h2(key_of(body.u), detail::kSigmaBytes));
+            Bytes msg = xor_bytes(
+                body.c_msg, hashing::oracle_bytes("TRE-H4", sigma, body.c_msg.size()));
+            if (!fo_check(hash_to_scalar("TRE-H3", concat({sigma, msg})), body.u)) {
+              return std::nullopt;
+            }
+            return msg;
+          } else {
+            if (body.c_r.size() != detail::kSigmaBytes ||
+                body.mac.size() != detail::kMacBytes) {
+              return std::nullopt;
+            }
+            Bytes witness =
+                xor_bytes(body.c_r, mask_h2(key_of(body.u), detail::kSigmaBytes));
+            Bytes msg = xor_bytes(
+                body.c_msg, hashing::oracle_bytes("TRE-G", witness, body.c_msg.size()));
+            Bytes mac = hashing::oracle_bytes(
+                "TRE-H5",
+                concat({witness, msg, B::gh_to_bytes(body.u), body.c_r, body.c_msg}),
+                detail::kMacBytes);
+            if (!ct_equal(mac, body.mac)) return std::nullopt;
+            return msg;
+          }
+        },
+        ct.body);
   }
 
-  BasicReactCiphertext<B> seal_react(ByteSpan msg, const BasicUserPublicKey<B>& user,
-                                     const BasicServerPublicKey<B>& server,
-                                     std::string_view tag,
-                                     tre::hashing::RandomSource& rng,
-                                     KeyCheck check) const {
+  /// open() and open_with_epoch_key(): one gated, counted and timed
+  /// route, parameterized by how K is reached.
+  template <class KeyOf>
+  std::optional<Bytes> open_with(const BasicSealedCiphertext<B>& ct,
+                                 const BasicServerPublicKey<B>& server,
+                                 KeyOf&& key_of) const {
     health::ensure_operational();
-    obs::Span span(probes().encrypt_ns);
-    if (check == KeyCheck::kVerify) {
-      require(checked_user_key(server, user),
-              "TRE encrypt_react: receiver public key fails the pairing check");
-    }
-    Bytes witness = rng.bytes(detail::kSigmaBytes);  // REACT's random R
-    Scalar r = B::random_scalar(*params_, rng);
-    typename B::Gh u = mul_fixed_base(server.g, r);
-    typename B::Gu h1t = hash_tag(tag);
-    Gt k = B::gt_pow_unitary(*params_, pair_base(user.asg, tag, h1t), r);
-    Bytes c_r = xor_bytes(witness, mask_h2(k, detail::kSigmaBytes));
-    Bytes c_msg = xor_bytes(msg, hashing::oracle_bytes("TRE-G", witness, msg.size()));
-    Bytes mac = hashing::oracle_bytes(
-        "TRE-H5", concat({witness, msg, B::gh_to_bytes(u), c_r, c_msg}),
-        detail::kMacBytes);
-    return BasicReactCiphertext<B>{u, std::move(c_r), std::move(c_msg), std::move(mac)};
+    obs::Span span(probes().decrypt_ns);
+    probes().opens.add();
+    return unmask(ct, key_of, [&](const Scalar& r, const typename B::Gh& u) {
+      return reencrypts(server, r, u);
+    });
   }
 
   std::shared_ptr<const typename B::Params> params_;
   std::shared_ptr<Cache> cache_;
 };
-
-/// Namespace-level spellings of the unified API, so call sites read
-/// core::seal(scheme, Mode::kFo, ...) / core::open(scheme, ...) — generic
-/// over the backend.
-template <class B>
-BasicSealedCiphertext<B> seal(const BasicTreScheme<B>& scheme, Mode mode, ByteSpan msg,
-                              const BasicUserPublicKey<B>& user,
-                              const BasicServerPublicKey<B>& server,
-                              std::string_view tag, tre::hashing::RandomSource& rng,
-                              KeyCheck check = KeyCheck::kVerify) {
-  return scheme.seal(mode, msg, user, server, tag, rng, check);
-}
-
-template <class B>
-std::optional<Bytes> open(const BasicTreScheme<B>& scheme,
-                          const BasicSealedCiphertext<B>& ct, const Scalar& a,
-                          const BasicKeyUpdate<B>& update,
-                          const BasicServerPublicKey<B>& server) {
-  return scheme.open(ct, a, update, server);
-}
 
 }  // namespace tre::core

@@ -78,7 +78,7 @@ class BasicMirroredArchive {
     for (size_t i = 0; i < mirror_count; ++i) {
       NodeId node = net_.add_node("mirror-" + std::to_string(i));
       net_.connect(origin_, node, replication_link);
-      mirrors_.push_back(Replica{node, {}});
+      mirrors_.push_back(Replica{node, {}, {}});
     }
   }
 

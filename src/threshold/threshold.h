@@ -355,26 +355,10 @@ class BasicThresholdScheme {
     }
 
     const typename B::Gu h1t = scheme_.hash_tag(tag);
-    const size_t scalar_len = (rlc_bits + 7) / 8;
-    auto draw_scalars = [&](size_t n) {
-      std::vector<Scalar> out;
-      out.reserve(n);
-      Bytes buf = rng.bytes(n * scalar_len);
-      for (size_t i = 0; i < n; ++i) {
-        std::span<std::uint8_t> chunk(buf.data() + i * scalar_len, scalar_len);
-        if (rlc_bits % 8 != 0) {
-          chunk[0] &= static_cast<std::uint8_t>((1u << (rlc_bits % 8)) - 1);
-        }
-        out.push_back(Scalar::from_bytes_be(chunk));
-      }
-      return out;
-    };
-
     // One RLC equation over live[lo, hi): two multi-exps + one size-2
     // pairing check.
-    auto rlc_holds = [&](size_t lo, size_t hi) {
+    auto holds = [&](size_t lo, size_t hi, std::span<const Scalar> c) {
       const size_t n = hi - lo;
-      std::vector<Scalar> c = draw_scalars(n);
       std::vector<typename B::Gh> commits;
       std::vector<typename B::Gu> sigs;
       commits.reserve(n);
@@ -391,22 +375,12 @@ class BasicThresholdScheme {
       pairings_probe().add(2);
       return B::pairings_equal_hu(p, folded_commit, h1t, key.group.g, folded_sig);
     };
-
-    auto check = [&](auto&& self, size_t lo, size_t hi) -> void {
-      const size_t n = hi - lo;
-      if (n == 0) return;
-      if (n == 1) {
-        const size_t idx = live[lo];
-        if (!verify_partial(key, partials[idx])) bad.push_back(idx);
-        return;
-      }
-      if (rlc_holds(lo, hi)) return;
-      probes().batch_bisections.add();
-      const size_t mid = lo + n / 2;
-      self(self, lo, mid);
-      self(self, mid, hi);
-    };
-    check(check, 0, live.size());
+    core::detail::rlc_bisect(live.size(), rng, rlc_bits, probes().batch_bisections, holds,
+                             [&](size_t k) {
+                               if (!verify_partial(key, partials[live[k]])) {
+                                 bad.push_back(live[k]);
+                               }
+                             });
 
     std::sort(bad.begin(), bad.end());
     probes().partials_rejected.add(bad.size());

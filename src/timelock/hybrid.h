@@ -6,7 +6,7 @@
 // close. A HybridEnvelope seals one fresh payload key Kp down TWO
 // independent lanes:
 //
-//   server lane:  Kp sealed with core::seal under (user, server, tag) —
+//   server lane:  Kp sealed with TreScheme::seal under (user, server, tag) —
 //                 opens the normal way once the epoch update I_T exists;
 //   fallback lane: Kp sealed behind W sequential squarings of an RSW
 //                 puzzle (baselines::Rsw + the checkpointed
@@ -223,7 +223,7 @@ std::optional<Bytes> open_hybrid_with_key(const BasicHybridEnvelope<B>& env,
 }
 
 /// Server lane: open with the user's secret and the epoch update, like
-/// core::open.
+/// TreScheme::open.
 template <class B>
 std::optional<Bytes> open_hybrid(const core::BasicTreScheme<B>& scheme,
                                  const BasicHybridEnvelope<B>& env,

@@ -4,6 +4,8 @@
 // could still look up from the list of old key updates" — the archive is
 // that list. Indexed lookup by tag plus ordered iteration for catch-up
 // after an outage. Experiment E7 measures it at archive sizes up to 10^6.
+// A catch-up batch is validated with the scheme's own
+// verify_updates_batch (one RLC pairing check with exact attribution).
 //
 // Backend-generic: an archive stores BasicKeyUpdate<B> for whichever
 // pairing backend the server runs on; `UpdateArchive` is the type-1
@@ -72,15 +74,5 @@ class BasicUpdateArchive {
 using UpdateArchive = BasicUpdateArchive<core::Tre512Backend>;
 
 extern template class BasicUpdateArchive<core::Tre512Backend>;
-
-/// Validates a whole catch-up batch of updates against the server key
-/// with TWO pairings total (randomized BLS batch verification) instead
-/// of two per update. A single bad update makes the whole batch fail;
-/// fall back to per-update verify_update() to locate it. (Type-1 only:
-/// it reuses the symmetric-curve BLS batch verifier.)
-bool verify_update_batch(std::shared_ptr<const params::GdhParams> params,
-                         const core::ServerPublicKey& server,
-                         std::span<const core::KeyUpdate> updates,
-                         tre::hashing::RandomSource& rng);
 
 }  // namespace tre::server

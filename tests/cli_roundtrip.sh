@@ -18,19 +18,19 @@ printf 'open at the appointed hour' > msg.txt
 "$CLI" issue --server-key server.key --tag "2031-05-05T05:05:05Z" --out update.bin
 "$CLI" verify-update --server-pub server.pub --update update.bin >/dev/null
 "$CLI" decrypt --user-key user.key --server-pub server.pub --update update.bin \
-  --in ct.bin --out out.txt --mode fo
+  --in ct.bin --out out.txt
 cmp msg.txt out.txt
 
-# Every mode roundtrips.
+# Every mode roundtrips; decrypt reads the flavour from the file kind.
 for mode in basic react; do
   "$CLI" encrypt --user-pub user.pub --server-pub server.pub \
     --tag "2031-05-05T05:05:05Z" --in msg.txt --out "ct-$mode.bin" --mode "$mode"
   "$CLI" decrypt --user-key user.key --server-pub server.pub --update update.bin \
-    --in "ct-$mode.bin" --out "out-$mode.txt" --mode "$mode"
+    --in "ct-$mode.bin" --out "out-$mode.txt"
   cmp msg.txt "out-$mode.txt"
 done
 
-# Sealed (mode-tagged) wire: decrypt needs no --mode, the file says.
+# Sealed (mode-tagged) wire: one file kind, the mode byte says.
 for mode in sealed sealed-basic sealed-fo sealed-react; do
   "$CLI" encrypt --user-pub user.pub --server-pub server.pub \
     --tag "2031-05-05T05:05:05Z" --in msg.txt --out "ct-$mode.bin" --mode "$mode"
@@ -51,7 +51,7 @@ grep -q '"counters"' metrics.json
 # The wrong update must NOT decrypt under FO.
 "$CLI" issue --server-key server.key --tag "2031-01-01T00:00:00Z" --out early.bin
 if "$CLI" decrypt --user-key user.key --server-pub server.pub --update early.bin \
-  --in ct.bin --out bad.txt --mode fo 2>/dev/null; then
+  --in ct.bin --out bad.txt 2>/dev/null; then
   echo "FAIL: decrypted with the wrong update" >&2
   exit 1
 fi

@@ -85,7 +85,9 @@ TEST_F(HybridTest, CiphertextCarriesTwoGroupElements) {
   Bytes msg(100, 0xab);
   auto hybrid_ct = hybrid_.encrypt(msg, receiver_, time_server_.pub, kTag, rng_);
   core::UserKeyPair user = tre_scheme_.user_keygen(time_server_.pub, rng_);
-  auto tre_ct = tre_scheme_.encrypt(msg, user.pub, time_server_.pub, kTag, rng_);
+  auto tre_ct = std::get<core::Ciphertext>(tre_scheme_.seal(core::Mode::kBasic, msg,
+                                                            user.pub, time_server_.pub,
+                                                            kTag, rng_).body);
   size_t point = params_->g1_compressed_bytes();
   EXPECT_EQ(hybrid_ct.to_bytes().size() - tre_ct.to_bytes().size(), point);
 }

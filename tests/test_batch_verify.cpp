@@ -56,7 +56,7 @@ class BatchVerifyTest : public ::testing::Test {
         rng_(to_bytes("batch-verify-rng")),
         server_(scheme_.server_keygen(rng_)) {}
 
-  std::string tag_for(size_t i) { return "T" + std::to_string(i); }
+  std::string tag_for(size_t i) { return std::string("T").append(std::to_string(i)); }
 
   std::vector<core::BasicKeyUpdate<B>> honest(size_t n) {
     std::vector<std::string> tags;
@@ -81,7 +81,7 @@ TYPED_TEST(BatchVerifyTest, MultiexpMatchesNaiveSum) {
     std::vector<typename B::Gu> pts;
     std::vector<core::Scalar> ks;
     for (size_t i = 0; i < n; ++i) {
-      pts.push_back(this->scheme_.hash_tag("P" + std::to_string(i)));
+      pts.push_back(this->scheme_.hash_tag(std::string("P").append(std::to_string(i))));
       ks.push_back(B::random_scalar(p, this->rng_));
     }
     typename B::Gu want = B::gu_mul(p, pts[0], ks[0]);

@@ -1,5 +1,6 @@
-// BLS short signatures: sign/verify, aggregation, batch verification,
-// and the equivalence with TRE key updates (§5.3.1).
+// BLS short signatures: sign/verify, aggregation, and the equivalence
+// with TRE key updates (§5.3.1), which lets the scheme's batch verifier
+// check a batch of signatures.
 #include "bls/bls.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +27,13 @@ class BlsTest : public ::testing::Test {
       batch.push_back(SignedMessage{m, bls_.sign(keys_, to_bytes(m))});
     }
     return batch;
+  }
+
+  std::vector<size_t> verify_as_updates(const std::vector<SignedMessage>& batch) {
+    std::vector<core::KeyUpdate> updates;
+    for (const auto& sm : batch) updates.push_back(core::KeyUpdate{sm.msg, sm.sig.sig});
+    return core::TreScheme(params_).verify_updates_batch(
+        core::ServerPublicKey{keys_.g, keys_.pk}, updates, rng_);
   }
 
   std::shared_ptr<const params::GdhParams> params_;
@@ -79,24 +87,26 @@ TEST_F(BlsTest, AggregateRejectsRepeatedMessages) {
   EXPECT_FALSE(bls_.verify_aggregate(keys_.g, keys_.pk, msgs, agg));
 }
 
+// A batch of BLS signatures by one signer is a batch of key updates
+// under the server key (g, pk), so the scheme's RLC batch verifier
+// checks it and names the forged positions.
 TEST_F(BlsTest, BatchVerificationAcceptsValidBatch) {
-  auto batch = make_batch(20);
-  EXPECT_TRUE(bls_.verify_batch(keys_.g, keys_.pk, batch, rng_));
-  EXPECT_TRUE(bls_.verify_batch(keys_.g, keys_.pk, {}, rng_));  // vacuous
+  EXPECT_TRUE(verify_as_updates(make_batch(20)).empty());
+  EXPECT_TRUE(verify_as_updates({}).empty());  // vacuous
 }
 
 TEST_F(BlsTest, BatchVerificationCatchesOneForgery) {
   auto batch = make_batch(20);
   // Replace one signature with a signature on a different message.
   batch[7].sig = bls_.sign(keys_, to_bytes("something else"));
-  EXPECT_FALSE(bls_.verify_batch(keys_.g, keys_.pk, batch, rng_));
+  EXPECT_EQ(verify_as_updates(batch), std::vector<size_t>{7});
 }
 
 TEST_F(BlsTest, BatchVerificationCatchesForeignSignature) {
   auto batch = make_batch(10);
   KeyPair mallory = bls_.keygen(rng_);
   batch[3].sig = bls_.sign(mallory, to_bytes(batch[3].msg));
-  EXPECT_FALSE(bls_.verify_batch(keys_.g, keys_.pk, batch, rng_));
+  EXPECT_EQ(verify_as_updates(batch), std::vector<size_t>{3});
 }
 
 TEST_F(BlsTest, KeyUpdatesAreBlsSignatures) {
@@ -113,14 +123,17 @@ TEST_F(BlsTest, KeyUpdatesAreBlsSignatures) {
 TEST_F(BlsTest, ArchiveCatchUpBatchVerification) {
   core::TreScheme scheme(params_);
   core::ServerKeyPair server = scheme.server_keygen(rng_);
-  std::vector<core::KeyUpdate> updates;
+  server::UpdateArchive archive;
   for (int i = 0; i < 30; ++i) {
-    updates.push_back(scheme.issue_update(server, "t" + std::to_string(i)));
+    archive.put(scheme.issue_update(server, std::string("t").append(std::to_string(i))));
   }
-  EXPECT_TRUE(server::verify_update_batch(params_, server.pub, updates, rng_));
-  // One forged update poisons the batch.
+  size_t cursor = 0;
+  std::vector<core::KeyUpdate> updates = archive.since(cursor);
+  EXPECT_TRUE(scheme.verify_updates_batch(server.pub, updates, rng_).empty());
+  // One forged update is attributed exactly; its siblings still verify.
   updates[11].sig = updates[11].sig.doubled();
-  EXPECT_FALSE(server::verify_update_batch(params_, server.pub, updates, rng_));
+  EXPECT_EQ(scheme.verify_updates_batch(server.pub, updates, rng_),
+            std::vector<size_t>{11});
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "bigint/prime.h"
 #include "hashing/drbg.h"
 #include "hashing/kdf.h"
@@ -102,6 +105,44 @@ TEST_F(Bls12Test, G2GroupBasics) {
       bigint::add(a.resized<13>(), b.resized<13>()), ctx_->r());
   EXPECT_TRUE(ctx_->g2_eq(ctx_->g2_add(ctx_->g2_mul(h, a), ctx_->g2_mul(h, b)),
                           ctx_->g2_mul(h, sum)));
+}
+
+TEST_F(Bls12Test, SecretLadderTimeDoesNotTrackScalarLength) {
+  // g1_mul_secret and g2_mul_secret run a window count fixed by
+  // max(|r|, |k|), so k = 1 runs as many windows as k = r - 1. A loop
+  // sized by |k| alone ran 1 window against 64: 8-10x faster. What is
+  // left (about 2.5x) is the early return on the point at infinity,
+  // which makes k = 1's leading zero windows cheap; that leak is still
+  // open. Fastest-of-11 interleaved batches keep host drift out of the
+  // ratio.
+  const Scalar one = Scalar::from_u64(1);
+  const Scalar r_minus_1 = bigint::sub(ctx_->r(), one);
+  const G1Point381& g = ctx_->g1_generator();
+  const G2Point381& h = ctx_->g2_generator();
+  EXPECT_TRUE(ctx_->g1_eq(ctx_->g1_mul_secret(g, one), g));
+  EXPECT_TRUE(ctx_->g1_eq(ctx_->g1_mul_secret(g, r_minus_1), ctx_->g1_neg(g)));
+  EXPECT_TRUE(ctx_->g2_eq(ctx_->g2_mul_secret(h, one), h));
+  EXPECT_TRUE(ctx_->g2_eq(ctx_->g2_mul_secret(h, r_minus_1), ctx_->g2_neg(h)));
+
+  // Fastest time for k = r - 1 over fastest time for k = 1.
+  auto long_over_short = [&](auto&& mul) {
+    using Clock = std::chrono::steady_clock;
+    double best[2] = {1e300, 1e300};
+    for (int batch = 0; batch < 11; ++batch) {
+      for (int which = 0; which < 2; ++which) {
+        const Scalar& k = which == 0 ? one : r_minus_1;
+        const Clock::time_point t0 = Clock::now();
+        for (int rep = 0; rep < 3; ++rep) mul(k);
+        best[which] = std::min(
+            best[which], std::chrono::duration<double>(Clock::now() - t0).count());
+      }
+    }
+    return best[1] / best[0];
+  };
+  const double g1 = long_over_short([&](const Scalar& k) { (void)ctx_->g1_mul_secret(g, k); });
+  const double g2 = long_over_short([&](const Scalar& k) { (void)ctx_->g2_mul_secret(h, k); });
+  EXPECT_LT(g1, 4.0);
+  EXPECT_LT(g2, 4.0);
 }
 
 TEST_F(Bls12Test, HashToG1) {
@@ -504,16 +545,16 @@ TEST_F(Tre381Test, UserKeygenAnchorTakesTheSecretLadder) {
 
 TEST_F(Tre381Test, RoundtripAndTimeLock) {
   Bytes msg = to_bytes("tlock-style timed release");
-  auto ct = scheme_.encrypt(msg, user_.pub, server_.pub,
-                            "2030-01-01T00:00:00Z", rng_);
+  auto ct = scheme_.seal(core::Mode::kBasic, msg, user_.pub, server_.pub,
+                         "2030-01-01T00:00:00Z", rng_);
   Update381 upd = scheme_.issue_update(server_, "2030-01-01T00:00:00Z");
-  EXPECT_EQ(scheme_.decrypt(ct, user_.a, upd), msg);
+  EXPECT_EQ(scheme_.open(ct, user_.a, upd, server_.pub), msg);
 
   // Wrong update or wrong secret yields garbage.
   Update381 early = scheme_.issue_update(server_, "2029-12-31T23:59:59Z");
-  EXPECT_NE(scheme_.decrypt(ct, user_.a, early), msg);
+  EXPECT_NE(scheme_.open(ct, user_.a, early, server_.pub), msg);
   UserKey381 eve = scheme_.user_keygen(server_.pub, rng_);
-  EXPECT_NE(scheme_.decrypt(ct, eve.a, upd), msg);
+  EXPECT_NE(scheme_.open(ct, eve.a, upd, server_.pub), msg);
 }
 
 TEST_F(Tre381Test, UpdatesAreShorterThanThe2005Curve) {
@@ -527,14 +568,14 @@ TEST_F(Tre381Test, UpdatesAreShorterThanThe2005Curve) {
 
 TEST_F(Tre381Test, FoRoundtripAndTamperRejection) {
   Bytes msg = to_bytes("cca on the modern curve");
-  auto ct = scheme_.encrypt_fo(msg, user_.pub, server_.pub,
-                               "2030-01-01T00:00:00Z", rng_);
+  auto ct = scheme_.seal(core::Mode::kFo, msg, user_.pub, server_.pub,
+                         "2030-01-01T00:00:00Z", rng_);
   Update381 upd = scheme_.issue_update(server_, "2030-01-01T00:00:00Z");
-  auto out = scheme_.decrypt_fo(ct, user_.a, upd, server_.pub);
+  auto out = scheme_.open(ct, user_.a, upd, server_.pub);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, msg);
-  ct.c_msg[0] ^= 1;
-  EXPECT_FALSE(scheme_.decrypt_fo(ct, user_.a, upd, server_.pub).has_value());
+  std::get<FoCiphertext381>(ct.body).c_msg[0] ^= 1;
+  EXPECT_FALSE(scheme_.open(ct, user_.a, upd, server_.pub).has_value());
 }
 
 TEST_F(Tre381Test, WireRoundtrips) {
@@ -545,10 +586,10 @@ TEST_F(Tre381Test, WireRoundtrips) {
   EXPECT_TRUE(ctx.g1_eq(upd2.sig, upd.sig));
 
   Bytes msg = to_bytes("wire");
-  auto ct = scheme_.encrypt(msg, user_.pub, server_.pub, "T", rng_);
-  auto ct2 = Ciphertext381::from_bytes(ctx, ct.to_bytes());
+  auto ct = scheme_.seal(core::Mode::kBasic, msg, user_.pub, server_.pub, "T", rng_);
+  auto ct2 = SealedCiphertext381::from_bytes(ctx, ct.to_bytes());
   Update381 updt = scheme_.issue_update(server_, "T");
-  EXPECT_EQ(scheme_.decrypt(ct2, user_.a, updt), msg);
+  EXPECT_EQ(scheme_.open(ct2, user_.a, updt, server_.pub), msg);
 
   Bytes wire = upd.to_bytes();
   EXPECT_THROW(Update381::from_bytes(ctx, ByteSpan(wire.data(), wire.size() - 1)),
@@ -575,7 +616,7 @@ TEST(Threshold381Test, ThreeOfFiveEndToEnd) {
   ServerPublicKey381 group = key.as_server_public_key();
   UserKey381 user = scheme.user_keygen(group, rng);
   Bytes msg = to_bytes("released by the network");
-  auto ct = scheme.encrypt(msg, user.pub, group, "round-12345", rng);
+  auto ct = scheme.seal(core::Mode::kBasic, msg, user.pub, group, "round-12345", rng);
 
   // Operators 1, 3, 5 publish partials; 4 is corrupt.
   std::vector<Partial> partials = {net.issue_partial(shares[0], "round-12345"),
@@ -588,7 +629,7 @@ TEST(Threshold381Test, ThreeOfFiveEndToEnd) {
 
   Update381 update = net.combine(key, partials);
   EXPECT_TRUE(scheme.verify_update(group, update));
-  EXPECT_EQ(scheme.decrypt(ct, user.a, update), msg);
+  EXPECT_EQ(scheme.open(ct, user.a, update, group), msg);
 
   // Any other k-subset combines to the identical update.
   std::vector<Partial> other = {net.issue_partial(shares[1], "round-12345"),

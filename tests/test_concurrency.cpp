@@ -48,16 +48,16 @@ TEST(SharedSchemeContention, EncryptDecryptIssueAcrossThreads) {
         switch ((w + i) % 4) {
           case 0: {  // basic roundtrip: tag/comb/pair-base/line caches
             Bytes msg = to_bytes("m-" + std::to_string(w) + "-" + std::to_string(i));
-            Ciphertext ct =
-                scheme.encrypt(msg, user.pub, server.pub, tag, local_rng);
-            if (scheme.decrypt(ct, user.a, updates[which]) != msg) ++failures;
+            SealedCiphertext ct =
+                scheme.seal(Mode::kBasic, msg, user.pub, server.pub, tag, local_rng);
+            if (scheme.open(ct, user.a, updates[which], server.pub) != msg) ++failures;
             break;
           }
           case 1: {  // FO roundtrip: adds the re-encryption check path
             Bytes msg = to_bytes("fo-" + std::to_string(i));
-            FoCiphertext ct =
-                scheme.encrypt_fo(msg, user.pub, server.pub, tag, local_rng);
-            auto out = scheme.decrypt_fo(ct, user.a, updates[which], server.pub);
+            SealedCiphertext ct =
+                scheme.seal(Mode::kFo, msg, user.pub, server.pub, tag, local_rng);
+            auto out = scheme.open(ct, user.a, updates[which], server.pub);
             if (!out || *out != msg) ++failures;
             break;
           }
@@ -113,12 +113,6 @@ struct SealJob {
   size_t tag;  // index into the shared tag list
 };
 
-Bytes ciphertext_bytes(const Ciphertext& ct) {
-  Bytes out = ct.u.to_bytes_compressed();
-  out.insert(out.end(), ct.v.begin(), ct.v.end());
-  return out;
-}
-
 TEST(SharedSchemeContention, MixedSealOpenIssueBitIdentical) {
   // The snapshot caches must be a pure concurrency substrate: a cold
   // shared scheme hammered by racing threads and a warm serial scheme
@@ -143,8 +137,10 @@ TEST(SharedSchemeContention, MixedSealOpenIssueBitIdentical) {
   std::vector<Bytes> reference(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     hashing::HmacDrbg rng(to_bytes(jobs[j].seed));
-    reference[j] = ciphertext_bytes(
-        serial.encrypt(jobs[j].msg, user.pub, server.pub, tags[jobs[j].tag], rng));
+    reference[j] = serial
+                       .seal(Mode::kBasic, jobs[j].msg, user.pub, server.pub,
+                             tags[jobs[j].tag], rng)
+                       .to_bytes();
   }
 
   // Concurrent run: one cold shared scheme, every thread also opening
@@ -161,10 +157,10 @@ TEST(SharedSchemeContention, MixedSealOpenIssueBitIdentical) {
       for (int i = 0; i < kJobsPerThread; ++i) {
         const size_t j = static_cast<size_t>(w * kJobsPerThread + i);
         hashing::HmacDrbg rng(to_bytes(jobs[j].seed));
-        Ciphertext ct = shared.encrypt(jobs[j].msg, user.pub, server.pub,
-                                       tags[jobs[j].tag], rng);
-        concurrent[j] = ciphertext_bytes(ct);
-        if (shared.decrypt(ct, user.a, updates[jobs[j].tag]) != jobs[j].msg) {
+        SealedCiphertext ct = shared.seal(Mode::kBasic, jobs[j].msg, user.pub, server.pub,
+                                          tags[jobs[j].tag], rng);
+        concurrent[j] = ct.to_bytes();
+        if (shared.open(ct, user.a, updates[jobs[j].tag], server.pub) != jobs[j].msg) {
           failures.fetch_add(1);
         }
         if (i == 0) {  // keep the issue/verify paths in the race too

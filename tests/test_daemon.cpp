@@ -247,7 +247,8 @@ TEST(Store, PutIsIdempotentButNeverEquivocates) {
 TEST(Store, RangeHonoursCountAndByteBudgets) {
   Store s;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(s.put("T" + std::to_string(i), Bytes(100, std::uint8_t(i))).ok());
+    ASSERT_TRUE(s.put(std::string("T").append(std::to_string(i)),
+                      Bytes(100, std::uint8_t(i))).ok());
   }
   Store::RangeView all = s.range(0, 100, kMaxPayload);
   EXPECT_EQ(all.total, 10u);
@@ -788,7 +789,8 @@ TEST_F(SocketFetcherTest, BatchedRangeCatchUpDropsForgedHistory) {
   auto store = std::make_shared<Store>();
   store->set_server_key("tre-toy-96", server_.pub.to_bytes());
   std::vector<core::KeyUpdate> history;
-  for (int i = 0; i < 8; ++i) history.push_back(update("T" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) history.push_back(
+      update(std::string("T").append(std::to_string(i))));
 
   core::KeyUpdate relabeled = history[2];
   relabeled.tag = "T-relabeled";  // honest sig, foreign tag

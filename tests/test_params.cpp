@@ -81,10 +81,11 @@ TEST(Params, GeneratedCurveRunsTheFullScheme) {
   core::UserKeyPair user = scheme.user_keygen(server.pub, rng);
   EXPECT_TRUE(scheme.verify_user_public_key(server.pub, user.pub));
   Bytes msg = to_bytes("fresh-curve roundtrip");
-  core::Ciphertext ct = scheme.encrypt(msg, user.pub, server.pub, "T", rng);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, "T", rng);
   core::KeyUpdate upd = scheme.issue_update(server, "T");
   EXPECT_TRUE(scheme.verify_update(server.pub, upd));
-  EXPECT_EQ(scheme.decrypt(ct, user.a, upd), msg);
+  EXPECT_EQ(scheme.open(ct, user.a, upd, server.pub), msg);
 }
 
 TEST(Params, GenerateRejectsBadSizes) {

@@ -27,14 +27,14 @@ TEST_F(PolicyLockTest, SingleConditionRoundtrip) {
   Ciphertext ct = lock_.lock(msg, user_.pub, witness_.pub, "It is an emergency", rng_);
   WitnessStatement st = lock_.attest(witness_, "It is an emergency");
   EXPECT_TRUE(lock_.verify_statement(witness_.pub, st));
-  EXPECT_EQ(lock_.unlock(ct, user_.a, st), msg);
+  EXPECT_EQ(lock_.unlock(ct, user_.a, st, witness_.pub), msg);
 }
 
 TEST_F(PolicyLockTest, WrongConditionStatementFails) {
   Bytes msg = to_bytes("open the vault");
   Ciphertext ct = lock_.lock(msg, user_.pub, witness_.pub, "It is an emergency", rng_);
   WitnessStatement st = lock_.attest(witness_, "Task X completed");
-  EXPECT_NE(lock_.unlock(ct, user_.a, st), msg);
+  EXPECT_NE(lock_.unlock(ct, user_.a, st, witness_.pub), msg);
 }
 
 TEST_F(PolicyLockTest, ConjunctionNeedsAllStatements) {
@@ -73,7 +73,7 @@ TEST_F(PolicyLockTest, TimedReleaseIsAPolicyInstance) {
   Bytes msg = to_bytes("press release");
   const char* t = "It is now 2005-06-06T09:00:00Z";
   Ciphertext ct = lock_.lock(msg, user_.pub, witness_.pub, t, rng_);
-  EXPECT_EQ(lock_.unlock(ct, user_.a, lock_.attest(witness_, t)), msg);
+  EXPECT_EQ(lock_.unlock(ct, user_.a, lock_.attest(witness_, t), witness_.pub), msg);
 }
 
 TEST_F(PolicyLockTest, EmptyConditionsRejected) {

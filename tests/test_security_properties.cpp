@@ -32,20 +32,21 @@ TEST_F(SecurityProperties, BasicSchemeIsMalleableByDesign) {
   // for real use; the test pins the behaviour so nobody mistakes the
   // basic mode for authenticated encryption.
   Bytes msg = to_bytes("PAY 100");
-  Ciphertext ct = scheme_.encrypt(msg, user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg, user_.pub, server_.pub, kTag, rng_);
   Bytes delta = xor_bytes(to_bytes("PAY 100"), to_bytes("PAY 999"));
-  xor_inplace(ct.v, delta);
+  xor_inplace(std::get<Ciphertext>(ct.body).v, delta);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  EXPECT_EQ(scheme_.decrypt(ct, user_.a, upd), to_bytes("PAY 999"));
+  EXPECT_EQ(scheme_.open(ct, user_.a, upd, server_.pub), to_bytes("PAY 999"));
 }
 
 TEST_F(SecurityProperties, FoDefeatsTheSameMauling) {
   Bytes msg = to_bytes("PAY 100");
-  FoCiphertext ct = scheme_.encrypt_fo(msg, user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct = scheme_.seal(Mode::kFo, msg, user_.pub, server_.pub, kTag, rng_);
   Bytes delta = xor_bytes(to_bytes("PAY 100"), to_bytes("PAY 999"));
-  xor_inplace(ct.c_msg, delta);
+  xor_inplace(std::get<FoCiphertext>(ct.body).c_msg, delta);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  EXPECT_FALSE(scheme_.decrypt_fo(ct, user_.a, upd, server_.pub).has_value());
+  EXPECT_FALSE(scheme_.open(ct, user_.a, upd, server_.pub).has_value());
 }
 
 TEST_F(SecurityProperties, CiphertextRevealsNoPartyIdentifiers) {
@@ -55,8 +56,10 @@ TEST_F(SecurityProperties, CiphertextRevealsNoPartyIdentifiers) {
   // message are format-identical and unlinkable without the keys.
   UserKeyPair other = scheme_.user_keygen(server_.pub, rng_);
   Bytes msg(64, 0x42);
-  Ciphertext c1 = scheme_.encrypt(msg, user_.pub, server_.pub, kTag, rng_);
-  Ciphertext c2 = scheme_.encrypt(msg, other.pub, server_.pub, kTag, rng_);
+  SealedCiphertext c1 =
+      scheme_.seal(Mode::kBasic, msg, user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext c2 =
+      scheme_.seal(Mode::kBasic, msg, other.pub, server_.pub, kTag, rng_);
   EXPECT_EQ(c1.to_bytes().size(), c2.to_bytes().size());
   // Neither contains the receivers' public key bytes.
   Bytes pk1 = user_.pub.to_bytes();
@@ -82,7 +85,9 @@ TEST_F(SecurityProperties, ServerCannotDecryptWithoutUserSecret) {
   // and the update cannot open mail. Simulate the server's best effort:
   // it knows s, I_T, the ciphertext and both public keys.
   Bytes msg = to_bytes("private from the server too");
-  Ciphertext ct = scheme_.encrypt(msg, user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext sc =
+      scheme_.seal(Mode::kBasic, msg, user_.pub, server_.pub, kTag, rng_);
+  const Ciphertext& ct = std::get<Ciphertext>(sc.body);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   // The server's decryption attempts with everything it has:
   // ê(U, I_T)^s and ê(U, I_T) — both miss the factor a.

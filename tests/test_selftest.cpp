@@ -79,8 +79,10 @@ TEST_F(SelftestGate, PoisonedStateFailsClosedAcrossEntryPoints) {
   core::KeyUpdate update = scheme.issue_update(server, "T");
   core::EpochKey epoch = scheme.derive_epoch_key(user.a, update);
   const Bytes m = to_bytes("m");
-  core::Ciphertext ct = scheme.encrypt(m, user.pub, server.pub, "T", rng);
-  core::FoCiphertext fo = scheme.encrypt_fo(m, user.pub, server.pub, "T", rng);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, m, user.pub, server.pub, "T", rng);
+  core::SealedCiphertext fo =
+      scheme.seal(core::Mode::kFo, m, user.pub, server.pub, "T", rng);
   threshold::BasicThresholdScheme<B> tscheme(params);
   auto [tkey, shares] = tscheme.setup({3, 2}, rng);
   threshold::BasicThresholdScheme<bls12::Bls381Backend> tscheme381(
@@ -93,8 +95,13 @@ TEST_F(SelftestGate, PoisonedStateFailsClosedAcrossEntryPoints) {
   EXPECT_THROW(scheme.issue_update(core::ServerKeyPair{}, "T"), SelftestError);
   EXPECT_THROW(scheme.encrypt_batch(msgs, user.pub, server.pub, "T", rng), SelftestError);
   EXPECT_THROW(scheme.rebind_user_key(user.a, server.pub), SelftestError);
-  EXPECT_THROW(scheme.decrypt_with_epoch_key(ct, epoch), SelftestError);
-  EXPECT_THROW(scheme.decrypt_fo_with_epoch_key(fo, epoch, server.pub), SelftestError);
+  EXPECT_THROW(scheme.seal(core::Mode::kFo, m, user.pub, server.pub, "T", rng),
+               SelftestError);
+  EXPECT_THROW(scheme.open(ct, user.a, update, server.pub), SelftestError);
+  EXPECT_THROW(scheme.open_with_epoch_key(ct, epoch, server.pub), SelftestError);
+  EXPECT_THROW(scheme.open_with_epoch_key(fo, epoch, server.pub), SelftestError);
+  EXPECT_THROW(scheme.open_batch(std::span(&fo, 1), user.a, update, server.pub, rng),
+               SelftestError);
   EXPECT_THROW(tscheme.setup({3, 2}, rng), SelftestError);
   EXPECT_THROW(tscheme.issue_partial(shares[0], "T"), SelftestError);
   EXPECT_THROW(threshold::run_dkg<B>(params, {3, 2}, rng), SelftestError);

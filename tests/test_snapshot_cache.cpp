@@ -102,7 +102,7 @@ TEST(SnapshotCacheEquivalence, MatchesPlainMapModel) {
   SnapshotCache<int> cache;
   std::unordered_map<std::string, int> model;
   for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i % 50);
+    const std::string key = std::string("k").append(std::to_string(i % 50));
     cache.insert(key, i);
     model.emplace(key, i);
   }
@@ -122,8 +122,8 @@ TEST(SnapshotCacheLockWait, HookFiresOnlyWhenContended) {
 
   // Single-threaded: every acquisition is uncontended, hook stays silent.
   for (int i = 0; i < 100; ++i) {
-    cache.insert("k" + std::to_string(i), i);
-    (void)cache.find("k" + std::to_string(i));
+    cache.insert(std::string("k").append(std::to_string(i)), i);
+    (void)cache.find(std::string("k").append(std::to_string(i)));
   }
   EXPECT_EQ(g_waits.load(), 0u);
 

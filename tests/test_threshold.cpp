@@ -48,7 +48,9 @@ TEST_P(ThresholdTest, ForgedPartialRejected) {
   BasicPartialUpdate<B> relabeled{p.index, "other-tag", p.sig};
   EXPECT_FALSE(ttre_.verify_partial(key_, relabeled));
   BasicPartialUpdate<B> wrong_index{2 <= key_.config.n ? 2u : 1u, p.tag, p.sig};
-  if (key_.config.n >= 2) EXPECT_FALSE(ttre_.verify_partial(key_, wrong_index));
+  if (key_.config.n >= 2) {
+    EXPECT_FALSE(ttre_.verify_partial(key_, wrong_index));
+  }
   BasicPartialUpdate<B> doubled{p.index, p.tag, p.sig.doubled()};
   EXPECT_FALSE(ttre_.verify_partial(key_, doubled));
 }
@@ -77,12 +79,13 @@ TEST_P(ThresholdTest, CombinedUpdateDecryptsOrdinaryCiphertexts) {
   const core::TreScheme& scheme = ttre_.scheme();
   core::UserKeyPair user = scheme.user_keygen(key_.group, rng_);
   Bytes msg = to_bytes("threshold-released");
-  core::Ciphertext ct = scheme.encrypt(msg, user.pub, key_.group, kTag, rng_);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, key_.group, kTag, rng_);
 
   std::vector<BasicPartialUpdate<B>> partials;
   for (size_t i = 1; i <= k; ++i) partials.push_back(ttre_.issue_partial(shares_[i - 1], kTag));
   core::KeyUpdate update = ttre_.combine(key_, partials);
-  EXPECT_EQ(scheme.decrypt(ct, user.a, update), msg);
+  EXPECT_EQ(scheme.open(ct, user.a, update, key_.group), msg);
 }
 
 TEST_P(ThresholdTest, FewerThanKFails) {

@@ -185,7 +185,8 @@ TEST_F(ServerFixture, BroadcastLossIsApplied) {
   int received = 0;
   bus.subscribe([&](const core::KeyUpdate&) { ++received; });
   for (int i = 0; i < 200; ++i) {
-    bus.publish(scheme_.issue_update(server_, "t" + std::to_string(i)));
+    bus.publish(
+        scheme_.issue_update(server_, std::string("t").append(std::to_string(i))));
   }
   tl.drain_due();
   EXPECT_GT(received, 50);
@@ -312,14 +313,15 @@ TEST(TimeServer, UpdatesVerifyAndDecryptEndToEnd) {
   // Sender encrypts for two minutes from now — no interaction with server.
   TimeSpec release = TimeSpec::from_unix(tl.now() + 120, Granularity::kMinute);
   Bytes msg = to_bytes("sealed bid: $1M");
-  core::Ciphertext ct =
-      scheme.encrypt(msg, user.pub, server.public_key(), release.canonical(), rng);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, server.public_key(),
+                  release.canonical(), rng);
 
   // Receiver subscribes and waits.
   std::optional<Bytes> opened;
   server.bus().subscribe([&](const core::KeyUpdate& upd) {
     if (upd.tag == release.canonical()) {
-      opened = scheme.decrypt(ct, user.a, upd);
+      opened = scheme.open(ct, user.a, upd, server.public_key());
     }
   });
   server.run(tl.now() + 300);
@@ -345,8 +347,9 @@ TEST(TimeServer, MissedUpdateRecoveredFromArchive) {
   core::UserKeyPair user = scheme.user_keygen(server.public_key(), rng);
   TimeSpec release = TimeSpec::from_unix(3600, Granularity::kHour);
   Bytes msg = to_bytes("recovered");
-  core::Ciphertext ct =
-      scheme.encrypt(msg, user.pub, server.public_key(), release.canonical(), rng);
+  core::SealedCiphertext ct =
+      scheme.seal(core::Mode::kBasic, msg, user.pub, server.public_key(),
+                  release.canonical(), rng);
 
   int heard = 0;
   server.bus().subscribe([&](const core::KeyUpdate&) { ++heard; });
@@ -357,7 +360,7 @@ TEST(TimeServer, MissedUpdateRecoveredFromArchive) {
   // Catch-up from the public archive still works.
   auto upd = server.archive().find(release.canonical());
   ASSERT_TRUE(upd.has_value());
-  EXPECT_EQ(scheme.decrypt(ct, user.a, *upd), msg);
+  EXPECT_EQ(scheme.open(ct, user.a, *upd, server.public_key()), msg);
 }
 
 }  // namespace

@@ -48,7 +48,8 @@ TEST_F(TreTest, MalformedUserKeyRejected) {
   UserPublicKey forged{user_.pub.ag, other.pub.asg};
   EXPECT_FALSE(scheme_.verify_user_public_key(server_.pub, forged));
   EXPECT_THROW(
-      scheme_.encrypt(msg(), forged, server_.pub, kTag, rng_, KeyCheck::kVerify),
+      scheme_.seal(Mode::kBasic, msg(), forged, server_.pub, kTag, rng_,
+                   KeyCheck::kVerify),
       Error);
 }
 
@@ -106,36 +107,44 @@ TEST_F(TreTest, UpdateIdenticalForAllUsers) {
 // --- Basic scheme -------------------------------------------------------------
 
 TEST_F(TreTest, EncryptDecryptRoundtrip) {
-  Ciphertext ct = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  EXPECT_EQ(scheme_.decrypt(ct, user_.a, upd), msg());
+  EXPECT_EQ(scheme_.open(ct, user_.a, upd, server_.pub), msg());
 }
 
 TEST_F(TreTest, MessageSizesSweep) {
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   for (size_t n : {0u, 1u, 31u, 32u, 33u, 1000u, 65535u}) {
     Bytes m = rng_.bytes(n);
-    Ciphertext ct = scheme_.encrypt(m, user_.pub, server_.pub, kTag, rng_);
-    EXPECT_EQ(scheme_.decrypt(ct, user_.a, upd), m) << "size " << n;
+    SealedCiphertext ct =
+        scheme_.seal(Mode::kBasic, m, user_.pub, server_.pub, kTag, rng_);
+    EXPECT_EQ(scheme_.open(ct, user_.a, upd, server_.pub), m) << "size " << n;
   }
 }
 
 TEST_F(TreTest, WrongUpdateYieldsGarbage) {
-  Ciphertext ct = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate wrong = scheme_.issue_update(server_, kOtherTag);
-  EXPECT_NE(scheme_.decrypt(ct, user_.a, wrong), msg());
+  EXPECT_NE(scheme_.open(ct, user_.a, wrong, server_.pub), msg());
 }
 
 TEST_F(TreTest, WrongPrivateKeyYieldsGarbage) {
-  Ciphertext ct = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   UserKeyPair eve = scheme_.user_keygen(server_.pub, rng_);
-  EXPECT_NE(scheme_.decrypt(ct, eve.a, upd), msg());
+  EXPECT_NE(scheme_.open(ct, eve.a, upd, server_.pub), msg());
 }
 
 TEST_F(TreTest, CiphertextsAreRandomized) {
-  Ciphertext c1 = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
-  Ciphertext c2 = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext s1 =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext s2 =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
+  const Ciphertext& c1 = std::get<Ciphertext>(s1.body);
+  const Ciphertext& c2 = std::get<Ciphertext>(s2.body);
   EXPECT_FALSE(c1.u == c2.u);
   EXPECT_NE(c1.v, c2.v);
 }
@@ -144,53 +153,61 @@ TEST_F(TreTest, AnyFutureTagEncryptsWithoutServerData) {
   // Paper footnote 2: the sender never needs anything from the server for
   // any release time, however far in the future.
   KeyUpdate upd = scheme_.issue_update(server_, "9999-12-31T23:59:59Z");
-  Ciphertext ct =
-      scheme_.encrypt(msg(), user_.pub, server_.pub, "9999-12-31T23:59:59Z", rng_);
-  EXPECT_EQ(scheme_.decrypt(ct, user_.a, upd), msg());
+  SealedCiphertext ct = scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub,
+                                     "9999-12-31T23:59:59Z", rng_);
+  EXPECT_EQ(scheme_.open(ct, user_.a, upd, server_.pub), msg());
 }
 
 // --- FO (CCA) -------------------------------------------------------------------
 
 TEST_F(TreTest, FoRoundtrip) {
-  FoCiphertext ct = scheme_.encrypt_fo(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kFo, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  auto out = scheme_.decrypt_fo(ct, user_.a, upd, server_.pub);
+  auto out = scheme_.open(ct, user_.a, upd, server_.pub);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, msg());
 }
 
 TEST_F(TreTest, FoRejectsTamperedBody) {
-  FoCiphertext ct = scheme_.encrypt_fo(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kFo, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  ct.c_msg[0] ^= 1;
-  EXPECT_FALSE(scheme_.decrypt_fo(ct, user_.a, upd, server_.pub).has_value());
+  std::get<FoCiphertext>(ct.body).c_msg[0] ^= 1;
+  EXPECT_FALSE(scheme_.open(ct, user_.a, upd, server_.pub).has_value());
 }
 
 TEST_F(TreTest, FoRejectsTamperedSigma) {
-  FoCiphertext ct = scheme_.encrypt_fo(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kFo, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  ct.c_sigma[3] ^= 0x80;
-  EXPECT_FALSE(scheme_.decrypt_fo(ct, user_.a, upd, server_.pub).has_value());
+  std::get<FoCiphertext>(ct.body).c_sigma[3] ^= 0x80;
+  EXPECT_FALSE(scheme_.open(ct, user_.a, upd, server_.pub).has_value());
 }
 
 TEST_F(TreTest, FoRejectsSwappedU) {
-  FoCiphertext c1 = scheme_.encrypt_fo(msg(), user_.pub, server_.pub, kTag, rng_);
-  FoCiphertext c2 = scheme_.encrypt_fo(msg("other"), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext s1 =
+      scheme_.seal(Mode::kFo, msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext s2 =
+      scheme_.seal(Mode::kFo, msg("other"), user_.pub, server_.pub, kTag, rng_);
+  const FoCiphertext& c1 = std::get<FoCiphertext>(s1.body);
+  const FoCiphertext& c2 = std::get<FoCiphertext>(s2.body);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  FoCiphertext mixed{c2.u, c1.c_sigma, c1.c_msg};
-  EXPECT_FALSE(scheme_.decrypt_fo(mixed, user_.a, upd, server_.pub).has_value());
+  SealedCiphertext mixed{FoCiphertext{c2.u, c1.c_sigma, c1.c_msg}};
+  EXPECT_FALSE(scheme_.open(mixed, user_.a, upd, server_.pub).has_value());
 }
 
 TEST_F(TreTest, FoRejectsWrongUpdate) {
-  FoCiphertext ct = scheme_.encrypt_fo(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kFo, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate wrong = scheme_.issue_update(server_, kOtherTag);
-  EXPECT_FALSE(scheme_.decrypt_fo(ct, user_.a, wrong, server_.pub).has_value());
+  EXPECT_FALSE(scheme_.open(ct, user_.a, wrong, server_.pub).has_value());
 }
 
 TEST_F(TreTest, FoEmptyMessage) {
-  FoCiphertext ct = scheme_.encrypt_fo({}, user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct = scheme_.seal(Mode::kFo, {}, user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  auto out = scheme_.decrypt_fo(ct, user_.a, upd, server_.pub);
+  auto out = scheme_.open(ct, user_.a, upd, server_.pub);
   ASSERT_TRUE(out.has_value());
   EXPECT_TRUE(out->empty());
 }
@@ -198,70 +215,79 @@ TEST_F(TreTest, FoEmptyMessage) {
 // --- REACT (CCA) ------------------------------------------------------------------
 
 TEST_F(TreTest, ReactRoundtrip) {
-  ReactCiphertext ct = scheme_.encrypt_react(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kReact, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  auto out = scheme_.decrypt_react(ct, user_.a, upd);
+  auto out = scheme_.open(ct, user_.a, upd, server_.pub);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, msg());
 }
 
 TEST_F(TreTest, ReactRejectsTampering) {
-  ReactCiphertext ct = scheme_.encrypt_react(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kReact, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  for (Bytes* field : {&ct.c_r, &ct.c_msg, &ct.mac}) {
+  ReactCiphertext& body = std::get<ReactCiphertext>(ct.body);
+  for (Bytes* field : {&body.c_r, &body.c_msg, &body.mac}) {
     Bytes saved = *field;
     (*field)[0] ^= 1;
-    EXPECT_FALSE(scheme_.decrypt_react(ct, user_.a, upd).has_value());
+    EXPECT_FALSE(scheme_.open(ct, user_.a, upd, server_.pub).has_value());
     *field = saved;
   }
   // Untampered again decrypts.
-  EXPECT_TRUE(scheme_.decrypt_react(ct, user_.a, upd).has_value());
+  EXPECT_TRUE(scheme_.open(ct, user_.a, upd, server_.pub).has_value());
 }
 
 TEST_F(TreTest, ReactRejectsWrongKeyOrUpdate) {
-  ReactCiphertext ct = scheme_.encrypt_react(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kReact, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   KeyUpdate wrong = scheme_.issue_update(server_, kOtherTag);
   UserKeyPair eve = scheme_.user_keygen(server_.pub, rng_);
-  EXPECT_FALSE(scheme_.decrypt_react(ct, user_.a, wrong).has_value());
-  EXPECT_FALSE(scheme_.decrypt_react(ct, eve.a, upd).has_value());
+  EXPECT_FALSE(scheme_.open(ct, user_.a, wrong, server_.pub).has_value());
+  EXPECT_FALSE(scheme_.open(ct, eve.a, upd, server_.pub).has_value());
 }
 
 // --- Key insulation (§5.3.3) -----------------------------------------------------
 
 TEST_F(TreTest, EpochKeyDecrypts) {
-  Ciphertext ct = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   EpochKey ek = scheme_.derive_epoch_key(user_.a, upd);
   EXPECT_EQ(ek.tag, kTag);
-  EXPECT_EQ(scheme_.decrypt_with_epoch_key(ct, ek), msg());
+  EXPECT_EQ(scheme_.open_with_epoch_key(ct, ek, server_.pub), msg());
 }
 
 TEST_F(TreTest, EpochKeyIsEpochBound) {
   // A compromised epoch key must not decrypt other epochs.
-  Ciphertext ct = scheme_.encrypt(msg(), user_.pub, server_.pub, kOtherTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kOtherTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   EpochKey ek = scheme_.derive_epoch_key(user_.a, upd);
-  EXPECT_NE(scheme_.decrypt_with_epoch_key(ct, ek), msg());
+  EXPECT_NE(scheme_.open_with_epoch_key(ct, ek, server_.pub), msg());
 }
 
 TEST_F(TreTest, EpochKeyWithFo) {
-  FoCiphertext ct = scheme_.encrypt_fo(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kFo, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   EpochKey ek = scheme_.derive_epoch_key(user_.a, upd);
-  auto out = scheme_.decrypt_fo_with_epoch_key(ct, ek, server_.pub);
+  auto out = scheme_.open_with_epoch_key(ct, ek, server_.pub);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, msg());
   // Cross-epoch use is rejected by the FO check.
   EpochKey other = scheme_.derive_epoch_key(user_.a, scheme_.issue_update(server_, kOtherTag));
-  EXPECT_FALSE(scheme_.decrypt_fo_with_epoch_key(ct, other, server_.pub).has_value());
+  EXPECT_FALSE(scheme_.open_with_epoch_key(ct, other, server_.pub).has_value());
 }
 
 TEST_F(TreTest, EpochKeyMatchesDirectDecryption) {
-  Ciphertext ct = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   EpochKey ek = scheme_.derive_epoch_key(user_.a, upd);
-  EXPECT_EQ(scheme_.decrypt_with_epoch_key(ct, ek), scheme_.decrypt(ct, user_.a, upd));
+  EXPECT_EQ(scheme_.open_with_epoch_key(ct, ek, server_.pub),
+            scheme_.open(ct, user_.a, upd, server_.pub));
 }
 
 // --- Server change (§5.3.4) -------------------------------------------------------
@@ -272,9 +298,10 @@ TEST_F(TreTest, ReboundKeyVerifiesAgainstCertifiedKey) {
   EXPECT_TRUE(scheme_.verify_rebound_key(user_.pub.ag, server_.pub.g,
                                          new_server.pub, rebound));
   // And it is a fully functional key under the new server.
-  Ciphertext ct = scheme_.encrypt(msg(), rebound, new_server.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg(), rebound, new_server.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(new_server, kTag);
-  EXPECT_EQ(scheme_.decrypt(ct, user_.a, upd), msg());
+  EXPECT_EQ(scheme_.open(ct, user_.a, upd, new_server.pub), msg());
 }
 
 TEST_F(TreTest, ReboundKeyFromImpostorRejected) {
@@ -296,17 +323,20 @@ TEST_F(TreTest, AllArtifactsRoundtripThroughBytes) {
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   EXPECT_TRUE(KeyUpdate::from_bytes(p, upd.to_bytes()) == upd);
 
-  Ciphertext ct = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
-  Ciphertext ct2 = Ciphertext::from_bytes(p, ct.to_bytes());
-  EXPECT_EQ(scheme_.decrypt(ct2, user_.a, upd), msg());
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct2 = SealedCiphertext::from_bytes(p, ct.to_bytes());
+  EXPECT_EQ(scheme_.open(ct2, user_.a, upd, server_.pub), msg());
 
-  FoCiphertext fo = scheme_.encrypt_fo(msg(), user_.pub, server_.pub, kTag, rng_);
-  FoCiphertext fo2 = FoCiphertext::from_bytes(p, fo.to_bytes());
-  EXPECT_EQ(scheme_.decrypt_fo(fo2, user_.a, upd, server_.pub).value(), msg());
+  SealedCiphertext fo =
+      scheme_.seal(Mode::kFo, msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext fo2 = SealedCiphertext::from_bytes(p, fo.to_bytes());
+  EXPECT_EQ(scheme_.open(fo2, user_.a, upd, server_.pub).value(), msg());
 
-  ReactCiphertext re = scheme_.encrypt_react(msg(), user_.pub, server_.pub, kTag, rng_);
-  ReactCiphertext re2 = ReactCiphertext::from_bytes(p, re.to_bytes());
-  EXPECT_EQ(scheme_.decrypt_react(re2, user_.a, upd).value(), msg());
+  SealedCiphertext re =
+      scheme_.seal(Mode::kReact, msg(), user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext re2 = SealedCiphertext::from_bytes(p, re.to_bytes());
+  EXPECT_EQ(scheme_.open(re2, user_.a, upd, server_.pub).value(), msg());
 }
 
 TEST_F(TreTest, DeserializationRejectsTruncation) {
@@ -384,7 +414,8 @@ TEST_F(TreTest, EncryptBatchMatchesSequentialEncrypt) {
   hashing::HmacDrbg rng_batch(to_bytes("batch-rng"));
   std::vector<Ciphertext> expected;
   for (const Bytes& m : msgs) {
-    expected.push_back(scheme_.encrypt(m, user_.pub, server_.pub, kTag, rng_seq));
+    expected.push_back(std::get<Ciphertext>(
+        scheme_.seal(Mode::kBasic, m, user_.pub, server_.pub, kTag, rng_seq).body));
   }
   std::vector<Ciphertext> got =
       scheme_.encrypt_batch(msgs, user_.pub, server_.pub, kTag, rng_batch);
@@ -396,7 +427,7 @@ TEST_F(TreTest, EncryptBatchMatchesSequentialEncrypt) {
   // And every batch ciphertext decrypts.
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(scheme_.decrypt(got[i], user_.a, upd), msgs[i]);
+    EXPECT_EQ(scheme_.open(SealedCiphertext{got[i]}, user_.a, upd, server_.pub), msgs[i]);
   }
 }
 
@@ -428,9 +459,10 @@ TEST_F(TreTest, RepeatedTagUsesConsistentCachedValues) {
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   KeyUpdate other = scheme_.issue_update(server_, kOtherTag);
   for (int i = 0; i < 3; ++i) {
-    Ciphertext ct = scheme_.encrypt(msg(), user_.pub, server_.pub, kTag, rng_);
-    EXPECT_EQ(scheme_.decrypt(ct, user_.a, upd), msg());
-    EXPECT_NE(scheme_.decrypt(ct, user_.a, other), msg());
+    SealedCiphertext ct =
+        scheme_.seal(Mode::kBasic, msg(), user_.pub, server_.pub, kTag, rng_);
+    EXPECT_EQ(scheme_.open(ct, user_.a, upd, server_.pub), msg());
+    EXPECT_NE(scheme_.open(ct, user_.a, other, server_.pub), msg());
   }
 }
 
@@ -455,24 +487,25 @@ class TreParamSweep : public ::testing::TestWithParam<const char*> {
 TEST_P(TreParamSweep, FullProtocolRoundtrip) {
   EXPECT_TRUE(scheme_.verify_user_public_key(server_.pub, user_.pub));
   Bytes msg = rng_.bytes(100);
-  Ciphertext ct = scheme_.encrypt(msg, user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct =
+      scheme_.seal(Mode::kBasic, msg, user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   EXPECT_TRUE(scheme_.verify_update(server_.pub, upd));
-  EXPECT_EQ(scheme_.decrypt(ct, user_.a, upd), msg);
+  EXPECT_EQ(scheme_.open(ct, user_.a, upd, server_.pub), msg);
   // Wrong update still yields garbage at every level.
   KeyUpdate wrong = scheme_.issue_update(server_, kOtherTag);
-  EXPECT_NE(scheme_.decrypt(ct, user_.a, wrong), msg);
+  EXPECT_NE(scheme_.open(ct, user_.a, wrong, server_.pub), msg);
 }
 
 TEST_P(TreParamSweep, FoRoundtripAndRejection) {
   Bytes msg = rng_.bytes(64);
-  FoCiphertext ct = scheme_.encrypt_fo(msg, user_.pub, server_.pub, kTag, rng_);
+  SealedCiphertext ct = scheme_.seal(Mode::kFo, msg, user_.pub, server_.pub, kTag, rng_);
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
-  auto out = scheme_.decrypt_fo(ct, user_.a, upd, server_.pub);
+  auto out = scheme_.open(ct, user_.a, upd, server_.pub);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, msg);
-  ct.c_msg[0] ^= 1;
-  EXPECT_FALSE(scheme_.decrypt_fo(ct, user_.a, upd, server_.pub).has_value());
+  std::get<FoCiphertext>(ct.body).c_msg[0] ^= 1;
+  EXPECT_FALSE(scheme_.open(ct, user_.a, upd, server_.pub).has_value());
 }
 
 TEST_P(TreParamSweep, WireRoundtrip) {

@@ -1,11 +1,17 @@
 // BLS12-381 parity with the 2005 curve: the SAME generic core must give
 // the same guarantees on the modern backend — all three seal modes
 // roundtrip, FO/REACT tamper rejection holds point-for-point, the
-// non-throwing wire codecs shrug off a garbage corpus, and bytes framed
-// for one backend are cleanly rejected (nullopt, never a crash) by the
-// other. Reference pairings cost tens of ms each, so fixture state is
-// built once per suite and every test is pairing-frugal.
+// non-throwing wire codecs shrug off a garbage corpus, bytes framed for
+// one backend are cleanly rejected (nullopt, never a crash) by the
+// other, and on both backends the three open routes agree. Reference
+// pairings cost tens of ms each, so fixture state is built once per
+// suite and every test is pairing-frugal.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <span>
+#include <variant>
+#include <vector>
 
 #include "bls12/tre381.h"
 #include "core/tre.h"
@@ -74,57 +80,58 @@ TEST_F(Tre381ParityTest, WrongUpdateFailsTimeLock) {
   // CCA modes detect and reject).
   bls12::Update381 early = scheme_->issue_update(*server_, "2029-01-01T00:00:00Z");
   Bytes msg = to_bytes(kMsg);
-  auto ct = scheme_->encrypt_fo(msg, user_->pub, server_->pub, kTag, rng_,
-                                KeyCheck::kSkip);
-  EXPECT_FALSE(scheme_->decrypt_fo(ct, user_->a, early, server_->pub).has_value());
-  ASSERT_TRUE(scheme_->decrypt_fo(ct, user_->a, *update_, server_->pub).has_value());
+  auto ct = scheme_->seal(Mode::kFo, msg, user_->pub, server_->pub, kTag, rng_,
+                          KeyCheck::kSkip);
+  EXPECT_FALSE(scheme_->open(ct, user_->a, early, server_->pub).has_value());
+  ASSERT_TRUE(scheme_->open(ct, user_->a, *update_, server_->pub).has_value());
 }
 
 TEST_F(Tre381ParityTest, FoTamperMatrix) {
   Bytes msg = to_bytes(kMsg);
-  auto ct = scheme_->encrypt_fo(msg, user_->pub, server_->pub, kTag, rng_,
-                                KeyCheck::kSkip);
-  ASSERT_TRUE(scheme_->decrypt_fo(ct, user_->a, *update_, server_->pub).has_value());
+  auto ct = scheme_->seal(Mode::kFo, msg, user_->pub, server_->pub, kTag, rng_,
+                          KeyCheck::kSkip);
+  ASSERT_TRUE(scheme_->open(ct, user_->a, *update_, server_->pub).has_value());
+  auto fo = [](bls12::SealedCiphertext381& sc) -> bls12::FoCiphertext381& {
+    return std::get<bls12::FoCiphertext381>(sc.body);
+  };
 
   {
     // Header point swapped for another ciphertext's header.
-    auto other = scheme_->encrypt_fo(msg, user_->pub, server_->pub, kTag, rng_,
-                                     KeyCheck::kSkip);
+    auto other = scheme_->seal(Mode::kFo, msg, user_->pub, server_->pub, kTag, rng_,
+                               KeyCheck::kSkip);
     auto tampered = ct;
-    tampered.u = other.u;
-    EXPECT_FALSE(
-        scheme_->decrypt_fo(tampered, user_->a, *update_, server_->pub).has_value());
+    fo(tampered).u = fo(other).u;
+    EXPECT_FALSE(scheme_->open(tampered, user_->a, *update_, server_->pub).has_value());
   }
   {
     auto tampered = ct;
-    tampered.c_sigma[0] ^= 0x01;
-    EXPECT_FALSE(
-        scheme_->decrypt_fo(tampered, user_->a, *update_, server_->pub).has_value());
+    fo(tampered).c_sigma[0] ^= 0x01;
+    EXPECT_FALSE(scheme_->open(tampered, user_->a, *update_, server_->pub).has_value());
   }
   {
     auto tampered = ct;
-    tampered.c_msg.back() ^= 0x80;
-    EXPECT_FALSE(
-        scheme_->decrypt_fo(tampered, user_->a, *update_, server_->pub).has_value());
+    fo(tampered).c_msg.back() ^= 0x80;
+    EXPECT_FALSE(scheme_->open(tampered, user_->a, *update_, server_->pub).has_value());
   }
 }
 
 TEST_F(Tre381ParityTest, ReactTamperMatrix) {
   Bytes msg = to_bytes(kMsg);
-  auto ct = scheme_->encrypt_react(msg, user_->pub, server_->pub, kTag, rng_,
-                                   KeyCheck::kSkip);
-  ASSERT_TRUE(scheme_->decrypt_react(ct, user_->a, *update_).has_value());
+  auto ct = scheme_->seal(Mode::kReact, msg, user_->pub, server_->pub, kTag, rng_,
+                          KeyCheck::kSkip);
+  ASSERT_TRUE(scheme_->open(ct, user_->a, *update_, server_->pub).has_value());
 
   for (int field = 0; field < 3; ++field) {
     auto tampered = ct;
+    auto& body = std::get<bls12::ReactCiphertext381>(tampered.body);
     if (field == 0) {
-      tampered.c_r[0] ^= 0x01;
+      body.c_r[0] ^= 0x01;
     } else if (field == 1) {
-      tampered.c_msg[0] ^= 0x01;
+      body.c_msg[0] ^= 0x01;
     } else {
-      tampered.mac.back() ^= 0x01;
+      body.mac.back() ^= 0x01;
     }
-    EXPECT_FALSE(scheme_->decrypt_react(tampered, user_->a, *update_).has_value())
+    EXPECT_FALSE(scheme_->open(tampered, user_->a, *update_, server_->pub).has_value())
         << "field " << field;
   }
 }
@@ -234,11 +241,80 @@ TEST_F(Tre381ParityTest, SealMatchesUncachedPairingOracle) {
 
 TEST_F(Tre381ParityTest, EpochKeyDecryptsWithoutLongTermSecret) {
   Bytes msg = to_bytes(kMsg);
-  auto ct = scheme_->encrypt(msg, user_->pub, server_->pub, kTag, rng_,
-                             KeyCheck::kSkip);
+  auto ct = scheme_->seal(Mode::kBasic, msg, user_->pub, server_->pub, kTag, rng_,
+                          KeyCheck::kSkip);
   bls12::EpochKey381 ek = scheme_->derive_epoch_key(user_->a, *update_);
   EXPECT_EQ(ek.tag, kTag);
-  EXPECT_EQ(scheme_->decrypt_with_epoch_key(ct, ek), msg);
+  EXPECT_EQ(scheme_->open_with_epoch_key(ct, ek, server_->pub), msg);
+}
+
+// --- The three open routes, on both backends --------------------------------
+// open() reaches K as ê(I_T, U)^a; open_with_epoch_key and open_batch pair
+// with the §5.3.3 epoch key a·I_T through its cached lines. Bilinearity
+// makes the three K equal, so every flavour must open to the sealed
+// plaintext on every route, and every route must reject the same
+// tampering. Opening one REACT ciphertext with an epoch key is covered
+// here only.
+
+std::shared_ptr<const params::GdhParams> params_for(core::Tre512Backend) {
+  return params::load("tre-toy-96");
+}
+std::shared_ptr<const bls12::Bls12Ctx> params_for(bls12::Bls381Backend) {
+  return bls12::Bls12Ctx::get();
+}
+
+template <class B>
+class OpenRoutesTest : public ::testing::Test {};
+
+using BothBackends = ::testing::Types<core::Tre512Backend, bls12::Bls381Backend>;
+TYPED_TEST_SUITE(OpenRoutesTest, BothBackends);
+
+TYPED_TEST(OpenRoutesTest, AgreeOnEveryFlavourAndRejectTampering) {
+  using B = TypeParam;
+  using Sealed = core::BasicSealedCiphertext<B>;
+  core::BasicTreScheme<B> scheme(params_for(B{}));
+  hashing::HmacDrbg rng(to_bytes("open-routes"));
+  const core::BasicServerKeyPair<B> server = scheme.server_keygen(rng);
+  const core::BasicUserKeyPair<B> user = scheme.user_keygen(server.pub, rng);
+  const core::BasicKeyUpdate<B> update = scheme.issue_update(server, kTag);
+  const core::BasicEpochKey<B> epoch = scheme.derive_epoch_key(user.a, update);
+  const Bytes msg = to_bytes(kMsg);
+
+  auto routes = [&](const Sealed& sc) {
+    return std::vector<std::optional<Bytes>>{
+        scheme.open(sc, user.a, update, server.pub),
+        scheme.open_with_epoch_key(sc, epoch, server.pub),
+        scheme.open_batch(std::span<const Sealed>(&sc, 1), user.a, update, server.pub,
+                          rng)[0]};
+  };
+  // The body fields after the header: FO's c_sigma and c_msg, REACT's
+  // c_r, c_msg and mac.
+  auto field = [](Sealed& sc, size_t f) -> Bytes& {
+    if (auto* fo = std::get_if<core::BasicFoCiphertext<B>>(&sc.body)) {
+      return f == 0 ? fo->c_sigma : fo->c_msg;
+    }
+    auto& react = std::get<core::BasicReactCiphertext<B>>(sc.body);
+    return f == 0 ? react.c_r : f == 1 ? react.c_msg : react.mac;
+  };
+
+  for (Mode mode : {Mode::kBasic, Mode::kFo, Mode::kReact}) {
+    const Sealed sc = scheme.seal(mode, msg, user.pub, server.pub, kTag, rng);
+    for (const std::optional<Bytes>& out : routes(sc)) {
+      ASSERT_TRUE(out.has_value()) << core::mode_name(mode);
+      EXPECT_EQ(*out, msg) << core::mode_name(mode);
+    }
+    const size_t fields = mode == Mode::kFo ? 2 : mode == Mode::kReact ? 3 : 0;
+    for (size_t f = 0; f < fields; ++f) {
+      Sealed tampered = sc;
+      field(tampered, f)[0] ^= 0x01;
+      size_t route = 0;
+      for (const std::optional<Bytes>& out : routes(tampered)) {
+        EXPECT_FALSE(out.has_value())
+            << core::mode_name(mode) << " field " << f << " route " << route;
+        ++route;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -87,33 +87,37 @@ TEST_F(WireRobustness, UserPublicKeyFlipsNeverVerify) {
 }
 
 TEST_F(WireRobustness, BasicCiphertextTruncations) {
-  Ciphertext ct = scheme_.encrypt(to_bytes("msg"), user_.pub, server_.pub, "T", rng_);
+  Ciphertext ct = std::get<Ciphertext>(scheme_.seal(Mode::kBasic, to_bytes("msg"),
+                                                    user_.pub, server_.pub, "T",
+                                                    rng_).body);
   expect_truncations_throw(
       ct.to_bytes(), [&](ByteSpan b) { return Ciphertext::from_bytes(scheme_.params(), b); });
 }
 
 TEST_F(WireRobustness, FoCiphertextFlipsNeverDecrypt) {
   Bytes msg = to_bytes("integrity matters");
-  FoCiphertext ct = scheme_.encrypt_fo(msg, user_.pub, server_.pub, "T", rng_);
+  FoCiphertext ct = std::get<FoCiphertext>(
+      scheme_.seal(Mode::kFo, msg, user_.pub, server_.pub, "T", rng_).body);
   KeyUpdate upd = scheme_.issue_update(server_, "T");
   Bytes wire = ct.to_bytes();
   auto parse = [&](ByteSpan b) { return FoCiphertext::from_bytes(scheme_.params(), b); };
   expect_truncations_throw(wire, parse);
   flip_bits(wire, parse, [&](const FoCiphertext& parsed, size_t bit) {
-    auto out = scheme_.decrypt_fo(parsed, user_.a, upd, server_.pub);
+    auto out = scheme_.open(SealedCiphertext{parsed}, user_.a, upd, server_.pub);
     EXPECT_FALSE(out.has_value()) << "bit " << bit << " survived the FO check";
   });
 }
 
 TEST_F(WireRobustness, ReactCiphertextFlipsNeverDecrypt) {
   Bytes msg = to_bytes("integrity matters");
-  ReactCiphertext ct = scheme_.encrypt_react(msg, user_.pub, server_.pub, "T", rng_);
+  ReactCiphertext ct = std::get<ReactCiphertext>(
+      scheme_.seal(Mode::kReact, msg, user_.pub, server_.pub, "T", rng_).body);
   KeyUpdate upd = scheme_.issue_update(server_, "T");
   Bytes wire = ct.to_bytes();
   auto parse = [&](ByteSpan b) { return ReactCiphertext::from_bytes(scheme_.params(), b); };
   expect_truncations_throw(wire, parse);
   flip_bits(wire, parse, [&](const ReactCiphertext& parsed, size_t bit) {
-    auto out = scheme_.decrypt_react(parsed, user_.a, upd);
+    auto out = scheme_.open(SealedCiphertext{parsed}, user_.a, upd, server_.pub);
     EXPECT_FALSE(out.has_value()) << "bit " << bit << " survived the MAC";
   });
 }
@@ -202,8 +206,9 @@ TEST_F(WireRobustness, KeyUpdateLengthFieldManipulation) {
 TEST_F(WireRobustness, CiphertextGarbageCorpus) {
   // Noise fed to the ciphertext parsers, routed through the non-throwing
   // try_from_bytes twins: nullopt or a parse, never a crash.
-  Ciphertext genuine =
-      scheme_.encrypt(to_bytes("msg"), user_.pub, server_.pub, "T", rng_);
+  Ciphertext genuine = std::get<Ciphertext>(scheme_.seal(Mode::kBasic, to_bytes("msg"),
+                                                         user_.pub, server_.pub, "T",
+                                                         rng_).body);
   size_t honest_len = genuine.to_bytes().size();
   hashing::HmacDrbg fuzz(to_bytes("ct-garbage"));
   PolicyLock lock(params::load("tre-toy-96"));
@@ -229,9 +234,12 @@ TEST_F(WireRobustness, CiphertextTryFromBytesMatchesThrowingParser) {
   // three flavours: nullopt exactly where from_bytes throws, identical
   // re-encoding where it succeeds.
   Bytes msg = to_bytes("twin parsers");
-  Ciphertext basic = scheme_.encrypt(msg, user_.pub, server_.pub, "T", rng_);
-  FoCiphertext fo = scheme_.encrypt_fo(msg, user_.pub, server_.pub, "T", rng_);
-  ReactCiphertext react = scheme_.encrypt_react(msg, user_.pub, server_.pub, "T", rng_);
+  Ciphertext basic = std::get<Ciphertext>(
+      scheme_.seal(Mode::kBasic, msg, user_.pub, server_.pub, "T", rng_).body);
+  FoCiphertext fo = std::get<FoCiphertext>(
+      scheme_.seal(Mode::kFo, msg, user_.pub, server_.pub, "T", rng_).body);
+  ReactCiphertext react = std::get<ReactCiphertext>(
+      scheme_.seal(Mode::kReact, msg, user_.pub, server_.pub, "T", rng_).body);
 
   auto check = [&](const Bytes& wire, auto try_parse) {
     auto ok = try_parse(ByteSpan(wire));

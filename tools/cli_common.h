@@ -69,13 +69,14 @@ inline void write_file(const std::string& path, ByteSpan data) {
 
 inline Bytes envelope_bytes(FileKind kind, const std::string& set_name,
                             ByteSpan payload) {
-  Bytes out(kEnvelopeMagic, kEnvelopeMagic + 4);
-  out.push_back(static_cast<std::uint8_t>(kind));
   require(set_name.size() <= 255, "parameter set name too long");
-  out.push_back(static_cast<std::uint8_t>(set_name.size()));
-  out.insert(out.end(), set_name.begin(), set_name.end());
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  const Bytes header = {static_cast<std::uint8_t>(kEnvelopeMagic[0]),
+                        static_cast<std::uint8_t>(kEnvelopeMagic[1]),
+                        static_cast<std::uint8_t>(kEnvelopeMagic[2]),
+                        static_cast<std::uint8_t>(kEnvelopeMagic[3]),
+                        static_cast<std::uint8_t>(kind),
+                        static_cast<std::uint8_t>(set_name.size())};
+  return concat({header, to_bytes(set_name), payload});
 }
 
 inline void write_envelope(const std::string& path, FileKind kind,

@@ -35,6 +35,10 @@
 #   TEST_TIMEOUT=600 tools/run_tier1.sh      # per-test ctest ceiling (s)
 #   BACKEND=381 tools/run_tier1.sh           # BLS12-381 leg only (see below)
 #
+# The plain tree (no TRE_SANITIZE, metrics on) compiles with
+# CMAKE_COMPILE_WARNING_AS_ERROR=ON: it builds warning-free, so any new
+# warning fails tier-1 instead of scrolling past in the log.
+#
 # TRE_SANITIZE is forwarded to the CMake option of the same name and
 # instruments every target with -fsanitize=<list>. MATRIX=1 runs the
 # full robustness matrix in separate build trees:
@@ -113,6 +117,13 @@ run_one() {
   fi
   if [[ "${METRICS:-1}" == "0" ]]; then
     cmake_args+=(-DTRE_METRICS=OFF)
+  fi
+  # The plain tree builds warning-free, so a new warning fails it. Other
+  # trees set the flag OFF so a shared build directory never carries it.
+  if [[ -z "$sanitize" && "${METRICS:-1}" != "0" ]]; then
+    cmake_args+=(-DCMAKE_COMPILE_WARNING_AS_ERROR=ON)
+  else
+    cmake_args+=(-DCMAKE_COMPILE_WARNING_AS_ERROR=OFF)
   fi
   echo "=== tier1: ${sanitize:-plain} -> $build_dir ==="
   cmake "${cmake_args[@]}"
@@ -389,7 +400,7 @@ run_thresh_gate() {
   "$cli" encrypt --user-pub "$work/user.pub" --server-pub "$work/beacon.pub" \
          --tag "$tag" --mode fo --in "$work/msg.txt" --out "$work/ct.bin"
   "$cli" decrypt --user-key "$work/user.key" --server-pub "$work/beacon.pub" \
-         --update "$work/agg-fwd.bin" --mode fo \
+         --update "$work/agg-fwd.bin" \
          --in "$work/ct.bin" --out "$work/msg.out"
   if ! cmp -s "$work/msg.txt" "$work/msg.out"; then
     echo "threshold gate: FAIL — decrypt under the aggregate is not" \

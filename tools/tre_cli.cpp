@@ -6,10 +6,11 @@
 //   tre_cli user-keygen   --server-pub server.pub --key user.key --pub user.pub
 //   tre_cli issue         --server-key server.key [--password PW] --tag 2030-01-01T00:00:00Z --out update.bin
 //   tre_cli verify-update --server-pub server.pub --update update.bin
-//   tre_cli encrypt       --user-pub user.pub --server-pub server.pub \
-//                         --tag 2030-01-01T00:00:00Z --in msg.txt --out ct.bin [--mode basic|fo|react]
-//   tre_cli decrypt       --user-key user.key --server-pub server.pub \
-//                         --update update.bin --in ct.bin --out msg.txt [--mode basic|fo|react]
+//   tre_cli encrypt       --user-pub user.pub --server-pub server.pub
+//                         --tag 2030-01-01T00:00:00Z --in msg.txt --out ct.bin
+//                         [--mode basic|fo|react|sealed[-basic|-fo|-react]]
+//   tre_cli decrypt       --user-key user.key --server-pub server.pub
+//                         --update update.bin --in ct.bin --out msg.txt
 //
 // Files are self-describing: a 4-byte magic, a type byte, the parameter
 // set name, then the payload, so mixing parameter sets or file kinds is
@@ -109,11 +110,13 @@ int usage() {
                "  encrypt       --user-pub FILE --server-pub FILE --tag T\n"
                "                --in FILE --out FILE [--mode basic|fo|react|sealed[-basic|-fo|-react]]\n"
                "                [--fallback W [--fallback-modulus-bits N]]\n"
-               "                (--fallback W adds a time-lock lane: W sequential\n"
+               "                (a bare flavour, fo by default, writes that flavour's\n"
+               "                 file kind; sealed[-flavour] writes the mode-tagged\n"
+               "                 wire; --fallback W adds a time-lock lane: W sequential\n"
                "                 squarings open the ciphertext without the server)\n"
                "  decrypt       --user-key FILE --server-pub FILE --update FILE\n"
-               "                --in FILE --out FILE [--mode basic|fo|react]\n"
-               "                (sealed/hybrid ciphertexts self-describe; no --mode needed)\n"
+               "                --in FILE --out FILE\n"
+               "                (every ciphertext file names its flavour)\n"
                "  solve         --in FILE --out FILE [--checkpoint FILE] [--budget N]\n"
                "                [--checkpoint-every N]\n"
                "                grind a hybrid ciphertext's time-lock lane; exit 3 when\n"
@@ -262,11 +265,43 @@ int cmd_verify_update_g(std::shared_ptr<const typename B::Params> p,
   return ok ? 0 : 1;
 }
 
-FileKind ct_kind(const std::string& mode) {
-  if (mode == "basic") return FileKind::kCiphertextBasic;
-  if (mode == "fo") return FileKind::kCiphertextFo;
-  if (mode == "react") return FileKind::kCiphertextReact;
-  throw Error("unknown --mode (use basic, fo or react)");
+// --mode: a bare flavour or "sealed[-flavour]" ("sealed" alone is FO).
+struct CtMode {
+  core::Mode mode;
+  bool tagged;  // kind 11, the mode-tagged wire; else the flavour's own kind
+};
+
+CtMode parse_ct_mode(const std::string& arg) {
+  std::string flavour = arg;
+  bool tagged = false;
+  if (arg == "sealed") {
+    flavour = "fo";
+    tagged = true;
+  } else if (arg.rfind("sealed-", 0) == 0) {
+    flavour = arg.substr(7);
+    tagged = true;
+  }
+  for (core::Mode m : {core::Mode::kBasic, core::Mode::kFo, core::Mode::kReact}) {
+    if (flavour == core::mode_name(m)) return {m, tagged};
+  }
+  throw Error("unknown --mode (use basic, fo, react or sealed[-flavour])");
+}
+
+// File kinds 6-8 hold one flavour each: the sealed wire without its mode
+// byte, which is the flavour's own encoding.
+FileKind bare_kind(core::Mode m) {
+  switch (m) {
+    case core::Mode::kBasic: return FileKind::kCiphertextBasic;
+    case core::Mode::kFo: return FileKind::kCiphertextFo;
+    default: return FileKind::kCiphertextReact;
+  }
+}
+
+std::optional<core::Mode> bare_mode(FileKind kind) {
+  for (core::Mode m : {core::Mode::kBasic, core::Mode::kFo, core::Mode::kReact}) {
+    if (kind == bare_kind(m)) return m;
+  }
+  return std::nullopt;
 }
 
 template <class B>
@@ -283,62 +318,40 @@ int cmd_encrypt_g(std::shared_ptr<const typename B::Params> p,
   hashing::SystemRandom rng;
   Bytes msg = read_file(args.get("in"));
   std::string tag = tag_arg(args);
-  std::string mode = args.get_or("mode", "fo");
-
-  // "sealed[-flavour]" uses the unified seal() API and the mode-tagged
-  // wire format (one file kind for all three flavours).
-  std::optional<core::Mode> sealed_mode;
-  if (mode == "sealed" || mode == "sealed-fo") sealed_mode = core::Mode::kFo;
-  if (mode == "sealed-basic") sealed_mode = core::Mode::kBasic;
-  if (mode == "sealed-react") sealed_mode = core::Mode::kReact;
+  const std::string mode_arg = args.get_or("mode", "fo");
+  const CtMode mode = parse_ct_mode(mode_arg);
 
   // --fallback W adds the time-lock lane: a hybrid envelope whose
   // payload key also sits behind W sequential squarings, openable with
   // `solve` when the server never publishes the update.
   std::string fallback = args.get_or("fallback", "");
   if (!fallback.empty()) {
-    core::Mode inner = core::Mode::kFo;
-    if (mode == "basic" || mode == "sealed-basic") inner = core::Mode::kBasic;
-    else if (mode == "react" || mode == "sealed-react") inner = core::Mode::kReact;
-    else require(mode == "fo" || mode == "sealed" || mode == "sealed-fo",
-                 "unknown --mode (use basic, fo, react or sealed[-flavour])");
     timelock::FallbackParams fb;
     fb.squarings = parse_u64(fallback, "--fallback");
     fb.modulus_bits = static_cast<size_t>(
         parse_u64(args.get_or("fallback-modulus-bits", "1024"),
                   "--fallback-modulus-bits"));
     timelock::BasicHybridEnvelope<B> env =
-        timelock::seal_hybrid(scheme, inner, msg, user, server, tag, fb, rng);
+        timelock::seal_hybrid(scheme, mode.mode, msg, user, server, tag, fb, rng);
     Bytes wire = env.to_bytes();
     write_envelope(args.get("out"), FileKind::kCiphertextHybrid, set_name, wire);
     std::printf(
         "%zu bytes encrypted for release at \"%s\" (hybrid %s mode, "
         "%llu-squaring fallback, %zu bytes)\n",
-        msg.size(), tag.c_str(), core::mode_name(inner),
+        msg.size(), tag.c_str(), core::mode_name(mode.mode),
         static_cast<unsigned long long>(fb.squarings), wire.size());
     return 0;
   }
 
-  Bytes payload;
-  FileKind kind;
-  if (sealed_mode) {
-    payload = core::seal(scheme, *sealed_mode, msg, user, server, tag, rng).to_bytes();
-    kind = FileKind::kCiphertextSealed;
-  } else if (mode == "basic") {
-    payload = scheme.encrypt(msg, user, server, tag, rng).to_bytes();
-    kind = ct_kind(mode);
-  } else if (mode == "fo") {
-    payload = scheme.encrypt_fo(msg, user, server, tag, rng).to_bytes();
-    kind = ct_kind(mode);
-  } else if (mode == "react") {
-    payload = scheme.encrypt_react(msg, user, server, tag, rng).to_bytes();
-    kind = ct_kind(mode);
-  } else {
-    throw Error("unknown --mode (use basic, fo, react or sealed[-flavour])");
+  Bytes payload = scheme.seal(mode.mode, msg, user, server, tag, rng).to_bytes();
+  FileKind kind = FileKind::kCiphertextSealed;
+  if (!mode.tagged) {
+    kind = bare_kind(mode.mode);
+    payload.erase(payload.begin());
   }
   write_envelope(args.get("out"), kind, set_name, payload);
   std::printf("%zu bytes encrypted for release at \"%s\" (%s mode, %zu bytes)\n",
-              msg.size(), tag.c_str(), mode.c_str(), payload.size());
+              msg.size(), tag.c_str(), mode_arg.c_str(), payload.size());
   return 0;
 }
 
@@ -357,61 +370,40 @@ int cmd_decrypt_g(std::shared_ptr<const typename B::Params> p,
 
   Envelope ct_env = parse_envelope(args.get("in"));
   require(ct_env.set_name == set_name, "ciphertext uses a different parameter set");
+  // The FO flavour's re-encryption check needs the server key, so open
+  // takes it for every flavour.
+  Envelope server_env = read_envelope(args.get("server-pub"), FileKind::kServerPub);
+  require(server_env.set_name == set_name, "server key uses a different parameter set");
+  core::BasicServerPublicKey<B> server =
+      core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
 
-  auto read_server = [&]() {
-    Envelope env = read_envelope(args.get("server-pub"), FileKind::kServerPub);
-    require(env.set_name == set_name, "server key uses a different parameter set");
-    return core::BasicServerPublicKey<B>::from_bytes(*p, env.payload);
-  };
-
+  std::optional<Bytes> out;
+  std::string what;
   if (ct_env.kind == FileKind::kCiphertextHybrid) {
     // Server lane of a hybrid envelope: the epoch update opens it the
     // normal way (the time-lock lane is `solve`'s job).
-    core::BasicServerPublicKey<B> server = read_server();
     timelock::BasicHybridEnvelope<B> env =
         timelock::BasicHybridEnvelope<B>::from_bytes(*p, ct_env.payload);
-    auto out = timelock::open_hybrid(scheme, env, a, upd, server);
-    require(out.has_value(), "decryption failed: wrong key/update or tampered ciphertext");
-    write_file(args.get("out"), *out);
-    std::printf("%zu bytes decrypted (hybrid envelope, server lane)\n", out->size());
-    return 0;
-  }
-
-  if (ct_env.kind == FileKind::kCiphertextSealed) {
-    // Self-describing wire: the mode byte picks the flavour, open()
-    // dispatches. --server-pub is always required (the FO flavour's
-    // re-encryption check needs it).
-    core::BasicServerPublicKey<B> server = read_server();
-    core::BasicSealedCiphertext<B> sc =
-        core::BasicSealedCiphertext<B>::from_bytes(*p, ct_env.payload);
-    auto out = core::open(scheme, sc, a, upd, server);
-    require(out.has_value(), "decryption failed: wrong key/update or tampered ciphertext");
-    write_file(args.get("out"), *out);
-    std::printf("%zu bytes decrypted (%s mode)\n", out->size(),
-                core::mode_name(sc.mode()));
-    return 0;
-  }
-
-  std::string mode = args.get_or("mode", "fo");
-  require(ct_env.kind == ct_kind(mode), "wrong file kind for this option");
-
-  Bytes msg;
-  if (mode == "basic") {
-    msg = scheme.decrypt(core::BasicCiphertext<B>::from_bytes(*p, ct_env.payload), a, upd);
-  } else if (mode == "fo") {
-    core::BasicServerPublicKey<B> server = read_server();
-    auto out = scheme.decrypt_fo(
-        core::BasicFoCiphertext<B>::from_bytes(*p, ct_env.payload), a, upd, server);
-    require(out.has_value(), "decryption failed: wrong key/update or tampered ciphertext");
-    msg = *out;
+    out = timelock::open_hybrid(scheme, env, a, upd, server);
+    what = "hybrid envelope, server lane";
   } else {
-    auto out = scheme.decrypt_react(
-        core::BasicReactCiphertext<B>::from_bytes(*p, ct_env.payload), a, upd);
-    require(out.has_value(), "decryption failed: wrong key/update or tampered ciphertext");
-    msg = *out;
+    // The file kind names the flavour: kinds 6-8 get their mode byte
+    // back, kind 11 carries it.
+    Bytes wire = ct_env.payload;
+    if (std::optional<core::Mode> m = bare_mode(ct_env.kind)) {
+      wire.insert(wire.begin(), static_cast<std::uint8_t>(*m));
+    } else {
+      require(ct_env.kind == FileKind::kCiphertextSealed,
+              "wrong file kind for this option");
+    }
+    core::BasicSealedCiphertext<B> sc =
+        core::BasicSealedCiphertext<B>::from_bytes(*p, wire);
+    out = scheme.open(sc, a, upd, server);
+    what = std::string(core::mode_name(sc.mode())) + " mode";
   }
-  write_file(args.get("out"), msg);
-  std::printf("%zu bytes decrypted\n", msg.size());
+  require(out.has_value(), "decryption failed: wrong key/update or tampered ciphertext");
+  write_file(args.get("out"), *out);
+  std::printf("%zu bytes decrypted (%s)\n", out->size(), what.c_str());
   return 0;
 }
 
