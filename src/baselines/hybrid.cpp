@@ -9,26 +9,21 @@ using core::Scalar;
 using ec::G1Point;
 
 Bytes HybridCiphertext::to_bytes() const {
-  Bytes out = concat({c_pke.to_bytes_compressed(), c_ibe.to_bytes_compressed()});
-  require(body.size() <= 0xffff, "HybridCiphertext: body too long");
-  out.push_back(static_cast<std::uint8_t>(body.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(body.size() & 0xff));
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return wire::Writer()
+      .raw(c_pke.to_bytes_compressed())
+      .raw(c_ibe.to_bytes_compressed())
+      .bytes16(body)
+      .take();
 }
 
 HybridCiphertext HybridCiphertext::from_bytes(const params::GdhParams& params,
                                               ByteSpan bytes) {
-  size_t w = params.g1_compressed_bytes();
-  require(bytes.size() >= 2 * w + 2, "HybridCiphertext: truncated");
+  wire::Reader r(bytes);
   HybridCiphertext ct;
-  ct.c_pke = G1Point::from_bytes(params.ctx(), bytes.subspan(0, w));
-  ct.c_ibe = G1Point::from_bytes(params.ctx(), bytes.subspan(w, w));
-  require(ct.c_pke.in_subgroup() && ct.c_ibe.in_subgroup(),
-          "HybridCiphertext: point outside the order-q subgroup");
-  size_t n = static_cast<size_t>(bytes[2 * w]) << 8 | bytes[2 * w + 1];
-  require(bytes.size() == 2 * w + 2 + n, "HybridCiphertext: bad body length");
-  ct.body.assign(bytes.begin() + static_cast<long>(2 * w + 2), bytes.end());
+  ct.c_pke = core::read_gh<core::Tre512Backend>(params, r);
+  ct.c_ibe = core::read_gh<core::Tre512Backend>(params, r);
+  ct.body = wire::owned(r.bytes16());
+  require(r.finish(), "HybridCiphertext: truncated or trailing bytes");
   return ct;
 }
 

@@ -4,95 +4,50 @@
 
 #include "bigint/prime.h"
 #include "common/error.h"
+#include "common/wire.h"
 #include "hashing/kdf.h"
 
 namespace tre::baselines {
 
 namespace {
 
-// Little local wire helpers (u16/u64 big-endian), matching the style of
-// core/tre_core.h's detail namespace without pulling core in.
-void put_u16(Bytes& out, size_t v) {
-  require(v <= 0xffff, "RswPuzzle: field too long for u16 length prefix");
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-struct Cursor {
-  ByteSpan bytes;
-  size_t pos = 0;
-
-  size_t remaining() const { return bytes.size() - pos; }
-  ByteSpan take(size_t n) {
-    require(remaining() >= n, "RswPuzzle::from_bytes: truncated input");
-    ByteSpan out = bytes.subspan(pos, n);
-    pos += n;
-    return out;
-  }
-  size_t take_u16() {
-    ByteSpan b = take(2);
-    return (static_cast<size_t>(b[0]) << 8) | b[1];
-  }
-  std::uint64_t take_u64() {
-    ByteSpan b = take(8);
-    std::uint64_t v = 0;
-    for (size_t i = 0; i < 8; ++i) v = (v << 8) | b[i];
-    return v;
-  }
-};
-
 Bytes minimal_be(const RswInt& v) {
   return v.to_bytes_be((v.bit_length() + 7) / 8);
+}
+
+// An integer field has one encoding, the minimal big-endian one: a
+// leading zero byte would be a second wire image of the same puzzle.
+RswInt minimal_int(ByteSpan be, const char* what) {
+  require(be.empty() || be[0] != 0, what);
+  return RswInt::from_bytes_be(be);
 }
 
 }  // namespace
 
 Bytes RswPuzzle::to_bytes() const {
-  Bytes out;
-  Bytes n_be = minimal_be(n);
-  Bytes a_be = minimal_be(a);
-  put_u16(out, n_be.size());
-  out.insert(out.end(), n_be.begin(), n_be.end());
-  put_u16(out, a_be.size());
-  out.insert(out.end(), a_be.begin(), a_be.end());
-  put_u64(out, t);
-  put_u16(out, sealed_key.size());
-  out.insert(out.end(), sealed_key.begin(), sealed_key.end());
-  return out;
+  return wire::Writer()
+      .bytes16(minimal_be(n))
+      .bytes16(minimal_be(a))
+      .u64(t)
+      .bytes16(sealed_key)
+      .take();
 }
 
 RswPuzzle RswPuzzle::from_bytes(ByteSpan bytes) {
-  Cursor cur{bytes};
+  wire::Reader r(bytes);
+  ByteSpan n_be = r.bytes16();
+  ByteSpan a_be = r.bytes16();
   RswPuzzle out;
-  size_t n_len = cur.take_u16();
-  require(n_len <= 8 * kRswLimbs, "RswPuzzle::from_bytes: modulus too wide");
-  out.n = RswInt::from_bytes_be(cur.take(n_len));
-  size_t a_len = cur.take_u16();
-  require(a_len <= 8 * kRswLimbs, "RswPuzzle::from_bytes: base too wide");
-  out.a = RswInt::from_bytes_be(cur.take(a_len));
-  out.t = cur.take_u64();
-  size_t key_len = cur.take_u16();
-  ByteSpan key = cur.take(key_len);
-  out.sealed_key.assign(key.begin(), key.end());
-  require(cur.remaining() == 0, "RswPuzzle::from_bytes: trailing bytes");
+  out.t = r.u64();
+  out.sealed_key = wire::owned(r.bytes16());
+  require(r.finish(), "RswPuzzle::from_bytes: truncated or trailing bytes");
+  out.n = minimal_int(n_be, "RswPuzzle::from_bytes: modulus not in minimal form");
+  out.a = minimal_int(a_be, "RswPuzzle::from_bytes: base not in minimal form");
   require(out.n.is_odd() && out.n.bit_length() > 1,
           "RswPuzzle::from_bytes: modulus must be an odd number > 1");
   require(out.a < out.n, "RswPuzzle::from_bytes: base not reduced mod n");
   require(out.t >= 1, "RswPuzzle::from_bytes: zero step count");
   return out;
-}
-
-std::optional<RswPuzzle> RswPuzzle::try_from_bytes(ByteSpan bytes) {
-  try {
-    return from_bytes(bytes);
-  } catch (const Error&) {
-    return std::nullopt;
-  }
 }
 
 RswTrapdoor Rsw::keygen(tre::hashing::RandomSource& rng, size_t modulus_bits) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "bigint/bigint.h"
 #include "bigint/montgomery.h"
@@ -39,10 +38,9 @@ struct RswPuzzle {
   /// fingerprint.
   Bytes to_bytes() const;
   /// Throws tre::Error on malformed input (truncation, trailing bytes,
-  /// even/unit modulus, base outside [0, n), zero step count).
+  /// n or a not in minimal form or too wide, even/unit modulus, base
+  /// outside [0, n), zero step count).
   static RswPuzzle from_bytes(ByteSpan bytes);
-  /// Non-throwing parse for untrusted bytes.
-  static std::optional<RswPuzzle> try_from_bytes(ByteSpan bytes);
 
   friend bool operator==(const RswPuzzle& x, const RswPuzzle& y) {
     return x.n == y.n && x.a == y.a && x.t == y.t && x.sealed_key == y.sealed_key;

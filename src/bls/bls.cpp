@@ -17,11 +17,11 @@ KeyPair BlsScheme::keygen(tre::hashing::RandomSource& rng) const {
   Scalar h = params::random_scalar(*params_, rng);
   Scalar sk = params::random_scalar(*params_, rng);
   G1Point g = params_->base.mul(h);
-  return KeyPair{sk, g, g.mul(sk)};
+  return KeyPair{sk, g, g.mul_secret(sk)};
 }
 
 Signature BlsScheme::sign(const KeyPair& keys, ByteSpan msg) const {
-  return Signature{ec::hash_to_g1(params_->ctx(), msg).mul(keys.sk)};
+  return Signature{ec::hash_to_g1(params_->ctx(), msg).mul_secret(keys.sk)};
 }
 
 bool BlsScheme::verify(const G1Point& g, const G1Point& pk, ByteSpan msg,

@@ -23,7 +23,7 @@
 //
 // Wire formats are the generic backend-tagged framing: points carry their
 // backend-specific compressed width (G_1 49 B, G_2 97 B), so 381 bytes
-// fed to a type-1 context fail cleanly in try_from_bytes and vice versa.
+// fed to a type-1 context fail cleanly in from_bytes and vice versa.
 #pragma once
 
 #include "bls12/backend381.h"

@@ -503,7 +503,7 @@ class BasicUpdateFetcher {
   template <class T>
   static std::optional<T> admit(const typename B::Params& params, ByteSpan wire,
                                 const std::string* want, Rejections& tally) {
-    std::optional<T> item = T::try_from_bytes(params, wire);
+    std::optional<T> item = tre::wire::try_parse<T>(params, wire);
     if (!item) {
       ++tally.rejected_parse;
       detail::fetcher_probes().rejected_parse.add();

@@ -4,76 +4,41 @@ namespace tre::core {
 
 using ec::G1Point;
 
-namespace {
-
-void put_u16(Bytes& out, size_t v) {
-  require(v <= 0xffff, "serialization: length exceeds u16");
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-}
-
-size_t get_u16(ByteSpan bytes, size_t& off) {
-  require(off + 2 <= bytes.size(), "deserialization: truncated length");
-  size_t v = static_cast<size_t>(bytes[off]) << 8 | bytes[off + 1];
-  off += 2;
-  return v;
-}
-
-G1Point get_point(const params::GdhParams& params, ByteSpan bytes, size_t& off) {
-  size_t n = params.g1_compressed_bytes();
-  require(off + n <= bytes.size(), "deserialization: truncated point");
-  G1Point p = G1Point::from_bytes(params.ctx(), bytes.subspan(off, n));
-  require(p.in_subgroup(), "deserialization: point outside the order-q subgroup");
-  off += n;
-  return p;
-}
-
-}  // namespace
-
 Bytes MultiServerUserKey::to_bytes() const {
-  Bytes out = ag.to_bytes_compressed();
-  put_u16(out, parts.size());
-  for (const auto& part : parts) {
-    Bytes pb = part.to_bytes_compressed();
-    out.insert(out.end(), pb.begin(), pb.end());
-  }
-  return out;
+  wire::Writer w;
+  w.raw(ag.to_bytes_compressed()).u16(parts.size());
+  for (const auto& part : parts) w.raw(part.to_bytes_compressed());
+  return w.take();
 }
 
 MultiServerUserKey MultiServerUserKey::from_bytes(const params::GdhParams& params,
                                                   ByteSpan bytes) {
-  size_t off = 0;
+  wire::Reader r(bytes);
   MultiServerUserKey key;
-  key.ag = get_point(params, bytes, off);
-  size_t n = get_u16(bytes, off);
+  key.ag = read_gh<Tre512Backend>(params, r);
+  size_t n = r.u16();
   key.parts.reserve(n);
-  for (size_t i = 0; i < n; ++i) key.parts.push_back(get_point(params, bytes, off));
-  require(off == bytes.size(), "MultiServerUserKey: trailing bytes");
+  for (size_t i = 0; i < n; ++i) key.parts.push_back(read_gh<Tre512Backend>(params, r));
+  require(r.finish(), "MultiServerUserKey: trailing bytes");
   return key;
 }
 
 Bytes MultiServerCiphertext::to_bytes() const {
-  Bytes out;
-  put_u16(out, us.size());
-  for (const auto& u : us) {
-    Bytes ub = u.to_bytes_compressed();
-    out.insert(out.end(), ub.begin(), ub.end());
-  }
-  put_u16(out, v.size());
-  out.insert(out.end(), v.begin(), v.end());
-  return out;
+  wire::Writer w;
+  w.u16(us.size());
+  for (const auto& u : us) w.raw(u.to_bytes_compressed());
+  return w.bytes16(v).take();
 }
 
 MultiServerCiphertext MultiServerCiphertext::from_bytes(const params::GdhParams& params,
                                                         ByteSpan bytes) {
-  size_t off = 0;
+  wire::Reader r(bytes);
   MultiServerCiphertext ct;
-  size_t n = get_u16(bytes, off);
+  size_t n = r.u16();
   ct.us.reserve(n);
-  for (size_t i = 0; i < n; ++i) ct.us.push_back(get_point(params, bytes, off));
-  size_t vlen = get_u16(bytes, off);
-  require(off + vlen == bytes.size(), "MultiServerCiphertext: bad body length");
-  ct.v.assign(bytes.begin() + static_cast<long>(off), bytes.end());
+  for (size_t i = 0; i < n; ++i) ct.us.push_back(read_gh<Tre512Backend>(params, r));
+  ct.v = wire::owned(r.bytes16());
+  require(r.finish(), "MultiServerCiphertext: bad body length");
   return ct;
 }
 
@@ -84,9 +49,9 @@ MultiServerUserKey MultiServerTre::user_key(
     const Scalar& a, std::span<const ServerPublicKey> servers) const {
   require(!servers.empty(), "MultiServerTre: no servers");
   MultiServerUserKey key;
-  key.ag = scheme_.params().base.mul(a);
+  key.ag = scheme_.params().base.mul_secret(a);
   key.parts.reserve(servers.size());
-  for (const auto& server : servers) key.parts.push_back(server.sg.mul(a));
+  for (const auto& server : servers) key.parts.push_back(server.sg.mul_secret(a));
   return key;
 }
 
@@ -117,11 +82,11 @@ MultiServerCiphertext MultiServerTre::encrypt(ByteSpan msg,
   // K_new = Σ a·s_iG_i; K = ê(r·K_new, H1(T)).
   G1Point combined = G1Point::infinity(scheme_.params().ctx());
   for (const auto& part : user.parts) combined = combined + part;
-  Gt k = pairing::pair(combined.mul(r), scheme_.hash_tag(tag));
+  Gt k = pairing::pair(combined.mul_secret(r), scheme_.hash_tag(tag));
 
   MultiServerCiphertext ct;
   ct.us.reserve(servers.size());
-  for (const auto& server : servers) ct.us.push_back(server.g.mul(r));
+  for (const auto& server : servers) ct.us.push_back(server.g.mul_secret(r));
   ct.v = xor_bytes(msg, scheme_.mask_h2(k, msg.size()));
   return ct;
 }
@@ -138,7 +103,7 @@ Bytes MultiServerTre::decrypt(const MultiServerCiphertext& ct, const Scalar& a,
   std::vector<std::pair<G1Point, G1Point>> pairs;
   pairs.reserve(ct.us.size());
   for (size_t i = 0; i < ct.us.size(); ++i) {
-    pairs.emplace_back(ct.us[i].mul(a), updates[i].sig);
+    pairs.emplace_back(ct.us[i].mul_secret(a), updates[i].sig);
   }
   Gt k = pairing::pair_product(pairs);
   return xor_bytes(ct.v, scheme_.mask_h2(k, ct.v.size()));

@@ -49,8 +49,8 @@ Ciphertext PolicyLock::lock_all(ByteSpan msg, const UserPublicKey& user,
   require(scheme_.verify_user_public_key(witness, user),
           "PolicyLock lock_all: receiver public key fails the pairing check");
   Scalar r = params::random_scalar(scheme_.params(), rng);
-  G1Point u = witness.g.mul(r);
-  Gt k = pairing::pair(user.asg.mul(r), sum_of_hashes(conditions));
+  G1Point u = witness.g.mul_secret(r);
+  Gt k = pairing::pair(user.asg.mul_secret(r), sum_of_hashes(conditions));
   return Ciphertext{u, xor_bytes(msg, scheme_.mask_h2(k, msg.size()))};
 }
 
@@ -76,19 +76,6 @@ namespace {
 
 constexpr size_t kSessionKeyBytes = 32;
 
-void put_u16(Bytes& out, size_t v) {
-  require(v <= 0xffff, "serialization: length exceeds u16");
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-}
-
-size_t get_u16(ByteSpan bytes, size_t& off) {
-  require(off + 2 <= bytes.size(), "deserialization: truncated length");
-  size_t v = static_cast<size_t>(bytes[off]) << 8 | bytes[off + 1];
-  off += 2;
-  return v;
-}
-
 Bytes wrap_mask(const Gt& k) {
   return hashing::oracle_bytes("TRE-RESK", k.to_bytes(), kSessionKeyBytes);
 }
@@ -100,45 +87,24 @@ Bytes body_stream(ByteSpan session_key, size_t len) {
 }  // namespace
 
 Bytes AnyCiphertext::to_bytes() const {
-  Bytes out = u.to_bytes_compressed();
-  put_u16(out, wraps.size());
-  for (const auto& [cond, wrapped] : wraps) {
-    put_u16(out, cond.size());
-    out.insert(out.end(), cond.begin(), cond.end());
-    put_u16(out, wrapped.size());
-    out.insert(out.end(), wrapped.begin(), wrapped.end());
-  }
-  put_u16(out, body.size());
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  wire::Writer w;
+  w.raw(u.to_bytes_compressed()).u16(wraps.size());
+  for (const auto& [cond, wrapped] : wraps) w.bytes16(cond).bytes16(wrapped);
+  return w.bytes16(body).take();
 }
 
 AnyCiphertext AnyCiphertext::from_bytes(const params::GdhParams& params,
                                         ByteSpan bytes) {
-  size_t off = 0;
-  size_t point_len = params.g1_compressed_bytes();
-  require(bytes.size() >= point_len, "AnyCiphertext: truncated point");
+  wire::Reader r(bytes);
   AnyCiphertext ct;
-  ct.u = ec::G1Point::from_bytes(params.ctx(), bytes.subspan(0, point_len));
-  require(ct.u.in_subgroup(), "AnyCiphertext: point outside the order-q subgroup");
-  off = point_len;
-  size_t n = get_u16(bytes, off);
-  for (size_t i = 0; i < n; ++i) {
-    size_t cond_len = get_u16(bytes, off);
-    require(off + cond_len <= bytes.size(), "AnyCiphertext: truncated condition");
-    std::string cond(bytes.begin() + static_cast<long>(off),
-                     bytes.begin() + static_cast<long>(off + cond_len));
-    off += cond_len;
-    size_t wrap_len = get_u16(bytes, off);
-    require(off + wrap_len <= bytes.size(), "AnyCiphertext: truncated wrap");
-    Bytes wrapped(bytes.begin() + static_cast<long>(off),
-                  bytes.begin() + static_cast<long>(off + wrap_len));
-    off += wrap_len;
-    ct.wraps.emplace_back(std::move(cond), std::move(wrapped));
+  ct.u = read_gh<Tre512Backend>(params, r);
+  size_t n = r.u16();
+  for (size_t i = 0; i < n && r.ok(); ++i) {
+    std::string cond = r.str16();
+    ct.wraps.emplace_back(std::move(cond), wire::owned(r.bytes16()));
   }
-  size_t body_len = get_u16(bytes, off);
-  require(off + body_len == bytes.size(), "AnyCiphertext: bad body length");
-  ct.body.assign(bytes.begin() + static_cast<long>(off), bytes.end());
+  ct.body = wire::owned(r.bytes16());
+  require(r.finish(), "AnyCiphertext: truncated or trailing bytes");
   return ct;
 }
 
@@ -151,10 +117,10 @@ AnyCiphertext PolicyLock::lock_any(ByteSpan msg, const UserPublicKey& user,
           "PolicyLock lock_any: receiver public key fails the pairing check");
   Bytes session_key = rng.bytes(kSessionKeyBytes);
   Scalar r = params::random_scalar(scheme_.params(), rng);
-  ec::G1Point rasg = user.asg.mul(r);
+  ec::G1Point rasg = user.asg.mul_secret(r);
 
   AnyCiphertext ct;
-  ct.u = witness.g.mul(r);
+  ct.u = witness.g.mul_secret(r);
   ct.wraps.reserve(conditions.size());
   for (const auto& c : conditions) {
     Gt k = pairing::pair(rasg, scheme_.hash_tag(c));

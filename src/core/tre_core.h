@@ -64,6 +64,7 @@
 #include "field/fp.h"
 #include "common/parallel.h"
 #include "common/snapshot_cache.h"
+#include "common/wire.h"
 #include "hashing/drbg.h"
 #include "hashing/kdf.h"
 #include "obs/metrics.h"
@@ -105,48 +106,6 @@ inline constexpr size_t kMacBytes = 32;
 // against unbounded growth under adversarial tag floods; wholesale
 // clearing on overflow is good enough.
 inline constexpr size_t kMaxCacheEntries = 1024;
-
-inline void put_u16(Bytes& out, size_t v) {
-  require(v <= 0xffff, "serialization: length exceeds u16");
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-}
-
-inline size_t get_u16(ByteSpan bytes, size_t& off) {
-  require(off + 2 <= bytes.size(), "deserialization: truncated length");
-  size_t v = static_cast<size_t>(bytes[off]) << 8 | bytes[off + 1];
-  off += 2;
-  return v;
-}
-
-inline Bytes get_exact(ByteSpan bytes, size_t& off, size_t n, const char* what) {
-  require(off + n <= bytes.size(), what);
-  Bytes out(bytes.begin() + static_cast<long>(off),
-            bytes.begin() + static_cast<long>(off + n));
-  off += n;
-  return out;
-}
-
-inline void expect_consumed(ByteSpan bytes, size_t off, const char* what) {
-  require(off == bytes.size(), what);
-}
-
-/// Reads one fixed-width Gu point; the backend's from_bytes validates
-/// curve and subgroup membership (small-subgroup hardening), so every
-/// deserialized protocol point is in the prime-order group.
-template <class B>
-typename B::Gu get_gu(const typename B::Params& params, ByteSpan bytes, size_t& off) {
-  Bytes raw = get_exact(bytes, off, B::gu_wire_bytes(params),
-                        "deserialization: truncated point");
-  return B::gu_from_bytes(params, raw);
-}
-
-template <class B>
-typename B::Gh get_gh(const typename B::Params& params, ByteSpan bytes, size_t& off) {
-  Bytes raw = get_exact(bytes, off, B::gh_wire_bytes(params),
-                        "deserialization: truncated point");
-  return B::gh_from_bytes(params, raw);
-}
 
 // Hot-path probe handles, resolved once per process PER BACKEND: the
 // backend's kProbePrefix labels the instruments, so the type-1 scheme
@@ -252,6 +211,24 @@ void rlc_bisect(size_t n, tre::hashing::RandomSource& rng, unsigned rlc_bits,
 
 }  // namespace detail
 
+/// Reads one fixed-width point of the update group (read_gh: the header
+/// group). The backend's from_bytes validates curve and subgroup membership
+/// (small-subgroup hardening), so every deserialized protocol point is in
+/// the prime-order group.
+template <class B>
+typename B::Gu read_gu(const typename B::Params& params, wire::Reader& r) {
+  ByteSpan raw = r.raw(B::gu_wire_bytes(params));
+  require(r.ok(), "deserialization: truncated point");
+  return B::gu_from_bytes(params, raw);
+}
+
+template <class B>
+typename B::Gh read_gh(const typename B::Params& params, wire::Reader& r) {
+  ByteSpan raw = r.raw(B::gh_wire_bytes(params));
+  require(r.ok(), "deserialization: truncated point");
+  return B::gh_from_bytes(params, raw);
+}
+
 template <class B>
 struct BasicServerPublicKey {
   typename B::Gh g;   // G, server-chosen generator of the header group
@@ -262,10 +239,9 @@ struct BasicServerPublicKey {
   }
   static BasicServerPublicKey from_bytes(const typename B::Params& params,
                                          ByteSpan bytes) {
-    size_t off = 0;
-    BasicServerPublicKey pk{detail::get_gh<B>(params, bytes, off),
-                            detail::get_gh<B>(params, bytes, off)};
-    detail::expect_consumed(bytes, off, "ServerPublicKey: trailing bytes");
+    wire::Reader r(bytes);
+    BasicServerPublicKey pk{read_gh<B>(params, r), read_gh<B>(params, r)};
+    require(r.finish(), "ServerPublicKey: trailing bytes");
     return pk;
   }
   friend bool operator==(const BasicServerPublicKey& a,
@@ -290,10 +266,9 @@ struct BasicUserPublicKey {
   }
   static BasicUserPublicKey from_bytes(const typename B::Params& params,
                                        ByteSpan bytes) {
-    size_t off = 0;
-    BasicUserPublicKey pk{detail::get_gu<B>(params, bytes, off),
-                          detail::get_gh<B>(params, bytes, off)};
-    detail::expect_consumed(bytes, off, "UserPublicKey: trailing bytes");
+    wire::Reader r(bytes);
+    BasicUserPublicKey pk{read_gu<B>(params, r), read_gh<B>(params, r)};
+    require(r.finish(), "UserPublicKey: trailing bytes");
     return pk;
   }
   friend bool operator==(const BasicUserPublicKey& a, const BasicUserPublicKey& b) {
@@ -316,37 +291,18 @@ struct BasicKeyUpdate {
   /// Wire format: u16 tag length || tag || compressed point. This is what
   /// the scalability experiment (E3) counts as "bytes broadcast".
   Bytes to_bytes() const {
-    Bytes out;
-    detail::put_u16(out, tag.size());
-    Bytes tag_bytes = tre::to_bytes(tag);
-    out.insert(out.end(), tag_bytes.begin(), tag_bytes.end());
-    Bytes sig_bytes = B::gu_to_bytes(sig);
-    out.insert(out.end(), sig_bytes.begin(), sig_bytes.end());
-    return out;
+    return wire::Writer().bytes16(tag).raw(B::gu_to_bytes(sig)).take();
   }
-  static BasicKeyUpdate from_bytes(const typename B::Params& params, ByteSpan bytes) {
-    size_t off = 0;
-    size_t tag_len = detail::get_u16(bytes, off);
-    Bytes tag_bytes = detail::get_exact(bytes, off, tag_len, "KeyUpdate: truncated tag");
-    typename B::Gu sig = detail::get_gu<B>(params, bytes, off);
-    detail::expect_consumed(bytes, off, "KeyUpdate: trailing bytes");
-    return BasicKeyUpdate{std::string(tag_bytes.begin(), tag_bytes.end()), sig};
-  }
-
-  /// Non-throwing parse for bytes from UNTRUSTED sources (mirrors, the
-  /// wire): nullopt on any malformed/truncated/off-curve input, so a
-  /// hostile reply cannot drive control flow through exceptions. A
-  /// returned update is well-formed but NOT authenticated — callers must
-  /// still pass it through the scheme's verify_update. Backend-tagged
-  /// framing is structural: point widths and curve equations differ per
+  /// Throws tre::Error on malformed input. Bytes from untrusted sources
+  /// go through wire::try_parse; a parsed update is still unauthenticated
+  /// until verify_update. Point widths and curve equations differ per
   /// backend, so bytes from the wrong backend fail here (tested).
-  static std::optional<BasicKeyUpdate> try_from_bytes(const typename B::Params& params,
-                                                      ByteSpan bytes) {
-    try {
-      return from_bytes(params, bytes);
-    } catch (const Error&) {
-      return std::nullopt;
-    }
+  static BasicKeyUpdate from_bytes(const typename B::Params& params, ByteSpan bytes) {
+    wire::Reader r(bytes);
+    std::string tag = r.str16();
+    typename B::Gu sig = read_gu<B>(params, r);
+    require(r.finish(), "KeyUpdate: trailing bytes");
+    return BasicKeyUpdate{std::move(tag), sig};
   }
   friend bool operator==(const BasicKeyUpdate& a, const BasicKeyUpdate& b) {
     return a.tag == b.tag && B::gu_eq(a.sig, b.sig);
@@ -360,28 +316,14 @@ struct BasicCiphertext {
   Bytes v;
 
   Bytes to_bytes() const {
-    Bytes out = B::gh_to_bytes(u);
-    detail::put_u16(out, v.size());
-    out.insert(out.end(), v.begin(), v.end());
-    return out;
+    return wire::Writer().raw(B::gh_to_bytes(u)).bytes16(v).take();
   }
   static BasicCiphertext from_bytes(const typename B::Params& params, ByteSpan bytes) {
-    size_t off = 0;
-    typename B::Gh u = detail::get_gh<B>(params, bytes, off);
-    size_t n = detail::get_u16(bytes, off);
-    Bytes v = detail::get_exact(bytes, off, n, "Ciphertext: truncated body");
-    detail::expect_consumed(bytes, off, "Ciphertext: trailing bytes");
-    return BasicCiphertext{u, std::move(v)};
-  }
-  /// Non-throwing parse for UNTRUSTED bytes (same contract as
-  /// BasicKeyUpdate::try_from_bytes): nullopt on any malformed input.
-  static std::optional<BasicCiphertext> try_from_bytes(const typename B::Params& params,
-                                                       ByteSpan bytes) {
-    try {
-      return from_bytes(params, bytes);
-    } catch (const Error&) {
-      return std::nullopt;
-    }
+    wire::Reader r(bytes);
+    typename B::Gh u = read_gh<B>(params, r);
+    ByteSpan v = r.bytes16();
+    require(r.finish(), "Ciphertext: truncated or trailing bytes");
+    return BasicCiphertext{u, wire::owned(v)};
   }
 };
 
@@ -394,31 +336,16 @@ struct BasicFoCiphertext {
   Bytes c_msg;
 
   Bytes to_bytes() const {
-    Bytes out = B::gh_to_bytes(u);
-    detail::put_u16(out, c_sigma.size());
-    out.insert(out.end(), c_sigma.begin(), c_sigma.end());
-    detail::put_u16(out, c_msg.size());
-    out.insert(out.end(), c_msg.begin(), c_msg.end());
-    return out;
+    return wire::Writer().raw(B::gh_to_bytes(u)).bytes16(c_sigma).bytes16(c_msg).take();
   }
   static BasicFoCiphertext from_bytes(const typename B::Params& params,
                                       ByteSpan bytes) {
-    size_t off = 0;
-    typename B::Gh u = detail::get_gh<B>(params, bytes, off);
-    size_t n1 = detail::get_u16(bytes, off);
-    Bytes c_sigma = detail::get_exact(bytes, off, n1, "FoCiphertext: truncated sigma");
-    size_t n2 = detail::get_u16(bytes, off);
-    Bytes c_msg = detail::get_exact(bytes, off, n2, "FoCiphertext: truncated body");
-    detail::expect_consumed(bytes, off, "FoCiphertext: trailing bytes");
-    return BasicFoCiphertext{u, std::move(c_sigma), std::move(c_msg)};
-  }
-  static std::optional<BasicFoCiphertext> try_from_bytes(
-      const typename B::Params& params, ByteSpan bytes) {
-    try {
-      return from_bytes(params, bytes);
-    } catch (const Error&) {
-      return std::nullopt;
-    }
+    wire::Reader r(bytes);
+    typename B::Gh u = read_gh<B>(params, r);
+    ByteSpan c_sigma = r.bytes16();
+    ByteSpan c_msg = r.bytes16();
+    require(r.finish(), "FoCiphertext: truncated or trailing bytes");
+    return BasicFoCiphertext{u, wire::owned(c_sigma), wire::owned(c_msg)};
   }
 };
 
@@ -432,35 +359,23 @@ struct BasicReactCiphertext {
   Bytes mac;
 
   Bytes to_bytes() const {
-    Bytes out = B::gh_to_bytes(u);
-    detail::put_u16(out, c_r.size());
-    out.insert(out.end(), c_r.begin(), c_r.end());
-    detail::put_u16(out, c_msg.size());
-    out.insert(out.end(), c_msg.begin(), c_msg.end());
-    detail::put_u16(out, mac.size());
-    out.insert(out.end(), mac.begin(), mac.end());
-    return out;
+    return wire::Writer()
+        .raw(B::gh_to_bytes(u))
+        .bytes16(c_r)
+        .bytes16(c_msg)
+        .bytes16(mac)
+        .take();
   }
   static BasicReactCiphertext from_bytes(const typename B::Params& params,
                                          ByteSpan bytes) {
-    size_t off = 0;
-    typename B::Gh u = detail::get_gh<B>(params, bytes, off);
-    size_t n1 = detail::get_u16(bytes, off);
-    Bytes c_r = detail::get_exact(bytes, off, n1, "ReactCiphertext: truncated c_r");
-    size_t n2 = detail::get_u16(bytes, off);
-    Bytes c_msg = detail::get_exact(bytes, off, n2, "ReactCiphertext: truncated body");
-    size_t n3 = detail::get_u16(bytes, off);
-    Bytes mac = detail::get_exact(bytes, off, n3, "ReactCiphertext: truncated mac");
-    detail::expect_consumed(bytes, off, "ReactCiphertext: trailing bytes");
-    return BasicReactCiphertext{u, std::move(c_r), std::move(c_msg), std::move(mac)};
-  }
-  static std::optional<BasicReactCiphertext> try_from_bytes(
-      const typename B::Params& params, ByteSpan bytes) {
-    try {
-      return from_bytes(params, bytes);
-    } catch (const Error&) {
-      return std::nullopt;
-    }
+    wire::Reader r(bytes);
+    typename B::Gh u = read_gh<B>(params, r);
+    ByteSpan c_r = r.bytes16();
+    ByteSpan c_msg = r.bytes16();
+    ByteSpan mac = r.bytes16();
+    require(r.finish(), "ReactCiphertext: truncated or trailing bytes");
+    return BasicReactCiphertext{u, wire::owned(c_r), wire::owned(c_msg),
+                                wire::owned(mac)};
   }
 };
 
@@ -476,17 +391,18 @@ struct BasicSealedCiphertext {
   Mode mode() const { return static_cast<Mode>(body.index() + 1); }
 
   Bytes to_bytes() const {
-    Bytes out;
-    out.push_back(static_cast<std::uint8_t>(mode()));
-    Bytes payload = std::visit([](const auto& ct) { return ct.to_bytes(); }, body);
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+    return wire::Writer()
+        .u8(static_cast<std::uint8_t>(mode()))
+        .raw(std::visit([](const auto& ct) { return ct.to_bytes(); }, body))
+        .take();
   }
   static BasicSealedCiphertext from_bytes(const typename B::Params& params,
                                           ByteSpan bytes) {
-    require(!bytes.empty(), "SealedCiphertext: empty input");
-    ByteSpan payload = bytes.subspan(1);
-    switch (bytes[0]) {
+    wire::Reader r(bytes);
+    const std::uint8_t mode = r.u8();
+    ByteSpan payload = r.rest();
+    require(r.ok(), "SealedCiphertext: empty input");
+    switch (mode) {
       case static_cast<std::uint8_t>(Mode::kBasic):
         return BasicSealedCiphertext{BasicCiphertext<B>::from_bytes(params, payload)};
       case static_cast<std::uint8_t>(Mode::kFo):
@@ -500,14 +416,6 @@ struct BasicSealedCiphertext {
             "timelock::BasicHybridEnvelope::from_bytes");
       default:
         throw Error("SealedCiphertext: unknown mode byte");
-    }
-  }
-  static std::optional<BasicSealedCiphertext> try_from_bytes(
-      const typename B::Params& params, ByteSpan bytes) {
-    try {
-      return from_bytes(params, bytes);
-    } catch (const Error&) {
-      return std::nullopt;
     }
   }
 };

@@ -1,21 +1,10 @@
 #include "daemon/frame.h"
 
-#include <cstring>
+#include <algorithm>
+
+#include "common/wire.h"
 
 namespace tre::daemon {
-
-namespace {
-
-std::uint32_t read_be32(const std::uint8_t* p) {
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
-
-std::uint64_t read_be64(const std::uint8_t* p) {
-  return (std::uint64_t{read_be32(p)} << 32) | read_be32(p + 4);
-}
-
-}  // namespace
 
 bool known_frame_type(std::uint8_t raw) {
   switch (static_cast<FrameType>(raw)) {
@@ -37,15 +26,12 @@ bool known_frame_type(std::uint8_t raw) {
 
 Bytes encode_frame(FrameType type, ByteSpan payload) {
   require(payload.size() <= kMaxPayload, "encode_frame: payload over the wire cap");
-  Bytes out;
-  out.reserve(kHeaderBytes + payload.size());
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  Bytes len = be32(static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), len.begin(), len.end());
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  return wire::Writer()
+      .raw(kMagic)
+      .u8(kVersion)
+      .u8(static_cast<std::uint8_t>(type))
+      .bytes32(payload)
+      .take();
 }
 
 const char* frame_error_name(FrameError e) {
@@ -72,31 +58,32 @@ void FrameReader::feed(ByteSpan data) {
 
 std::optional<Frame> FrameReader::next() {
   if (err_ != FrameError::kNone) return std::nullopt;
-  if (buffered() < kHeaderBytes) return std::nullopt;
-  const std::uint8_t* h = buf_.data() + off_;
-  if (std::memcmp(h, kMagic.data(), kMagic.size()) != 0) {
+  wire::Reader r(ByteSpan(buf_).subspan(off_));
+  ByteSpan magic = r.raw(kMagic.size());
+  const std::uint8_t version = r.u8();
+  const std::uint8_t type = r.u8();
+  const std::uint32_t len = r.u32();
+  if (!r.ok()) return std::nullopt;  // header still incomplete
+  if (!std::equal(magic.begin(), magic.end(), kMagic.begin())) {
     err_ = FrameError::kBadMagic;
     return std::nullopt;
   }
-  if (h[4] != kVersion) {
+  if (version != kVersion) {
     err_ = FrameError::kBadVersion;
     return std::nullopt;
   }
-  if (!known_frame_type(h[5])) {
+  if (!known_frame_type(type)) {
     err_ = FrameError::kUnknownType;
     return std::nullopt;
   }
-  const std::uint64_t len = read_be32(h + 6);
   if (len > max_payload_) {
     err_ = FrameError::kOversized;
     return std::nullopt;
   }
-  if (buffered() < kHeaderBytes + len) return std::nullopt;  // need more bytes
-  Frame f;
-  f.type = static_cast<FrameType>(h[5]);
-  f.payload.assign(h + kHeaderBytes, h + kHeaderBytes + len);
-  off_ += kHeaderBytes + static_cast<size_t>(len);
-  return f;
+  ByteSpan payload = r.raw(len);
+  if (!r.ok()) return std::nullopt;  // need more bytes
+  off_ += kHeaderBytes + payload.size();
+  return Frame{static_cast<FrameType>(type), wire::owned(payload)};
 }
 
 // --- kError ------------------------------------------------------------------
@@ -136,100 +123,68 @@ std::optional<Errc> errc_from_wire(std::uint8_t raw) {
 }
 
 Bytes encode_error(Errc code, std::string_view message) {
-  Bytes out;
-  out.reserve(1 + message.size());
-  out.push_back(errc_wire_code(code));
-  out.insert(out.end(), message.begin(), message.end());
-  return out;
+  return wire::Writer().u8(errc_wire_code(code)).raw(message).take();
 }
 
 std::optional<WireError> try_parse_error(ByteSpan payload) {
-  if (payload.empty()) return std::nullopt;
-  std::optional<Errc> code = errc_from_wire(payload[0]);
-  if (!code) return std::nullopt;
-  WireError e;
-  e.code = *code;
-  e.message.assign(payload.begin() + 1, payload.end());
-  return e;
+  wire::Reader r(payload);
+  std::optional<Errc> code = errc_from_wire(r.u8());
+  ByteSpan message = r.rest();
+  if (!r.ok() || !code) return std::nullopt;
+  return WireError{*code, std::string(message.begin(), message.end())};
 }
 
 // --- kKeyReply ---------------------------------------------------------------
 
 Bytes encode_key_reply(std::string_view set_name, ByteSpan pub) {
-  require(set_name.size() <= 255, "encode_key_reply: set name too long");
-  Bytes out;
-  out.reserve(1 + set_name.size() + pub.size());
-  out.push_back(static_cast<std::uint8_t>(set_name.size()));
-  out.insert(out.end(), set_name.begin(), set_name.end());
-  out.insert(out.end(), pub.begin(), pub.end());
-  return out;
+  return wire::Writer().u8(set_name.size()).raw(set_name).raw(pub).take();
 }
 
 std::optional<KeyReply> try_parse_key_reply(ByteSpan payload) {
-  if (payload.empty()) return std::nullopt;
-  const size_t name_len = payload[0];
-  if (payload.size() < 1 + name_len) return std::nullopt;
-  KeyReply r;
-  r.set_name.assign(payload.begin() + 1, payload.begin() + 1 + static_cast<long>(name_len));
-  r.pub.assign(payload.begin() + 1 + static_cast<long>(name_len), payload.end());
-  if (r.pub.empty()) return std::nullopt;  // a key reply without a key
-  return r;
+  wire::Reader r(payload);
+  ByteSpan name = r.raw(r.u8());
+  ByteSpan pub = r.rest();
+  if (!r.ok() || pub.empty()) return std::nullopt;  // empty: a reply without a key
+  return KeyReply{std::string(name.begin(), name.end()), wire::owned(pub)};
 }
 
 // --- kGetRange / kRangeReply -------------------------------------------------
 
 Bytes encode_get_range(std::uint64_t start, std::uint32_t max_count) {
-  Bytes out = be64(start);
-  Bytes cnt = be32(max_count);
-  out.insert(out.end(), cnt.begin(), cnt.end());
-  return out;
+  return wire::Writer().u64(start).u32(max_count).take();
 }
 
 std::optional<RangeRequest> try_parse_get_range(ByteSpan payload) {
-  if (payload.size() != 12) return std::nullopt;
-  RangeRequest r;
-  r.start = read_be64(payload.data());
-  r.max_count = read_be32(payload.data() + 8);
-  return r;
+  wire::Reader r(payload);
+  RangeRequest req{r.u64(), r.u32()};
+  if (!r.finish()) return std::nullopt;
+  return req;
 }
 
 Bytes encode_range_reply(std::uint64_t total, std::uint64_t start,
                          const std::vector<Bytes>& updates) {
-  Bytes out = be64(total);
-  Bytes s = be64(start);
-  out.insert(out.end(), s.begin(), s.end());
-  Bytes cnt = be32(static_cast<std::uint32_t>(updates.size()));
-  out.insert(out.end(), cnt.begin(), cnt.end());
-  for (const Bytes& u : updates) {
-    Bytes len = be32(static_cast<std::uint32_t>(u.size()));
-    out.insert(out.end(), len.begin(), len.end());
-    out.insert(out.end(), u.begin(), u.end());
-  }
+  wire::Writer w;
+  w.u64(total).u64(start).u32(updates.size());
+  for (const Bytes& u : updates) w.bytes32(u);
+  Bytes out = w.take();
   require(out.size() <= kMaxPayload, "encode_range_reply: reply over the wire cap");
   return out;
 }
 
 std::optional<RangeReply> try_parse_range_reply(ByteSpan payload) {
-  if (payload.size() < 20) return std::nullopt;
-  RangeReply r;
-  r.total = read_be64(payload.data());
-  r.start = read_be64(payload.data() + 8);
-  const std::uint32_t count = read_be32(payload.data() + 16);
-  size_t off = 20;
-  // Each item needs at least its 4-byte length; a hostile count dies on
-  // the bounds checks below instead of pre-reserving unbounded memory.
-  r.updates.reserve(std::min<size_t>(count, payload.size() / 4));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (payload.size() - off < 4) return std::nullopt;
-    const std::uint32_t len = read_be32(payload.data() + off);
-    off += 4;
-    if (payload.size() - off < len) return std::nullopt;
-    r.updates.emplace_back(payload.begin() + static_cast<long>(off),
-                           payload.begin() + static_cast<long>(off + len));
-    off += len;
+  wire::Reader r(payload);
+  RangeReply reply;
+  reply.total = r.u64();
+  reply.start = r.u64();
+  const std::uint32_t count = r.u32();
+  // Each item needs at least its 4-byte length; a hostile count stops at
+  // the end of the payload instead of pre-reserving unbounded memory.
+  reply.updates.reserve(std::min<size_t>(count, r.remaining() / 4));
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+    reply.updates.push_back(wire::owned(r.bytes32()));
   }
-  if (off != payload.size()) return std::nullopt;  // trailing bytes
-  return r;
+  if (!r.finish()) return std::nullopt;
+  return reply;
 }
 
 }  // namespace tre::daemon

@@ -12,83 +12,47 @@ namespace {
 // Collision-free path encoding: u16 length prefix per component, so
 // ("ab","c") and ("a","bc") hash to different points.
 Bytes encode_path(const IdPath& path, size_t depth) {
-  Bytes out = to_bytes("HIBE-PATH");
-  for (size_t i = 0; i < depth; ++i) {
-    require(path[i].size() <= 0xffff, "GsHibe: path component too long");
-    out.push_back(static_cast<std::uint8_t>(path[i].size() >> 8));
-    out.push_back(static_cast<std::uint8_t>(path[i].size() & 0xff));
-    out.insert(out.end(), path[i].begin(), path[i].end());
-  }
-  return out;
+  wire::Writer w;
+  w.raw("HIBE-PATH");
+  for (size_t i = 0; i < depth; ++i) w.bytes16(path[i]);
+  return w.take();
 }
 
 }  // namespace
 
 Bytes NodeKey::to_bytes(const params::GdhParams& params) const {
-  require(path.size() <= 255 && q.size() + 1 == path.size(),
-          "NodeKey::to_bytes: malformed key");
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(path.size()));
-  for (const auto& component : path) {
-    require(component.size() <= 0xffff, "NodeKey::to_bytes: component too long");
-    out.push_back(static_cast<std::uint8_t>(component.size() >> 8));
-    out.push_back(static_cast<std::uint8_t>(component.size() & 0xff));
-    out.insert(out.end(), component.begin(), component.end());
-  }
-  Bytes sb = s.to_bytes_compressed();
-  out.insert(out.end(), sb.begin(), sb.end());
-  for (const auto& qi : q) {
-    Bytes qb = qi.to_bytes_compressed();
-    out.insert(out.end(), qb.begin(), qb.end());
-  }
-  out.push_back(can_derive ? 1 : 0);
-  if (can_derive) {
-    Bytes secret_bytes = secret.to_bytes_be(params.scalar_bytes());
-    out.insert(out.end(), secret_bytes.begin(), secret_bytes.end());
-  }
-  return out;
+  require(q.size() + 1 == path.size(), "NodeKey::to_bytes: malformed key");
+  wire::Writer w;
+  w.u8(path.size());
+  for (const auto& component : path) w.bytes16(component);
+  w.raw(s.to_bytes_compressed());
+  for (const auto& qi : q) w.raw(qi.to_bytes_compressed());
+  w.u8(can_derive ? 1 : 0);
+  if (can_derive) w.raw(secret.to_bytes_be(params.scalar_bytes()));
+  return w.take();
 }
 
 NodeKey NodeKey::from_bytes(const params::GdhParams& params, ByteSpan bytes) {
-  size_t off = 0;
-  auto need = [&](size_t n, const char* what) {
-    require(off + n <= bytes.size(), what);
-  };
-  need(1, "NodeKey: truncated depth");
-  size_t depth = bytes[off++];
+  using core::read_gh;
+  using core::Tre512Backend;
+  wire::Reader r(bytes);
+  size_t depth = r.u8();
   require(depth >= 1, "NodeKey: empty path");
   NodeKey key;
-  for (size_t i = 0; i < depth; ++i) {
-    need(2, "NodeKey: truncated component length");
-    size_t len = static_cast<size_t>(bytes[off]) << 8 | bytes[off + 1];
-    off += 2;
-    need(len, "NodeKey: truncated component");
-    key.path.emplace_back(bytes.begin() + static_cast<long>(off),
-                          bytes.begin() + static_cast<long>(off + len));
-    off += len;
+  for (size_t i = 0; i < depth; ++i) key.path.push_back(r.str16());
+  key.s = read_gh<Tre512Backend>(params, r);
+  for (size_t i = 0; i + 1 < depth; ++i) {
+    key.q.push_back(read_gh<Tre512Backend>(params, r));
   }
-  size_t w = params.g1_compressed_bytes();
-  auto read_point = [&](const char* what) {
-    need(w, what);
-    ec::G1Point p = ec::G1Point::from_bytes(params.ctx(), bytes.subspan(off, w));
-    require(p.in_subgroup(), "NodeKey: point outside the order-q subgroup");
-    off += w;
-    return p;
-  };
-  key.s = read_point("NodeKey: truncated S");
-  for (size_t i = 0; i + 1 < depth; ++i) key.q.push_back(read_point("NodeKey: truncated Q"));
-  need(1, "NodeKey: truncated flag");
-  std::uint8_t flag = bytes[off++];
+  std::uint8_t flag = r.u8();
   require(flag <= 1, "NodeKey: bad derivation flag");
   key.can_derive = flag == 1;
   if (key.can_derive) {
-    need(params.scalar_bytes(), "NodeKey: truncated secret");
-    key.secret = Scalar::from_bytes_be(bytes.subspan(off, params.scalar_bytes()));
-    off += params.scalar_bytes();
+    key.secret = Scalar::from_bytes_be(r.raw(params.scalar_bytes()));
     require(!key.secret.is_zero() && key.secret < params.group_order(),
             "NodeKey: invalid derivation secret");
   }
-  require(off == bytes.size(), "NodeKey: trailing bytes");
+  require(r.finish(), "NodeKey: truncated or trailing bytes");
   return key;
 }
 
@@ -101,7 +65,7 @@ RootKey GsHibe::setup(tre::hashing::RandomSource& rng) const {
   Scalar h = params::random_scalar(*params_, rng);
   Scalar s0 = params::random_scalar(*params_, rng);
   G1Point p0 = params_->base.mul(h);
-  return RootKey{s0, p0, p0.mul(s0)};
+  return RootKey{s0, p0, p0.mul_secret(s0)};
 }
 
 G1Point GsHibe::path_point(const IdPath& path) const {
@@ -114,7 +78,7 @@ NodeKey GsHibe::extract_root_child(const RootKey& root, std::string_view id,
   require(!child_secret.is_zero(), "GsHibe: zero child secret");
   NodeKey key;
   key.path = {std::string(id)};
-  key.s = path_point(key.path).mul(root.s0);
+  key.s = path_point(key.path).mul_secret(root.s0);
   key.secret = child_secret;
   key.can_derive = true;
   return key;
@@ -127,9 +91,9 @@ NodeKey GsHibe::derive_child(const G1Point& p0, const NodeKey& parent,
   NodeKey key;
   key.path = parent.path;
   key.path.emplace_back(id);
-  key.s = parent.s + path_point(key.path).mul(parent.secret);
+  key.s = parent.s + path_point(key.path).mul_secret(parent.secret);
   key.q = parent.q;
-  key.q.push_back(p0.mul(parent.secret));  // Q_t = s_t·P0
+  key.q.push_back(p0.mul_secret(parent.secret));  // Q_t = s_t·P0
   key.secret = child_secret;
   key.can_derive = true;
   return key;
@@ -155,10 +119,10 @@ HibeCiphertext GsHibe::encrypt(ByteSpan msg, const IdPath& path,
   require(!path.empty(), "GsHibe: empty path");
   Scalar r = params::random_scalar(*params_, rng);
   HibeCiphertext ct;
-  ct.u0 = root.p0.mul(r);
+  ct.u0 = root.p0.mul_secret(r);
   for (size_t i = 2; i <= path.size(); ++i) {
     IdPath prefix(path.begin(), path.begin() + static_cast<long>(i));
-    ct.us.push_back(path_point(prefix).mul(r));
+    ct.us.push_back(path_point(prefix).mul_secret(r));
   }
   Gt g = pairing::pair(root.q0, path_point(IdPath(path.begin(), path.begin() + 1)));
   ct.v = xor_bytes(msg, mask_.mask_h2(g.pow(r), msg.size()));

@@ -19,7 +19,7 @@ ServerKeyPair IdTreScheme::setup(tre::hashing::RandomSource& rng) const {
 
 IdPrivateKey IdTreScheme::extract(const ServerKeyPair& authority,
                                   std::string_view id) const {
-  return IdPrivateKey{std::string(id), scheme_.hash_tag(id).mul(authority.s)};
+  return IdPrivateKey{std::string(id), scheme_.hash_tag(id).mul_secret(authority.s)};
 }
 
 bool IdTreScheme::verify_private_key(const ServerPublicKey& authority,
@@ -51,7 +51,8 @@ Ciphertext IdTreScheme::encrypt(ByteSpan msg, std::string_view id,
                                 tre::hashing::RandomSource& rng) const {
   Scalar r = params::random_scalar(scheme_.params(), rng);
   Gt k = session_key(authority, id, tag, r);
-  return Ciphertext{authority.g.mul(r), xor_bytes(msg, scheme_.mask_h2(k, msg.size()))};
+  return Ciphertext{authority.g.mul_secret(r),
+                    xor_bytes(msg, scheme_.mask_h2(k, msg.size()))};
 }
 
 Bytes IdTreScheme::decrypt(const Ciphertext& ct, const IdPrivateKey& key,
@@ -72,7 +73,7 @@ FoCiphertext IdTreScheme::encrypt_fo(ByteSpan msg, std::string_view id,
   Gt k = session_key(authority, id, tag, r);
   Bytes c_sigma = xor_bytes(sigma, scheme_.mask_h2(k, kSigmaBytes));
   Bytes c_msg = xor_bytes(msg, hashing::oracle_bytes("TRE-H4", sigma, msg.size()));
-  return FoCiphertext{authority.g.mul(r), std::move(c_sigma), std::move(c_msg)};
+  return FoCiphertext{authority.g.mul_secret(r), std::move(c_sigma), std::move(c_msg)};
 }
 
 std::optional<Bytes> IdTreScheme::decrypt_fo(const FoCiphertext& ct,
@@ -85,7 +86,7 @@ std::optional<Bytes> IdTreScheme::decrypt_fo(const FoCiphertext& ct,
   Bytes sigma = xor_bytes(ct.c_sigma, scheme_.mask_h2(k, kSigmaBytes));
   Bytes msg = xor_bytes(ct.c_msg, hashing::oracle_bytes("TRE-H4", sigma, ct.c_msg.size()));
   Scalar r = scheme_.hash_to_scalar("TRE-H3", concat({sigma, msg}));
-  if (!(authority.g.mul(r) == ct.u)) return std::nullopt;
+  if (!(authority.g.mul_secret(r) == ct.u)) return std::nullopt;
   return msg;
 }
 

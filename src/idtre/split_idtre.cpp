@@ -12,12 +12,12 @@ SplitAuthorityIdTre::SplitAuthorityIdTre(std::shared_ptr<const params::GdhParams
 ServerKeyPair SplitAuthorityIdTre::authority_keygen(tre::hashing::RandomSource& rng) const {
   Scalar s = params::random_scalar(scheme_.params(), rng);
   const G1Point& base = scheme_.params().base;
-  return ServerKeyPair{s, ServerPublicKey{base, base.mul(s)}};
+  return ServerKeyPair{s, ServerPublicKey{base, base.mul_secret(s)}};
 }
 
 IdPrivateKey SplitAuthorityIdTre::extract(const ServerKeyPair& ta,
                                           std::string_view id) const {
-  return IdPrivateKey{std::string(id), scheme_.hash_tag(id).mul(ta.s)};
+  return IdPrivateKey{std::string(id), scheme_.hash_tag(id).mul_secret(ta.s)};
 }
 
 KeyUpdate SplitAuthorityIdTre::issue_update(const ServerKeyPair& ts,
@@ -50,7 +50,7 @@ Ciphertext SplitAuthorityIdTre::encrypt(ByteSpan msg, std::string_view id,
       {ts.sg, scheme_.hash_tag(tag)},
   };
   Gt k = pairing::pair_product(pairs).pow(r);
-  return Ciphertext{scheme_.params().base.mul(r),
+  return Ciphertext{scheme_.params().base.mul_secret(r),
                     xor_bytes(msg, scheme_.mask_h2(k, msg.size()))};
 }
 

@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "common/health.h"
+#include "common/wire.h"
 #include "hashing/hmac.h"
 #include "hashing/kdf.h"
 
@@ -32,31 +33,24 @@ Bytes seal(ByteSpan secret, std::string_view password, tre::hashing::RandomSourc
   ByteSpan mac_key(key.data() + 32, 32);
 
   Bytes body = xor_bytes(secret, hashing::keystream(enc_key, salt, secret.size()));
-  Bytes out = salt;
-  Bytes iters = be32(iterations);
-  out.insert(out.end(), iters.begin(), iters.end());
-  out.insert(out.end(), body.begin(), body.end());
-  Bytes mac = hashing::hmac_sha256_concat(mac_key, {salt, iters, body});
-  out.insert(out.end(), mac.begin(), mac.end());
-  return out;
+  // Blob: salt || be32 iterations || body || HMAC over everything before it.
+  Bytes authed = wire::Writer().raw(salt).u32(iterations).raw(body).take();
+  return concat({authed, hashing::hmac_sha256(mac_key, authed)});
 }
 
 std::optional<Bytes> open(ByteSpan blob, std::string_view password) {
   if (blob.size() < kSaltLen + 4 + kMacLen) return std::nullopt;
-  ByteSpan salt = blob.subspan(0, kSaltLen);
-  ByteSpan iters_bytes = blob.subspan(kSaltLen, 4);
-  std::uint32_t iterations = static_cast<std::uint32_t>(iters_bytes[0]) << 24 |
-                             static_cast<std::uint32_t>(iters_bytes[1]) << 16 |
-                             static_cast<std::uint32_t>(iters_bytes[2]) << 8 |
-                             iters_bytes[3];
-  if (iterations == 0) return std::nullopt;
-  ByteSpan body = blob.subspan(kSaltLen + 4, blob.size() - kSaltLen - 4 - kMacLen);
-  ByteSpan mac = blob.subspan(blob.size() - kMacLen);
+  wire::Reader r(blob);
+  ByteSpan salt = r.raw(kSaltLen);
+  std::uint32_t iterations = r.u32();
+  ByteSpan body = r.raw(r.remaining() - kMacLen);
+  ByteSpan mac = r.raw(kMacLen);
+  if (!r.finish() || iterations == 0) return std::nullopt;
 
   Bytes key = derive_key(password, salt, iterations, 64);
   ByteSpan enc_key(key.data(), 32);
   ByteSpan mac_key(key.data() + 32, 32);
-  Bytes expected = hashing::hmac_sha256_concat(mac_key, {salt, iters_bytes, body});
+  Bytes expected = hashing::hmac_sha256(mac_key, blob.first(blob.size() - kMacLen));
   if (!ct_equal(expected, mac)) return std::nullopt;
   return xor_bytes(body, hashing::keystream(enc_key, salt, body.size()));
 }

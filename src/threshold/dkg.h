@@ -46,25 +46,19 @@ struct DkgCommitment {
   std::vector<typename B::Gh> coeffs;    // C_{i,m} = c_{i,m}·G, m = 0..k-1
 
   Bytes to_bytes() const {
-    Bytes out;
-    core::detail::put_u16(out, dealer);
-    core::detail::put_u16(out, coeffs.size());
-    for (const typename B::Gh& c : coeffs) {
-      Bytes b = B::gh_to_bytes(c);
-      out.insert(out.end(), b.begin(), b.end());
-    }
-    return out;
+    wire::Writer w;
+    w.u16(dealer).u16(coeffs.size());
+    for (const typename B::Gh& c : coeffs) w.raw(B::gh_to_bytes(c));
+    return w.take();
   }
   static DkgCommitment from_bytes(const typename B::Params& params, ByteSpan bytes) {
-    size_t off = 0;
+    wire::Reader r(bytes);
     DkgCommitment c;
-    c.dealer = core::detail::get_u16(bytes, off);
-    size_t k = core::detail::get_u16(bytes, off);
+    c.dealer = r.u16();
+    size_t k = r.u16();
     c.coeffs.reserve(k);
-    for (size_t m = 0; m < k; ++m) {
-      c.coeffs.push_back(core::detail::get_gh<B>(params, bytes, off));
-    }
-    core::detail::expect_consumed(bytes, off, "DkgCommitment: trailing bytes");
+    for (size_t m = 0; m < k; ++m) c.coeffs.push_back(core::read_gh<B>(params, r));
+    require(r.finish(), "DkgCommitment: trailing bytes");
     return c;
   }
 };

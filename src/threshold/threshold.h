@@ -63,19 +63,17 @@ struct BasicServerShare {
   /// SECRET wire format: u16 index || fixed-width big-endian scalar.
   /// For key files only — never goes over the network.
   Bytes to_bytes(const typename B::Params& params) const {
-    Bytes out;
-    core::detail::put_u16(out, index);
-    Bytes s = share.to_bytes_be(B::scalar_bytes(params));
-    out.insert(out.end(), s.begin(), s.end());
-    return out;
+    return wire::Writer()
+        .u16(index)
+        .raw(share.to_bytes_be(B::scalar_bytes(params)))
+        .take();
   }
   static BasicServerShare from_bytes(const typename B::Params& params,
                                      ByteSpan bytes) {
-    size_t off = 0;
-    size_t index = core::detail::get_u16(bytes, off);
-    Bytes s = core::detail::get_exact(bytes, off, B::scalar_bytes(params),
-                                      "ServerShare: truncated scalar");
-    core::detail::expect_consumed(bytes, off, "ServerShare: trailing bytes");
+    wire::Reader r(bytes);
+    size_t index = r.u16();
+    ByteSpan s = r.raw(B::scalar_bytes(params));
+    require(r.finish(), "ServerShare: truncated or trailing bytes");
     return BasicServerShare{index, Scalar::from_bytes_be(s)};
   }
 };
@@ -95,32 +93,26 @@ struct BasicThresholdKey {
   /// Wire format: u16 n || u16 k || group (G, s·G) || n share
   /// commitments — all points fixed-width compressed.
   Bytes to_bytes() const {
-    Bytes out;
-    core::detail::put_u16(out, config.n);
-    core::detail::put_u16(out, config.k);
-    Bytes g = group.to_bytes();
-    out.insert(out.end(), g.begin(), g.end());
-    for (const typename B::Gh& ps : pub_shares) {
-      Bytes w = B::gh_to_bytes(ps);
-      out.insert(out.end(), w.begin(), w.end());
-    }
-    return out;
+    wire::Writer w;
+    w.u16(config.n).u16(config.k).raw(group.to_bytes());
+    for (const typename B::Gh& ps : pub_shares) w.raw(B::gh_to_bytes(ps));
+    return w.take();
   }
   static BasicThresholdKey from_bytes(const typename B::Params& params,
                                       ByteSpan bytes) {
-    size_t off = 0;
+    wire::Reader r(bytes);
     BasicThresholdKey key;
-    key.config.n = core::detail::get_u16(bytes, off);
-    key.config.k = core::detail::get_u16(bytes, off);
+    key.config.n = r.u16();
+    key.config.k = r.u16();
     require(key.config.k >= 1 && key.config.k <= key.config.n,
             "ThresholdKey: need 1 <= k <= n");
-    key.group.g = core::detail::get_gh<B>(params, bytes, off);
-    key.group.sg = core::detail::get_gh<B>(params, bytes, off);
+    key.group.g = core::read_gh<B>(params, r);
+    key.group.sg = core::read_gh<B>(params, r);
     key.pub_shares.reserve(key.config.n);
     for (size_t i = 0; i < key.config.n; ++i) {
-      key.pub_shares.push_back(core::detail::get_gh<B>(params, bytes, off));
+      key.pub_shares.push_back(core::read_gh<B>(params, r));
     }
-    core::detail::expect_consumed(bytes, off, "ThresholdKey: trailing bytes");
+    require(r.finish(), "ThresholdKey: trailing bytes");
     return key;
   }
 };
@@ -135,39 +127,19 @@ struct BasicPartialUpdate {
   /// Wire format: u16 index || u16 tag length || tag || compressed point
   /// — the payload a beacon node serves and a threshold fetcher collects.
   Bytes to_bytes() const {
-    Bytes out;
-    core::detail::put_u16(out, index);
-    core::detail::put_u16(out, tag.size());
-    Bytes tag_bytes = tre::to_bytes(tag);
-    out.insert(out.end(), tag_bytes.begin(), tag_bytes.end());
-    Bytes sig_bytes = B::gu_to_bytes(sig);
-    out.insert(out.end(), sig_bytes.begin(), sig_bytes.end());
-    return out;
+    return wire::Writer().u16(index).bytes16(tag).raw(B::gu_to_bytes(sig)).take();
   }
+  /// Throws tre::Error on malformed input; untrusted bytes go through
+  /// wire::try_parse. A parsed partial is NOT authenticated — callers
+  /// must still pass it through verify_partial / verify_partials_batch.
   static BasicPartialUpdate from_bytes(const typename B::Params& params,
                                        ByteSpan bytes) {
-    size_t off = 0;
-    size_t index = core::detail::get_u16(bytes, off);
-    size_t tag_len = core::detail::get_u16(bytes, off);
-    Bytes tag_bytes =
-        core::detail::get_exact(bytes, off, tag_len, "PartialUpdate: truncated tag");
-    typename B::Gu sig = core::detail::get_gu<B>(params, bytes, off);
-    core::detail::expect_consumed(bytes, off, "PartialUpdate: trailing bytes");
-    return BasicPartialUpdate{index,
-                              std::string(tag_bytes.begin(), tag_bytes.end()), sig};
-  }
-
-  /// Non-throwing parse for bytes from UNTRUSTED sources (mirrors, the
-  /// wire): nullopt on any malformed/truncated/off-curve input. A
-  /// returned partial is well-formed but NOT authenticated — callers
-  /// must still pass it through verify_partial / verify_partials_batch.
-  static std::optional<BasicPartialUpdate> try_from_bytes(
-      const typename B::Params& params, ByteSpan bytes) {
-    try {
-      return from_bytes(params, bytes);
-    } catch (const Error&) {
-      return std::nullopt;
-    }
+    wire::Reader r(bytes);
+    size_t index = r.u16();
+    std::string tag = r.str16();
+    typename B::Gu sig = core::read_gu<B>(params, r);
+    require(r.finish(), "PartialUpdate: trailing bytes");
+    return BasicPartialUpdate{index, std::move(tag), sig};
   }
 
   friend bool operator==(const BasicPartialUpdate& a, const BasicPartialUpdate& b) {

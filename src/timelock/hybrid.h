@@ -32,6 +32,7 @@
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/health.h"
+#include "common/wire.h"
 #include "core/tre_core.h"
 #include "hashing/hmac.h"
 #include "hashing/kdf.h"
@@ -56,41 +57,6 @@ inline Bytes transcript_mac(ByteSpan payload_key, ByteSpan key_ct_bytes,
       {tre::to_bytes("TRE-HYBRID-MAC"), key_ct_bytes, puzzle_bytes, nonce, body});
 }
 
-inline void put_u16(Bytes& out, size_t v) {
-  require(v <= 0xffff, "HybridEnvelope: field too long for u16 length prefix");
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-}
-
-inline void put_u32(Bytes& out, size_t v) {
-  require(v <= 0xffffffffu, "HybridEnvelope: body too long for u32 length prefix");
-  for (int i = 3; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-struct Cursor {
-  ByteSpan bytes;
-  size_t pos = 0;
-
-  size_t remaining() const { return bytes.size() - pos; }
-  ByteSpan take(size_t n) {
-    require(remaining() >= n, "HybridEnvelope::from_bytes: truncated input");
-    ByteSpan out = bytes.subspan(pos, n);
-    pos += n;
-    return out;
-  }
-  size_t take_u16() {
-    ByteSpan b = take(2);
-    return (static_cast<size_t>(b[0]) << 8) | b[1];
-  }
-  size_t take_u32() {
-    ByteSpan b = take(4);
-    size_t v = 0;
-    for (size_t i = 0; i < 4; ++i) v = (v << 8) | b[i];
-    return v;
-  }
-};
-
 }  // namespace detail
 
 /// Sender-side dials for the fallback lane.
@@ -110,69 +76,33 @@ struct BasicHybridEnvelope {
   /// Wire: kHybrid mode byte || u16 |key_ct| || key_ct || u16 |puzzle|
   /// || puzzle || nonce || u32 |body| || body || mac.
   Bytes to_bytes() const {
-    Bytes out;
-    out.push_back(static_cast<std::uint8_t>(core::Mode::kHybrid));
-    Bytes kct = key_ct.to_bytes();
-    detail::put_u16(out, kct.size());
-    out.insert(out.end(), kct.begin(), kct.end());
-    Bytes pz = puzzle.to_bytes();
-    detail::put_u16(out, pz.size());
-    out.insert(out.end(), pz.begin(), pz.end());
     require(nonce.size() == kNonceBytes, "HybridEnvelope: bad nonce size");
-    out.insert(out.end(), nonce.begin(), nonce.end());
-    detail::put_u32(out, body.size());
-    out.insert(out.end(), body.begin(), body.end());
     require(mac.size() == kMacBytes, "HybridEnvelope: bad mac size");
-    out.insert(out.end(), mac.begin(), mac.end());
-    return out;
+    return wire::Writer()
+        .u8(static_cast<std::uint8_t>(core::Mode::kHybrid))
+        .bytes16(key_ct.to_bytes())
+        .bytes16(puzzle.to_bytes())
+        .raw(nonce)
+        .bytes32(body)
+        .raw(mac)
+        .take();
   }
 
   static BasicHybridEnvelope from_bytes(const typename B::Params& params,
                                         ByteSpan bytes) {
-    detail::Cursor cur{bytes};
-    ByteSpan mode = cur.take(1);
-    require(mode[0] == static_cast<std::uint8_t>(core::Mode::kHybrid),
+    wire::Reader r(bytes);
+    require(r.u8() == static_cast<std::uint8_t>(core::Mode::kHybrid),
             "HybridEnvelope::from_bytes: wrong mode byte");
-    BasicHybridEnvelope out;
-    size_t kct_len = cur.take_u16();
-    out.key_ct =
-        core::BasicSealedCiphertext<B>::from_bytes(params, cur.take(kct_len));
-    size_t pz_len = cur.take_u16();
-    out.puzzle = baselines::RswPuzzle::from_bytes(cur.take(pz_len));
-    ByteSpan nonce = cur.take(kNonceBytes);
-    out.nonce.assign(nonce.begin(), nonce.end());
-    size_t body_len = cur.take_u32();
-    ByteSpan body = cur.take(body_len);
-    out.body.assign(body.begin(), body.end());
-    ByteSpan mac = cur.take(kMacBytes);
-    out.mac.assign(mac.begin(), mac.end());
-    require(cur.remaining() == 0, "HybridEnvelope::from_bytes: trailing bytes");
-    return out;
+    ByteSpan key_ct = r.bytes16();
+    ByteSpan puzzle = r.bytes16();
+    ByteSpan nonce = r.raw(kNonceBytes);
+    ByteSpan body = r.bytes32();
+    ByteSpan mac = r.raw(kMacBytes);
+    require(r.finish(), "HybridEnvelope::from_bytes: truncated or trailing bytes");
+    return BasicHybridEnvelope{core::BasicSealedCiphertext<B>::from_bytes(params, key_ct),
+                               baselines::RswPuzzle::from_bytes(puzzle),
+                               wire::owned(nonce), wire::owned(body), wire::owned(mac)};
   }
-
-  static std::optional<BasicHybridEnvelope> try_from_bytes(
-      const typename B::Params& params, ByteSpan bytes) {
-    try {
-      return from_bytes(params, bytes);
-    } catch (const Error&) {
-      return std::nullopt;
-    }
-  }
-
- private:
-  // Aggregate needs a default state for from_bytes to fill in; the
-  // variant default-constructs to a kBasic ciphertext, immediately
-  // overwritten.
-  BasicHybridEnvelope() = default;
-
- public:
-  BasicHybridEnvelope(core::BasicSealedCiphertext<B> kct, baselines::RswPuzzle pz,
-                      Bytes nonce_in, Bytes body_in, Bytes mac_in)
-      : key_ct(std::move(kct)),
-        puzzle(std::move(pz)),
-        nonce(std::move(nonce_in)),
-        body(std::move(body_in)),
-        mac(std::move(mac_in)) {}
 };
 
 /// Seals `msg` so it opens either through the server lane (epoch key for
@@ -204,8 +134,8 @@ BasicHybridEnvelope<B> seal_hybrid(const core::BasicTreScheme<B>& scheme,
   Bytes body = xor_bytes(msg, detail::keystream(payload_key, nonce, msg.size()));
   Bytes mac = detail::transcript_mac(payload_key, key_ct.to_bytes(),
                                      puzzle.to_bytes(), nonce, body);
-  return BasicHybridEnvelope<B>(std::move(key_ct), std::move(puzzle),
-                                std::move(nonce), std::move(body), std::move(mac));
+  return BasicHybridEnvelope<B>{std::move(key_ct), std::move(puzzle), std::move(nonce),
+                                std::move(body), std::move(mac)};
 }
 
 /// Shared tail of both lanes: authenticates the transcript under the

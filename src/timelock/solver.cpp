@@ -1,19 +1,20 @@
 #include "timelock/solver.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/health.h"
+#include "common/wire.h"
 #include "hashing/sha256.h"
 
 namespace tre::timelock {
 
 namespace {
 
-constexpr char kMagic[8] = {'T', 'R', 'E', 'C', 'K', 'P', 'T', '1'};
+constexpr std::string_view kMagic = "TRECKPT1";
 constexpr size_t kResidueBytes = 8 * kWorkLimbs;
-// magic || fingerprint || steps || x || anchor steps || anchor x || tag
-constexpr size_t kCheckpointBytes = 8 + 32 + 8 + kResidueBytes + 8 + kResidueBytes + 32;
+constexpr size_t kHashBytes = 32;
 
 // 64-bit modular helpers for the check lane (modulus fits a word, so
 // one __int128 product per multiply — the same extension bigint/ uses).
@@ -52,17 +53,6 @@ std::uint64_t check_lane_expected(const baselines::RswPuzzle& puzzle,
 WorkInt work_modulus(const baselines::RswPuzzle& puzzle) {
   return bigint::mul_wide(puzzle.n, baselines::RswInt::from_u64(kCheckPrime))
       .resized<kWorkLimbs>();
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-std::uint64_t get_u64(ByteSpan b) {
-  std::uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) v = (v << 8) | b[i];
-  return v;
 }
 
 }  // namespace
@@ -117,52 +107,41 @@ Bytes RswSolver::key() const {
   return baselines::Rsw::unseal(puzzle_, b);
 }
 
+// Wire: magic || puzzle fingerprint || steps || head x || anchor steps ||
+// anchor x || integrity hash of everything before it.
 Bytes RswSolver::checkpoint() const {
-  Bytes out;
-  out.reserve(kCheckpointBytes);
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  Bytes fp = hashing::sha256(puzzle_.to_bytes());
-  out.insert(out.end(), fp.begin(), fp.end());
-  put_u64(out, steps_);
-  Bytes head = mont_.from_mont(x_).to_bytes_be(kResidueBytes);
-  out.insert(out.end(), head.begin(), head.end());
-  put_u64(out, anchor_steps_);
-  Bytes anchor = mont_.from_mont(anchor_).to_bytes_be(kResidueBytes);
-  out.insert(out.end(), anchor.begin(), anchor.end());
-  Bytes tag = hashing::sha256(out);
-  out.insert(out.end(), tag.begin(), tag.end());
-  return out;
+  Bytes state = wire::Writer()
+                    .raw(kMagic)
+                    .raw(hashing::sha256(puzzle_.to_bytes()))
+                    .u64(steps_)
+                    .raw(mont_.from_mont(x_).to_bytes_be(kResidueBytes))
+                    .u64(anchor_steps_)
+                    .raw(mont_.from_mont(anchor_).to_bytes_be(kResidueBytes))
+                    .take();
+  return concat({state, hashing::sha256(state)});
 }
 
 RswSolver RswSolver::restore(const baselines::RswPuzzle& puzzle, ByteSpan checkpoint,
                              SolverOptions opts) {
-  require(checkpoint.size() == kCheckpointBytes,
-          "RswSolver::restore: wrong checkpoint size");
-  size_t pos = 0;
-  auto take = [&](size_t n) {
-    ByteSpan out = checkpoint.subspan(pos, n);
-    pos += n;
-    return out;
-  };
-  ByteSpan magic = take(sizeof(kMagic));
-  require(std::equal(magic.begin(), magic.end(), kMagic),
+  wire::Reader r(checkpoint);
+  ByteSpan magic = r.raw(kMagic.size());
+  ByteSpan fp = r.raw(kHashBytes);
+  std::uint64_t steps = r.u64();
+  ByteSpan head_be = r.raw(kResidueBytes);
+  std::uint64_t anchor_steps = r.u64();
+  ByteSpan anchor_be = r.raw(kResidueBytes);
+  ByteSpan tag = r.raw(kHashBytes);
+  require(r.finish(), "RswSolver::restore: wrong checkpoint size");
+  require(std::equal(magic.begin(), magic.end(), kMagic.begin()),
           "RswSolver::restore: bad magic");
-  ByteSpan fp = take(32);
-  ByteSpan steps_be = take(8);
-  ByteSpan head_be = take(kResidueBytes);
-  ByteSpan anchor_steps_be = take(8);
-  ByteSpan anchor_be = take(kResidueBytes);
-  ByteSpan tag = take(32);
 
-  Bytes expect_tag = hashing::sha256(checkpoint.subspan(0, checkpoint.size() - 32));
+  Bytes expect_tag = hashing::sha256(checkpoint.first(checkpoint.size() - kHashBytes));
   require(std::equal(tag.begin(), tag.end(), expect_tag.begin()),
           "RswSolver::restore: integrity hash mismatch");
   Bytes expect_fp = hashing::sha256(puzzle.to_bytes());
   require(std::equal(fp.begin(), fp.end(), expect_fp.begin()),
           "RswSolver::restore: checkpoint is for a different puzzle");
 
-  std::uint64_t steps = get_u64(steps_be);
-  std::uint64_t anchor_steps = get_u64(anchor_steps_be);
   require(steps <= puzzle.t, "RswSolver::restore: steps past the puzzle");
   require(anchor_steps <= steps, "RswSolver::restore: anchor ahead of head");
   require(steps - anchor_steps <= opts.replay_window,

@@ -41,15 +41,15 @@ hibe::HibeCiphertext HierarchicalTre::encrypt(ByteSpan msg,
   Scalar r = params::random_scalar(hibe_.params(), rng);
 
   hibe::HibeCiphertext ct;
-  ct.u0 = root.p0.mul(r);
+  ct.u0 = root.p0.mul_secret(r);
   for (size_t i = 2; i <= path.size(); ++i) {
     IdPath prefix(path.begin(), path.begin() + static_cast<long>(i));
-    ct.us.push_back(hibe_.path_point(prefix).mul(r));
+    ct.us.push_back(hibe_.path_point(prefix).mul_secret(r));
   }
   // K = ê(r·a·Q0, P_1) = ê(Q0, P_1)^{ra}: needs the receiver's secret to
   // reproduce, so the server (and the public) cannot decrypt.
   pairing::Gt k = pairing::pair(
-      user.asg.mul(r), hibe_.path_point(IdPath(path.begin(), path.begin() + 1)));
+      user.asg.mul_secret(r), hibe_.path_point(IdPath(path.begin(), path.begin() + 1)));
   ct.v = xor_bytes(msg, mask_.mask_h2(k, msg.size()));
   return ct;
 }
@@ -133,13 +133,11 @@ HierarchicalTimeServer::HierarchicalTimeServer(
       next_minute_(TimeSpec::from_unix(timeline.now(), Granularity::kMinute)) {}
 
 Scalar HierarchicalTimeServer::node_secret(const IdPath& path) const {
-  Bytes input = master_seed_;
-  for (const auto& component : path) {
-    input.push_back(static_cast<std::uint8_t>(component.size() >> 8));
-    input.push_back(static_cast<std::uint8_t>(component.size() & 0xff));
-    input.insert(input.end(), component.begin(), component.end());
-  }
-  Bytes wide = hashing::oracle_bytes("HTS-NODE", input, params_->scalar_bytes() + 16);
+  wire::Writer input;
+  input.raw(master_seed_);
+  for (const auto& component : path) input.bytes16(component);
+  Bytes wide =
+      hashing::oracle_bytes("HTS-NODE", input.take(), params_->scalar_bytes() + 16);
   auto v = bigint::BigInt<2 * field::kMaxFieldLimbs>::from_bytes_be(wide);
   Scalar s = bigint::mod_wide(v, params_->group_order());
   if (s.is_zero()) s = Scalar::from_u64(1);

@@ -223,18 +223,19 @@ TEST_F(Bls12Test, DecodersRejectOnCurvePointsOutsideTheSubgroup) {
     for (const G1Point381& rogue : {raw, ctx.g1_mul(raw, ctx.r())}) {
       Bytes compressed = ctx.g1_to_bytes(rogue);
       EXPECT_THROW(ctx.g1_from_bytes(compressed), Error);
-      EXPECT_FALSE(Update381::try_from_bytes(ctx, Update381{tag, rogue}.to_bytes())
+      EXPECT_FALSE(wire::try_parse<Update381>(ctx, Update381{tag, rogue}.to_bytes())
                        .has_value());
       EXPECT_FALSE(
-          Partial::try_from_bytes(ctx, Partial{1, tag, rogue}.to_bytes()).has_value());
+          wire::try_parse<Partial>(ctx, Partial{1, tag, rogue}.to_bytes()).has_value());
     }
   }
   // The same wire images carrying a member parse.
   G1Point381 member = ctx.hash_to_g1(to_bytes(tag));
   EXPECT_TRUE(ctx.g1_eq(ctx.g1_from_bytes(ctx.g1_to_bytes(member)), member));
-  EXPECT_TRUE(Update381::try_from_bytes(ctx, Update381{tag, member}.to_bytes()).has_value());
   EXPECT_TRUE(
-      Partial::try_from_bytes(ctx, Partial{1, tag, member}.to_bytes()).has_value());
+      wire::try_parse<Update381>(ctx, Update381{tag, member}.to_bytes()).has_value());
+  EXPECT_TRUE(
+      wire::try_parse<Partial>(ctx, Partial{1, tag, member}.to_bytes()).has_value());
 }
 
 TEST_F(Bls12Test, SerializationRoundtrips) {
@@ -474,10 +475,10 @@ TEST_F(Bls12Test, DecodersRejectMalformedInfinity) {
   EXPECT_EQ(ctx.g2_to_bytes(ctx.g2_from_bytes(g2_inf)), g2_inf);
   const Bytes update = Update381{tag, ctx.g1_infinity()}.to_bytes();
   const Bytes partial = Partial{1, tag, ctx.g1_infinity()}.to_bytes();
-  ASSERT_TRUE(Update381::try_from_bytes(ctx, update).has_value());
-  EXPECT_EQ(Update381::try_from_bytes(ctx, update)->to_bytes(), update);
-  ASSERT_TRUE(Partial::try_from_bytes(ctx, partial).has_value());
-  EXPECT_EQ(Partial::try_from_bytes(ctx, partial)->to_bytes(), partial);
+  ASSERT_TRUE(wire::try_parse<Update381>(ctx, update).has_value());
+  EXPECT_EQ(wire::try_parse<Update381>(ctx, update)->to_bytes(), update);
+  ASSERT_TRUE(wire::try_parse<Partial>(ctx, partial).has_value());
+  EXPECT_EQ(wire::try_parse<Partial>(ctx, partial)->to_bytes(), partial);
 
   // Any nonzero byte after the 0x00 tag is malformed. The point is the
   // last 49 bytes of an update or a partial.
@@ -488,10 +489,10 @@ TEST_F(Bls12Test, DecodersRejectMalformedInfinity) {
       EXPECT_THROW(ctx.g1_from_bytes(bad), Error);
       Bytes bad_update = update;
       bad_update[update.size() - g1_inf.size() + pos] = junk;
-      EXPECT_FALSE(Update381::try_from_bytes(ctx, bad_update).has_value());
+      EXPECT_FALSE(wire::try_parse<Update381>(ctx, bad_update).has_value());
       Bytes bad_partial = partial;
       bad_partial[partial.size() - g1_inf.size() + pos] = junk;
-      EXPECT_FALSE(Partial::try_from_bytes(ctx, bad_partial).has_value());
+      EXPECT_FALSE(wire::try_parse<Partial>(ctx, bad_partial).has_value());
     }
   }
   for (size_t pos : {size_t{1}, size_t{48}, size_t{49}, size_t{96}}) {
@@ -596,9 +597,9 @@ TEST_F(Tre381Test, WireRoundtrips) {
                Error);
   // The non-throwing parse returns nullopt on the same input.
   EXPECT_FALSE(
-      Update381::try_from_bytes(ctx, ByteSpan(wire.data(), wire.size() - 1))
+      wire::try_parse<Update381>(ctx, ByteSpan(wire.data(), wire.size() - 1))
           .has_value());
-  ASSERT_TRUE(Update381::try_from_bytes(ctx, wire).has_value());
+  ASSERT_TRUE(wire::try_parse<Update381>(ctx, wire).has_value());
 }
 
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/wire.h"
 
 namespace tre {
 namespace {
@@ -64,6 +65,59 @@ TEST(Bytes, BigEndianCounters) {
 TEST(Bytes, ToBytesFromString) {
   EXPECT_EQ(to_bytes("AB"), (Bytes{0x41, 0x42}));
   EXPECT_TRUE(to_bytes("").empty());
+}
+
+TEST(Wire, WriterIsBigEndianAndRejectsOversizedFields) {
+  Bytes out = wire::Writer()
+                  .u8(0x01)
+                  .u16(0x0203)
+                  .u32(0x04050607)
+                  .u64(0x08090a0b0c0d0e0full)
+                  .bytes16(std::string_view("ab"))
+                  .bytes32(Bytes{0xff})
+                  .take();
+  EXPECT_EQ(to_hex(out), "010203040506070809" "0a0b0c0d0e0f" "00026162" "00000001ff");
+  EXPECT_THROW(wire::Writer().u8(0x100), Error);
+  EXPECT_THROW(wire::Writer().u16(0x10000), Error);
+  EXPECT_THROW(wire::Writer().u32(0x100000000ull), Error);
+  EXPECT_THROW(wire::Writer().bytes16(Bytes(0x10000)), Error);
+}
+
+TEST(Wire, ReaderLatchesOverrunAndFinishNeedsExactConsumption) {
+  const Bytes in = {0x00, 0x02, 0x61, 0x62, 0x07};
+  wire::Reader exact(in);
+  EXPECT_EQ(exact.str16(), "ab");
+  EXPECT_FALSE(exact.finish());  // one byte left: trailing
+  EXPECT_EQ(exact.u8(), 0x07);
+  EXPECT_TRUE(exact.finish());
+
+  // An overrun returns zero / empty and stays failed, even for reads that
+  // would fit what is left.
+  wire::Reader over(in);
+  EXPECT_TRUE(over.raw(6).empty());
+  EXPECT_FALSE(over.ok());
+  EXPECT_EQ(over.u8(), 0);
+  EXPECT_TRUE(over.rest().empty());
+  EXPECT_EQ(over.remaining(), 0u);
+  EXPECT_FALSE(over.finish());
+
+  // A length prefix that claims more than remains fails the read.
+  const Bytes short_field = {0x00, 0x05, 0x61};
+  wire::Reader lying(short_field);
+  EXPECT_TRUE(lying.bytes16().empty());
+  EXPECT_FALSE(lying.ok());
+}
+
+TEST(Wire, TryParseTurnsErrorIntoNullopt) {
+  struct Parsed {
+    static Parsed from_bytes(ByteSpan b) {
+      require(!b.empty(), "empty");
+      return Parsed{b[0]};
+    }
+    std::uint8_t first;
+  };
+  EXPECT_FALSE(wire::try_parse<Parsed>(Bytes{}).has_value());
+  EXPECT_EQ(wire::try_parse<Parsed>(Bytes{0x2a})->first, 0x2a);
 }
 
 }  // namespace

@@ -772,7 +772,7 @@ TEST_F(SocketFetcherTest, RangeCatchUpServesVerifiableHistory) {
   EXPECT_EQ(reply->total, 5u);
   ASSERT_EQ(reply->updates.size(), 5u);
   for (size_t i = 0; i < reply->updates.size(); ++i) {
-    auto parsed = core::KeyUpdate::try_from_bytes(*params_, reply->updates[i]);
+    auto parsed = wire::try_parse<core::KeyUpdate>(*params_, reply->updates[i]);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_TRUE(scheme_.verify_update(server_.pub, *parsed));
     EXPECT_EQ(*parsed, history[i]);

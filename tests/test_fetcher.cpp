@@ -615,7 +615,9 @@ TYPED_TEST(FetcherGateTest, ArchiveScanPagesAnHonestArchive) {
   using B = TypeParam;
   BasicUpdateFetcher<B> f = this->fetcher();
   std::vector<Bytes> archive;
-  for (int i = 0; i < 5; ++i) archive.push_back(this->update("T" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) {
+    archive.push_back(this->update(std::string("T").append(std::to_string(i))));
+  }
   this->serve_archive(archive);
   BasicArchiveFetchResult<B> scan = f.fetch_archive_verified(2);
   EXPECT_TRUE(scan.complete);

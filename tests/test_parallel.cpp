@@ -63,10 +63,13 @@ TEST(ParallelFor, AcceptsFunctionObjectsAndMutableLambdas) {
 
   std::atomic<std::uint64_t> sum{0};
   std::uint64_t unused_state = 0;  // forces a mutable, stateful closure
+  // The call operator is non-const, but it writes no captured state:
+  // every worker calls this one closure, and fn must be safe to call
+  // concurrently for distinct i.
   parallel_for(
       kN,
       [&sum, unused_state](size_t i) mutable {
-        unused_state = i;
+        (void)unused_state;
         sum.fetch_add(i, std::memory_order_relaxed);
       });
   EXPECT_EQ(sum.load(), std::uint64_t{kN} * (kN - 1) / 2);

@@ -104,10 +104,10 @@ TEST_F(SealOpen, WireRoundTripEveryMode) {
 
 TEST_F(SealOpen, MalformedWireThrowsOrRefuses) {
   EXPECT_THROW((void)SealedCiphertext::from_bytes(scheme_.params(), Bytes{}), Error);
-  EXPECT_FALSE(SealedCiphertext::try_from_bytes(scheme_.params(), Bytes{}));
+  EXPECT_FALSE(wire::try_parse<SealedCiphertext>(scheme_.params(), Bytes{}));
   Bytes unknown_mode = {0x07, 0x01, 0x02};
   EXPECT_THROW((void)SealedCiphertext::from_bytes(scheme_.params(), unknown_mode), Error);
-  EXPECT_FALSE(SealedCiphertext::try_from_bytes(scheme_.params(), unknown_mode));
+  EXPECT_FALSE(wire::try_parse<SealedCiphertext>(scheme_.params(), unknown_mode));
 }
 
 TEST_F(SealOpen, TamperMatrix) {
@@ -135,7 +135,7 @@ TEST_F(SealOpen, TamperMatrix) {
 
     Bytes wire = sc.to_bytes();
     wire[wire.size() / 2] ^= 0x40;
-    if (auto parsed = SealedCiphertext::try_from_bytes(scheme_.params(), wire)) {
+    if (auto parsed = wire::try_parse<SealedCiphertext>(scheme_.params(), wire)) {
       auto out = scheme_.open(*parsed, user_.a, update_, server_.pub);
       if (out && mode != Mode::kBasic) {
         EXPECT_NE(*out, msg) << mode_name(mode) << ": flipped byte decrypted cleanly";

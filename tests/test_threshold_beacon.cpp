@@ -282,8 +282,8 @@ TYPED_TEST(ThresholdBeaconTest, WireCodecsRoundTrip) {
     } else {
       EXPECT_THROW(BasicPartialUpdate<B>::from_bytes(p, trunc), Error);
       EXPECT_THROW(BasicPartialUpdate<B>::from_bytes(p, trail), Error);
-      EXPECT_FALSE(BasicPartialUpdate<B>::try_from_bytes(p, trunc).has_value());
-      EXPECT_FALSE(BasicPartialUpdate<B>::try_from_bytes(p, trail).has_value());
+      EXPECT_FALSE(wire::try_parse<BasicPartialUpdate<B>>(p, trunc).has_value());
+      EXPECT_FALSE(wire::try_parse<BasicPartialUpdate<B>>(p, trail).has_value());
     }
   }
 }

@@ -83,16 +83,40 @@ TEST(RswWire, RoundTrip) {
 TEST(RswWire, GarbageCorpusNeverParses) {
   RswPuzzle puzzle = make_puzzle();
   Bytes wire = puzzle.to_bytes();
-  EXPECT_FALSE(RswPuzzle::try_from_bytes({}).has_value());
+  EXPECT_FALSE(wire::try_parse<RswPuzzle>(Bytes{}).has_value());
   Bytes truncated(wire.begin(), wire.end() - 1);
-  EXPECT_FALSE(RswPuzzle::try_from_bytes(truncated).has_value());
+  EXPECT_FALSE(wire::try_parse<RswPuzzle>(truncated).has_value());
   Bytes trailing = wire;
   trailing.push_back(0);
-  EXPECT_FALSE(RswPuzzle::try_from_bytes(trailing).has_value());
+  EXPECT_FALSE(wire::try_parse<RswPuzzle>(trailing).has_value());
   // An even modulus must be rejected (Montgomery precondition).
   Bytes even = wire;
   even[2 + (wire[0] << 8 | wire[1]) - 1] &= 0xfe;  // clear n's low bit
-  EXPECT_FALSE(RswPuzzle::try_from_bytes(even).has_value());
+  EXPECT_FALSE(wire::try_parse<RswPuzzle>(even).has_value());
+}
+
+// Adds one to the be16 length field at `at`.
+void bump_u16(Bytes& wire, size_t at) {
+  const size_t v = (size_t{wire[at]} << 8 | wire[at + 1]) + 1;
+  wire[at] = static_cast<std::uint8_t>(v >> 8);
+  wire[at + 1] = static_cast<std::uint8_t>(v & 0xff);
+}
+
+// The same integer field, one byte longer: a zero in front of the value
+// of the u16-length-prefixed field at `at`.
+Bytes pad_field(Bytes wire, size_t at) {
+  bump_u16(wire, at);
+  wire.insert(wire.begin() + static_cast<long>(at + 2), 0);
+  return wire;
+}
+
+TEST(RswWire, NonMinimalIntegersRejected) {
+  // n and a each have one encoding, the minimal big-endian one; a leading
+  // zero would be a second wire image of the same puzzle.
+  Bytes wire = make_puzzle().to_bytes();
+  const size_t a_at = 2 + (size_t{wire[0]} << 8 | wire[1]);
+  EXPECT_THROW(RswPuzzle::from_bytes(pad_field(wire, 0)), Error);
+  EXPECT_THROW(RswPuzzle::from_bytes(pad_field(wire, a_at)), Error);
 }
 
 // --- Checkpointed solver -----------------------------------------------------
@@ -273,15 +297,33 @@ TEST_F(Hybrid512, GarbageWireNeverParses) {
                          "T", fallback(), rng_);
   Bytes wire = env.to_bytes();
   using Envelope = BasicHybridEnvelope<core::Tre512Backend>;
-  EXPECT_FALSE(Envelope::try_from_bytes(scheme_.params(), {}).has_value());
+  EXPECT_FALSE(wire::try_parse<Envelope>(scheme_.params(), Bytes{}).has_value());
   Bytes wrong_mode = wire;
   wrong_mode[0] = 1;
-  EXPECT_FALSE(Envelope::try_from_bytes(scheme_.params(), wrong_mode).has_value());
+  EXPECT_FALSE(wire::try_parse<Envelope>(scheme_.params(), wrong_mode).has_value());
   Bytes truncated(wire.begin(), wire.end() - 1);
-  EXPECT_FALSE(Envelope::try_from_bytes(scheme_.params(), truncated).has_value());
+  EXPECT_FALSE(wire::try_parse<Envelope>(scheme_.params(), truncated).has_value());
   Bytes trailing = wire;
   trailing.push_back(0);
-  EXPECT_FALSE(Envelope::try_from_bytes(scheme_.params(), trailing).has_value());
+  EXPECT_FALSE(wire::try_parse<Envelope>(scheme_.params(), trailing).has_value());
+}
+
+TEST_F(Hybrid512, NonMinimalPuzzleIntegersRejected) {
+  // The envelope MAC covers the puzzle's encoding, so a second encoding
+  // of n or a must not reach either lane.
+  auto env = seal_hybrid(scheme_, core::Mode::kFo, to_bytes("one wire image"),
+                         user_.pub, server_.pub, "T", fallback(), rng_);
+  Bytes wire = env.to_bytes();
+  const size_t pz_len_at = 3 + (size_t{wire[1]} << 8 | wire[2]);
+  const size_t n_at = pz_len_at + 2;
+  const size_t a_at = n_at + 2 + (size_t{wire[n_at]} << 8 | wire[n_at + 1]);
+  using Envelope = BasicHybridEnvelope<core::Tre512Backend>;
+  for (size_t field : {n_at, a_at}) {
+    Bytes padded = pad_field(wire, field);
+    bump_u16(padded, pz_len_at);
+    EXPECT_THROW(Envelope::from_bytes(scheme_.params(), padded), Error)
+        << "field at " << field;
+  }
 }
 
 TEST_F(Hybrid512, SolverDrivenFallbackWithCheckpointKill) {

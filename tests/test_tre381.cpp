@@ -148,17 +148,17 @@ TEST_F(Tre381ParityTest, TryFromBytesGarbageCorpus) {
 
   // Empty, truncations, trailing junk, bit-flipped point bytes, and
   // same-length noise: every one must come back nullopt, never throw.
-  EXPECT_FALSE(bls12::Update381::try_from_bytes(ctx, Bytes{}).has_value());
-  EXPECT_FALSE(bls12::SealedCiphertext381::try_from_bytes(ctx, Bytes{}).has_value());
+  EXPECT_FALSE(wire::try_parse<bls12::Update381>(ctx, Bytes{}).has_value());
+  EXPECT_FALSE(wire::try_parse<bls12::SealedCiphertext381>(ctx, Bytes{}).has_value());
   for (size_t cut : {size_t{1}, good_upd.size() / 2, good_upd.size() - 1}) {
     Bytes truncated(good_upd.begin(), good_upd.begin() + cut);
-    EXPECT_FALSE(bls12::Update381::try_from_bytes(ctx, truncated).has_value())
+    EXPECT_FALSE(wire::try_parse<bls12::Update381>(ctx, truncated).has_value())
         << "cut " << cut;
   }
   {
     Bytes trailing = good_upd;
     trailing.push_back(0x00);
-    EXPECT_FALSE(bls12::Update381::try_from_bytes(ctx, trailing).has_value());
+    EXPECT_FALSE(wire::try_parse<bls12::Update381>(ctx, trailing).has_value());
   }
   {
     // Corrupt the compressed G1 x-coordinate: off-curve / bad-prefix
@@ -166,23 +166,23 @@ TEST_F(Tre381ParityTest, TryFromBytesGarbageCorpus) {
     Bytes flipped = good_upd;
     flipped.back() ^= 0x01;
     flipped[flipped.size() - bls12::Bls381Backend::gu_wire_bytes(ctx)] ^= 0xff;
-    EXPECT_FALSE(bls12::Update381::try_from_bytes(ctx, flipped).has_value());
+    EXPECT_FALSE(wire::try_parse<bls12::Update381>(ctx, flipped).has_value());
   }
   for (int i = 0; i < 4; ++i) {
     Bytes junk = noise.bytes(good_upd.size());
-    EXPECT_FALSE(bls12::Update381::try_from_bytes(ctx, junk).has_value());
+    EXPECT_FALSE(wire::try_parse<bls12::Update381>(ctx, junk).has_value());
     Bytes junk_sc = noise.bytes(good_sc.size());
-    EXPECT_FALSE(bls12::SealedCiphertext381::try_from_bytes(ctx, junk_sc).has_value());
+    EXPECT_FALSE(wire::try_parse<bls12::SealedCiphertext381>(ctx, junk_sc).has_value());
   }
   {
     Bytes bad_mode = good_sc;
     bad_mode[0] = 0x7f;  // unknown mode byte
-    EXPECT_FALSE(bls12::SealedCiphertext381::try_from_bytes(ctx, bad_mode).has_value());
+    EXPECT_FALSE(wire::try_parse<bls12::SealedCiphertext381>(ctx, bad_mode).has_value());
   }
 
   // Sanity: the untampered encodings still parse.
-  EXPECT_TRUE(bls12::Update381::try_from_bytes(ctx, good_upd).has_value());
-  EXPECT_TRUE(bls12::SealedCiphertext381::try_from_bytes(ctx, good_sc).has_value());
+  EXPECT_TRUE(wire::try_parse<bls12::Update381>(ctx, good_upd).has_value());
+  EXPECT_TRUE(wire::try_parse<bls12::SealedCiphertext381>(ctx, good_sc).has_value());
 }
 
 TEST_F(Tre381ParityTest, CrossBackendBytesRejectedCleanly) {
@@ -199,20 +199,20 @@ TEST_F(Tre381ParityTest, CrossBackendBytesRejectedCleanly) {
 
   // 381 → type-1.
   EXPECT_FALSE(
-      core::KeyUpdate::try_from_bytes(*toy_params, update_->to_bytes()).has_value());
+      wire::try_parse<core::KeyUpdate>(*toy_params, update_->to_bytes()).has_value());
   bls12::SealedCiphertext381 sc381 = scheme_->seal(Mode::kFo, to_bytes(kMsg),
                                                   user_->pub, server_->pub, kTag,
                                                   rng_, KeyCheck::kSkip);
   EXPECT_FALSE(
-      core::SealedCiphertext::try_from_bytes(*toy_params, sc381.to_bytes()).has_value());
+      wire::try_parse<core::SealedCiphertext>(*toy_params, sc381.to_bytes()).has_value());
 
   // type-1 → 381.
   EXPECT_FALSE(
-      bls12::Update381::try_from_bytes(ctx, toy_update.to_bytes()).has_value());
+      wire::try_parse<bls12::Update381>(ctx, toy_update.to_bytes()).has_value());
   core::SealedCiphertext sc512 = toy.seal(Mode::kFo, to_bytes(kMsg), toy_user.pub,
                                           toy_server.pub, kTag, rng);
   EXPECT_FALSE(
-      bls12::SealedCiphertext381::try_from_bytes(ctx, sc512.to_bytes()).has_value());
+      wire::try_parse<bls12::SealedCiphertext381>(ctx, sc512.to_bytes()).has_value());
 }
 
 TEST_F(Tre381ParityTest, SealMatchesUncachedPairingOracle) {

@@ -1,28 +1,34 @@
 // Shared plumbing for the command-line tools (tre_cli, tred): the TRE1
-// file envelope, option parsing, and the helpers that load served
-// artifacts into a daemon store. Header-only — these are tools, not
-// library surface.
+// file envelope, option parsing, the helpers that load served artifacts
+// into a daemon store, and the serve loop both tools run. Header-only —
+// these are tools, not library surface.
 //
 // Files are self-describing: a 4-byte magic, a type byte, the parameter
 // set name, then the payload, so mixing parameter sets or file kinds is
 // caught before any cryptography runs.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/bytes.h"
 #include "common/error.h"
+#include "common/wire.h"
+#include "daemon/daemon.h"
 #include "daemon/store.h"
+#include "obs/metrics.h"
 
 namespace tre::cli {
 
-constexpr char kEnvelopeMagic[4] = {'T', 'R', 'E', '1'};
+constexpr std::string_view kEnvelopeMagic = "TRE1";
 
 // The set name that routes an envelope to the BLS12-381 backend; type-1
 // envelopes carry a params::available() name instead.
@@ -67,16 +73,16 @@ inline void write_file(const std::string& path, ByteSpan data) {
   require(out.good(), "short write");
 }
 
+/// File: magic || kind byte || u8 set-name length || set name || payload.
 inline Bytes envelope_bytes(FileKind kind, const std::string& set_name,
                             ByteSpan payload) {
-  require(set_name.size() <= 255, "parameter set name too long");
-  const Bytes header = {static_cast<std::uint8_t>(kEnvelopeMagic[0]),
-                        static_cast<std::uint8_t>(kEnvelopeMagic[1]),
-                        static_cast<std::uint8_t>(kEnvelopeMagic[2]),
-                        static_cast<std::uint8_t>(kEnvelopeMagic[3]),
-                        static_cast<std::uint8_t>(kind),
-                        static_cast<std::uint8_t>(set_name.size())};
-  return concat({header, to_bytes(set_name), payload});
+  return wire::Writer()
+      .raw(kEnvelopeMagic)
+      .u8(static_cast<std::uint8_t>(kind))
+      .u8(set_name.size())
+      .raw(set_name)
+      .raw(payload)
+      .take();
 }
 
 inline void write_envelope(const std::string& path, FileKind kind,
@@ -84,16 +90,16 @@ inline void write_envelope(const std::string& path, FileKind kind,
   write_file(path, envelope_bytes(kind, set_name, payload));
 }
 
-inline Envelope parse_envelope_bytes(const Bytes& raw) {
-  require(raw.size() >= 6 && std::memcmp(raw.data(), kEnvelopeMagic, 4) == 0,
+inline Envelope parse_envelope_bytes(ByteSpan raw) {
+  wire::Reader r(raw);
+  ByteSpan magic = r.raw(kEnvelopeMagic.size());
+  require(r.ok() && std::equal(magic.begin(), magic.end(), kEnvelopeMagic.begin()),
           "not a tre_cli file (bad magic)");
-  Envelope env;
-  env.kind = static_cast<FileKind>(raw[4]);
-  size_t name_len = raw[5];
-  require(raw.size() >= 6 + name_len, "truncated file header");
-  env.set_name.assign(raw.begin() + 6, raw.begin() + 6 + static_cast<long>(name_len));
-  env.payload.assign(raw.begin() + 6 + static_cast<long>(name_len), raw.end());
-  return env;
+  const auto kind = static_cast<FileKind>(r.u8());
+  ByteSpan name = r.raw(r.u8());
+  ByteSpan payload = r.rest();
+  require(r.ok(), "truncated file header");
+  return Envelope{kind, std::string(name.begin(), name.end()), wire::owned(payload)};
 }
 
 inline Envelope parse_envelope(const std::string& path) {
@@ -183,20 +189,21 @@ inline std::vector<std::string> split_commas(const std::string& s) {
 /// archived under their envelope PAYLOAD (the exact KeyUpdate wire a
 /// fetcher will parse); the tag is recovered from the wire's leading
 /// length-prefixed tag field, which both backends share by construction.
-inline std::string update_wire_tag(const Bytes& wire) {
-  require(wire.size() >= 2, "update wire too short");
-  const size_t tag_len = (size_t(wire[0]) << 8) | wire[1];
-  require(wire.size() >= 2 + tag_len, "update wire too short for its tag");
-  return std::string(wire.begin() + 2, wire.begin() + 2 + static_cast<long>(tag_len));
+inline std::string update_wire_tag(ByteSpan update) {
+  wire::Reader r(update);
+  std::string tag = r.str16();
+  require(r.ok(), "update wire too short for its tag");
+  return tag;
 }
 
 /// Tag of a PartialUpdate wire (u16 index || u16 tag len || tag || point)
 /// without parsing the point — both backends share the layout.
-inline std::string partial_wire_tag(const Bytes& wire) {
-  require(wire.size() >= 4, "partial wire too short");
-  const size_t tag_len = (size_t(wire[2]) << 8) | wire[3];
-  require(wire.size() >= 4 + tag_len, "partial wire too short for its tag");
-  return std::string(wire.begin() + 4, wire.begin() + 4 + static_cast<long>(tag_len));
+inline std::string partial_wire_tag(ByteSpan partial) {
+  wire::Reader r(partial);
+  r.u16();
+  std::string tag = r.str16();
+  require(r.ok(), "partial wire too short for its tag");
+  return tag;
 }
 
 inline void load_store(daemon::Store& store, const std::string& pub_path,
@@ -210,6 +217,68 @@ inline void load_store(daemon::Store& store, const std::string& pub_path,
     std::string tag = update_wire_tag(upd.payload);
     auto r = store.put(tag, upd.payload);
     require(r.ok(), "conflicting update for the same tag");
+  }
+}
+
+// The daemon the serve loop is running, for the signal handler.
+inline daemon::Daemon* g_serving = nullptr;
+
+inline void stop_serving(int) {
+  if (g_serving != nullptr) g_serving->stop();  // async-signal-safe by contract
+}
+
+/// The serve loop of `tred` and `tre_cli serve`: --bind, --port,
+/// --max-conns and --idle-timeout-ms configure the daemon; once it
+/// listens, --port-file receives the bound port as decimal text (what
+/// scripted callers wait on); SIGINT/SIGTERM stop the loop. `prog`
+/// prefixes the start and shutdown lines.
+inline void serve(std::shared_ptr<daemon::Store> store, const Args& args,
+                  const char* prog) {
+  daemon::DaemonConfig cfg;
+  cfg.bind_address = args.get_or("bind", "127.0.0.1");
+  cfg.port = static_cast<std::uint16_t>(parse_u64(args.get_or("port", "0"), "--port"));
+  cfg.max_conns = static_cast<size_t>(
+      parse_u64(args.get_or("max-conns", "4096"), "--max-conns"));
+  cfg.idle_timeout_ms = static_cast<std::int64_t>(
+      parse_u64(args.get_or("idle-timeout-ms", "30000"), "--idle-timeout-ms"));
+
+  daemon::Daemon d(store, cfg);
+  g_serving = &d;
+  std::signal(SIGINT, stop_serving);
+  std::signal(SIGTERM, stop_serving);
+  std::signal(SIGPIPE, SIG_IGN);
+
+  std::string port_file = args.get_or("port-file", "");
+  if (!port_file.empty()) {
+    write_file(port_file, to_bytes(std::to_string(d.port()) + "\n"));
+  }
+  std::printf("%s: serving %zu updates on %s:%u (max %zu conns)\n", prog, store->size(),
+              cfg.bind_address.c_str(), d.port(), cfg.max_conns);
+  std::fflush(stdout);
+
+  d.run();
+  g_serving = nullptr;
+
+  daemon::Daemon::Stats s = d.stats();
+  std::printf("%s: shutting down — %llu accepted, %llu requests, "
+              "%llu shed, %llu bad frames\n",
+              prog, static_cast<unsigned long long>(s.accepted),
+              static_cast<unsigned long long>(s.requests),
+              static_cast<unsigned long long>(s.shed),
+              static_cast<unsigned long long>(s.bad_frames));
+}
+
+/// --metrics FILE: writes the global registry snapshot as JSON (FILE =
+/// '-' writes to stdout).
+inline void dump_metrics(const Args& args) {
+  std::string path = args.get_or("metrics", "");
+  if (path.empty()) return;
+  std::string json = obs::Registry::global().to_json();
+  json.push_back('\n');
+  if (path == "-") {
+    std::fwrite(json.data(), 1, json.size(), stdout);
+  } else {
+    write_file(path, to_bytes(json));
   }
 }
 

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <csignal>
 #include <ctime>
 #include <fstream>
 #include <optional>
@@ -36,10 +35,8 @@
 #include "client/socket_transport.h"
 #include "common/health.h"
 #include "core/tre.h"
-#include "daemon/daemon.h"
 #include "hashing/drbg.h"
 #include "keystore/keystore.h"
-#include "obs/metrics.h"
 #include "selftest/selftest.h"
 #include "threshold/dkg.h"
 #include "threshold/threshold.h"
@@ -193,13 +190,20 @@ int cmd_params() {
 // Each body exists once; the dispatchers below instantiate it for the
 // type-1 curve and BLS12-381.
 
-// Secret-key payloads: scalar || public part.
+// Secret-key payloads: fixed-width scalar || the public key's own wire.
 template <class B>
 Bytes keypair_payload(const typename B::Params& p, const core::Scalar& secret,
                       ByteSpan pub) {
-  Bytes out = secret.to_bytes_be(B::scalar_bytes(p));
-  out.insert(out.end(), pub.begin(), pub.end());
-  return out;
+  return wire::Writer().raw(secret.to_bytes_be(B::scalar_bytes(p))).raw(pub).take();
+}
+
+template <class B, class Pub>
+std::pair<core::Scalar, Pub> read_keypair(const typename B::Params& p, ByteSpan payload) {
+  wire::Reader r(payload);
+  ByteSpan secret = r.raw(B::scalar_bytes(p));
+  ByteSpan pub = r.rest();
+  require(r.ok(), "corrupt key file");
+  return {core::Scalar::from_bytes_be(secret), Pub::from_bytes(p, pub)};
 }
 
 template <class B>
@@ -237,11 +241,7 @@ template <class B>
 int cmd_issue_g(std::shared_ptr<const typename B::Params> p,
                 const std::string& set_name, const Envelope& env, const Args& args) {
   core::BasicTreScheme<B> scheme(p);
-  size_t sw = B::scalar_bytes(*p);
-  require(env.payload.size() > sw, "corrupt server key file");
-  core::Scalar s = core::Scalar::from_bytes_be(ByteSpan(env.payload.data(), sw));
-  core::BasicServerPublicKey<B> pub = core::BasicServerPublicKey<B>::from_bytes(
-      *p, ByteSpan(env.payload.data() + sw, env.payload.size() - sw));
+  auto [s, pub] = read_keypair<B, core::BasicServerPublicKey<B>>(*p, env.payload);
   core::BasicKeyUpdate<B> upd =
       scheme.issue_update(core::BasicServerKeyPair<B>{s, pub}, tag_arg(args));
   write_envelope(args.get("out"), FileKind::kUpdate, set_name, upd.to_bytes());
@@ -360,9 +360,8 @@ int cmd_decrypt_g(std::shared_ptr<const typename B::Params> p,
                   const std::string& set_name, const Envelope& key_env,
                   const Args& args) {
   core::BasicTreScheme<B> scheme(p);
-  size_t sw = B::scalar_bytes(*p);
-  require(key_env.payload.size() > sw, "corrupt user key file");
-  core::Scalar a = core::Scalar::from_bytes_be(ByteSpan(key_env.payload.data(), sw));
+  const core::Scalar a =
+      read_keypair<B, core::BasicUserPublicKey<B>>(*p, key_env.payload).first;
 
   Envelope upd_env = read_envelope(args.get("update"), FileKind::kUpdate);
   require(upd_env.set_name == set_name, "update uses a different parameter set");
@@ -642,23 +641,13 @@ int with_backend(const std::string& set_name, const Args& args, Fn&& fn) {
 // enforced here with the WALL CLOCK: a tag that parses as a time
 // specification still in the future is refused outright.
 
-tre::daemon::Daemon* g_serve_daemon = nullptr;
-
-void serve_signal(int) {
-  if (g_serve_daemon != nullptr) g_serve_daemon->stop();
-}
-
 template <class B>
 void serve_issue_g(std::shared_ptr<const typename B::Params> p,
                    const std::string& set_name, const Envelope& key_env,
                    const std::vector<std::string>& tags,
                    daemon::Store& store) {
   core::BasicTreScheme<B> scheme(p);
-  size_t sw = B::scalar_bytes(*p);
-  require(key_env.payload.size() > sw, "corrupt server key file");
-  core::Scalar s = core::Scalar::from_bytes_be(ByteSpan(key_env.payload.data(), sw));
-  core::BasicServerPublicKey<B> pub = core::BasicServerPublicKey<B>::from_bytes(
-      *p, ByteSpan(key_env.payload.data() + sw, key_env.payload.size() - sw));
+  auto [s, pub] = read_keypair<B, core::BasicServerPublicKey<B>>(*p, key_env.payload);
   store.set_server_key(set_name, pub.to_bytes());
 
   const std::int64_t now = static_cast<std::int64_t>(std::time(nullptr));
@@ -721,39 +710,7 @@ int cmd_serve(const Args& args) {
     require(r.ok(), "serve: conflicting partial for the same tag");
   }
 
-  daemon::DaemonConfig cfg;
-  cfg.bind_address = args.get_or("bind", "127.0.0.1");
-  cfg.port = static_cast<std::uint16_t>(
-      parse_u64(args.get_or("port", "0"), "--port"));
-  cfg.max_conns = static_cast<size_t>(
-      parse_u64(args.get_or("max-conns", "4096"), "--max-conns"));
-  cfg.idle_timeout_ms = static_cast<std::int64_t>(
-      parse_u64(args.get_or("idle-timeout-ms", "30000"), "--idle-timeout-ms"));
-
-  daemon::Daemon d(store, cfg);
-  g_serve_daemon = &d;
-  std::signal(SIGINT, serve_signal);
-  std::signal(SIGTERM, serve_signal);
-  std::signal(SIGPIPE, SIG_IGN);
-
-  std::string port_file = args.get_or("port-file", "");
-  if (!port_file.empty()) {
-    std::string text = std::to_string(d.port()) + "\n";
-    write_file(port_file,
-               ByteSpan(reinterpret_cast<const std::uint8_t*>(text.data()),
-                        text.size()));
-  }
-  std::printf("serving %zu updates on %s:%u\n", store->size(),
-              cfg.bind_address.c_str(), d.port());
-  std::fflush(stdout);
-
-  d.run();
-  g_serve_daemon = nullptr;
-  daemon::Daemon::Stats s = d.stats();
-  std::printf("shut down: %llu accepted, %llu requests, %llu shed\n",
-              static_cast<unsigned long long>(s.accepted),
-              static_cast<unsigned long long>(s.requests),
-              static_cast<unsigned long long>(s.shed));
+  cli::serve(store, args, "tre_cli serve");
   return 0;
 }
 
@@ -1000,21 +957,6 @@ int dispatch(const std::string& cmd, const Args& args) {
   return usage();
 }
 
-// --metrics FILE: dump the global registry snapshot after the command
-// (FILE = '-' writes to stdout). Works with every command.
-void maybe_dump_metrics(const Args& args) {
-  std::string path = args.get_or("metrics", "");
-  if (path.empty()) return;
-  std::string json = obs::Registry::global().to_json();
-  json.push_back('\n');
-  if (path == "-") {
-    std::fwrite(json.data(), 1, json.size(), stdout);
-  } else {
-    write_file(path, ByteSpan(reinterpret_cast<const std::uint8_t*>(json.data()),
-                              json.size()));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1023,7 +965,7 @@ int main(int argc, char** argv) {
   try {
     Args args(argc, argv);
     int rc = dispatch(cmd, args);
-    maybe_dump_metrics(args);
+    cli::dump_metrics(args);  // --metrics works with every command
     return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tre_cli %s: %s\n", cmd.c_str(), e.what());

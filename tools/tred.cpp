@@ -14,20 +14,11 @@
 // bound port as decimal text once listening, which is what scripted
 // callers (CI, bench harnesses) watch for readiness. SIGINT/SIGTERM shut
 // the loop down cleanly; --metrics dumps the obs registry JSON on exit.
-#include <csignal>
 #include <cstdio>
 
-#include "daemon/daemon.h"
-#include "obs/metrics.h"
 #include "cli_common.h"
 
 namespace {
-
-tre::daemon::Daemon* g_daemon = nullptr;
-
-void on_signal(int) {
-  if (g_daemon != nullptr) g_daemon->stop();  // async-signal-safe by contract
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -49,57 +40,8 @@ int main(int argc, char** argv) {
     auto store = std::make_shared<daemon::Store>();
     cli::load_store(*store, args.get("pub"),
                     cli::split_commas(args.get_or("updates", "")));
-
-    daemon::DaemonConfig cfg;
-    cfg.bind_address = args.get_or("bind", "127.0.0.1");
-    cfg.port = static_cast<std::uint16_t>(
-        cli::parse_u64(args.get_or("port", "0"), "--port"));
-    cfg.max_conns = static_cast<size_t>(
-        cli::parse_u64(args.get_or("max-conns", "4096"), "--max-conns"));
-    cfg.idle_timeout_ms = static_cast<std::int64_t>(
-        cli::parse_u64(args.get_or("idle-timeout-ms", "30000"), "--idle-timeout-ms"));
-
-    daemon::Daemon d(store, cfg);
-    g_daemon = &d;
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGPIPE, SIG_IGN);
-
-    std::string port_file = args.get_or("port-file", "");
-    if (!port_file.empty()) {
-      std::string text = std::to_string(d.port()) + "\n";
-      cli::write_file(port_file,
-                      ByteSpan(reinterpret_cast<const std::uint8_t*>(text.data()),
-                               text.size()));
-    }
-    std::printf("tred: serving %zu updates on %s:%u (max %zu conns)\n",
-                store->size(), cfg.bind_address.c_str(), d.port(),
-                cfg.max_conns);
-    std::fflush(stdout);
-
-    d.run();
-    g_daemon = nullptr;
-
-    daemon::Daemon::Stats s = d.stats();
-    std::printf("tred: shutting down — %llu accepted, %llu requests, "
-                "%llu shed, %llu bad frames\n",
-                static_cast<unsigned long long>(s.accepted),
-                static_cast<unsigned long long>(s.requests),
-                static_cast<unsigned long long>(s.shed),
-                static_cast<unsigned long long>(s.bad_frames));
-
-    std::string metrics = args.get_or("metrics", "");
-    if (!metrics.empty()) {
-      std::string json = obs::Registry::global().to_json();
-      json.push_back('\n');
-      if (metrics == "-") {
-        std::fwrite(json.data(), 1, json.size(), stdout);
-      } else {
-        cli::write_file(metrics,
-                        ByteSpan(reinterpret_cast<const std::uint8_t*>(json.data()),
-                                 json.size()));
-      }
-    }
+    cli::serve(store, args, "tred");
+    cli::dump_metrics(args);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tred: %s\n", e.what());
