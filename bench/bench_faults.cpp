@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     std::int64_t p50, p95;
     std::uint64_t rejected, forged;
     // Per-cause rejection deltas, read back from the global registry
-    // (client.rejected.*); all zero under -DTRE_METRICS=OFF.
+    // (client.rejected.*).
     std::uint64_t rej_parse, rej_tag, rej_sig;
   };
   std::vector<Row> rows;

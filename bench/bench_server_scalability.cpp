@@ -76,8 +76,7 @@ int main() {
               "server key material)\n",
               server.pub.to_bytes().size());
 
-  // What the run cost in protocol operations, from the hot-path probes
-  // (all-zero counters under -DTRE_METRICS=OFF).
+  // What the run cost in protocol operations, from the hot-path probes.
   std::printf("\nmetrics snapshot (obs::Registry::global()):\n%s\n",
               obs::Registry::global().to_json().c_str());
   return 0;

@@ -28,9 +28,7 @@ inline void header(const char* experiment, const char* claim) {
 
 /// `"metrics": {...}` — the global obs registry snapshot as a field for
 /// a hand-rolled BENCH_*.json object, `indent` spaces deep. The caller
-/// manages surrounding commas. Under -DTRE_METRICS=OFF the snapshot is
-/// still valid JSON, with "metrics_enabled": false and only the
-/// always-on instruments populated.
+/// manages surrounding commas.
 inline std::string metrics_json_field(int indent = 2) {
   std::string margin(static_cast<size_t>(indent), ' ');
   return margin + "\"metrics\":\n" + obs::Registry::global().to_json(indent);

@@ -157,8 +157,8 @@ struct BasicThresholdFetchResult : Rejections {
 namespace detail {
 
 // Fleet-wide telemetry: every fetcher in the process contributes, so E18
-// reads per-cause rejection totals straight from the global registry
-// (compiled out under -DTRE_METRICS=OFF). Shared across backends.
+// reads per-cause rejection totals straight from the global registry.
+// Shared across backends.
 struct FetcherProbes {
   obs::CounterProbe attempts{"client.fetch.attempts"};
   obs::CounterProbe timeouts{"client.fetch.timeouts"};

@@ -16,31 +16,19 @@
 // and the self-test module. The runner (which exercises the full stack,
 // both pairing backends included) registers itself from src/selftest/ via
 // a static initializer; a binary that never links the self-test module
-// simply runs ungated (state kOk on first use, nothing to run). Building
-// with -DTRE_SELFTEST=OFF (macro TRE_SELFTEST_OFF) compiles every gate to
-// an empty inline — the documented zero-overhead opt-out.
+// simply runs ungated (state kOk on first use, nothing to run).
 #pragma once
+
+#include <atomic>
+#include <mutex>
 
 #include "common/error.h"
 
-#ifndef TRE_SELFTEST_OFF
-#include <atomic>
-#include <mutex>
-#endif
-
 namespace tre::health {
 
-#ifdef TRE_SELFTEST_OFF
-
-inline constexpr bool enabled() { return false; }
-inline bool poisoned() { return false; }
-inline void ensure_operational() {}
-inline void poison() {}
-inline void register_runner(bool (*)()) {}
-inline void reset_for_testing() {}
-
-#else
-
+/// Always true: the gate is compiled into every build. Kept only because
+/// the end-to-end benchmark's provenance line prints it; nothing else may
+/// branch on it.
 inline constexpr bool enabled() { return true; }
 
 namespace detail {
@@ -112,7 +100,5 @@ inline void reset_for_testing() {
   std::lock_guard<std::mutex> lock(detail::g_mutex);
   detail::g_state.store(detail::kUnchecked, std::memory_order_release);
 }
-
-#endif  // TRE_SELFTEST_OFF
 
 }  // namespace tre::health

@@ -110,9 +110,7 @@ inline constexpr size_t kMaxCacheEntries = 1024;
 // Hot-path probe handles, resolved once per process PER BACKEND: the
 // backend's kProbePrefix labels the instruments, so the type-1 scheme
 // keeps its documented "core.*" names while BLS12-381 reports under
-// "core.bls381.*" (docs/OBSERVABILITY.md lists both catalogs). Under
-// -DTRE_METRICS=OFF every member is an empty no-op and the optimizer
-// erases the call sites.
+// "core.bls381.*" (docs/OBSERVABILITY.md lists both catalogs).
 template <class B>
 struct SchemeProbes {
   static std::string n(const char* suffix) {

@@ -22,8 +22,8 @@
 //
 // Observability: daemon.conns / daemon.rps gauges, accepted/shed/
 // idle-closed/request counters and a request-latency histogram
-// (daemon.request_ns) in the global registry, mirrored per-instance in
-// metrics() like every other subsystem.
+// (daemon.request_ns) in the global registry; stats() gives the same
+// counts for this instance.
 //
 // Threading: run() owns every socket and runs on ONE thread. stop() is
 // thread- and signal-safe (atomic flag + self-pipe wakeup). The Store is
@@ -77,8 +77,9 @@ class Daemon {
   /// Thread- and signal-safe shutdown request; run() returns promptly.
   void stop();
 
-  /// Point-in-time view over the instance registry (mirrored into
-  /// obs::Registry::global() as daemon.*).
+  /// Point-in-time view of this instance's counters (the same events
+  /// also fire the global daemon.* probes). Safe to call from any thread
+  /// while run() serves.
   struct Stats {
     std::uint64_t accepted = 0;
     std::uint64_t shed = 0;          ///< connections refused at the cap
@@ -89,9 +90,6 @@ class Daemon {
     std::int64_t open_conns = 0;
   };
   Stats stats() const;
-
-  /// The instance-local registry backing stats() (snapshot/export hook).
-  const obs::Registry& metrics() const { return reg_; }
 
  private:
   struct Conn {
@@ -127,16 +125,15 @@ class Daemon {
   std::int64_t rate_window_start_ms_ = 0;
   std::uint64_t rate_window_requests_ = 0;
 
-  // Instance accounting in a private registry; handles resolved once
-  // because registry lookup takes a lock.
-  obs::Registry reg_;
-  obs::Counter& accepted_ = reg_.counter("accepted");
-  obs::Counter& shed_ = reg_.counter("shed");
-  obs::Counter& idle_closed_ = reg_.counter("idle_closed");
-  obs::Counter& requests_ = reg_.counter("requests");
-  obs::Counter& bad_frames_ = reg_.counter("bad_frames");
-  obs::Counter& error_replies_ = reg_.counter("error_replies");
-  obs::Gauge& open_conns_ = reg_.gauge("open_conns");
+  // Instance accounting: relaxed atomics, because stats() may be read
+  // from another thread while the loop writes them.
+  obs::Counter accepted_;
+  obs::Counter shed_;
+  obs::Counter idle_closed_;
+  obs::Counter requests_;
+  obs::Counter bad_frames_;
+  obs::Counter error_replies_;
+  obs::Gauge open_conns_;
 };
 
 }  // namespace tre::daemon

@@ -180,10 +180,6 @@ std::string Registry::to_json(int indent) const {
   const Index* idx = index();
 
   out += margin + "{\n";
-  out += margin + "  \"metrics_enabled\": ";
-  out += kEnabled ? "true" : "false";
-  out += ",\n";
-
   out += margin + "  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : idx->counters) {
@@ -243,8 +239,6 @@ std::string Registry::to_json(int indent) const {
 
 // --- Span thread-local batching ----------------------------------------------
 
-#if TRE_METRICS_ENABLED
-
 namespace {
 
 // How many records a thread may hold back before publishing. Small
@@ -292,11 +286,5 @@ void Span::record_batched(Histogram* h, std::uint64_t ns) noexcept {
 }
 
 void flush_this_thread() noexcept { tls_batch().flush(); }
-
-#else
-
-void flush_this_thread() noexcept {}
-
-#endif  // TRE_METRICS_ENABLED
 
 }  // namespace tre::obs

@@ -1,23 +1,20 @@
 // Low-overhead observability: named instruments, scoped spans, JSON export.
 //
-// Two layers with different cost/compile-time contracts:
+// Two layers, both compiled into every build:
 //
 //   * Instruments (`Counter`, `Gauge`, `Histogram`) and the `Registry`
-//     that names them are ALWAYS functional, in every build. They back
-//     API-level accounting — `simnet::Network::Stats`, the mirror
-//     archive's replication and request counters, `daemon::Daemon::Stats`
-//     — which is protocol-visible data, not telemetry, and must stay
-//     exact even when metrics are compiled out. Updates are relaxed
-//     atomics: lock-free, no ordering, safe under concurrent
-//     readers/writers (TSan-clean by construction).
+//     that names them. Updates are relaxed atomics: lock-free, no
+//     ordering, safe under concurrent readers/writers (TSan-clean by
+//     construction). A component whose per-instance numbers are read
+//     across threads (`daemon::Daemon::stats()`) holds bare `Counter` /
+//     `Gauge` members; single-threaded components keep a plain `Stats`
+//     struct.
 //
 //   * Probes (`CounterProbe`, `HistogramProbe`, `Span`) are the telemetry
 //     hooks threaded through the hot paths. They resolve a name in the
 //     GLOBAL registry once (cached in a handle) and then cost one relaxed
 //     atomic add — or, for `Span`, one clock read at each end plus a
-//     thread-local batch update. Under `-DTRE_METRICS=OFF` every probe
-//     type collapses to an empty struct with inline no-op members: the
-//     call sites stay unconditional and the optimizer deletes them.
+//     thread-local batch update (docs/OBSERVABILITY.md prices both).
 //
 // Span aggregation: a Span records elapsed nanoseconds into a histogram
 // through a thread-local batch (per-thread bucket deltas for the most
@@ -46,16 +43,14 @@
 #include <string_view>
 #include <vector>
 
-#ifndef TRE_METRICS_ENABLED
-#define TRE_METRICS_ENABLED 1
-#endif
-
 namespace tre::obs {
 
-/// Compile-time kill switch state (the CMake option TRE_METRICS).
-inline constexpr bool kEnabled = TRE_METRICS_ENABLED != 0;
+/// Always true: the probes are compiled into every build. Kept only
+/// because the end-to-end benchmark's provenance line prints it; nothing
+/// else may branch on it.
+inline constexpr bool kEnabled = true;
 
-// --- Instruments (always functional) -----------------------------------------
+// --- Instruments -------------------------------------------------------------
 
 /// Monotonic counter. Relaxed atomic increments; never decremented.
 class Counter {
@@ -144,9 +139,9 @@ class Histogram {
 
 // --- Registry ----------------------------------------------------------------
 
-/// Named instruments plus JSON snapshot export. Instantiable: components
-/// with per-instance accounting (a mirror cluster, a fetcher) own a
-/// private registry; fleet-wide telemetry lives in `Registry::global()`.
+/// Named instruments plus JSON snapshot export. All telemetry lives in
+/// `Registry::global()`; the class stays instantiable so a test can work
+/// on an isolated registry.
 ///
 /// Concurrency: the name->instrument index is an immutable snapshot
 /// published through an atomic pointer (read-copy-update). Lookups of
@@ -173,8 +168,7 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Value of a named counter; 0 when it was never registered (so
-  /// metrics-off readers degrade to zeros instead of branching).
+  /// Value of a named counter; 0 when it was never registered.
   /// Lock-free: reads the published index snapshot.
   std::uint64_t counter_value(std::string_view name) const;
   std::int64_t gauge_value(std::string_view name) const;
@@ -232,16 +226,14 @@ class Registry {
   Histogram lock_wait_;
 };
 
-/// Flushes the calling thread's pending Span batch into its histogram.
-/// No-op when metrics are compiled out or nothing is pending.
+/// Flushes the calling thread's pending Span batch into its histogram
+/// (no-op when nothing is pending).
 void flush_this_thread() noexcept;
 
 /// Monotonic nanosecond clock used by Span (exposed for tests/benches).
 std::uint64_t now_ns() noexcept;
 
-// --- Probes (compiled to nothing under TRE_METRICS=OFF) ----------------------
-
-#if TRE_METRICS_ENABLED
+// --- Probes ------------------------------------------------------------------
 
 /// Cached handle to a global-registry counter. Resolve once (static
 /// local at the probe site), then add() is one relaxed atomic.
@@ -290,29 +282,5 @@ class Span {
   Histogram* h_;
   std::uint64_t start_;
 };
-
-#else  // TRE_METRICS_ENABLED == 0: every probe is an inline no-op.
-
-class CounterProbe {
- public:
-  explicit CounterProbe(std::string_view) noexcept {}
-  void add(std::uint64_t = 1) const noexcept {}
-};
-
-class HistogramProbe {
- public:
-  explicit HistogramProbe(std::string_view) noexcept {}
-  void record(std::uint64_t) const noexcept {}
-};
-
-class Span {
- public:
-  explicit Span(const HistogramProbe&) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void stop() noexcept {}
-};
-
-#endif  // TRE_METRICS_ENABLED
 
 }  // namespace tre::obs

@@ -27,6 +27,7 @@
 #include <string>
 
 #include "core/tre.h"
+#include "obs/metrics.h"
 #include "simnet/network.h"
 #include "threshold/threshold.h"
 #include "timeserver/archive.h"
@@ -35,9 +36,9 @@ namespace tre::simnet {
 
 namespace detail {
 
-// Fleet-wide mirrors of the per-instance counters, plus per-behaviour
-// breakdown of dishonest replies (compiled out under -DTRE_METRICS=OFF).
-// Shared across backends: replication traffic is replication traffic.
+// Fleet-wide totals of the per-instance Stats, plus per-behaviour
+// breakdown of dishonest replies. Shared across backends: replication
+// traffic is replication traffic.
 struct MirrorProbes {
   obs::CounterProbe publishes{"simnet.archive.publishes"};
   obs::CounterProbe replication_messages{"simnet.archive.replication_messages"};
@@ -94,12 +95,12 @@ class BasicMirroredArchive {
   /// mirror that is crashed (per the fault plan) at the replication
   /// arrival instant misses the update until a later publish.
   void publish(const core::BasicKeyUpdate<B>& update) {
-    publishes_.add();
+    ++stats_.publishes;
     detail::mirror_probes().publishes.add();
     origin_archive_.put(update);
     size_t wire = update.to_bytes().size();
     for (size_t i = 0; i < mirrors_.size(); ++i) {
-      replication_messages_.add();
+      ++stats_.replication_messages;
       detail::mirror_probes().replication_messages.add();
       // Copy captured by value: the mirror stores it at arrival time.
       core::BasicKeyUpdate<B> copy = update;
@@ -124,10 +125,10 @@ class BasicMirroredArchive {
     NodeId target = node_for(mirror_idx);
     net_.connect(receiver, target, access_link);
     if (mirror_idx == kOrigin) {
-      origin_requests_.add();
+      ++stats_.origin_requests;
       detail::mirror_probes().origin_requests.add();
     } else {
-      mirror_requests_.add();
+      ++stats_.mirror_requests;
       detail::mirror_probes().mirror_requests.add();
     }
     // Request leg; the replica decides its reply (if any) at arrival time.
@@ -170,46 +171,28 @@ class BasicMirroredArchive {
       return std::nullopt;  // crashed
     }
     const auto& partials = mirrors_[mirror_idx].partials;
-    auto found = partials.find(tag);
-
-    ByzantineMode mode = ByzantineMode::kHonest;
-    if (plan) mode = plan->behaviour(node);
-    switch (mode) {
-      case ByzantineMode::kHonest:
-        if (found == partials.end()) return std::nullopt;
-        return found->second.to_bytes();
-      case ByzantineMode::kDrop:
-        return std::nullopt;
-      case ByzantineMode::kBitFlip:
-        if (found == partials.end()) return std::nullopt;
-        count_byzantine(detail::mirror_probes().byzantine_bitflip);
-        return plan->flip_one_bit(found->second.to_bytes());
-      case ByzantineMode::kRelabel: {
-        // Serve some OTHER tag's partial signature under the requested
-        // tag — well-formed bytes that fail the pairing check.
-        for (const auto& [other_tag, other] : partials) {
-          if (other_tag == tag) continue;
-          count_byzantine(detail::mirror_probes().byzantine_relabel);
+    std::optional<Bytes> honest;
+    if (auto found = partials.find(tag); found != partials.end()) {
+      honest = found->second.to_bytes();
+    }
+    // Relabel: some OTHER tag's partial signature under the requested
+    // tag — well-formed bytes that fail the pairing check.
+    auto relabelled = [&]() -> std::optional<Bytes> {
+      for (const auto& [other_tag, other] : partials) {
+        if (other_tag != tag) {
           return threshold::BasicPartialUpdate<B>{other.index, tag, other.sig}
               .to_bytes();
         }
-        if (found == partials.end()) return std::nullopt;
-        count_byzantine(detail::mirror_probes().byzantine_garbage);
-        return plan->garbage(found->second.to_bytes().size());
       }
-      case ByzantineMode::kGarbage: {
-        size_t len = found != partials.end()
-                         ? found->second.to_bytes().size()
-                         : 4 + tag.size() + B::gu_wire_bytes(*params_);
-        count_byzantine(detail::mirror_probes().byzantine_garbage);
-        return plan->garbage(len);
-      }
-    }
-    return std::nullopt;
+      return std::nullopt;
+    };
+    return reply_as(plan ? plan->behaviour(node) : ByzantineMode::kHonest,
+                    std::move(honest), relabelled,
+                    4 + tag.size() + B::gu_wire_bytes(*params_));
   }
 
-  /// Point-in-time view over the instance registry (mirrored into
-  /// obs::Registry::global() as simnet.archive.*).
+  /// This cluster's traffic (the same events also fire the global
+  /// simnet.archive.* probes).
   struct Stats {
     std::uint64_t publishes = 0;
     std::uint64_t replication_messages = 0;
@@ -218,14 +201,7 @@ class BasicMirroredArchive {
     std::uint64_t byzantine_replies = 0;  // dishonest bytes actually served
   };
 
-  Stats stats() const {
-    return Stats{publishes_.value(), replication_messages_.value(),
-                 origin_requests_.value(), mirror_requests_.value(),
-                 byzantine_replies_.value()};
-  }
-
-  /// The instance-local registry backing stats() (snapshot/export hook).
-  const obs::Registry& metrics() const { return reg_; }
+  const Stats& stats() const { return stats_; }
 
  private:
   struct Replica {
@@ -236,7 +212,7 @@ class BasicMirroredArchive {
   };
 
   void count_byzantine(const obs::CounterProbe& breakdown) {
-    byzantine_replies_.add();
+    ++stats_.byzantine_replies;
     detail::mirror_probes().byzantine_replies.add();
     breakdown.add();
   }
@@ -252,44 +228,59 @@ class BasicMirroredArchive {
   /// What the replica puts on the wire for `tag` (empty = stay silent).
   std::optional<Bytes> replica_reply(size_t mirror_idx, const std::string& tag) {
     const server::BasicUpdateArchive<B>& archive = archive_for(mirror_idx);
-    std::optional<core::BasicKeyUpdate<B>> found = archive.find(tag);
-
-    ByzantineMode mode = ByzantineMode::kHonest;
+    std::optional<Bytes> honest;
+    if (std::optional<core::BasicKeyUpdate<B>> found = archive.find(tag)) {
+      honest = found->to_bytes();
+    }
+    // Relabel: the newest OTHER archived update's signature under the
+    // requested tag — a well-formed point that fails self-authentication.
+    auto relabelled = [&]() -> std::optional<Bytes> {
+      const auto& all = archive.all();
+      for (auto it = all.rbegin(); it != all.rend(); ++it) {
+        if (it->tag != tag) return core::BasicKeyUpdate<B>{tag, it->sig}.to_bytes();
+      }
+      return std::nullopt;
+    };
     FaultPlan* plan = net_.fault_plan();
     // The origin is the server's own box; only mirrors go Byzantine.
-    if (plan && mirror_idx != kOrigin) mode = plan->behaviour(node_for(mirror_idx));
+    ByzantineMode mode = plan && mirror_idx != kOrigin
+                             ? plan->behaviour(node_for(mirror_idx))
+                             : ByzantineMode::kHonest;
+    return reply_as(mode, std::move(honest), relabelled,
+                    tag.size() + 2 + B::gu_wire_bytes(*params_));
+  }
 
+  /// The one Byzantine reply switch, shared by updates and partials: what
+  /// a replica in `mode` serves given the `honest` bytes it holds (nullopt
+  /// when it holds nothing for the tag), a `relabelled` source (another
+  /// item's signature under the requested tag, nullopt when there is no
+  /// other item), and the wire length `absent_len` of an item it lacks.
+  /// Only non-honest modes draw from the fault plan.
+  template <class Relabel>
+  std::optional<Bytes> reply_as(ByzantineMode mode, std::optional<Bytes> honest,
+                                const Relabel& relabelled, size_t absent_len) {
+    FaultPlan* plan = net_.fault_plan();
     switch (mode) {
       case ByzantineMode::kHonest:
-        if (!found) return std::nullopt;
-        return found->to_bytes();
+        return honest;
       case ByzantineMode::kDrop:
         return std::nullopt;
       case ByzantineMode::kBitFlip:
-        if (!found) return std::nullopt;  // nothing to corrupt yet
+        if (!honest) return std::nullopt;  // nothing to corrupt yet
         count_byzantine(detail::mirror_probes().byzantine_bitflip);
-        return plan->flip_one_bit(found->to_bytes());
-      case ByzantineMode::kRelabel: {
-        // Serve some OTHER archived update's signature under the requested
-        // tag — a well-formed point that fails self-authentication.
-        const auto& all = archive.all();
-        for (auto it = all.rbegin(); it != all.rend(); ++it) {
-          if (it->tag != tag) {
-            count_byzantine(detail::mirror_probes().byzantine_relabel);
-            return core::BasicKeyUpdate<B>{tag, it->sig}.to_bytes();
-          }
+        return plan->flip_one_bit(*honest);
+      case ByzantineMode::kRelabel:
+        if (std::optional<Bytes> other = relabelled()) {
+          count_byzantine(detail::mirror_probes().byzantine_relabel);
+          return other;
         }
-        if (all.empty()) return std::nullopt;
-        // Only the requested update exists: degrade to garbage of honest size.
+        if (!honest) return std::nullopt;
+        // Only the requested item exists: degrade to garbage of honest size.
         count_byzantine(detail::mirror_probes().byzantine_garbage);
-        return plan->garbage(all.front().to_bytes().size());
-      }
-      case ByzantineMode::kGarbage: {
-        size_t len = found ? found->to_bytes().size()
-                           : tag.size() + 2 + B::gu_wire_bytes(*params_);
+        return plan->garbage(honest->size());
+      case ByzantineMode::kGarbage:
         count_byzantine(detail::mirror_probes().byzantine_garbage);
-        return plan->garbage(len);
-      }
+        return plan->garbage(honest ? honest->size() : absent_len);
     }
     return std::nullopt;
   }
@@ -300,14 +291,7 @@ class BasicMirroredArchive {
   NodeId origin_;
   server::BasicUpdateArchive<B> origin_archive_;
   std::vector<Replica> mirrors_;
-  // Instance accounting in a private registry; handles resolved once
-  // because registry lookup takes a lock.
-  obs::Registry reg_;
-  obs::Counter& publishes_ = reg_.counter("publishes");
-  obs::Counter& replication_messages_ = reg_.counter("replication_messages");
-  obs::Counter& origin_requests_ = reg_.counter("origin_requests");
-  obs::Counter& mirror_requests_ = reg_.counter("mirror_requests");
-  obs::Counter& byzantine_replies_ = reg_.counter("byzantine_replies");
+  Stats stats_;
 };
 
 using MirroredArchive = BasicMirroredArchive<core::Tre512Backend>;

@@ -2,13 +2,14 @@
 
 #include "bigint/bigint.h"
 #include "common/error.h"
+#include "obs/metrics.h"
 
 namespace tre::simnet {
 
 namespace {
 
-// Fleet-wide mirrors of the per-instance counters (every Network on the
-// process shares these; compiled out under -DTRE_METRICS=OFF).
+// Fleet-wide totals of the per-instance Stats (every Network in the
+// process shares these).
 struct Probes {
   obs::CounterProbe sent{"simnet.net.sent"};
   obs::CounterProbe delivered{"simnet.net.delivered"};
@@ -52,29 +53,20 @@ std::uint64_t Network::inbound_count(NodeId node) const {
   return inbound_[node];
 }
 
-Network::Stats Network::stats() const {
-  return Stats{sent_.value(), delivered_.value(), dropped_.value(),
-               fault_drops_.value(), bytes_carried_.value()};
-}
-
 void Network::send(NodeId from, NodeId to, size_t bytes,
                    std::function<void()> on_deliver) {
   require(from < names_.size() && to < names_.size(), "Network: unknown node");
-  sent_.add();
+  ++stats_.sent;
   Probes::get().sent.add();
   if (faults_ && !faults_->empty() &&
       (!faults_->node_up(from, timeline_.now()) ||
        !faults_->link_up(from, to, timeline_.now()))) {
-    dropped_.add();
-    fault_drops_.add();
-    Probes::get().dropped.add();
-    Probes::get().fault_drops.add();
+    count_drop(/*fault=*/true);
     return;
   }
   auto it = links_.find({std::min(from, to), std::max(from, to)});
   if (it == links_.end()) {
-    dropped_.add();
-    Probes::get().dropped.add();
+    count_drop(/*fault=*/false);
     return;
   }
   const LinkSpec& link = it->second;
@@ -82,8 +74,7 @@ void Network::send(NodeId from, NodeId to, size_t bytes,
   double u = static_cast<double>(bigint::BigInt<1>::from_bytes_be(draw).w[0]) /
              (static_cast<double>(UINT64_MAX) + 1.0);
   if (u < link.loss) {
-    dropped_.add();
-    Probes::get().dropped.add();
+    count_drop(/*fault=*/false);
     return;
   }
   std::int64_t delay = link.base_delay;
@@ -92,20 +83,28 @@ void Network::send(NodeId from, NodeId to, size_t bytes,
     delay += static_cast<std::int64_t>(bigint::BigInt<1>::from_bytes_be(jb).w[0] %
                                        static_cast<std::uint64_t>(link.jitter + 1));
   }
-  delivered_.add();
-  bytes_carried_.add(bytes);
-  Probes::get().delivered.add();
+  stats_.bytes_carried += bytes;
   Probes::get().bytes_carried.add(bytes);
   ++inbound_[to];
   // A receiver that is down at the arrival instant loses the message.
   timeline_.schedule(delay, [this, to, fn = std::move(on_deliver)] {
     if (faults_ && !faults_->node_up(to, timeline_.now())) {
-      fault_drops_.add();
-      Probes::get().fault_drops.add();
+      count_drop(/*fault=*/true);
       return;
     }
+    ++stats_.delivered;
+    Probes::get().delivered.add();
     fn();
   });
+}
+
+void Network::count_drop(bool fault) {
+  ++stats_.dropped;
+  Probes::get().dropped.add();
+  if (fault) {
+    ++stats_.fault_drops;
+    Probes::get().fault_drops.add();
+  }
 }
 
 }  // namespace tre::simnet

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "hashing/drbg.h"
-#include "obs/metrics.h"
 #include "simnet/faults.h"
 #include "timeserver/timeline.h"
 
@@ -49,38 +48,31 @@ class Network {
   void set_fault_plan(FaultPlan* plan) { faults_ = plan; }
   FaultPlan* fault_plan() const { return faults_; }
 
-  /// Point-in-time view over the instance registry (the counters behind
-  /// it are also mirrored into obs::Registry::global() as simnet.net.*).
+  /// This network's traffic (the same events also fire the global
+  /// simnet.net.* probes). Once every scheduled arrival has run,
+  /// sent == delivered + dropped.
   struct Stats {
     std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;   // scheduled for delivery
-    std::uint64_t dropped = 0;
+    std::uint64_t delivered = 0;   // on_deliver ran
+    std::uint64_t dropped = 0;     // lost at send or at arrival
     std::uint64_t fault_drops = 0; // subset of drops caused by the fault plan
-    std::uint64_t bytes_carried = 0;
+    std::uint64_t bytes_carried = 0;  // put on a link at the send instant
   };
-  Stats stats() const;
-
-  /// The instance-local registry backing stats() (snapshot/export hook).
-  const obs::Registry& metrics() const { return reg_; }
+  const Stats& stats() const { return stats_; }
 
   /// Messages addressed to `node` (load accounting for E16).
   std::uint64_t inbound_count(NodeId node) const;
 
  private:
+  void count_drop(bool fault);
+
   server::Timeline& timeline_;
   hashing::HmacDrbg rng_;
   std::vector<std::string> names_;
   std::map<std::pair<NodeId, NodeId>, LinkSpec> links_;
   std::vector<std::uint64_t> inbound_;
   FaultPlan* faults_ = nullptr;
-  // Instance accounting lives in a private registry; handles are resolved
-  // once here because registry lookup takes a lock.
-  obs::Registry reg_;
-  obs::Counter& sent_ = reg_.counter("sent");
-  obs::Counter& delivered_ = reg_.counter("delivered");
-  obs::Counter& dropped_ = reg_.counter("dropped");
-  obs::Counter& fault_drops_ = reg_.counter("fault_drops");
-  obs::Counter& bytes_carried_ = reg_.counter("bytes_carried");
+  Stats stats_;
 };
 
 }  // namespace tre::simnet

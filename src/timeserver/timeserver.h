@@ -233,13 +233,7 @@ class BasicTimeServer {
                 .empty(),
             "issue_range: freshly issued updates failed the batch self-check");
     for (size_t j = 0; j < fresh.size(); ++j) {
-      archive_.put(fresh[j]);
-      bus_.publish(fresh[j]);
-      ++stats_.updates_issued;
-      const std::uint64_t wire_bytes = fresh[j].to_bytes().size();
-      stats_.bytes_published += wire_bytes;
-      detail::server_probes().updates_issued.add();
-      detail::server_probes().broadcast_bytes.add(wire_bytes);
+      publish(fresh[j]);
       out[missing_at[j]] = std::move(fresh[j]);
     }
 
@@ -278,6 +272,12 @@ class BasicTimeServer {
   core::BasicKeyUpdate<B> issue_unchecked(const TimeSpec& t) {
     obs::Span span(detail::server_probes().issue_ns);
     core::BasicKeyUpdate<B> update = scheme_.issue_update(keys_, t.canonical());
+    publish(update);
+    return update;
+  }
+
+  /// Archives and broadcasts one freshly issued update, and accounts for it.
+  void publish(const core::BasicKeyUpdate<B>& update) {
     archive_.put(update);
     bus_.publish(update);
     ++stats_.updates_issued;
@@ -285,7 +285,6 @@ class BasicTimeServer {
     stats_.bytes_published += wire_bytes;
     detail::server_probes().updates_issued.add();
     detail::server_probes().broadcast_bytes.add(wire_bytes);
-    return update;
   }
 
   std::int64_t next_boundary() const {

@@ -39,14 +39,13 @@ for mode in sealed sealed-basic sealed-fo sealed-react; do
   cmp msg.txt "out-$mode.txt"
 done
 
-# --metrics dumps a registry snapshot JSON (all-zero counters when the
-# build compiled the probes out — the flag must still work).
+# --metrics dumps a registry snapshot JSON that counts the command's work.
 "$CLI" decrypt --user-key user.key --server-pub server.pub --update update.bin \
   --in ct-sealed.bin --out out-m.txt --metrics metrics.json
 cmp msg.txt out-m.txt
-grep -q '"metrics_enabled"' metrics.json
 grep -q '"counters"' metrics.json
-"$CLI" params --metrics - | grep -q '"metrics_enabled"'
+grep -qE '"core\.opens": [1-9]' metrics.json
+"$CLI" params --metrics - | grep -q '"counters"'
 
 # The wrong update must NOT decrypt under FO.
 "$CLI" issue --server-key server.key --tag "2031-01-01T00:00:00Z" --out early.bin
@@ -146,7 +145,6 @@ cmp msg.txt out381-solve.txt
 
 # ---- Power-on self-tests. ---------------------------------------------
 # Clean suite passes; an injected corruption makes the command fail.
-# (With TRE_SELFTEST=OFF builds the command still reports and passes.)
 "$CLI" selftest | grep -q 'selftest:'
 if TRE_SELFTEST_FAULT=sha256 "$CLI" selftest >/dev/null 2>&1; then
   echo "FAIL: injected sha256 corruption not detected" >&2

@@ -116,11 +116,17 @@ TEST_F(FaultedNetworkTest, ReceiverDownAtArrivalLosesTheMessage) {
   net_.send(a_, b_, 1, [&] { delivered = true; });
   timeline_.advance_to(10);
   EXPECT_FALSE(delivered);
+  // Lost at arrival: a drop (caused by the plan), not a delivery.
+  EXPECT_EQ(net_.stats().delivered, 0u);
+  EXPECT_EQ(net_.stats().dropped, 1u);
   EXPECT_EQ(net_.stats().fault_drops, 1u);
   // The same send after recovery goes through.
   net_.send(a_, b_, 1, [&] { delivered = true; });
   timeline_.advance_to(20);
   EXPECT_TRUE(delivered);
+  EXPECT_EQ(net_.stats().delivered, 1u);
+  EXPECT_EQ(net_.stats().sent,
+            net_.stats().delivered + net_.stats().dropped);
 }
 
 TEST_F(FaultedNetworkTest, CrashedMirrorMissesReplication) {

@@ -467,14 +467,13 @@ TYPED_TEST_SUITE(FetcherGateTest, Backends);
 TYPED_TEST(FetcherGateTest, GarbageReplyIsOneParseRejectAndDemotes) {
   using B = TypeParam;
   const Bytes garbage = to_bytes("garbage, not an update");
-  const std::uint64_t one = obs::kEnabled ? 1 : 0;
 
   {  // fetch_verified
     BasicUpdateFetcher<B> f = this->fetcher();
     this->source_.reply = garbage;
     const std::uint64_t before = this->parse_rejects();
     FetchStats stats = this->run_fetch(f, "T1");
-    EXPECT_EQ(this->parse_rejects() - before, one);
+    EXPECT_EQ(this->parse_rejects() - before, 1u);
     EXPECT_EQ(stats.rejected_parse, 1u);
     EXPECT_EQ(stats.total_rejected(), 1u);
     EXPECT_EQ(f.health(0), -1);
@@ -485,7 +484,7 @@ TYPED_TEST(FetcherGateTest, GarbageReplyIsOneParseRejectAndDemotes) {
     const std::uint64_t before = this->parse_rejects();
     auto page = f.fetch_range_verified(0, 0, 16);
     ASSERT_TRUE(page.has_value());
-    EXPECT_EQ(this->parse_rejects() - before, one);
+    EXPECT_EQ(this->parse_rejects() - before, 1u);
     EXPECT_EQ(page->rejected_parse, 1u);
     EXPECT_EQ(page->total_rejected(), 1u);
     EXPECT_TRUE(page->updates.empty());
@@ -501,7 +500,7 @@ TYPED_TEST(FetcherGateTest, GarbageReplyIsOneParseRejectAndDemotes) {
     const std::uint64_t before = this->parse_rejects();
     auto res = f.fetch_threshold(this->tscheme_, key, "T1");
     ASSERT_TRUE(res.ok());
-    EXPECT_EQ(this->parse_rejects() - before, one);
+    EXPECT_EQ(this->parse_rejects() - before, 1u);
     EXPECT_EQ(res->rejected_parse, 1u);
     EXPECT_EQ(res->total_rejected(), 1u);
     EXPECT_EQ(f.health(0), -1);

@@ -1,9 +1,5 @@
 // obs:: instrument semantics, registry behaviour, Span batching and the
-// JSON snapshot. The instruments (Counter/Gauge/Histogram/Registry) are
-// functional in EVERY build — those tests are unconditional. Probe tests
-// (CounterProbe/Span target the global registry) gate their value
-// expectations on obs::kEnabled so this binary also passes under
-// -DTRE_METRICS=OFF, where probes compile to no-ops.
+// JSON snapshot.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -161,7 +157,6 @@ TEST(RegistryTest, JsonSnapshotShape) {
   h.record(200);
   std::string json = reg.to_json();
   // Spot-check the documented shape without a JSON parser.
-  EXPECT_NE(json.find("\"metrics_enabled\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"requests\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"depth\": -2"), std::string::npos);
@@ -200,7 +195,7 @@ TEST(Probes, CounterProbeTargetsGlobalRegistry) {
   probe.add();
   probe.add(9);
   std::uint64_t after = Registry::global().counter_value(name);
-  EXPECT_EQ(after - before, kEnabled ? 10u : 0u);
+  EXPECT_EQ(after - before, 10u);
 }
 
 TEST(Probes, SpanBatchFlushesOnDemand) {
@@ -211,10 +206,8 @@ TEST(Probes, SpanBatchFlushesOnDemand) {
     Span span(probe);
   }
   flush_this_thread();
-  if constexpr (kEnabled) {
-    EXPECT_EQ(Registry::global().histogram(name).count(),
-              static_cast<std::uint64_t>(kSpans));
-  }
+  EXPECT_EQ(Registry::global().histogram(name).count(),
+            static_cast<std::uint64_t>(kSpans));
 }
 
 TEST(Probes, SpanStopIsIdempotent) {
@@ -226,9 +219,7 @@ TEST(Probes, SpanStopIsIdempotent) {
     span.stop();  // second stop and the destructor must not re-record
   }
   flush_this_thread();
-  if constexpr (kEnabled) {
-    EXPECT_EQ(Registry::global().histogram(name).count(), 1u);
-  }
+  EXPECT_EQ(Registry::global().histogram(name).count(), 1u);
 }
 
 TEST(Probes, SnapshotFlushesCallingThread) {
@@ -240,10 +231,8 @@ TEST(Probes, SnapshotFlushesCallingThread) {
     Span span(probe);
   }
   std::string json = Registry::global().to_json();
-  if constexpr (kEnabled) {
-    EXPECT_EQ(Registry::global().histogram(name).count(), 1u);
-    EXPECT_NE(json.find("test_obs.span_snapshot"), std::string::npos);
-  }
+  EXPECT_EQ(Registry::global().histogram(name).count(), 1u);
+  EXPECT_NE(json.find("test_obs.span_snapshot"), std::string::npos);
 }
 
 TEST(Probes, FlushWithNothingPendingIsSafe) {

@@ -19,15 +19,8 @@ namespace {
 
 class SelftestGate : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!health::enabled()) {
-      GTEST_SKIP() << "built with TRE_SELFTEST=OFF: the gate compiles to nothing";
-    }
-    health::reset_for_testing();
-  }
-  void TearDown() override {
-    if (health::enabled()) health::reset_for_testing();
-  }
+  void SetUp() override { health::reset_for_testing(); }
+  void TearDown() override { health::reset_for_testing(); }
 };
 
 TEST_F(SelftestGate, CleanSuitePasses) {

@@ -6,7 +6,6 @@
 #   TRE_SANITIZE=address,undefined tools/run_tier1.sh
 #   BUILD_DIR=build-asan tools/run_tier1.sh  # custom build directory
 #   MATRIX=1 tools/run_tier1.sh              # plain + asan/ubsan + tsan
-#   METRICS=0 tools/run_tier1.sh             # probes compiled out (-DTRE_METRICS=OFF)
 #   SCALING=1 tools/run_tier1.sh             # multicore throughput gate (bench_throughput)
 #   BATCH=1 tools/run_tier1.sh               # batch-verification gate: E21 sweep
 #                                            # must show >= BATCH_MIN (default 5.0)
@@ -21,8 +20,7 @@
 #                                            # e2ebench/ builds src/ from source
 #                                            # and e2ebench/check.py must pass
 #   SELFTEST=1 tools/run_tier1.sh            # power-on KAT gate: every injected
-#                                            # fault must fail, the clean run pass,
-#                                            # plus a TRE_SELFTEST=OFF opt-out build
+#                                            # fault must fail, the clean run pass
 #   DAEMON=1 tools/run_tier1.sh              # networked-daemon gate: boot tred,
 #                                            # socket fetch, bit-identical verify,
 #                                            # then bench_daemon --smoke (>= 1024
@@ -35,9 +33,12 @@
 #   TEST_TIMEOUT=600 tools/run_tier1.sh      # per-test ctest ceiling (s)
 #   BACKEND=381 tools/run_tier1.sh           # BLS12-381 leg only (see below)
 #
-# The plain tree (no TRE_SANITIZE, metrics on) compiles with
+# There is one build configuration besides TRE_SANITIZE: the metrics
+# probes and the power-on self-test gate are compiled into every tree.
+# The plain tree (no TRE_SANITIZE) compiles with
 # CMAKE_COMPILE_WARNING_AS_ERROR=ON: it builds warning-free, so any new
-# warning fails tier-1 instead of scrolling past in the log.
+# warning fails tier-1 instead of scrolling past in the log. It also
+# runs the obs_overhead_budget ctest (probe bill <= 2% of a seal).
 #
 # TRE_SANITIZE is forwarded to the CMake option of the same name and
 # instruments every target with -fsanitize=<list>. MATRIX=1 runs the
@@ -49,10 +50,6 @@
 #                 the persistent parallel_for pool, and the snapshot
 #                 registry (tests/test_concurrency.cpp, which every tree
 #                 runs, is the contention driver)
-#
-# METRICS=0 selects a metrics-off tree (default BUILD_DIR build-nometrics)
-# and proves the suite — including the exact-value accounting tests —
-# passes with every obs:: probe compiled to nothing.
 #
 # BACKEND=381 restricts every ctest leg (including the MATRIX trees) to
 # the BLS12-381 backend suites — the low-level curve/pairing tests
@@ -99,6 +96,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TEST_TIMEOUT="${TEST_TIMEOUT:-300}"
+BUILD_DIR="${BUILD_DIR:-build}"
 
 # BACKEND=381 narrows ctest to the BLS12-381 suites; anything else (or
 # unset) runs everything.
@@ -111,16 +109,13 @@ esac
 
 run_one() {
   local build_dir="$1" sanitize="$2"
-  local cmake_args=(-B "$build_dir" -S . -DTRE_TEST_TIMEOUT="$TEST_TIMEOUT")
-  if [[ -n "$sanitize" ]]; then
-    cmake_args+=(-DTRE_SANITIZE="$sanitize")
-  fi
-  if [[ "${METRICS:-1}" == "0" ]]; then
-    cmake_args+=(-DTRE_METRICS=OFF)
-  fi
+  # TRE_SANITIZE is always passed, empty for the plain tree, so a build
+  # directory that once held a sanitizer tree is reconfigured plain.
+  local cmake_args=(-B "$build_dir" -S . -DTRE_TEST_TIMEOUT="$TEST_TIMEOUT"
+                    -DTRE_SANITIZE="$sanitize")
   # The plain tree builds warning-free, so a new warning fails it. Other
   # trees set the flag OFF so a shared build directory never carries it.
-  if [[ -z "$sanitize" && "${METRICS:-1}" != "0" ]]; then
+  if [[ -z "$sanitize" ]]; then
     cmake_args+=(-DCMAKE_COMPILE_WARNING_AS_ERROR=ON)
   else
     cmake_args+=(-DCMAKE_COMPILE_WARNING_AS_ERROR=OFF)
@@ -131,13 +126,6 @@ run_one() {
   ctest --test-dir "$build_dir" --output-on-failure -j"$(nproc)" \
         --timeout "$TEST_TIMEOUT" ${CTEST_FILTER[@]+"${CTEST_FILTER[@]}"}
 }
-
-# Metrics-off runs default to their own tree so they never poison the
-# plain tier-1 cache with TRE_METRICS=OFF.
-DEFAULT_DIR=build
-if [[ "${METRICS:-1}" == "0" ]]; then
-  DEFAULT_DIR=build-nometrics
-fi
 
 run_scaling_gate() {
   local build_dir="$1" min_ratio="${SCALING_MIN:-3.0}"
@@ -420,9 +408,7 @@ run_thresh_gate() {
 }
 
 # SELFTEST=1: prove the power-on gate trips on every single injected KAT
-# corruption (tre_cli selftest must exit nonzero), passes clean, and that
-# a TRE_SELFTEST=OFF tree still passes the whole suite (the gate is an
-# opt-out, not a load-bearing dependency).
+# corruption (tre_cli selftest must exit nonzero) and passes clean.
 run_selftest_gate() {
   local build_dir="$1"
   local cli="$build_dir/tools/tre_cli"
@@ -444,33 +430,26 @@ run_selftest_gate() {
     return 1
   fi
   echo "selftest gate: PASS (clean suite + $(echo "$kats" | wc -w) fault cases)"
-
-  local off_dir="${build_dir}-noselftest"
-  echo "=== selftest gate: TRE_SELFTEST=OFF opt-out tree -> $off_dir ==="
-  cmake -B "$off_dir" -S . -DTRE_SELFTEST=OFF -DTRE_TEST_TIMEOUT="$TEST_TIMEOUT"
-  cmake --build "$off_dir" -j"$(nproc)"
-  ctest --test-dir "$off_dir" --output-on-failure -j"$(nproc)" \
-        --timeout "$TEST_TIMEOUT" ${CTEST_FILTER[@]+"${CTEST_FILTER[@]}"}
 }
 
 if [[ "${MATRIX:-0}" == "1" ]]; then
-  run_one "${BUILD_DIR:-$DEFAULT_DIR}" ""
-  run_one "${BUILD_DIR:-$DEFAULT_DIR}-asan" "address,undefined"
-  run_one "${BUILD_DIR:-$DEFAULT_DIR}-tsan" "thread"
+  run_one "$BUILD_DIR" ""
+  run_one "${BUILD_DIR}-asan" "address,undefined"
+  run_one "${BUILD_DIR}-tsan" "thread"
 else
-  run_one "${BUILD_DIR:-$DEFAULT_DIR}" "${TRE_SANITIZE:-}"
+  run_one "$BUILD_DIR" "${TRE_SANITIZE:-}"
 fi
 
 if [[ "${SCALING:-0}" == "1" ]]; then
-  run_scaling_gate "${BUILD_DIR:-$DEFAULT_DIR}"
+  run_scaling_gate "$BUILD_DIR"
 fi
 
 if [[ "${BATCH:-0}" == "1" ]]; then
-  run_batch_gate "${BUILD_DIR:-$DEFAULT_DIR}"
+  run_batch_gate "$BUILD_DIR"
 fi
 
 if [[ "${PERF381:-0}" == "1" ]]; then
-  run_perf381_gate "${BUILD_DIR:-$DEFAULT_DIR}"
+  run_perf381_gate "$BUILD_DIR"
 fi
 
 if [[ "${E2E:-0}" == "1" ]]; then
@@ -478,13 +457,13 @@ if [[ "${E2E:-0}" == "1" ]]; then
 fi
 
 if [[ "${SELFTEST:-0}" == "1" ]]; then
-  run_selftest_gate "${BUILD_DIR:-$DEFAULT_DIR}"
+  run_selftest_gate "$BUILD_DIR"
 fi
 
 if [[ "${DAEMON:-0}" == "1" ]]; then
-  run_daemon_gate "${BUILD_DIR:-$DEFAULT_DIR}"
+  run_daemon_gate "$BUILD_DIR"
 fi
 
 if [[ "${THRESH:-0}" == "1" ]]; then
-  run_thresh_gate "${BUILD_DIR:-$DEFAULT_DIR}"
+  run_thresh_gate "$BUILD_DIR"
 fi

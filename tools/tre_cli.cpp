@@ -33,7 +33,6 @@
 #include "bls12/tre381.h"
 #include "client/fetcher.h"
 #include "client/socket_transport.h"
-#include "common/health.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
 #include "keystore/keystore.h"
@@ -833,9 +832,6 @@ int cmd_fetch(const Args& args) {
 
 int cmd_selftest(const Args&) {
   selftest::ensure_registered();
-  if (!health::enabled()) {
-    std::printf("selftest: built with TRE_SELFTEST=OFF — gate disabled\n");
-  }
   std::optional<selftest::Kat> fault;
   if (const char* env = std::getenv("TRE_SELFTEST_FAULT")) {
     fault = selftest::kat_from_name(env);
