@@ -222,8 +222,8 @@ inline constexpr size_t kWnafMaxDigits = 64 * L + 1;
 
 /// Width-w non-adjacent form: digits in {0, ±1, ±3, ..., ±(2^{w-1} − 1)},
 /// least-significant first, with at most one nonzero digit in any `width`
-/// consecutive positions. Shared by the G_1 scalar-multiplication engine
-/// (ec/curve.cpp) and the unitary G_T exponentiation (field/fp2.cpp).
+/// consecutive positions. Shared by the elliptic-curve kernel
+/// (ec/jacobian.h) and the unitary G_T exponentiations.
 /// `width` must be in [2, 8]. Writes into `out` (capacity at least
 /// kWnafMaxDigits<L>) and returns the digit count — the hot paths use a
 /// stack buffer, so recoding allocates nothing.

@@ -162,6 +162,12 @@ struct Bls381Backend {
                                 const Gh& h2, const Gu& u2) {
     return p.pairings_equal(u1, h1, u2, h2);
   }
+  /// pairings_equal_hu for a one-off h1 (an RLC-folded commitment): its
+  /// lines are prepared uncached, h2's still come from the lines cache.
+  static bool pairings_equal_fresh_hu(const Params& p, const Gh& h1, const Gu& u1,
+                                      const Gh& h2, const Gu& u2) {
+    return p.pairings_equal_fresh(u1, h1, u2, h2);
+  }
   /// §5.3.4 check (1): the type-3 anchor a·G1gen is server-independent,
   /// so "same secret as certified" is a plain G_1 equality — no pairing.
   static bool same_secret(const Params&, const Gu& cand_ag, const Gh& /*old_gen*/,

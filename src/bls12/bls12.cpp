@@ -62,158 +62,13 @@ Wide isqrt(const Wide& n) {
   }
 }
 
-// Generic Jacobian arithmetic over Fq or Fq2 (ring operators, squared(),
-// inverse(), is_zero(), one(); a default T is zero). Valid for a = 0
-// short-Weierstrass curves (both E and E').
-template <class T>
-struct JacT {
-  T x, y, z;
-  bool inf() const { return z.is_zero(); }
-};
-
-template <class T>
-JacT<T> jac_dbl(const JacT<T>& p) {
-  if (p.inf() || p.y.is_zero()) return JacT<T>{p.x, p.y, T{}};
-  T a = p.x.squared();
-  T b = p.y.squared();
-  T c = b.squared();
-  T d = (p.x + b).squared() - a - c;
-  d = d + d;
-  T e = a + a + a;
-  T x3 = e.squared() - (d + d);
-  T c8 = c + c;
-  c8 = c8 + c8;
-  c8 = c8 + c8;
-  T y3 = e * (d - x3) - c8;
-  T z3 = (p.y * p.z) + (p.y * p.z);
-  return JacT<T>{x3, y3, z3};
-}
-
-template <class T>
-JacT<T> jac_add(const JacT<T>& p, const JacT<T>& q) {
-  if (p.inf()) return q;
-  if (q.inf()) return p;
-  T z1z1 = p.z.squared();
-  T z2z2 = q.z.squared();
-  T u1 = p.x * z2z2;
-  T u2 = q.x * z1z1;
-  T s1 = p.y * q.z * z2z2;
-  T s2 = q.y * p.z * z1z1;
-  if (u1 == u2) {
-    if (s1 == s2) return jac_dbl(p);
-    return JacT<T>{p.x, p.y, T{}};
-  }
-  T h = u2 - u1;
-  T i = (h + h).squared();
-  T j = h * i;
-  T r = (s2 - s1);
-  r = r + r;
-  T v = u1 * i;
-  T x3 = r.squared() - j - (v + v);
-  T s1j = s1 * j;
-  T y3 = r * (v - x3) - (s1j + s1j);
-  T z3 = ((p.z + q.z).squared() - z1z1 - z2z2) * h;
-  return JacT<T>{x3, y3, z3};
-}
-
-template <class T>
-JacT<T> jac_neg(const JacT<T>& p) {
-  return JacT<T>{p.x, -p.y, p.z};
-}
-
-// Mixed addition (madd-2007-bl): affine (x2, y2) into a Jacobian
-// accumulator — the Pippenger bucket-drop workhorse (one fewer field
-// squaring and three fewer multiplications than the general add).
-template <class T>
-JacT<T> jac_add_affine(const JacT<T>& p, const T& x2, const T& y2) {
-  if (p.inf()) return JacT<T>{x2, y2, T::one()};
-  T z1z1 = p.z.squared();
-  T u2 = x2 * z1z1;
-  T s2 = y2 * p.z * z1z1;
-  if (u2 == p.x) {
-    if (s2 == p.y) return jac_dbl(p);
-    return JacT<T>{p.x, p.y, T{}};
-  }
-  T h = u2 - p.x;
-  T hh = h.squared();
-  T i = (hh + hh);
-  i = i + i;  // 4h^2
-  T j = h * i;
-  T r = (s2 - p.y);
-  r = r + r;
-  T v = p.x * i;
-  T x3 = r.squared() - j - (v + v);
-  T yj = p.y * j;
-  T y3 = r * (v - x3) - (yj + yj);
-  T z3 = (p.z + h).squared() - z1z1 - hh;
-  return JacT<T>{x3, y3, z3};
-}
-
-// Width-4 wNAF double-and-add for public scalars: same group element as
-// the plain ladder at ~1/5 the additions.
-template <class T, size_t L>
-JacT<T> jac_mul(const JacT<T>& base, const bigint::BigInt<L>& k) {
-  JacT<T> acc{base.x, base.y, T{}};  // infinity (z = 0)
-  if (base.inf() || k.is_zero()) return acc;
-  // Odd multiples 1B, 3B, 5B, 7B.
-  std::array<JacT<T>, 4> tab;
-  tab[0] = base;
-  JacT<T> twice = jac_dbl(base);
-  for (size_t i = 1; i < 4; ++i) tab[i] = jac_add(tab[i - 1], twice);
-  std::int8_t digits[bigint::kWnafMaxDigits<L>];
-  size_t n = bigint::wnaf_into(k, 4, digits);
-  for (size_t i = n; i-- > 0;) {
-    acc = jac_dbl(acc);
-    int d = digits[i];
-    if (d > 0) {
-      acc = jac_add(acc, tab[(d - 1) / 2]);
-    } else if (d < 0) {
-      acc = jac_add(acc, jac_neg(tab[(-d - 1) / 2]));
-    }
-  }
-  return acc;
-}
-
-// Width-4 fixed-window ladder with a constant double/add pattern: every
-// window performs exactly four doublings and one addition (a dummy
-// accumulator absorbs zero windows), over a window count fixed by
-// max(|r|, |k|) so a short secret runs as many windows as a long one.
-// Mirrors ec::G1Point::mul_secret — constant-pattern, not constant-time
-// (field ops still vary; documented limitation, PERF.md).
-template <class T, size_t L>
-JacT<T> jac_mul_secret(const JacT<T>& base, const bigint::BigInt<L>& k,
-                       size_t order_bits) {
-  JacT<T> zero{base.x, base.y, T{}};
-  if (base.inf() || k.is_zero()) return zero;
-  std::array<JacT<T>, 16> tab;
-  tab[0] = zero;
-  tab[1] = base;
-  for (size_t i = 2; i < 16; ++i) tab[i] = jac_add(tab[i - 1], base);
-  size_t windows = (std::max(order_bits, k.bit_length()) + 3) / 4;
-  JacT<T> acc = zero;
-  JacT<T> dummy = base;
-  for (size_t w = windows; w-- > 0;) {
-    for (int s = 0; s < 4; ++s) acc = jac_dbl(acc);
-    unsigned d = 0;
-    for (int s = 3; s >= 0; --s) {
-      d = (d << 1) | (k.bit(4 * w + static_cast<size_t>(s)) ? 1u : 0u);
-    }
-    if (d != 0) {
-      acc = jac_add(acc, tab[d]);
-    } else {
-      dummy = jac_add(dummy, tab[1]);  // keep the addition cadence
-    }
-  }
-  return acc;
-}
-
 // [|z|]·P by MSB-first double-and-add over the fixed 64-bit |z|: 63
 // doublings and 5 additions.
-JacT<Fq> jac_mul_abs_z(const JacT<Fq>& p) {
-  JacT<Fq> acc = p;
+ec::Jac<Fq> jac_mul_abs_z(const ec::Jac<Fq>& p) {
+  ec::Jac<Fq> acc = p;
   for (int i = 62; i >= 0; --i) {
-    acc = jac_dbl(acc);
-    if ((kAbsZ >> i) & 1) acc = jac_add(acc, p);
+    acc = ec::jac_dbl(acc);
+    if ((kAbsZ >> i) & 1) acc = ec::jac_add(acc, p);
   }
   return acc;
 }
@@ -226,25 +81,11 @@ JacT<Fq> jac_mul_abs_z(const JacT<Fq>& p) {
 // coordinates; the comparison with (βx, −y) is projective, so nothing
 // is inverted.
 bool phi_is_minus_z2(const G1Point381& a, const Fq& beta) {
-  const JacT<Fq> z2p = jac_mul_abs_z(jac_mul_abs_z(JacT<Fq>{a.x, a.y, Fq::one()}));
+  const ec::Jac<Fq> z2p = jac_mul_abs_z(jac_mul_abs_z(ec::to_jac(a)));
   if (z2p.inf()) return false;
   // (X/Z², Y/Z³) == (βx, −y)  ⇔  X == βx·Z² and Y == −y·Z³.
   const Fq zz = z2p.z.squared();
   return z2p.x == beta * a.x * zz && z2p.y == -(a.y * zz * z2p.z);
-}
-
-G1Point381 jac_to_g1(const JacT<Fq>& j) {
-  if (j.inf()) return G1Point381{};
-  Fq zi = j.z.inverse();
-  Fq zi2 = zi.squared();
-  return G1Point381{j.x * zi2, j.y * zi2 * zi, false};
-}
-
-G2Point381 jac_to_g2(const JacT<Fq2>& j) {
-  if (j.inf()) return G2Point381{};
-  Fq2 zi = j.z.inverse();
-  Fq2 zi2 = zi.squared();
-  return G2Point381{j.x * zi2, j.y * zi2 * zi, false};
 }
 
 }  // namespace
@@ -374,8 +215,7 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
       bigint::divmod(n, r.resized<Wide::kLimbs>(), q2, r2);
       if (!r2.is_zero()) continue;
       // n must annihilate the sampled point.
-      JacT<Fq2> jac{sample.x, sample.y, Fq2::one()};
-      if (!jac_mul(jac, n).inf()) continue;
+      if (!ec::mul_wnaf(sample, n).inf) continue;
       require(q2.bit_length() <= 64 * field::kMaxFieldLimbs,
               "Bls12Ctx: G2 cofactor too large");
       g2_cofactor_ = q2.resized<field::kMaxFieldLimbs>();
@@ -471,94 +311,31 @@ G1Point381 Bls12Ctx::g1_neg(const G1Point381& a) const {
 G1Point381 Bls12Ctx::g1_add(const G1Point381& a, const G1Point381& b) const {
   if (a.inf) return b;
   if (b.inf) return a;
-  JacT<Fq> ja{a.x, a.y, Fq::one()};
-  JacT<Fq> jb{b.x, b.y, Fq::one()};
-  return jac_to_g1(jac_add(ja, jb));
+  return ec::to_affine(ec::jac_madd(ec::to_jac(a), b.x, b.y));
 }
 
 G1Point381 Bls12Ctx::g1_mul(const G1Point381& a, const Scalar& k) const {
-  if (a.inf || k.is_zero()) return g1_infinity();
-  JacT<Fq> ja{a.x, a.y, Fq::one()};
-  return jac_to_g1(jac_mul(ja, k));
+  return ec::mul_wnaf(a, k);
 }
 
 G1Point381 Bls12Ctx::g1_mul_secret(const G1Point381& a, const Scalar& k) const {
-  if (a.inf || k.is_zero()) return g1_infinity();
-  JacT<Fq> ja{a.x, a.y, Fq::one()};
-  return jac_to_g1(jac_mul_secret(ja, k, r().bit_length()));
+  return ec::mul_secret(a, k, r().bit_length());
 }
-
-namespace {
-
-// Adapter feeding the shared Pippenger engine (ec/multiexp.h) with the
-// private JacT<Fq> kernel: mixed adds for bucket drops, full adds for
-// the running-sum fold.
-struct G1MultiexpOps {
-  using Acc = JacT<Fq>;
-
-  std::span<const G1Point381> points;
-
-  Acc zero() const { return {Fq::one(), Fq::one(), Fq{}}; }
-  void add_point(Acc& acc, size_t i) const {
-    const G1Point381& p = points[i];
-    if (p.inf) return;
-    acc = jac_add_affine(acc, p.x, p.y);
-  }
-  void add(Acc& acc, const Acc& other) const { acc = jac_add(acc, other); }
-  void dbl(Acc& acc) const { acc = jac_dbl(acc); }
-  void sub_point(Acc& acc, size_t i) const {
-    const G1Point381& p = points[i];
-    if (p.inf) return;
-    acc = jac_add_affine(acc, p.x, -p.y);
-  }
-};
-
-// The same adapter over the twist: JacT is generic in its field, so the
-// G2 multi-exp reuses every Jacobian kernel verbatim.
-struct G2MultiexpOps {
-  using Acc = JacT<Fq2>;
-
-  std::span<const G2Point381> points;
-
-  Acc zero() const { return {Fq2::one(), Fq2::one(), Fq2{}}; }
-  void add_point(Acc& acc, size_t i) const {
-    const G2Point381& p = points[i];
-    if (p.inf) return;
-    acc = jac_add_affine(acc, p.x, p.y);
-  }
-  void add(Acc& acc, const Acc& other) const { acc = jac_add(acc, other); }
-  void dbl(Acc& acc) const { acc = jac_dbl(acc); }
-  void sub_point(Acc& acc, size_t i) const {
-    const G2Point381& p = points[i];
-    if (p.inf) return;
-    acc = jac_add_affine(acc, p.x, -p.y);
-  }
-};
-
-}  // namespace
 
 G1Point381 Bls12Ctx::g1_multiexp(std::span<const G1Point381> points,
                                  std::span<const Scalar> scalars,
                                  unsigned threads) const {
   require(points.size() == scalars.size(), "g1_multiexp: size mismatch");
-  G1MultiexpOps ops{points};
-  return jac_to_g1(ec::multiexp_auto(ops, scalars, threads));
-}
-
-G1Point381 Bls12Ctx::g1_multiexp_unsigned(std::span<const G1Point381> points,
-                                          std::span<const Scalar> scalars,
-                                          unsigned threads) const {
-  require(points.size() == scalars.size(), "g1_multiexp: size mismatch");
-  G1MultiexpOps ops{points};
-  return jac_to_g1(ec::multiexp_pippenger(ops, scalars, threads));
+  ec::AffineOps<Fq> ops{points, Fq::one()};
+  return ec::to_affine(ec::multiexp_auto(ops, scalars, threads));
 }
 
 G2Point381 Bls12Ctx::g2_multiexp(std::span<const G2Point381> points,
                                  std::span<const Scalar> scalars,
                                  unsigned threads) const {
   require(points.size() == scalars.size(), "g2_multiexp: size mismatch");
-  G2MultiexpOps ops{points};
-  return jac_to_g2(ec::multiexp_auto(ops, scalars, threads));
+  ec::AffineOps<Fq2> ops{points, Fq2::one()};
+  return ec::to_affine(ec::multiexp_auto(ops, scalars, threads));
 }
 
 bool Bls12Ctx::g1_in_subgroup(const G1Point381& a) const {
@@ -628,21 +405,15 @@ G2Point381 Bls12Ctx::g2_neg(const G2Point381& a) const {
 G2Point381 Bls12Ctx::g2_add(const G2Point381& a, const G2Point381& b) const {
   if (a.inf) return b;
   if (b.inf) return a;
-  JacT<Fq2> ja{a.x, a.y, Fq2::one()};
-  JacT<Fq2> jb{b.x, b.y, Fq2::one()};
-  return jac_to_g2(jac_add(ja, jb));
+  return ec::to_affine(ec::jac_madd(ec::to_jac(a), b.x, b.y));
 }
 
 G2Point381 Bls12Ctx::g2_mul(const G2Point381& a, const Scalar& k) const {
-  if (a.inf || k.is_zero()) return g2_infinity();
-  JacT<Fq2> ja{a.x, a.y, Fq2::one()};
-  return jac_to_g2(jac_mul(ja, k));
+  return ec::mul_wnaf(a, k);
 }
 
 G2Point381 Bls12Ctx::g2_mul_secret(const G2Point381& a, const Scalar& k) const {
-  if (a.inf || k.is_zero()) return g2_infinity();
-  JacT<Fq2> ja{a.x, a.y, Fq2::one()};
-  return jac_to_g2(jac_mul_secret(ja, k, r().bit_length()));
+  return ec::mul_secret(a, k, r().bit_length());
 }
 
 bool Bls12Ctx::g2_in_subgroup(const G2Point381& a) const {
@@ -682,101 +453,8 @@ G2Point381 Bls12Ctx::g2_from_bytes(ByteSpan bytes) const {
 // ---------------------------------------------------------------------------
 // G2 fixed-base comb.
 
-G2Comb::G2Comb(std::shared_ptr<const Bls12Ctx> ctx, const G2Point381& base)
-    : ctx_(std::move(ctx)), base_(base) {
-  if (base_.inf) {
-    degenerate_ = true;
-    return;
-  }
-  // 256 covers every scalar below r (255 bits) with an even split.
-  constexpr size_t kBits = 256;
-  cols_ = kBits / kTeeth;  // 32
-  // Tooth bases B_t = 2^(t·cols)·base, then all 2^kTeeth − 1 subset sums.
-  std::array<JacT<Fq2>, kTeeth> tooth;
-  JacT<Fq2> cur{base_.x, base_.y, Fq2::one()};
-  for (size_t t = 0; t < kTeeth; ++t) {
-    tooth[t] = cur;
-    if (t + 1 < kTeeth) {
-      for (size_t d = 0; d < cols_; ++d) cur = jac_dbl(cur);
-    }
-  }
-  const size_t n = (size_t{1} << kTeeth) - 1;
-  std::vector<JacT<Fq2>> jac(n + 1);
-  for (size_t m = 1; m <= n; ++m) {
-    size_t low = m & (~m + 1);  // lowest set bit
-    size_t t = 0;
-    while ((low >> t) != 1) ++t;
-    size_t rest = m & (m - 1);
-    jac[m] = rest != 0 ? jac_add(jac[rest], tooth[t]) : tooth[t];
-  }
-  // Batch-normalize the table to affine with one field inversion
-  // (Montgomery's trick over the non-infinity z coordinates).
-  std::vector<Fq2> zs;
-  zs.reserve(n);
-  for (size_t m = 1; m <= n; ++m) {
-    if (!jac[m].inf()) zs.push_back(jac[m].z);
-  }
-  std::vector<Fq2> prefix(zs.size(), Fq2::one());
-  Fq2 acc = Fq2::one();
-  for (size_t i = 0; i < zs.size(); ++i) {
-    prefix[i] = acc;
-    acc = acc * zs[i];
-  }
-  Fq2 inv = acc.inverse();
-  std::vector<Fq2> zinv(zs.size(), Fq2::one());
-  for (size_t i = zs.size(); i-- > 0;) {
-    zinv[i] = inv * prefix[i];
-    inv = inv * zs[i];
-  }
-  table_.resize(n, ctx_->g2_infinity());
-  size_t zi = 0;
-  for (size_t m = 1; m <= n; ++m) {
-    if (jac[m].inf()) continue;  // unreachable for an order-r base; kept safe
-    Fq2 i1 = zinv[zi++];
-    Fq2 i2 = i1.squared();
-    table_[m - 1] = G2Point381{jac[m].x * i2, jac[m].y * i2 * i1, false};
-  }
-}
-
-G2Point381 G2Comb::mul(const Scalar& k) const {
-  if (degenerate_ || k.is_zero()) return ctx_->g2_infinity();
-  if (k.bit_length() > cols_ * kTeeth) return ctx_->g2_mul(base_, k);
-  JacT<Fq2> acc{};
-  for (size_t col = cols_; col-- > 0;) {
-    acc = jac_dbl(acc);
-    unsigned m = 0;
-    for (size_t t = 0; t < kTeeth; ++t) {
-      if (k.bit(t * cols_ + col)) m |= 1u << t;
-    }
-    if (m != 0) {
-      const G2Point381& e = table_[m - 1];
-      acc = jac_add(acc, JacT<Fq2>{e.x, e.y, Fq2::one()});
-    }
-  }
-  return jac_to_g2(acc);
-}
-
-G2Point381 G2Comb::mul_secret(const Scalar& k) const {
-  if (degenerate_ || k.is_zero()) return ctx_->g2_infinity();
-  if (k.bit_length() > cols_ * kTeeth) return ctx_->g2_mul_secret(base_, k);
-  JacT<Fq2> acc{};
-  JacT<Fq2> dummy{base_.x, base_.y, Fq2::one()};
-  for (size_t col = cols_; col-- > 0;) {
-    acc = jac_dbl(acc);
-    unsigned m = 0;
-    for (size_t t = 0; t < kTeeth; ++t) {
-      if (k.bit(t * cols_ + col)) m |= 1u << t;
-    }
-    const G2Point381& e = table_[m != 0 ? m - 1 : 0];
-    JacT<Fq2> ej{e.x, e.y, Fq2::one()};
-    if (m != 0) {
-      acc = jac_add(acc, ej);
-    } else {
-      dummy = jac_add(dummy, ej);  // keep the addition cadence
-    }
-  }
-  return jac_to_g2(acc);
-}
+G2Comb::G2Comb(const std::shared_ptr<const Bls12Ctx>& ctx, const G2Point381& base)
+    : ec::Comb<Fq2>(base, ctx->r().bit_length()) {}
 
 // ---------------------------------------------------------------------------
 // Pairing — fast engine.
@@ -928,13 +606,22 @@ bool Bls12Ctx::pairings_equal(const G1Point381& a1, const G2Point381& a2,
   if (a1.inf || a2.inf || b1.inf || b2.inf) {
     return fp12_eq(pair(a1, a2), pair(b1, b2));
   }
+  return lines_equal(a1, *prepare_g2_cached(a2), b1, *prepare_g2_cached(b2));
+}
+
+bool Bls12Ctx::pairings_equal_fresh(const G1Point381& a1, const G2Point381& a2,
+                                    const G1Point381& b1, const G2Point381& b2) const {
+  if (a1.inf || a2.inf || b1.inf || b2.inf) {
+    return fp12_eq(pair(a1, a2), pair(b1, b2));
+  }
+  return lines_equal(a1, *prepare_g2(a2), b1, *prepare_g2_cached(b2));
+}
+
+bool Bls12Ctx::lines_equal(const G1Point381& a1, const G2Prepared& a2,
+                           const G1Point381& b1, const G2Prepared& b2) const {
   // ê(a1,a2)·ê(−b1,b2): one shared-squaring loop, one final
-  // exponentiation. Verification only sees long-lived G_2 keys, so both
-  // line sets come from the cache.
-  auto pa = prepare_g2_cached(a2);
-  auto pb = prepare_g2_cached(b2);
-  std::pair<G1Point381, const G2Prepared*> pairs[2] = {{a1, pa.get()},
-                                                       {g1_neg(b1), pb.get()}};
+  // exponentiation.
+  std::pair<G1Point381, const G2Prepared*> pairs[2] = {{a1, &a2}, {g1_neg(b1), &b2}};
   return fp12_is_one(*tower_, final_exponentiation(miller_loop_multi(pairs)));
 }
 

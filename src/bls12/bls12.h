@@ -32,10 +32,11 @@
 //   * Final exponentiation: Frobenius easy part, then the hard part
 //     (p⁴−p²+1)/r via the exact base-p decomposition in powers of z with
 //     cyclotomic squarings — value-identical to the generic power.
-//   * Scalar multiplication: width-4 wNAF for public scalars, a
-//     constant-pattern fixed-window ladder for secret ones, and a
-//     Lim–Lee comb (G2Comb) for fixed G_2 bases — the backend512
-//     parity set.
+//   * Scalar multiplication: the shared Jacobian kernel (ec/jacobian.h)
+//     at Fq and Fq2 — width-4 wNAF for public scalars, the
+//     constant-pattern fixed-window ladder for secret ones, a Lim–Lee
+//     comb (G2Comb) for fixed G_2 bases and the Pippenger multi-exp, the
+//     same code the type-1 backend runs at field::Fp.
 //   * pair_reference()/pairings_equal_reference() keep the original
 //     affine-over-F_p12 loop (inversions batched across lockstep pairs
 //     by Montgomery's trick) as the cross-checked oracle; tests assert
@@ -49,6 +50,7 @@
 
 #include "bls12/tower.h"
 #include "common/snapshot_cache.h"
+#include "ec/jacobian.h"
 #include "hashing/drbg.h"
 
 namespace tre::bls12 {
@@ -57,16 +59,10 @@ namespace tre::bls12 {
 using Scalar = FpInt;
 
 /// Point on E(F_p): y² = x³ + 4.
-struct G1Point381 {
-  Fq x, y;
-  bool inf = true;
-};
+using G1Point381 = ec::Affine<Fq>;
 
 /// Point on the twist E'(F_p2): y² = x³ + 4(1+u).
-struct G2Point381 {
-  Fq2 x, y;
-  bool inf = true;
-};
+using G2Point381 = ec::Affine<Fq2>;
 
 /// Pairing output: unit-subgroup element of F_p12.
 using Gt381 = Fp12;
@@ -85,30 +81,12 @@ struct G2Prepared {
 
 class Bls12Ctx;
 
-/// Lim–Lee fixed-base comb for G_2 (the analog of ec::G1Precomp):
-/// kTeeth scalar bits per column, a batch-normalized affine table of
-/// 2^kTeeth − 1 combinations, so a 255-bit multiplication costs ~32
-/// doublings + ~32 mixed additions instead of a full ladder.
-class G2Comb {
+/// Lim–Lee fixed-base comb for G_2 over |r| bits (the analog of
+/// ec::G1Precomp): 8 scalar bits per column, so a 255-bit multiplication
+/// costs 32 doublings and at most 32 mixed additions instead of a ladder.
+class G2Comb : public ec::Comb<Fq2> {
  public:
-  G2Comb(std::shared_ptr<const Bls12Ctx> ctx, const G2Point381& base);
-
-  const G2Point381& base() const { return base_; }
-  /// Variable-time comb multiplication (public scalars).
-  G2Point381 mul(const Scalar& k) const;
-  /// Constant-pattern variant: every column performs one table addition
-  /// (a dummy accumulator absorbs zero columns), mirroring the
-  /// mul_secret policy of the type-1 backend.
-  G2Point381 mul_secret(const Scalar& k) const;
-
-  static constexpr size_t kTeeth = 8;
-
- private:
-  std::shared_ptr<const Bls12Ctx> ctx_;
-  G2Point381 base_;
-  size_t cols_ = 0;
-  bool degenerate_ = false;        // infinity base: mul is always infinity
-  std::vector<G2Point381> table_;  // 2^kTeeth − 1 affine entries
+  G2Comb(const std::shared_ptr<const Bls12Ctx>& ctx, const G2Point381& base);
 };
 
 class Bls12Ctx {
@@ -143,11 +121,6 @@ class Bls12Ctx {
   G1Point381 g1_multiexp(std::span<const G1Point381> points,
                          std::span<const Scalar> scalars,
                          unsigned threads = 0) const;
-  /// Unsigned running-sum fold only — parity reference for the
-  /// signed-digit auto-selection (tests/test_bls12.cpp).
-  G1Point381 g1_multiexp_unsigned(std::span<const G1Point381> points,
-                                  std::span<const Scalar> scalars,
-                                  unsigned threads = 0) const;
   bool g1_eq(const G1Point381& a, const G1Point381& b) const;
   bool g1_on_curve(const G1Point381& a) const;
   /// Membership in the order-r subgroup: φ(P) == −[z²]P for the GLV
@@ -165,9 +138,9 @@ class Bls12Ctx {
   G2Point381 g2_neg(const G2Point381& a) const;
   G2Point381 g2_mul(const G2Point381& a, const Scalar& k) const;
   G2Point381 g2_mul_secret(const G2Point381& a, const Scalar& k) const;
-  /// Σᵢ scalars[i]·points[i] on the twist — same engine as g1_multiexp
-  /// (JacT is field-generic). Feeds Feldman commitment checks and RLC
-  /// batch verification of threshold public shares.
+  /// Σᵢ scalars[i]·points[i] on the twist — same engine as g1_multiexp.
+  /// Feeds Feldman commitment checks and RLC batch verification of
+  /// threshold public shares.
   G2Point381 g2_multiexp(std::span<const G2Point381> points,
                          std::span<const Scalar> scalars,
                          unsigned threads = 0) const;
@@ -189,10 +162,14 @@ class Bls12Ctx {
 
   /// ê(a1, a2) == ê(b1, b2) (the scheme's verification shape): one
   /// shared-squaring Miller loop over both pairs and one final
-  /// exponentiation. Both G_2 arguments are cached — verification only
-  /// ever sees long-lived keys.
+  /// exponentiation. Both G_2 arguments' lines come from the cache: use
+  /// it for long-lived keys.
   bool pairings_equal(const G1Point381& a1, const G2Point381& a2,
                       const G1Point381& b1, const G2Point381& b2) const;
+  /// The same check for a one-off a2 (an RLC-folded commitment): its
+  /// lines are prepared uncached, so it never enters the cache.
+  bool pairings_equal_fresh(const G1Point381& a1, const G2Point381& a2,
+                            const G1Point381& b1, const G2Point381& b2) const;
 
   /// Line precomputation for a fixed Q (no cache / via the lines cache).
   std::shared_ptr<const G2Prepared> prepare_g2(const G2Point381& q) const;
@@ -239,6 +216,9 @@ class Bls12Ctx {
       std::span<const std::pair<G1Point381, G2Point381>> pairs) const;
   Fp12 miller_loop_multi(
       std::span<const std::pair<G1Point381, const G2Prepared*>> pairs) const;
+  /// ê(a1, a2) == ê(b1, b2) from prepared lines, none at infinity.
+  bool lines_equal(const G1Point381& a1, const G2Prepared& a2, const G1Point381& b1,
+                   const G2Prepared& b2) const;
   Fp12 hard_part(const Fp12& f) const;
 
   std::uint64_t abs_z_;

@@ -1,6 +1,6 @@
 // PairingBackend policy for the legacy type-1 curve family (tre-512 and
 // the tre-toy-* parameter sets): the 2005-era supersingular curve
-// y² = x³ + ax over F_p with the distortion-map modified Weil/Tate
+// y² = x³ + 1 over F_p with the distortion-map modified Weil/Tate
 // pairing. Both source groups are the SAME order-q subgroup of E(F_p),
 // so Gu == Gh == ec::G1Point and every artifact-placement question is
 // trivial; the orientation helpers below preserve the exact historical
@@ -118,6 +118,12 @@ struct Tre512Backend {
   static bool pairings_equal_hu(const Params&, const Gh& h1, const Gu& u1,
                                 const Gh& h2, const Gu& u2) {
     return pairing::pairings_equal(h1, u1, h2, u2);
+  }
+  /// pairings_equal_hu for a one-off h1; the type-1 pairing caches no
+  /// lines, so it is the same check.
+  static bool pairings_equal_fresh_hu(const Params& p, const Gh& h1, const Gu& u1,
+                                      const Gh& h2, const Gu& u2) {
+    return pairings_equal_hu(p, h1, u1, h2, u2);
   }
   /// §5.3.4 check (1): does `cand_ag` hide the same secret as the
   /// certified `cert_ag`? Type-1 needs the cross pairing

@@ -43,8 +43,9 @@
 //   hashing : hash_tag (H1 onto Gu)
 //   groups  : {gu,gh}_{mul_secret,is_infinity,in_subgroup,eq,to_bytes,
 //             from_bytes,wire_bytes,multiexp}, header_base, anchor_base
-//   pairing : pair_session(asg, h1t), pairings_equal_uh/hu, same_secret,
-//             gt_pow_unitary, gt_to_bytes
+//   pairing : pair_session(asg, h1t), pairings_equal_uh/hu,
+//             pairings_equal_fresh_hu (h1 is one-off: not line-cached),
+//             same_secret, gt_pow_unitary, gt_to_bytes
 //   precomp : make_comb, make_lines
 #pragma once
 

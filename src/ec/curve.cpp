@@ -1,8 +1,7 @@
 #include "ec/curve.h"
 
-
-#include <array>
 #include <vector>
+
 #include "ec/multiexp.h"
 #include "hashing/kdf.h"
 
@@ -125,256 +124,35 @@ G1Point G1Point::operator+(const G1Point& o) const {
 
 namespace {
 
-// Jacobian coordinates: x = X/Z^2, y = Y/Z^3; Z == 0 encodes infinity.
-struct Jac {
-  Fp X, Y, Z;
-  bool is_infinity() const { return Z.is_zero(); }
-};
-
-Jac jac_from_affine(const G1Point& p, const field::FpCtx* fp) {
-  if (p.is_infinity()) return {Fp::one(fp), Fp::one(fp), Fp::zero(fp)};
-  return {p.x(), p.y(), Fp::one(fp)};
+// A kernel result as a point of `curve` (make re-checks it is on E).
+G1Point as_g1(const CurveCtx* curve, const Affine<Fp>& p) {
+  return p.inf ? G1Point::infinity(curve) : G1Point::make(curve, p.x, p.y);
 }
 
-Jac jac_double(const Jac& p, const field::FpCtx* fp) {
-  if (p.is_infinity() || p.Y.is_zero()) return {Fp::one(fp), Fp::one(fp), Fp::zero(fp)};
-  // dbl-2009-l formulas for a = 0.
-  Fp a = p.X.squared();
-  Fp b = p.Y.squared();
-  Fp c = b.squared();
-  Fp d = (p.X + b).squared() - a - c;
-  d = d + d;
-  Fp e = a + a + a;
-  Fp f = e.squared();
-  Fp x3 = f - (d + d);
-  Fp c8 = c + c;
-  c8 = c8 + c8;
-  c8 = c8 + c8;
-  Fp y3 = e * (d - x3) - c8;
-  Fp z3 = (p.Y * p.Z).doubled();
-  return {x3, y3, z3};
-}
-
-Jac jac_add(const Jac& p, const Jac& q, const field::FpCtx* fp) {
-  if (p.is_infinity()) return q;
-  if (q.is_infinity()) return p;
-  // add-2007-bl general addition.
-  Fp z1z1 = p.Z.squared();
-  Fp z2z2 = q.Z.squared();
-  Fp u1 = p.X * z2z2;
-  Fp u2 = q.X * z1z1;
-  Fp s1 = p.Y * q.Z * z2z2;
-  Fp s2 = q.Y * p.Z * z1z1;
-  if (u1 == u2) {
-    if (s1 == s2) return jac_double(p, fp);
-    return {Fp::one(fp), Fp::one(fp), Fp::zero(fp)};
-  }
-  Fp h = u2 - u1;
-  Fp i = (h + h).squared();
-  Fp j = h * i;
-  Fp r = (s2 - s1).doubled();
-  Fp v = u1 * i;
-  Fp x3 = r.squared() - j - (v + v);
-  Fp s1j = s1 * j;
-  Fp y3 = r * (v - x3) - (s1j + s1j);
-  Fp z3 = ((p.Z + q.Z).squared() - z1z1 - z2z2) * h;
-  return {x3, y3, z3};
-}
-
-// Mixed addition P + (x2, y2, 1) (madd-2007-bl): saves ~5 multiplications
-// over the general addition when the second operand is affine — the case
-// for every comb-table entry.
-Jac jac_add_affine(const Jac& p, const Fp& x2, const Fp& y2, const field::FpCtx* fp) {
-  if (p.is_infinity()) return {x2, y2, Fp::one(fp)};
-  Fp z1z1 = p.Z.squared();
-  Fp u2 = x2 * z1z1;
-  Fp s2 = y2 * p.Z * z1z1;
-  if (u2 == p.X) {
-    if (s2 == p.Y) return jac_double(p, fp);
-    return {Fp::one(fp), Fp::one(fp), Fp::zero(fp)};
-  }
-  Fp h = u2 - p.X;
-  Fp hh = h.squared();
-  Fp i = (hh + hh).doubled();  // 4h^2
-  Fp j = h * i;
-  Fp r = (s2 - p.Y).doubled();
-  Fp v = p.X * i;
-  Fp x3 = r.squared() - j - (v + v);
-  Fp yj = p.Y * j;
-  Fp y3 = r * (v - x3) - (yj + yj);
-  Fp z3 = (p.Z + h).squared() - z1z1 - hh;
-  return {x3, y3, z3};
-}
-
-G1Point jac_to_affine(const Jac& p, const CurveCtx* curve) {
-  if (p.is_infinity()) return G1Point::infinity(curve);
-  Fp zinv = p.Z.inverse();
-  Fp zinv2 = zinv.squared();
-  return G1Point::make(curve, p.X * zinv2, p.Y * zinv2 * zinv);
-}
-
-// Normalizes a batch of non-infinity Jacobian points to affine (x, y)
-// pairs with a single field inversion (Montgomery's trick).
-std::vector<std::pair<Fp, Fp>> jac_batch_to_affine(const std::vector<Jac>& pts,
-                                                   const field::FpCtx* fp) {
-  const size_t n = pts.size();
-  std::vector<Fp> prefix(n);  // prefix[i] = Z_0 · ... · Z_i
-  Fp run = Fp::one(fp);
-  for (size_t i = 0; i < n; ++i) {
-    require(!pts[i].is_infinity(), "jac_batch_to_affine: infinity in batch");
-    run = run * pts[i].Z;
-    prefix[i] = run;
-  }
-  Fp inv = run.inverse();
-  std::vector<std::pair<Fp, Fp>> out(n);
-  for (size_t i = n; i-- > 0;) {
-    Fp zinv = i == 0 ? inv : inv * prefix[i - 1];
-    inv = inv * pts[i].Z;  // inverse of the remaining prefix
-    Fp zinv2 = zinv.squared();
-    out[i] = {pts[i].X * zinv2, pts[i].Y * zinv2 * zinv};
-  }
-  return out;
+Comb<Fp> comb_of(const G1Point& base) {
+  require(base.curve() != nullptr, "G1Precomp: null curve");
+  require(!base.is_infinity(), "G1Precomp: infinity base");
+  return Comb<Fp>(base.affine(), base.curve()->q.bit_length());
 }
 
 }  // namespace
 
 G1Point G1Point::mul(const FpInt& k) const {
   require(curve_ != nullptr, "G1Point: null curve");
-  const field::FpCtx* fp = curve_->fp.get();
-  if (infinity_ || k.is_zero()) return infinity(curve_);
-
-  // Width-4 NAF: at most one nonzero digit in any 4 consecutive positions
-  // cuts the addition count of double-and-add by ~2.4x for long scalars.
-  // Precompute odd multiples P, 3P, ..., 15P in Jacobian coordinates.
-  Jac base = jac_from_affine(*this, fp);
-  Jac twice = jac_double(base, fp);
-  std::array<Jac, 8> odd;  // odd[i] = (2i+1)P
-  odd[0] = base;
-  for (size_t i = 1; i < odd.size(); ++i) odd[i] = jac_add(odd[i - 1], twice, fp);
-
-  // Stack recoding buffer: mul() sits on the in_subgroup()/verification
-  // hot paths, which pool workers hammer concurrently — no heap traffic.
-  std::array<std::int8_t, bigint::kWnafMaxDigits<field::kMaxFieldLimbs>> digits;
-  const size_t ndigits = bigint::wnaf_into(k, 4, digits.data());
-  Jac acc = {Fp::one(fp), Fp::one(fp), Fp::zero(fp)};
-  for (size_t i = ndigits; i-- > 0;) {
-    acc = jac_double(acc, fp);
-    std::int8_t d = digits[i];
-    if (d > 0) {
-      acc = jac_add(acc, odd[static_cast<size_t>(d) / 2], fp);
-    } else if (d < 0) {
-      Jac neg = odd[static_cast<size_t>(-d) / 2];
-      neg.Y = -neg.Y;
-      acc = jac_add(acc, neg, fp);
-    }
-  }
-  return jac_to_affine(acc, curve_);
+  return as_g1(curve_, mul_wnaf(affine(), k));
 }
 
 G1Point G1Point::mul_secret(const FpInt& k) const {
   require(curve_ != nullptr, "G1Point: null curve");
-  const field::FpCtx* fp = curve_->fp.get();
-  if (infinity_) return infinity(curve_);
-
-  // Fixed-window ladder, width 4: the schedule is 4 doublings + 1 table
-  // addition per window over a window count fixed by max(|q|, |k|), so the
-  // doubling/addition pattern is independent of the scalar's bits. Zero
-  // digits perform a dummy addition whose result is discarded.
-  constexpr size_t kWindow = 4;
-  std::array<Jac, 16> table;  // table[d] = d·P (slot 0 unused)
-  table[1] = jac_from_affine(*this, fp);
-  for (size_t d = 2; d < table.size(); ++d) {
-    table[d] = (d & 1) == 0 ? jac_double(table[d / 2], fp)
-                            : jac_add(table[d - 1], table[1], fp);
-  }
-
-  const size_t bits = std::max(curve_->q.bit_length(), k.bit_length());
-  const size_t windows = (bits + kWindow - 1) / kWindow;
-  Jac acc = {Fp::one(fp), Fp::one(fp), Fp::zero(fp)};
-  for (size_t w = windows; w-- > 0;) {
-    for (size_t s = 0; s < kWindow; ++s) acc = jac_double(acc, fp);
-    size_t d = 0;
-    for (size_t b = 0; b < kWindow; ++b) {
-      d = (d << 1) | static_cast<size_t>(k.bit(w * kWindow + kWindow - 1 - b));
-    }
-    Jac sum = jac_add(acc, table[d == 0 ? 1 : d], fp);
-    if (d != 0) acc = sum;
-  }
-  return jac_to_affine(acc, curve_);
+  return as_g1(curve_, ec::mul_secret(affine(), k, curve_->q.bit_length()));
 }
 
-// --- G1Precomp ---------------------------------------------------------------
+G1Precomp::G1Precomp(const G1Point& base) : curve_(base.curve()), comb_(comb_of(base)) {}
 
-G1Precomp::G1Precomp(const G1Point& base, size_t scalar_bits, unsigned teeth)
-    : base_(base), curve_(base.curve()) {
-  require(curve_ != nullptr, "G1Precomp: null curve");
-  require(teeth >= 2 && teeth <= 10, "G1Precomp: teeth out of range");
-  require(!base.is_infinity(), "G1Precomp: infinity base");
-  const field::FpCtx* fp = curve_->fp.get();
+G1Point G1Precomp::mul(const FpInt& k) const { return as_g1(curve_, comb_.mul(k)); }
 
-  teeth_ = teeth;
-  bits_ = scalar_bits != 0 ? scalar_bits : curve_->q.bit_length();
-  cols_ = (bits_ + teeth_ - 1) / teeth_;
-
-  // Comb basis: B_t = 2^{t·cols_}·base.
-  std::vector<Jac> basis(teeth_);
-  basis[0] = jac_from_affine(base, fp);
-  for (unsigned t = 1; t < teeth_; ++t) {
-    Jac b = basis[t - 1];
-    for (size_t s = 0; s < cols_; ++s) b = jac_double(b, fp);
-    basis[t] = b;
-  }
-
-  // table[m-1] = sum over set bits t of m of B_t: one addition each, built
-  // from the entry with the lowest set bit removed.
-  const size_t entries = (size_t{1} << teeth_) - 1;
-  std::vector<Jac> jac_table(entries);
-  for (size_t m = 1; m <= entries; ++m) {
-    if ((m & (m - 1)) == 0) {
-      // Power of two: a basis element.
-      unsigned t = 0;
-      while ((m >> t) != 1) ++t;
-      jac_table[m - 1] = basis[t];
-    } else {
-      size_t low = m & (~m + 1);
-      jac_table[m - 1] = jac_add(jac_table[(m ^ low) - 1], jac_table[low - 1], fp);
-    }
-  }
-  // An order-q base never collides into infinity here (all comb sums are
-  // nonzero multiples below q... unless base has small order). Guard anyway:
-  for (const Jac& j : jac_table) {
-    require(!j.is_infinity(), "G1Precomp: base point has small order");
-  }
-
-  std::vector<std::pair<Fp, Fp>> affine = jac_batch_to_affine(jac_table, fp);
-  table_.reserve(entries);
-  for (const auto& [x, y] : affine) table_.push_back(AffineEntry{x, y});
-}
-
-G1Point G1Precomp::mul_impl(const FpInt& k, bool fixed_pattern) const {
-  const field::FpCtx* fp = curve_->fp.get();
-  if (k.is_zero()) return G1Point::infinity(curve_);
-  if (k.bit_length() > bits_) {
-    // Out of comb range (e.g. cofactor-sized scalars): generic path.
-    return fixed_pattern ? base_.mul_secret(k) : base_.mul(k);
-  }
-
-  Jac acc = {Fp::one(fp), Fp::one(fp), Fp::zero(fp)};
-  for (size_t j = cols_; j-- > 0;) {
-    acc = jac_double(acc, fp);
-    size_t m = 0;
-    for (unsigned t = 0; t < teeth_; ++t) {
-      size_t idx = t * cols_ + j;
-      if (idx < bits_ && k.bit(idx)) m |= size_t{1} << t;
-    }
-    if (m != 0) {
-      acc = jac_add_affine(acc, table_[m - 1].x, table_[m - 1].y, fp);
-    } else if (fixed_pattern) {
-      Jac dummy = jac_add_affine(acc, table_[0].x, table_[0].y, fp);
-      (void)dummy;  // discarded: keeps the per-column schedule fixed
-    }
-  }
-  return jac_to_affine(acc, curve_);
+G1Point G1Precomp::mul_secret(const FpInt& k) const {
+  return as_g1(curve_, comb_.mul_secret(k));
 }
 
 bool G1Point::in_subgroup() const {
@@ -453,52 +231,15 @@ G1Point hash_to_g1(const CurveCtx* curve, ByteSpan msg) {
   }
 }
 
-namespace {
-
-// Adapter handing the private Jacobian kernel to the generic Pippenger
-// engine: buckets accumulate with the mixed add (affine point into
-// Jacobian bucket), bucket folding uses the full add.
-struct MultiexpOps {
-  using Acc = Jac;
-
-  std::span<const G1Point> points;
-  const field::FpCtx* fp;
-
-  Acc zero() const { return {Fp::one(fp), Fp::one(fp), Fp::zero(fp)}; }
-  void add_point(Acc& acc, size_t i) const {
-    const G1Point& p = points[i];
-    if (p.is_infinity()) return;
-    acc = jac_add_affine(acc, p.x(), p.y(), fp);
-  }
-  void add(Acc& acc, const Acc& other) const { acc = jac_add(acc, other, fp); }
-  void dbl(Acc& acc) const { acc = jac_double(acc, fp); }
-  void sub_point(Acc& acc, size_t i) const {
-    const G1Point& p = points[i];
-    if (p.is_infinity()) return;
-    acc = jac_add_affine(acc, p.x(), -p.y(), fp);
-  }
-};
-
-}  // namespace
-
 G1Point g1_multiexp(const CurveCtx* curve, std::span<const G1Point> points,
                     std::span<const field::FpInt> scalars, unsigned threads) {
   require(curve != nullptr, "g1_multiexp: null curve");
   require(points.size() == scalars.size(), "g1_multiexp: size mismatch");
-  MultiexpOps ops{points, curve->fp.get()};
-  Jac acc = multiexp_auto(ops, scalars, threads);
-  return jac_to_affine(acc, curve);
-}
-
-G1Point g1_multiexp_unsigned(const CurveCtx* curve,
-                             std::span<const G1Point> points,
-                             std::span<const field::FpInt> scalars,
-                             unsigned threads) {
-  require(curve != nullptr, "g1_multiexp: null curve");
-  require(points.size() == scalars.size(), "g1_multiexp: size mismatch");
-  MultiexpOps ops{points, curve->fp.get()};
-  Jac acc = multiexp_pippenger(ops, scalars, threads);
-  return jac_to_affine(acc, curve);
+  std::vector<Affine<Fp>> affine;
+  affine.reserve(points.size());
+  for (const G1Point& p : points) affine.push_back(p.affine());
+  AffineOps<Fp> ops{affine, Fp::one(curve->fp.get())};
+  return as_g1(curve, to_affine(multiexp_auto(ops, scalars, threads)));
 }
 
 }  // namespace tre::ec

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "ec/jacobian.h"
 #include "field/fp.h"
 #include "field/fp2.h"
 
@@ -55,17 +56,17 @@ class G1Point {
   G1Point operator-(const G1Point& o) const { return *this + (-o); }
   G1Point doubled() const;
 
-  /// Variable-base scalar multiplication (Jacobian width-4 wNAF). Variable
-  /// time in the scalar: use for PUBLIC scalars only.
+  /// The point as the Jacobian kernel (ec/jacobian.h) reads it.
+  Affine<field::Fp> affine() const { return {x_, y_, infinity_}; }
+
+  /// Variable-base scalar multiplication (ec::mul_wnaf). Variable time in
+  /// the scalar: use for PUBLIC scalars only.
   G1Point mul(const field::FpInt& k) const;
 
-  /// Variable-base multiplication with a fixed doubling/addition schedule:
-  /// a width-4 fixed-window ladder over ceil(max(|q|, |k|)/4) windows that
-  /// performs one table addition per window regardless of the digit (a
-  /// dummy addition is computed and discarded on zero digits). Use for
-  /// SECRET scalars (server s, user a, encryption nonces): the operation
-  /// pattern leaks only the scalar length class, not its bits. The limb
-  /// arithmetic underneath is not constant-time — see docs/PERF.md.
+  /// Variable-base multiplication with a fixed doubling/addition schedule
+  /// (ec::mul_secret over ceil(max(|q|, |k|)/4) windows). Use for SECRET
+  /// scalars (server s, user a, encryption nonces). The limb arithmetic
+  /// underneath is not constant-time — see docs/PERF.md.
   G1Point mul_secret(const field::FpInt& k) const;
 
   /// Membership in the order-q subgroup (q * P == O).
@@ -97,46 +98,32 @@ class G1Point {
   bool infinity_ = true;
 };
 
-/// Fixed-base scalar-multiplication table: a Lim-Lee comb precomputed once
-/// per generator and reused for every multiplication of that point. With
-/// the default 8 teeth the table holds 255 affine points (batch-normalized
-/// with one field inversion) and a multiplication costs ceil(bits/8)
-/// doublings plus as many mixed additions — roughly 5x fewer Jacobian
-/// operations than the wNAF variable-base path on tre-512 scalars.
+/// Fixed-base scalar-multiplication table: an ec::Comb over |q| bits,
+/// precomputed once per generator and reused for every multiplication of
+/// that point. The table holds 255 affine points and a multiplication
+/// costs ceil(|q|/8) doublings plus as many mixed additions — roughly 5x
+/// fewer Jacobian operations than the wNAF variable-base path on tre-512
+/// scalars.
 ///
 /// Used by the TRE scheme for the server generator G, the server key sG,
 /// and the receiver key asG (keygen, encrypt, the FO re-encryption check).
 class G1Precomp {
  public:
-  /// Builds the comb for `base`, covering scalars below 2^scalar_bits
-  /// (0 = the group order size |q|). Scalars wider than the table fall
-  /// back to the generic variable-base path.
-  explicit G1Precomp(const G1Point& base, size_t scalar_bits = 0,
-                     unsigned teeth = 8);
+  /// Throws for an infinity base or one of small order.
+  explicit G1Precomp(const G1Point& base);
 
-  const G1Point& base() const { return base_; }
-  size_t covered_bits() const { return bits_; }
+  size_t covered_bits() const { return comb_.covered_bits(); }
 
   /// Fixed-base multiply, variable time (PUBLIC scalars).
-  G1Point mul(const field::FpInt& k) const { return mul_impl(k, false); }
+  G1Point mul(const field::FpInt& k) const;
 
   /// Fixed-base multiply with a fixed per-column addition schedule
-  /// (SECRET scalars); same dummy-addition caveats as G1Point::mul_secret.
-  G1Point mul_secret(const field::FpInt& k) const { return mul_impl(k, true); }
+  /// (SECRET scalars); same caveats as G1Point::mul_secret.
+  G1Point mul_secret(const field::FpInt& k) const;
 
  private:
-  struct AffineEntry {
-    field::Fp x, y;
-  };
-
-  G1Point mul_impl(const field::FpInt& k, bool fixed_pattern) const;
-
-  G1Point base_;
-  const CurveCtx* curve_ = nullptr;
-  size_t bits_ = 0;       // scalar width covered by the comb
-  unsigned teeth_ = 0;    // comb rows
-  size_t cols_ = 0;       // ceil(bits_ / teeth_): doublings per multiply
-  std::vector<AffineEntry> table_;  // entry m-1 = sum over set bits t of m of 2^{t*cols_}·base
+  const CurveCtx* curve_;
+  Comb<field::Fp> comb_;
 };
 
 /// Checks y^2 == x^3 + 1.
@@ -156,12 +143,5 @@ G1Point hash_to_g1(const CurveCtx* curve, ByteSpan msg);
 G1Point g1_multiexp(const CurveCtx* curve, std::span<const G1Point> points,
                     std::span<const field::FpInt> scalars,
                     unsigned threads = 0);
-
-/// Same sum via the unsigned running-sum fold only: the reference the
-/// signed-digit auto-selection is parity-tested against.
-G1Point g1_multiexp_unsigned(const CurveCtx* curve,
-                             std::span<const G1Point> points,
-                             std::span<const field::FpInt> scalars,
-                             unsigned threads = 0);
 
 }  // namespace tre::ec

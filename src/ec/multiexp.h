@@ -9,8 +9,8 @@
 // window's partial sum (Σ d·B_d via two adds per bucket), and a Horner
 // fold with c doublings per step combines the windows top-down.
 //
-// The engine is generic over an `Ops` adapter so each curve keeps its
-// Jacobian kernel private to its .cpp:
+// The engine is generic over an `Ops` adapter; every group in the tree
+// uses the one in ec/jacobian.h, ec::AffineOps, over its own field:
 //
 //   struct Ops {
 //     using Acc = ...;                       // Jacobian accumulator

@@ -345,7 +345,9 @@ class BasicThresholdScheme {
       typename B::Gh folded_commit = B::gh_multiexp(p, commits, c, threads);
       typename B::Gu folded_sig = B::gu_multiexp(p, sigs, c, threads);
       pairings_probe().add(2);
-      return B::pairings_equal_hu(p, folded_commit, h1t, key.group.g, folded_sig);
+      // The folded commitment is new every call: keep it out of the
+      // lines cache.
+      return B::pairings_equal_fresh_hu(p, folded_commit, h1t, key.group.g, folded_sig);
     };
     core::detail::rlc_bisect(live.size(), rng, rlc_bits, probes().batch_bisections, holds,
                              [&](size_t k) {

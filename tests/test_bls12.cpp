@@ -13,12 +13,32 @@
 #include "hashing/drbg.h"
 #include "hashing/kdf.h"
 #include "obs/metrics.h"
+#include "params/params.h"
 #include "threshold/threshold.h"
 
 namespace tre::bls12 {
 namespace {
 
 using Partial = threshold::BasicPartialUpdate<Bls381Backend>;
+
+// Fastest time of three mul(k_long) calls over the fastest of three
+// mul(k_short) calls, across 11 interleaved batches so that host drift
+// hits both scalars alike.
+template <class Mul>
+double long_over_short(const FpInt& k_short, const FpInt& k_long, Mul&& mul) {
+  using Clock = std::chrono::steady_clock;
+  double best[2] = {1e300, 1e300};
+  for (int batch = 0; batch < 11; ++batch) {
+    for (int which = 0; which < 2; ++which) {
+      const FpInt& k = which == 0 ? k_short : k_long;
+      const Clock::time_point t0 = Clock::now();
+      for (int rep = 0; rep < 3; ++rep) mul(k);
+      best[which] =
+          std::min(best[which], std::chrono::duration<double>(Clock::now() - t0).count());
+    }
+  }
+  return best[1] / best[0];
+}
 
 class Bls12Test : public ::testing::Test {
  protected:
@@ -108,41 +128,51 @@ TEST_F(Bls12Test, G2GroupBasics) {
 }
 
 TEST_F(Bls12Test, SecretLadderTimeDoesNotTrackScalarLength) {
-  // g1_mul_secret and g2_mul_secret run a window count fixed by
-  // max(|r|, |k|), so k = 1 runs as many windows as k = r - 1. A loop
-  // sized by |k| alone ran 1 window against 64: 8-10x faster. What is
-  // left (about 2.5x) is the early return on the point at infinity,
-  // which makes k = 1's leading zero windows cheap; that leak is still
-  // open. Fastest-of-11 interleaved batches keep host drift out of the
-  // ratio.
+  // Every secret-scalar path runs a schedule fixed by the group order's
+  // length, so k = 1 runs as many ladder windows or comb columns, at the
+  // same cost, as k = order − 1: the ladders on both backends' groups and
+  // both combs read about 1x. A loop sized by |k| alone ran 1 window
+  // against 64 (8-10x); doublings that returned early at infinity left
+  // 2.5x, and a dummy addition into the result itself 4-5x.
   const Scalar one = Scalar::from_u64(1);
   const Scalar r_minus_1 = bigint::sub(ctx_->r(), one);
   const G1Point381& g = ctx_->g1_generator();
   const G2Point381& h = ctx_->g2_generator();
+  const G2Comb comb381(ctx_, h);
   EXPECT_TRUE(ctx_->g1_eq(ctx_->g1_mul_secret(g, one), g));
   EXPECT_TRUE(ctx_->g1_eq(ctx_->g1_mul_secret(g, r_minus_1), ctx_->g1_neg(g)));
   EXPECT_TRUE(ctx_->g2_eq(ctx_->g2_mul_secret(h, one), h));
   EXPECT_TRUE(ctx_->g2_eq(ctx_->g2_mul_secret(h, r_minus_1), ctx_->g2_neg(h)));
+  EXPECT_TRUE(ctx_->g2_eq(comb381.mul_secret(one), h));
+  EXPECT_TRUE(ctx_->g2_eq(comb381.mul_secret(r_minus_1), ctx_->g2_neg(h)));
 
-  // Fastest time for k = r - 1 over fastest time for k = 1.
-  auto long_over_short = [&](auto&& mul) {
-    using Clock = std::chrono::steady_clock;
-    double best[2] = {1e300, 1e300};
-    for (int batch = 0; batch < 11; ++batch) {
-      for (int which = 0; which < 2; ++which) {
-        const Scalar& k = which == 0 ? one : r_minus_1;
-        const Clock::time_point t0 = Clock::now();
-        for (int rep = 0; rep < 3; ++rep) mul(k);
-        best[which] = std::min(
-            best[which], std::chrono::duration<double>(Clock::now() - t0).count());
-      }
-    }
-    return best[1] / best[0];
-  };
-  const double g1 = long_over_short([&](const Scalar& k) { (void)ctx_->g1_mul_secret(g, k); });
-  const double g2 = long_over_short([&](const Scalar& k) { (void)ctx_->g2_mul_secret(h, k); });
-  EXPECT_LT(g1, 4.0);
-  EXPECT_LT(g2, 4.0);
+  const auto tre512 = params::load("tre-512");
+  const ec::G1Point& base = tre512->base;
+  const ec::G1Precomp comb512(base);
+  const FpInt q_minus_1 = bigint::sub(tre512->group_order(), one);
+  EXPECT_EQ(base.mul_secret(one), base);
+  EXPECT_EQ(base.mul_secret(q_minus_1), -base);
+  EXPECT_EQ(comb512.mul_secret(one), base);
+  EXPECT_EQ(comb512.mul_secret(q_minus_1), -base);
+
+  EXPECT_LT(long_over_short(one, r_minus_1,
+                            [&](const Scalar& k) { (void)ctx_->g1_mul_secret(g, k); }),
+            2.0)
+      << "bls12-381 G1 ladder";
+  EXPECT_LT(long_over_short(one, r_minus_1,
+                            [&](const Scalar& k) { (void)ctx_->g2_mul_secret(h, k); }),
+            2.0)
+      << "bls12-381 G2 ladder";
+  EXPECT_LT(long_over_short(one, r_minus_1,
+                            [&](const Scalar& k) { (void)comb381.mul_secret(k); }),
+            2.0)
+      << "bls12-381 G2 comb";
+  EXPECT_LT(long_over_short(one, q_minus_1, [&](const FpInt& k) { (void)base.mul_secret(k); }),
+            2.0)
+      << "tre-512 ladder";
+  EXPECT_LT(long_over_short(one, q_minus_1, [&](const FpInt& k) { (void)comb512.mul_secret(k); }),
+            2.0)
+      << "tre-512 comb";
 }
 
 TEST_F(Bls12Test, HashToG1) {

@@ -17,6 +17,7 @@
 #include "client/simnet_source.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
+#include "obs/metrics.h"
 #include "threshold/dkg.h"
 #include "threshold/threshold.h"
 #include "timeserver/round.h"
@@ -219,6 +220,34 @@ TYPED_TEST(ThresholdBeaconTest, BatchVerifyAttributesExactGuiltySet) {
   std::vector<size_t> bad =
       this->tscheme_.verify_partials_batch(key, partials, this->rng_);
   EXPECT_EQ(bad, (std::vector<size_t>{1, 4, 6}));
+}
+
+TEST(ThresholdBeacon381Test, BatchVerifyAddsNoLinesAfterTheFirstCall) {
+  // The RLC fold of the share commitments is a new G2 point on every
+  // call, so its Miller lines are prepared uncached: once the group
+  // generator's lines are in, batch verification misses no more.
+  using B = bls12::Bls381Backend;
+  BasicThresholdScheme<B> tscheme(bls12::Bls12Ctx::get());
+  hashing::HmacDrbg rng(to_bytes("beacon-lines"));
+  auto [key, shares] = tscheme.setup(ThresholdConfig{3, 2}, rng);
+  const auto misses = [] {
+    return obs::Registry::global().counter_value("core.bls381.pair.lines.miss");
+  };
+  std::uint64_t after_first = 0;
+  const char* tags[] = {"2030-01-01T00:00:00Z", "2030-01-01T00:00:01Z",
+                        "2030-01-01T00:00:02Z"};
+  for (size_t i = 0; i < 3; ++i) {
+    std::vector<BasicPartialUpdate<B>> partials;
+    for (const BasicServerShare<B>& share : shares) {
+      partials.push_back(tscheme.issue_partial(share, tags[i]));
+    }
+    EXPECT_TRUE(tscheme.verify_partials_batch(key, partials, rng).empty());
+    if (i == 0) {
+      after_first = misses();
+    } else {
+      EXPECT_EQ(misses(), after_first) << tags[i];
+    }
+  }
 }
 
 TYPED_TEST(ThresholdBeaconTest, TryCombineDropsForgeriesOrFailsTyped) {
