@@ -57,14 +57,17 @@ int main() {
     std::printf("%-8zu | %-22s | %10.2f | %10.2f | %10zu\n", msg_size,
                 "hybrid PKE+IBE", hyb_enc, hyb_dec, hyb_ct.to_bytes().size());
 
-    auto id_ct = id_scheme.encrypt(msg, "receiver@example.org", server.pub, tag, rng);
+    auto id_ct = id_scheme.seal(core::Mode::kBasic, msg, "receiver@example.org",
+                                server.pub, tag, rng);
     double id_enc = bench::time_ms(reps, [&] {
-      (void)id_scheme.encrypt(msg, "receiver@example.org", server.pub, tag, rng);
+      (void)id_scheme.seal(core::Mode::kBasic, msg, "receiver@example.org", server.pub,
+                           tag, rng);
     });
-    double id_dec =
-        bench::time_ms(reps, [&] { (void)id_scheme.decrypt(id_ct, id_user, update); });
+    double id_dec = bench::time_ms(
+        reps, [&] { (void)id_scheme.open(id_ct, id_user, update, server.pub); });
     std::printf("%-8zu | %-22s | %10.2f | %10.2f | %10zu\n", msg_size,
-                "ID-TRE (escrowed)", id_enc, id_dec, id_ct.to_bytes().size());
+                "ID-TRE (escrowed)", id_enc, id_dec,
+                std::get<core::Ciphertext>(id_ct.body).to_bytes().size());
 
     // Headline ratios for the fixed asymmetric part.
     size_t point = params->g1_compressed_bytes();

@@ -36,7 +36,8 @@ int main() {
   core::WitnessStatement emergency = lock.attest(ops_center, conditions[0]);
   std::printf("ops center attests: \"%s\"\n", emergency.tag.c_str());
   try {
-    (void)lock.unlock_all(sealed, engineer.a, conditions, {&emergency, 1});
+    (void)lock.unlock_all(sealed, engineer.a, conditions, {&emergency, 1},
+                          ops_center.pub);
     std::printf("ERROR: opened with one statement\n");
     return 1;
   } catch (const Error&) {
@@ -47,7 +48,8 @@ int main() {
   core::WitnessStatement authorized = lock.attest(ops_center, conditions[1]);
   std::printf("ops center attests: \"%s\"\n", authorized.tag.c_str());
   std::vector<core::WitnessStatement> statements = {emergency, authorized};
-  Bytes opened = lock.unlock_all(sealed, engineer.a, conditions, statements);
+  Bytes opened =
+      lock.unlock_all(sealed, engineer.a, conditions, statements, ops_center.pub);
   std::printf("runbook opened: %.*s\n", static_cast<int>(opened.size()),
               reinterpret_cast<const char*>(opened.data()));
 

@@ -55,5 +55,5 @@ int main() {
   Bytes garbage = *scheme.open(ct, receiver.a, early, server.pub);
   std::printf("decrypting with the 23:59:59 update instead: %s\n",
               garbage == message ? "OPENED (bug!)" : "garbage, as intended");
-  return garbage == message ? 1 : 0;
+  return opened == message && garbage != message ? 0 : 1;
 }

@@ -2,8 +2,9 @@
 //
 // Key-producing entry points (keygen and key rebinding, issue_update,
 // seal, encrypt_batch, open, open_with_epoch_key, open_batch, epoch-key
-// derivation, threshold setup / partial issuance / DKG keygen, keystore
-// seal/open, the time-lock solver) call
+// derivation, the §5 extensions' keygen/seal/open, threshold setup /
+// partial issuance / DKG keygen, keystore seal/open, the time-lock
+// solver) call
 // `health::ensure_operational()` before touching secret material. The
 // first such call triggers the registered self-test runner once; if any
 // known-answer test fails — a miscompiled kernel, a corrupted constant, a

@@ -47,6 +47,7 @@ MultiServerTre::MultiServerTre(std::shared_ptr<const params::GdhParams> params)
 
 MultiServerUserKey MultiServerTre::user_key(
     const Scalar& a, std::span<const ServerPublicKey> servers) const {
+  health::ensure_operational();
   require(!servers.empty(), "MultiServerTre: no servers");
   MultiServerUserKey key;
   key.ag = scheme_.params().base.mul_secret(a);
@@ -75,6 +76,7 @@ MultiServerCiphertext MultiServerTre::encrypt(ByteSpan msg,
                                               std::span<const ServerPublicKey> servers,
                                               std::string_view tag,
                                               tre::hashing::RandomSource& rng) const {
+  health::ensure_operational();
   require(verify_user_key(user, servers),
           "MultiServerTre encrypt: user key fails verification");
   Scalar r = params::random_scalar(scheme_.params(), rng);
@@ -93,6 +95,7 @@ MultiServerCiphertext MultiServerTre::encrypt(ByteSpan msg,
 
 Bytes MultiServerTre::decrypt(const MultiServerCiphertext& ct, const Scalar& a,
                               std::span<const KeyUpdate> updates) const {
+  health::ensure_operational();
   require(!ct.us.empty() && ct.us.size() == updates.size(),
           "MultiServerTre decrypt: need one update per server");
   for (const auto& update : updates) {

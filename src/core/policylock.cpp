@@ -48,15 +48,18 @@ Ciphertext PolicyLock::lock_all(ByteSpan msg, const UserPublicKey& user,
                                 tre::hashing::RandomSource& rng) const {
   require(scheme_.verify_user_public_key(witness, user),
           "PolicyLock lock_all: receiver public key fails the pairing check");
-  Scalar r = params::random_scalar(scheme_.params(), rng);
-  G1Point u = witness.g.mul_secret(r);
-  Gt k = pairing::pair(user.asg.mul_secret(r), sum_of_hashes(conditions));
-  return Ciphertext{u, xor_bytes(msg, scheme_.mask_h2(k, msg.size()))};
+  const G1Point h = sum_of_hashes(conditions);
+  SealedCiphertext ct =
+      scheme_.seal_with(Mode::kBasic, msg, witness.g, rng, [&](const Scalar& r) {
+        return pairing::pair(user.asg, h).pow_unitary(r);
+      });
+  return std::get<Ciphertext>(ct.body);
 }
 
 Bytes PolicyLock::unlock_all(const Ciphertext& ct, const Scalar& a,
                              std::span<const std::string> conditions,
-                             std::span<const WitnessStatement> statements) const {
+                             std::span<const WitnessStatement> statements,
+                             const ServerPublicKey& witness) const {
   require(conditions.size() == statements.size() && !conditions.empty(),
           "PolicyLock unlock_all: need one statement per condition");
   // Every listed condition must be attested (order-insensitive).
@@ -65,11 +68,11 @@ Bytes PolicyLock::unlock_all(const Ciphertext& ct, const Scalar& a,
                              [&](const WitnessStatement& st) { return st.tag == c; });
     require(found, "PolicyLock unlock_all: missing statement for a condition");
   }
-  // K = ê(U, Σ s·H1(C_j))^a = ê(G, Σ H1(C_j))^{ras}.
   G1Point key = G1Point::infinity(scheme_.params().ctx());
   for (const auto& st : statements) key = key + st.sig;
-  Gt k = pairing::pair(ct.u, key).pow(a);
-  return xor_bytes(ct.v, scheme_.mask_h2(k, ct.v.size()));
+  return *scheme_.open_with(SealedCiphertext{ct}, witness.g, [&](const G1Point& u) {
+    return pairing::pair(u, key).pow_unitary(a);
+  });
 }
 
 namespace {
@@ -112,6 +115,7 @@ AnyCiphertext PolicyLock::lock_any(ByteSpan msg, const UserPublicKey& user,
                                    const ServerPublicKey& witness,
                                    std::span<const std::string> conditions,
                                    tre::hashing::RandomSource& rng) const {
+  health::ensure_operational();
   require(!conditions.empty(), "PolicyLock lock_any: no conditions");
   require(scheme_.verify_user_public_key(witness, user),
           "PolicyLock lock_any: receiver public key fails the pairing check");
@@ -132,10 +136,11 @@ AnyCiphertext PolicyLock::lock_any(ByteSpan msg, const UserPublicKey& user,
 
 Bytes PolicyLock::unlock_any(const AnyCiphertext& ct, const Scalar& a,
                              const WitnessStatement& st) const {
+  health::ensure_operational();
   for (const auto& [cond, wrapped] : ct.wraps) {
     if (cond != st.tag) continue;
     require(wrapped.size() == kSessionKeyBytes, "PolicyLock unlock_any: bad wrap size");
-    Gt k = pairing::pair(ct.u, st.sig).pow(a);
+    Gt k = pairing::pair(ct.u, st.sig).pow_unitary(a);
     Bytes session_key = xor_bytes(wrapped, wrap_mask(k));
     return xor_bytes(ct.body, body_stream(session_key, ct.body.size()));
   }

@@ -52,18 +52,20 @@ class PolicyLock {
   Bytes unlock(const Ciphertext& ct, const Scalar& a, const WitnessStatement& st,
                const ServerPublicKey& witness) const;
 
-  /// Locks msg so that *all* conditions must be attested:
-  /// K = ê(r·asG, Σ_j H1(C_j)).
+  /// Locks msg so that *all* conditions must be attested: a basic seal
+  /// with K = ê(asG, Σ_j H1(C_j))^r.
   Ciphertext lock_all(ByteSpan msg, const UserPublicKey& user,
                       const ServerPublicKey& witness,
                       std::span<const std::string> conditions,
                       tre::hashing::RandomSource& rng) const;
 
   /// Needs one statement per condition (any order); the statements sum to
-  /// s·Σ H1(C_j). Throws if the statement set does not match.
+  /// s·Σ H1(C_j), and K = ê(U, Σ s·H1(C_j))^a. Throws if the statement
+  /// set does not match.
   Bytes unlock_all(const Ciphertext& ct, const Scalar& a,
                    std::span<const std::string> conditions,
-                   std::span<const WitnessStatement> statements) const;
+                   std::span<const WitnessStatement> statements,
+                   const ServerPublicKey& witness) const;
 
   /// Disjunction ("any-of") lock: a random session key X is wrapped once
   /// per condition (K_j = ê(r·asG, H1(C_j)) with shared randomness r);

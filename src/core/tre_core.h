@@ -31,7 +31,10 @@
 // the flavours differ only in how K masks the message, so each flavour's
 // seal step and its unmask-from-K step are written once, and the open
 // routes differ only in how they reach K (ê(I_T, U)^a for open, cached
-// Miller lines of the §5.3.3 epoch key a·I_T for the other two).
+// Miller lines of the §5.3.3 epoch key a·I_T for the other two). The
+// seal and open steps are public as seal_with and open_with: the §5
+// extensions (ID-TRE, the policy lock's conjunction) are their own
+// session values over them.
 //
 // The backend policy (all static; `Params` is the curve context):
 //   types   : Params, Gu, Gh, Gt, GhPrecomp (fixed-base engine),
@@ -610,15 +613,35 @@ class BasicTreScheme {
 
   // --- Seal and open ------------------------------------------------------------
 
-  /// Seals `msg` for `user` under the release tag, in any flavour. Every
-  /// flavour sends U = r·G and derives K = ê(asG, H1(T))^r; they differ
-  /// in how r is drawn (FO: r = H3(σ, M); basic and REACT: at random)
-  /// and in how K masks the message (the ciphertext structs above).
+  /// Seals `msg` for `user` under the release tag, in any flavour:
+  /// seal_with over the server generator with K = ê(asG, H1(T))^r.
   BasicSealedCiphertext<B> seal(Mode mode, ByteSpan msg,
                                 const BasicUserPublicKey<B>& user,
                                 const BasicServerPublicKey<B>& server,
                                 std::string_view tag, tre::hashing::RandomSource& rng,
                                 KeyCheck check = KeyCheck::kVerify) const {
+    if (check == KeyCheck::kVerify) {
+      require(checked_user_key(server, user),
+              "TRE seal: receiver public key fails the pairing check");
+    }
+    return seal_with(mode, msg, server.g, rng, [&](const Scalar& r) {
+      // ê(r·asG, H1(T)) == ê(asG, H1(T))^r: with the base pairing
+      // memoized, the per-message cost is one comb multiply and one G_T
+      // exponentiation.
+      return B::gt_pow_unitary(*params_, pair_base(user.asg, tag, hash_tag(tag)), r);
+    });
+  }
+
+  /// The flavour step every seal runs, gated, counted and timed. Every
+  /// flavour sends U = r·g through the comb cache and masks the message
+  /// with the session value K = session(r); they differ in how r is
+  /// drawn (FO: r = H3(σ, M); basic and REACT: at random) and in how K
+  /// masks the message (the ciphertext structs above). seal passes
+  /// K = ê(asG, H1(T))^r; the §5 extensions pass their own K.
+  template <class Session>
+  BasicSealedCiphertext<B> seal_with(Mode mode, ByteSpan msg, const typename B::Gh& g,
+                                     tre::hashing::RandomSource& rng,
+                                     Session&& session) const {
     if (mode == Mode::kHybrid) {
       throw Error("seal: hybrid envelopes are built by timelock::seal_hybrid");
     }
@@ -627,10 +650,6 @@ class BasicTreScheme {
     health::ensure_operational();
     obs::Span span(probes().encrypt_ns);
     probes().seals.add();
-    if (check == KeyCheck::kVerify) {
-      require(checked_user_key(server, user),
-              "TRE seal: receiver public key fails the pairing check");
-    }
     // FO's σ or REACT's R is drawn before r, as the golden vectors fix.
     Bytes nonce;
     Scalar r;
@@ -643,11 +662,8 @@ class BasicTreScheme {
       if (mode == Mode::kReact) nonce = rng.bytes(detail::kSigmaBytes);
       r = B::random_scalar(*params_, rng);
     }
-    typename B::Gh u = mul_fixed_base(server.g, r);
-    typename B::Gu h1t = hash_tag(tag);
-    // ê(r·asG, H1(T)) == ê(asG, H1(T))^r: with the base pairing memoized,
-    // the per-message cost is one comb multiply and one G_T exponentiation.
-    Gt k = B::gt_pow_unitary(*params_, pair_base(user.asg, tag, h1t), r);
+    typename B::Gh u = mul_fixed_base(g, r);
+    Gt k = session(r);
 
     if (mode == Mode::kBasic) {
       return {BasicCiphertext<B>{u, xor_bytes(msg, mask_h2(k, msg.size()))}};
@@ -672,7 +688,7 @@ class BasicTreScheme {
   std::optional<Bytes> open(const BasicSealedCiphertext<B>& ct, const Scalar& a,
                             const BasicKeyUpdate<B>& update,
                             const BasicServerPublicKey<B>& server) const {
-    return open_with(ct, server, [&](const typename B::Gh& u) {
+    return open_with(ct, server.g, [&](const typename B::Gh& u) {
       return B::gt_pow_unitary(*params_, pair_with_lines(update.sig, u), a);
     });
   }
@@ -748,7 +764,7 @@ class BasicTreScheme {
     };
     detail::rlc_bisect(fo_idx.size(), rng, rlc_bits, probes().batch_bisections, holds,
                        [&](size_t k) {
-                         if (!reencrypts(server, fo_r[fo_idx[k]], header_of(k))) {
+                         if (!reencrypts(server.g, fo_r[fo_idx[k]], header_of(k))) {
                            out[fo_idx[k]].reset();
                          }
                        });
@@ -817,8 +833,23 @@ class BasicTreScheme {
   std::optional<Bytes> open_with_epoch_key(const BasicSealedCiphertext<B>& ct,
                                            const BasicEpochKey<B>& key,
                                            const BasicServerPublicKey<B>& server) const {
-    return open_with(ct, server,
+    return open_with(ct, server.g,
                      [&](const typename B::Gh& u) { return pair_with_lines(key.d, u); });
+  }
+
+  /// The open step every open route runs, gated, counted and timed:
+  /// `key_of(U)` supplies the session value K, which open, the epoch-key
+  /// route and the §5 extensions reach in different ways. `g` is the
+  /// header generator, which FO's re-encryption check reads.
+  template <class KeyOf>
+  std::optional<Bytes> open_with(const BasicSealedCiphertext<B>& ct,
+                                 const typename B::Gh& g, KeyOf&& key_of) const {
+    health::ensure_operational();
+    obs::Span span(probes().decrypt_ns);
+    probes().opens.add();
+    return unmask(ct, key_of, [&](const Scalar& r, const typename B::Gh& u) {
+      return reencrypts(g, r, u);
+    });
   }
 
   // --- §5.3.4 time-server change --------------------------------------------------
@@ -1034,9 +1065,9 @@ class BasicTreScheme {
 
   /// FO's re-encryption check U == H3(σ, M)·G, through the same comb
   /// table as sealing.
-  bool reencrypts(const BasicServerPublicKey<B>& server, const Scalar& r,
+  bool reencrypts(const typename B::Gh& g, const Scalar& r,
                   const typename B::Gh& u) const {
-    return B::gh_eq(mul_fixed_base(server.g, r), u);
+    return B::gh_eq(mul_fixed_base(g, r), u);
   }
 
   /// Each flavour's unmask step, written once: `key_of(U)` supplies the
@@ -1081,20 +1112,6 @@ class BasicTreScheme {
           }
         },
         ct.body);
-  }
-
-  /// open() and open_with_epoch_key(): one gated, counted and timed
-  /// route, parameterized by how K is reached.
-  template <class KeyOf>
-  std::optional<Bytes> open_with(const BasicSealedCiphertext<B>& ct,
-                                 const BasicServerPublicKey<B>& server,
-                                 KeyOf&& key_of) const {
-    health::ensure_operational();
-    obs::Span span(probes().decrypt_ns);
-    probes().opens.add();
-    return unmask(ct, key_of, [&](const Scalar& r, const typename B::Gh& u) {
-      return reencrypts(server, r, u);
-    });
   }
 
   std::shared_ptr<const typename B::Params> params_;

@@ -62,6 +62,7 @@ GsHibe::GsHibe(std::shared_ptr<const params::GdhParams> params)
 }
 
 RootKey GsHibe::setup(tre::hashing::RandomSource& rng) const {
+  health::ensure_operational();
   Scalar h = params::random_scalar(*params_, rng);
   Scalar s0 = params::random_scalar(*params_, rng);
   G1Point p0 = params_->base.mul(h);
@@ -75,6 +76,7 @@ G1Point GsHibe::path_point(const IdPath& path) const {
 
 NodeKey GsHibe::extract_root_child(const RootKey& root, std::string_view id,
                                    const Scalar& child_secret) const {
+  health::ensure_operational();
   require(!child_secret.is_zero(), "GsHibe: zero child secret");
   NodeKey key;
   key.path = {std::string(id)};
@@ -86,6 +88,7 @@ NodeKey GsHibe::extract_root_child(const RootKey& root, std::string_view id,
 
 NodeKey GsHibe::derive_child(const G1Point& p0, const NodeKey& parent,
                              std::string_view id, const Scalar& child_secret) const {
+  health::ensure_operational();
   require(parent.can_derive, "GsHibe: parent key has no derivation secret");
   require(!child_secret.is_zero(), "GsHibe: zero child secret");
   NodeKey key;
@@ -116,6 +119,7 @@ bool GsHibe::verify_node_key(const RootPublicKey& root, const NodeKey& key) cons
 HibeCiphertext GsHibe::encrypt(ByteSpan msg, const IdPath& path,
                                const RootPublicKey& root,
                                tre::hashing::RandomSource& rng) const {
+  health::ensure_operational();
   require(!path.empty(), "GsHibe: empty path");
   Scalar r = params::random_scalar(*params_, rng);
   HibeCiphertext ct;
@@ -125,11 +129,12 @@ HibeCiphertext GsHibe::encrypt(ByteSpan msg, const IdPath& path,
     ct.us.push_back(path_point(prefix).mul_secret(r));
   }
   Gt g = pairing::pair(root.q0, path_point(IdPath(path.begin(), path.begin() + 1)));
-  ct.v = xor_bytes(msg, mask_.mask_h2(g.pow(r), msg.size()));
+  ct.v = xor_bytes(msg, mask_.mask_h2(g.pow_unitary(r), msg.size()));
   return ct;
 }
 
-Bytes GsHibe::decrypt(const HibeCiphertext& ct, const NodeKey& key) const {
+Gt GsHibe::key_product(const HibeCiphertext& ct, const NodeKey& key) const {
+  health::ensure_operational();
   require(ct.us.size() + 1 == key.path.size() && key.q.size() == ct.us.size(),
           "GsHibe: ciphertext depth does not match key depth");
   // K = ê(U0, S_t) · Π ê(Q_{i-1}, U_i)^{-1}, one final exponentiation.
@@ -138,7 +143,10 @@ Bytes GsHibe::decrypt(const HibeCiphertext& ct, const NodeKey& key) const {
   for (size_t i = 0; i < ct.us.size(); ++i) {
     pairs.emplace_back(-key.q[i], ct.us[i]);
   }
-  Gt k = pairing::pair_product(pairs);
+  return pairing::pair_product(pairs);
+}
+
+Bytes GsHibe::unmask(const HibeCiphertext& ct, const Gt& k) const {
   return xor_bytes(ct.v, mask_.mask_h2(k, ct.v.size()));
 }
 

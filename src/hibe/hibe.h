@@ -98,7 +98,16 @@ class GsHibe {
   HibeCiphertext encrypt(ByteSpan msg, const IdPath& path, const RootPublicKey& root,
                          tre::hashing::RandomSource& rng) const;
 
-  Bytes decrypt(const HibeCiphertext& ct, const NodeKey& key) const;
+  Bytes decrypt(const HibeCiphertext& ct, const NodeKey& key) const {
+    return unmask(ct, key_product(ct, key));
+  }
+
+  /// The session value K = ê(U0, S_t) · Π_{i=2..t} ê(Q_{i-1}, U_i)^{-1}
+  /// of a ciphertext under a node key, and the message it unmasks (the
+  /// receiver-bound time hierarchy raises K to the receiver's secret
+  /// in between).
+  pairing::Gt key_product(const HibeCiphertext& ct, const NodeKey& key) const;
+  Bytes unmask(const HibeCiphertext& ct, const pairing::Gt& k) const;
 
   /// The point P_i for a path prefix (exposed for the TRE wrapper).
   ec::G1Point path_point(const IdPath& path) const;

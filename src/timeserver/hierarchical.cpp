@@ -1,7 +1,6 @@
 #include "timeserver/hierarchical.h"
 
 #include "hashing/kdf.h"
-#include "pairing/pairing.h"
 
 namespace tre::server {
 
@@ -27,7 +26,7 @@ IdPath time_path(const TimeSpec& t) {
 // --- HierarchicalTre ---------------------------------------------------------
 
 HierarchicalTre::HierarchicalTre(std::shared_ptr<const params::GdhParams> params)
-    : hibe_(params), mask_(params) {}
+    : hibe_(params), scheme_(params) {}
 
 hibe::HibeCiphertext HierarchicalTre::encrypt(ByteSpan msg,
                                               const core::UserPublicKey& user,
@@ -35,34 +34,18 @@ hibe::HibeCiphertext HierarchicalTre::encrypt(ByteSpan msg,
                                               const TimeSpec& release,
                                               tre::hashing::RandomSource& rng) const {
   // Receiver-key check, as in §5.1 step 1 (user key bound to (P0, Q0)).
-  require(pairing::pairings_equal(user.ag, root.q0, root.p0, user.asg),
+  require(scheme_.verify_user_public_key(core::ServerPublicKey{root.p0, root.q0}, user),
           "HierarchicalTre: receiver public key fails the pairing check");
-  IdPath path = time_path(release);
-  Scalar r = params::random_scalar(hibe_.params(), rng);
-
-  hibe::HibeCiphertext ct;
-  ct.u0 = root.p0.mul_secret(r);
-  for (size_t i = 2; i <= path.size(); ++i) {
-    IdPath prefix(path.begin(), path.begin() + static_cast<long>(i));
-    ct.us.push_back(hibe_.path_point(prefix).mul_secret(r));
-  }
-  // K = ê(r·a·Q0, P_1) = ê(Q0, P_1)^{ra}: needs the receiver's secret to
+  // HIBE encryption to the receiver-bound root (P0, a·Q0):
+  // K = ê(a·Q0, P_1)^r = ê(Q0, P_1)^{ra} needs the receiver's secret to
   // reproduce, so the server (and the public) cannot decrypt.
-  pairing::Gt k = pairing::pair(
-      user.asg.mul_secret(r), hibe_.path_point(IdPath(path.begin(), path.begin() + 1)));
-  ct.v = xor_bytes(msg, mask_.mask_h2(k, msg.size()));
-  return ct;
+  return hibe_.encrypt(msg, time_path(release), hibe::RootPublicKey{root.p0, user.asg},
+                       rng);
 }
 
 Bytes HierarchicalTre::decrypt(const hibe::HibeCiphertext& ct, const Scalar& a,
                                const NodeKey& leaf) const {
-  require(ct.us.size() + 1 == leaf.path.size() && leaf.q.size() == ct.us.size(),
-          "HierarchicalTre: ciphertext depth does not match key depth");
-  std::vector<std::pair<G1Point, G1Point>> pairs;
-  pairs.emplace_back(ct.u0, leaf.s);
-  for (size_t i = 0; i < ct.us.size(); ++i) pairs.emplace_back(-leaf.q[i], ct.us[i]);
-  pairing::Gt k = pairing::pair_product(pairs).pow(a);
-  return xor_bytes(ct.v, mask_.mask_h2(k, ct.v.size()));
+  return hibe_.unmask(ct, hibe_.key_product(ct, leaf).pow_unitary(a));
 }
 
 // --- CompactingArchive ---------------------------------------------------------

@@ -43,20 +43,22 @@ class HierarchicalTre {
   const hibe::GsHibe& hibe() const { return hibe_; }
 
   /// User keys are ordinary TRE keys bound to (P0, Q0): reuse
-  /// core::TreScheme::user_keygen with ServerPublicKey{P0, Q0}.
+  /// core::TreScheme::user_keygen with ServerPublicKey{P0, Q0}. The key
+  /// must pass the core's receiver-key check against (P0, Q0); the
+  /// ciphertext is GsHibe's under the root (P0, a·Q0).
   hibe::HibeCiphertext encrypt(ByteSpan msg, const core::UserPublicKey& user,
                                const hibe::RootPublicKey& root,
                                const TimeSpec& release,
                                tre::hashing::RandomSource& rng) const;
 
   /// Decrypts with the receiver secret plus the leaf (or derived-leaf)
-  /// node key for the release instant.
+  /// node key for the release instant: GsHibe's key product raised to a.
   Bytes decrypt(const hibe::HibeCiphertext& ct, const core::Scalar& a,
                 const hibe::NodeKey& leaf) const;
 
  private:
   hibe::GsHibe hibe_;
-  core::TreScheme mask_;
+  core::TreScheme scheme_;
 };
 
 /// Public archive with hierarchical compaction.

@@ -10,7 +10,6 @@
 #include "baselines/rivest_server.h"
 #include "baselines/rsw_puzzle.h"
 #include "baselines/timed_commitment.h"
-#include "bls/bls.h"
 #include "core/tre.h"
 
 namespace tre::baselines {
@@ -313,21 +312,21 @@ TEST_F(BaselinesTest, TimedCommitmentBindingHolds) {
 
 TEST_F(BaselinesTest, GarayJakobssonTimedSignature) {
   // [12]: put a standard signature inside a timed commitment. Here the
-  // signature is BLS from our own stack; forced opening releases a
-  // publicly verifiable signature even if the signer absconds.
-  bls::BlsScheme bls(params_);
-  bls::KeyPair signer = bls.keygen(rng_);
-  Bytes contract = to_bytes("I will pay 100 units on 2005-07-01");
-  bls::Signature sig = bls.sign(signer, contract);
+  // signature is BLS from our own stack — a key update on the contract
+  // string (§5.3.1); forced opening releases a publicly verifiable
+  // signature even if the signer absconds.
+  core::TreScheme scheme(params_);
+  core::ServerKeyPair signer = scheme.server_keygen(rng_);
+  core::KeyUpdate sig = scheme.issue_update(signer, "I will pay 100 units on 2005-07-01");
 
   RswTrapdoor td = Rsw::keygen(rng_, 256);
-  auto [c, key] = TimedCommitmentScheme::commit(
-      td, sig.sig.to_bytes_compressed(), 2000, rng_);
+  auto [c, key] = TimedCommitmentScheme::commit(td, sig.to_bytes(), 2000, rng_);
   (void)key;
 
   Bytes released = TimedCommitmentScheme::forced_open(c);
-  bls::Signature recovered{ec::G1Point::from_bytes(params_->ctx(), released)};
-  EXPECT_TRUE(bls.verify(signer.g, signer.pk, contract, recovered));
+  core::KeyUpdate recovered = core::KeyUpdate::from_bytes(*params_, released);
+  EXPECT_EQ(recovered.tag, "I will pay 100 units on 2005-07-01");
+  EXPECT_TRUE(scheme.verify_update(signer.pub, recovered));
 }
 
 }  // namespace

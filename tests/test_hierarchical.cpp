@@ -78,6 +78,17 @@ TEST_F(HierarchicalTest, WrongReceiverAndEscrowResistance) {
   EXPECT_NE(htre_.decrypt(ct, core::Scalar::from_u64(1), leaf), msg);
 }
 
+TEST_F(HierarchicalTest, InfinityReceiverKeyRejected) {
+  // (O, O) parses from the wire and satisfies ê(aG, Q0) == ê(P0, asG),
+  // both sides being 1, but would seal under K = 1, which anyone can
+  // read. Encryption must refuse it.
+  Bytes o = ec::G1Point::infinity(params_->ctx()).to_bytes_compressed();
+  core::UserPublicKey blank = core::UserPublicKey::from_bytes(*params_, concat({o, o}));
+  auto release = *TimeSpec::parse("2005-06-06T09:05Z");
+  EXPECT_THROW(htre_.encrypt(to_bytes("m"), blank, server_.public_key(), release, rng_),
+               Error);
+}
+
 TEST_F(HierarchicalTest, CompletedHourKeyDerivesAllItsMinutes) {
   auto release = *TimeSpec::parse("2005-06-06T09:05Z");
   Bytes msg = to_bytes("derived decryption");

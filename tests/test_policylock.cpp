@@ -44,19 +44,19 @@ TEST_F(PolicyLockTest, ConjunctionNeedsAllStatements) {
 
   std::vector<WitnessStatement> both = {lock_.attest(witness_, conditions[0]),
                                         lock_.attest(witness_, conditions[1])};
-  EXPECT_EQ(lock_.unlock_all(ct, user_.a, conditions, both), msg);
+  EXPECT_EQ(lock_.unlock_all(ct, user_.a, conditions, both, witness_.pub), msg);
 
   // Order-insensitive.
   std::vector<WitnessStatement> swapped = {both[1], both[0]};
-  EXPECT_EQ(lock_.unlock_all(ct, user_.a, conditions, swapped), msg);
+  EXPECT_EQ(lock_.unlock_all(ct, user_.a, conditions, swapped, witness_.pub), msg);
 
   // One statement missing -> throws.
   std::vector<WitnessStatement> just_one = {both[0]};
-  EXPECT_THROW(lock_.unlock_all(ct, user_.a, conditions, just_one), Error);
+  EXPECT_THROW(lock_.unlock_all(ct, user_.a, conditions, just_one, witness_.pub), Error);
 
   // A statement for the wrong condition does not substitute.
   std::vector<WitnessStatement> wrong = {both[0], lock_.attest(witness_, "Other")};
-  EXPECT_THROW(lock_.unlock_all(ct, user_.a, conditions, wrong), Error);
+  EXPECT_THROW(lock_.unlock_all(ct, user_.a, conditions, wrong, witness_.pub), Error);
 }
 
 TEST_F(PolicyLockTest, ConjunctionOfOneEqualsSingle) {
@@ -64,7 +64,7 @@ TEST_F(PolicyLockTest, ConjunctionOfOneEqualsSingle) {
   std::vector<std::string> conditions = {"C"};
   Ciphertext ct = lock_.lock_all(msg, user_.pub, witness_.pub, conditions, rng_);
   std::vector<WitnessStatement> st = {lock_.attest(witness_, "C")};
-  EXPECT_EQ(lock_.unlock_all(ct, user_.a, conditions, st), msg);
+  EXPECT_EQ(lock_.unlock_all(ct, user_.a, conditions, st, witness_.pub), msg);
 }
 
 TEST_F(PolicyLockTest, TimedReleaseIsAPolicyInstance) {

@@ -6,13 +6,17 @@
 
 #include "bls12/tre381.h"
 #include "common/health.h"
+#include "core/multiserver.h"
+#include "core/policylock.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
+#include "idtre/idtre.h"
 #include "keystore/keystore.h"
 #include "params/params.h"
 #include "selftest/selftest.h"
 #include "threshold/dkg.h"
 #include "threshold/threshold.h"
+#include "timeserver/hierarchical.h"
 
 namespace tre::selftest {
 namespace {
@@ -83,6 +87,34 @@ TEST_F(SelftestGate, PoisonedStateFailsClosedAcrossEntryPoints) {
   auto [tkey381, shares381] = tscheme381.setup({3, 2}, rng);
   const std::vector<Bytes> msgs = {m};
 
+  // The §5 extensions.
+  idtre::IdTreScheme id(params);
+  core::ServerKeyPair ta = id.authority_keygen(rng);
+  idtre::IdPrivateKey id_key = id.extract(server, "id");
+  core::SealedCiphertext id_ct = id.seal(core::Mode::kFo, m, "id", server.pub, "T", rng);
+  core::PolicyLock lock(params);
+  const std::vector<std::string> conds = {"T"};
+  core::Ciphertext all = lock.lock_all(m, user.pub, server.pub, conds, rng);
+  core::AnyCiphertext any = lock.lock_any(m, user.pub, server.pub, conds, rng);
+  core::MultiServerTre ms(params);
+  core::MultiServerUserKey ms_key = ms.user_key(user.a, std::span(&server.pub, 1));
+  core::MultiServerCiphertext ms_ct =
+      ms.encrypt(m, ms_key, std::span(&server.pub, 1), "T", rng);
+  hibe::GsHibe gs(params);
+  hibe::RootKey root = gs.setup(rng);
+  hibe::NodeKey node = gs.extract_root_child(root, "d", core::Scalar::from_u64(2));
+  hibe::HibeCiphertext gs_ct = gs.encrypt(m, {"d"}, hibe::GsHibe::public_of(root), rng);
+  server::Timeline timeline(0);
+  server::HierarchicalTimeServer hts(params, timeline, rng);
+  core::UserKeyPair hier_user =
+      scheme.user_keygen(core::ServerPublicKey{hts.public_key().p0, hts.public_key().q0},
+                         rng);
+  const auto minute = server::TimeSpec::from_unix(0, server::Granularity::kMinute);
+  server::HierarchicalTre htre(params);
+  hibe::HibeCiphertext hier_ct = htre.encrypt(m, hier_user.pub, hts.public_key(), minute,
+                                              rng);
+  hibe::NodeKey leaf = hts.key_for(minute);
+
   health::poison();
   EXPECT_THROW(scheme.server_keygen(rng), SelftestError);
   EXPECT_THROW(scheme.issue_update(core::ServerKeyPair{}, "T"), SelftestError);
@@ -102,6 +134,32 @@ TEST_F(SelftestGate, PoisonedStateFailsClosedAcrossEntryPoints) {
 
   bls12::Tre381Scheme scheme381 = bls12::make_tre381();
   EXPECT_THROW(scheme381.server_keygen(rng), SelftestError);
+
+  EXPECT_THROW(id.authority_keygen(rng), SelftestError);
+  EXPECT_THROW(id.extract(server, "id"), SelftestError);
+  EXPECT_THROW(id.seal(core::Mode::kBasic, m, "id", server.pub, "T", rng), SelftestError);
+  EXPECT_THROW(id.seal(core::Mode::kBasic, m, "id", ta.pub, ta.pub, "T", rng),
+               SelftestError);
+  EXPECT_THROW(id.open(id_ct, id_key, update, server.pub), SelftestError);
+  EXPECT_THROW(lock.lock_all(m, user.pub, server.pub, conds, rng), SelftestError);
+  EXPECT_THROW(lock.unlock_all(all, user.a, conds, std::span(&update, 1), server.pub),
+               SelftestError);
+  EXPECT_THROW(lock.lock_any(m, user.pub, server.pub, conds, rng), SelftestError);
+  EXPECT_THROW(lock.unlock_any(any, user.a, update), SelftestError);
+  EXPECT_THROW(ms.user_key(user.a, std::span(&server.pub, 1)), SelftestError);
+  EXPECT_THROW(ms.encrypt(m, ms_key, std::span(&server.pub, 1), "T", rng), SelftestError);
+  EXPECT_THROW(ms.decrypt(ms_ct, user.a, std::span(&update, 1)), SelftestError);
+  EXPECT_THROW(gs.setup(rng), SelftestError);
+  EXPECT_THROW(gs.extract_root_child(root, "d", core::Scalar::from_u64(2)), SelftestError);
+  EXPECT_THROW(gs.derive_child(root.p0, node, "h", core::Scalar::from_u64(3)),
+               SelftestError);
+  EXPECT_THROW(gs.encrypt(m, {"d"}, hibe::GsHibe::public_of(root), rng), SelftestError);
+  EXPECT_THROW(gs.decrypt(gs_ct, node), SelftestError);
+  EXPECT_THROW((void)server::HierarchicalTimeServer(params, timeline, rng), SelftestError);
+  EXPECT_THROW(hts.key_for(minute), SelftestError);
+  EXPECT_THROW(htre.encrypt(m, hier_user.pub, hts.public_key(), minute, rng),
+               SelftestError);
+  EXPECT_THROW(htre.decrypt(hier_ct, hier_user.a, leaf), SelftestError);
 
   EXPECT_THROW(keystore::seal(to_bytes("secret"), "pw", rng, 2), SelftestError);
   // A structurally plausible blob (long enough, nonzero iteration count)

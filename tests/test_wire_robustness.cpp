@@ -12,6 +12,7 @@
 #include "core/tre.h"
 #include "daemon/frame.h"
 #include "hashing/drbg.h"
+#include "idtre/idtre.h"
 #include "keystore/keystore.h"
 #include "threshold/dkg.h"
 #include "timelock/hybrid.h"
@@ -469,6 +470,24 @@ constexpr const char* kGoldenRangeReplyFrame =
     "0019000a323033302d30312d303103494855b8e9e1d64b4485a3280000001900"
     "0a323033302d30312d3032031db6bae33b8c5067e0522c73";
 
+constexpr const char* kGoldenIdKey =
+    "0011616c696365406578616d706c652e6f7267032e541afe2512de5d4b6feb48";
+constexpr const char* kGoldenIdTreBasic =
+    "034786f3d0e4326d959f6f469b000c1f40e554d5a2a0dc781246b7";
+constexpr const char* kGoldenIdTreFo =
+    "02379f0e27d4813a697c05b16d002000e9d64d932f406e346fda77b3d6896fec"
+    "aad2a4378e2c781ae85bc9a0b4aa36000c6fd315d5b24d4e7a42988537";
+constexpr const char* kGoldenSplitIdTre =
+    "024d4847010467e89c558e32d9000c2c93ede96925695f723054c5";
+constexpr const char* kGoldenLockAll =
+    "036efaebf1ef92d72e9e502b1f000acc6ad93f51d93627b394";
+constexpr const char* kGoldenHibeCiphertext =
+    "033656edfd09946c6597f7e0480295f28f72f93dac4dd690e4c40339e5e3995e"
+    "b774cf257736dd87b1d3502ba60cdc139915";
+constexpr const char* kGoldenHierarchicalCiphertext =
+    "033af1c10bc79fd86927d4947b037e6323eda5d7f177bb4940770283139b9ef5"
+    "9b255cc48da68ceae76351181dcb755bb6f6e9e97c28a017769f";
+
 Bytes golden_seed(const char* artifact) {
   return to_bytes(std::string("golden-wire-") + artifact);
 }
@@ -582,6 +601,64 @@ TEST_F(WireRobustness, TypeOneExtensionCiphertextsPinned) {
   EXPECT_EQ(to_hex(ms_key.to_bytes()), kGoldenMultiServerUserKey);
   EXPECT_EQ(to_hex(ms_ct.to_bytes()), kGoldenMultiServerCiphertext);
   EXPECT_EQ(to_hex(hy.to_bytes()), kGoldenBaselineHybrid);
+
+  // §5.2 ID-TRE: an identity key (on the KeyUpdate wire), then basic, FO
+  // and split-authority ciphertexts (the flavour bodies, without the
+  // sealed wire's mode byte).
+  idtre::IdTreScheme id(params::load("tre-toy-96"));
+  const char* alice = "alice@example.org";
+  hashing::HmacDrbg key_rng(golden_seed("idtre-key"));
+  idtre::IdPrivateKey id_key = id.extract(id.setup(key_rng), alice);
+  hashing::HmacDrbg basic_rng(golden_seed("idtre-basic"));
+  ServerKeyPair authority = id.setup(basic_rng);
+  SealedCiphertext id_basic = id.seal(Mode::kBasic, to_bytes("idtre golden"), alice,
+                                      authority.pub, kGoldenTag, basic_rng);
+  hashing::HmacDrbg fo_rng(golden_seed("idtre-fo"));
+  authority = id.setup(fo_rng);
+  SealedCiphertext id_fo = id.seal(Mode::kFo, to_bytes("idtre golden"), alice,
+                                   authority.pub, kGoldenTag, fo_rng);
+  hashing::HmacDrbg split_rng(golden_seed("split-idtre"));
+  ServerKeyPair ta = id.authority_keygen(split_rng);
+  ServerKeyPair ts2 = id.authority_keygen(split_rng);
+  SealedCiphertext id_split = id.seal(Mode::kBasic, to_bytes("split golden"), alice,
+                                      ta.pub, ts2.pub, kGoldenTag, split_rng);
+
+  // §5.3.2 conjunction.
+  hashing::HmacDrbg all_rng(golden_seed("lock-all"));
+  ServerKeyPair all_witness = scheme_.server_keygen(all_rng);
+  UserKeyPair all_user = scheme_.user_keygen(all_witness.pub, all_rng);
+  Ciphertext all = lock.lock_all(to_bytes("all golden"), all_user.pub, all_witness.pub,
+                                 conds, all_rng);
+
+  // HIBE and the time hierarchy: HibeCiphertext has no codec, so the pin
+  // is u0 || us || v.
+  auto hibe_bytes = [](const hibe::HibeCiphertext& ct) {
+    Bytes out = ct.u0.to_bytes_compressed();
+    for (const auto& u : ct.us) out = concat({out, u.to_bytes_compressed()});
+    return concat({out, ct.v});
+  };
+  hashing::HmacDrbg hibe_rng(golden_seed("hibe"));
+  hibe::GsHibe gs(params::load("tre-toy-96"));
+  hibe::RootPublicKey root = hibe::GsHibe::public_of(gs.setup(hibe_rng));
+  hibe::HibeCiphertext gs_ct =
+      gs.encrypt(to_bytes("hibe golden"), {"org", "team", "member"}, root, hibe_rng);
+  hashing::HmacDrbg hier_rng(golden_seed("hierarchical"));
+  server::Timeline timeline(server::TimeSpec::parse("2005-06-06T09:00Z")->unix_seconds());
+  server::HierarchicalTimeServer hts(params::load("tre-toy-96"), timeline, hier_rng);
+  UserKeyPair hier_user = scheme_.user_keygen(
+      ServerPublicKey{hts.public_key().p0, hts.public_key().q0}, hier_rng);
+  server::HierarchicalTre htre(params::load("tre-toy-96"));
+  hibe::HibeCiphertext hier_ct =
+      htre.encrypt(to_bytes("hierarchical golden"), hier_user.pub, hts.public_key(),
+                   *server::TimeSpec::parse("2005-06-06T09:05Z"), hier_rng);
+
+  EXPECT_EQ(to_hex(id_key.to_bytes()), kGoldenIdKey);
+  EXPECT_EQ(to_hex(std::get<Ciphertext>(id_basic.body).to_bytes()), kGoldenIdTreBasic);
+  EXPECT_EQ(to_hex(std::get<FoCiphertext>(id_fo.body).to_bytes()), kGoldenIdTreFo);
+  EXPECT_EQ(to_hex(std::get<Ciphertext>(id_split.body).to_bytes()), kGoldenSplitIdTre);
+  EXPECT_EQ(to_hex(all.to_bytes()), kGoldenLockAll);
+  EXPECT_EQ(to_hex(hibe_bytes(gs_ct)), kGoldenHibeCiphertext);
+  EXPECT_EQ(to_hex(hibe_bytes(hier_ct)), kGoldenHierarchicalCiphertext);
 }
 
 TEST_F(WireRobustness, KeystoreBlobPinnedAndStrict) {
