@@ -18,9 +18,11 @@
 // timings a cold receiver pays per update (hash-to-curve, decoding and
 // the subgroup test, with the [r]P oracle timed beside it), the
 // base-field and tower products the pairing is made of (with the generic
-// field::Fp2 product timed beside the backend's own), and the global
-// metrics registry snapshot, so the per-backend probe prefixes
-// (core.* vs core.bls381.*) are visible in one artifact.
+// field::Fp2 product timed beside the backend's own), the two kernels a
+// per-message secret can take on each backend (the G_1 secret ladder and
+// the G_T power, with the backend's kSessionPowInGt choice beside them),
+// and the global metrics registry snapshot, so the per-backend probe
+// prefixes (core.* vs core.bls381.*) are visible in one artifact.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -113,12 +115,29 @@ int main(int argc, char** argv) {
   struct Row {
     const char* name;
     const char* curve;
-    double issue, verify, enc, dec;
+    double issue, verify, enc, enc_fresh, dec;
     Baseline baseline;
     size_t update_point_bytes, update_wire_bytes, ct_header_bytes;
     const char* security;
   };
   Row rows[2];
+
+  // encrypt_ms reseals one (receiver, tag), so a memoized pair base can
+  // hit; encrypt_fresh_ms seals to a fresh tag on each rep, hashed
+  // beforehand, which is the traffic of a release or beacon message.
+  std::vector<std::string> fresh_tags;
+  for (int i = 0; i < reps; ++i) {
+    fresh_tags.push_back(std::string(tag).append("/fresh-").append(std::to_string(i)));
+    (void)t1.hash_tag(fresh_tags.back());
+    (void)t3.hash_tag(fresh_tags.back());
+  }
+  auto fresh_seals = [&](const auto& scheme, const auto& user, const auto& server) {
+    size_t next = 0;
+    return bench::time_ms(reps, [&] {
+      (void)scheme.seal(core::Mode::kBasic, msg, user.pub, server.pub, fresh_tags[next++],
+                        rng, core::KeyCheck::kSkip);
+    });
+  };
 
   rows[0] = Row{"type-1 supersingular (tre-512)", "tre-512",
                 bench::time_ms(reps, [&] { (void)t1.issue_update(s1, tag); }),
@@ -127,6 +146,7 @@ int main(int argc, char** argv) {
                   (void)t1.seal(core::Mode::kBasic, msg, u1.pub, s1.pub, tag, rng,
                                 core::KeyCheck::kSkip);
                 }),
+                fresh_seals(t1, u1, s1),
                 bench::time_ms(reps, [&] { (void)t1.open(ct1, u1.a, upd1, s1.pub); }),
                 kBaseline512, t1.params().g1_compressed_bytes(),
                 upd1.to_bytes().size(), t1.params().g1_compressed_bytes(),
@@ -140,6 +160,7 @@ int main(int argc, char** argv) {
                   (void)t3.seal(core::Mode::kBasic, msg, u3.pub, s3.pub, tag, rng,
                                 core::KeyCheck::kSkip);
                 }),
+                fresh_seals(t3, u3, s3),
                 bench::time_ms(reps, [&] { (void)t3.open(ct3, u3.a, upd3, s3.pub); }),
                 kBaseline381, bls12::Bls381Backend::gu_wire_bytes(ctx),
                 upd3.to_bytes().size(), bls12::Bls381Backend::gh_wire_bytes(ctx),
@@ -212,12 +233,18 @@ int main(int argc, char** argv) {
   // products every pairing is made of, on the backend's six-limb
   // residues; the generic field::Fp2 product over the same modulus, timed
   // beside the Fq2 one for the PERF381 gate's same-run floor; and
-  // gt_pow_unitary, which a sealed-and-opened message runs twice. A field
-  // or tower batch is a dependent chain (each result feeds the next
-  // operation). The baselines pin these kernels as they were when every
-  // coordinate was a field::Fp (so the Fp2 product was the generic one):
-  // medians of eleven runs of the same batches, alternated with runs of
-  // the current kernels on one host.
+  // gt_pow_unitary. A field or tower batch is a dependent chain (each
+  // result feeds the next operation). The baselines pin these kernels as
+  // they were when every coordinate was a field::Fp (so the Fp2 product
+  // was the generic one): medians of eleven runs of the same batches,
+  // alternated with runs of the current kernels on one host.
+  //
+  // The same block times the session-route anatomy: each backend's two
+  // kernels for a per-message secret, on full-width secrets. seal and
+  // open apply r and a either as a G_T power of the pairing or on the G_1
+  // secret ladder before it (kSessionPowInGt); the pairing costs the same
+  // either way, so these two kernels decide the route, and the PERF381
+  // gate checks that each backend's constant picks the cheaper one.
   constexpr double kBaselineFpMulNs = 100.48, kBaselineFp2MulNs = 465.11,
                    kBaselineFp12MulUs = 10.71, kBaselineCyclotomicSqrUs = 4.61,
                    kBaselineGtPowUnitaryUs = 1852.25;
@@ -238,6 +265,14 @@ int main(int argc, char** argv) {
   std::vector<bls12::Scalar> gt_exponents;
   for (int i = 0; i < kPowOps; ++i) {
     gt_exponents.push_back(bigint::random_bits<field::kMaxFieldLimbs>(rng, 255));
+  }
+  const bls12::G1Point381 route_p = ctx.hash_to_g1(to_bytes("bench-session-route"));
+  const ec::G1Point& route_p512 = t1.params().base;
+  const pairing::Gt route_gt512 = pairing::pair(route_p512, t1.hash_tag(tag));
+  constexpr int kRoutePowOps512 = 16;
+  std::vector<core::Scalar> route_secrets512;
+  for (int i = 0; i < kRoutePowOps512; ++i) {
+    route_secrets512.push_back(params::random_scalar(t1.params(), rng));
   }
   bls12::Fq fq_acc = fq2_in[0].re();
   bls12::Fq2 fq2_acc = fq2_in[0];
@@ -275,6 +310,20 @@ int main(int argc, char** argv) {
           for (int i = 0; i < kPowOps; ++i) {
             pow_acc = ctx.gt_pow_unitary(pow_acc, gt_exponents[i]);
           }
+        }},
+       {kPowOps,
+        [&] {
+          for (int i = 0; i < kPowOps; ++i) {
+            (void)ctx.g1_mul_secret(route_p, gt_exponents[i]);
+          }
+        }},
+       {kRoutePowOps512,
+        [&] {
+          for (const core::Scalar& k : route_secrets512) (void)route_gt512.pow_unitary(k);
+        }},
+       {kRoutePowOps512,
+        [&] {
+          for (const core::Scalar& k : route_secrets512) (void)route_p512.mul_secret(k);
         }}},
       kRounds);
   if (fq_acc.is_zero() || fq2_acc.is_zero() || generic_acc.is_zero()) {
@@ -283,15 +332,27 @@ int main(int argc, char** argv) {
   }
   const double fp_mul_ns = field_us[0] * 1e3, fp2_mul_ns = field_us[1] * 1e3,
                generic_fp2_mul_ns = field_us[2] * 1e3, fp12_mul_us = field_us[3],
-               cyclotomic_sqr_us = field_us[4], gt_pow_unitary_us = field_us[5];
+               cyclotomic_sqr_us = field_us[4], gt_pow_unitary_us = field_us[5],
+               g1_mul_secret_us = field_us[6], gt_pow_unitary512_us = field_us[7],
+               g1_mul_secret512_us = field_us[8];
+  // The kernel each backend's constant picks, over the other one: >= 1
+  // when the constant picks the cheaper kernel.
+  auto route_margin = [](bool pow_in_gt, double pow_us, double ladder_us) {
+    return pow_in_gt ? ladder_us / pow_us : pow_us / ladder_us;
+  };
+  constexpr bool kPowInGt381 = bls12::Bls381Backend::kSessionPowInGt;
+  constexpr bool kPowInGt512 = core::Tre512Backend::kSessionPowInGt;
+  const double margin381 = route_margin(kPowInGt381, gt_pow_unitary_us, g1_mul_secret_us);
+  const double margin512 =
+      route_margin(kPowInGt512, gt_pow_unitary512_us, g1_mul_secret512_us);
 
-  std::printf("%-32s | %8s | %9s | %8s | %8s | %9s | %9s | %s\n", "backend",
-              "issue ms", "verify ms", "enc ms", "dec ms", "update B",
+  std::printf("%-32s | %8s | %9s | %8s | %9s | %8s | %9s | %9s | %s\n", "backend",
+              "issue ms", "verify ms", "enc ms", "fresh ms", "dec ms", "update B",
               "ct-hdr B", "security");
-  std::printf("---------------------------------+----------+-----------+----------+----------+-----------+-----------+---------\n");
+  std::printf("---------------------------------+----------+-----------+----------+-----------+----------+-----------+-----------+---------\n");
   for (const Row& row : rows) {
-    std::printf("%-32s | %8.1f | %9.1f | %8.1f | %8.1f | %9zu | %9zu | %s\n",
-                row.name, row.issue, row.verify, row.enc, row.dec,
+    std::printf("%-32s | %8.1f | %9.1f | %8.1f | %9.1f | %8.1f | %9zu | %9zu | %s\n",
+                row.name, row.issue, row.verify, row.enc, row.enc_fresh, row.dec,
                 row.update_point_bytes, row.ct_header_bytes, row.security);
   }
   std::printf("\nbls12-381 speedup vs seed engine: verify %.1fx, encrypt %.1fx, "
@@ -315,6 +376,11 @@ int main(int argc, char** argv) {
               generic_fp2_mul_ns, generic_fp2_mul_ns / fp2_mul_ns, fp12_mul_us,
               kBaselineFp12MulUs, cyclotomic_sqr_us, kBaselineCyclotomicSqrUs,
               gt_pow_unitary_us, kBaselineGtPowUnitaryUs);
+  std::printf("session route: bls12-381 gt_pow_unitary %.1f us vs g1_mul_secret %.1f us, "
+              "kSessionPowInGt=%d (picked kernel %.2fx cheaper); tre-512 pow_unitary "
+              "%.1f us vs mul_secret %.1f us, kSessionPowInGt=%d (%.2fx)\n",
+              gt_pow_unitary_us, g1_mul_secret_us, kPowInGt381, margin381,
+              gt_pow_unitary512_us, g1_mul_secret512_us, kPowInGt512, margin512);
 
   const char* json_path = argc > 1 ? argv[1] : "BENCH_modern_curve.json";
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -327,12 +393,14 @@ int main(int argc, char** argv) {
                    "    {\"name\": \"%s\", \"curve\": \"%s\", "
                    "\"security\": \"%s\", "
                    "\"issue_ms\": %.3f, \"verify_ms\": %.3f, "
-                   "\"encrypt_ms\": %.3f, \"decrypt_ms\": %.3f, "
+                   "\"encrypt_ms\": %.3f, \"encrypt_fresh_ms\": %.3f, "
+                   "\"decrypt_ms\": %.3f, "
                    "\"baseline_issue_ms\": %.3f, \"baseline_verify_ms\": %.3f, "
                    "\"baseline_encrypt_ms\": %.3f, \"baseline_decrypt_ms\": %.3f, "
                    "\"update_point_bytes\": %zu, \"update_wire_bytes\": %zu, "
                    "\"ct_header_bytes\": %zu}%s\n",
-                   r.name, r.curve, r.security, r.issue, r.verify, r.enc, r.dec,
+                   r.name, r.curve, r.security, r.issue, r.verify, r.enc, r.enc_fresh,
+                   r.dec,
                    r.baseline.issue, r.baseline.verify, r.baseline.enc,
                    r.baseline.dec, r.update_point_bytes, r.update_wire_bytes,
                    r.ct_header_bytes, i + 1 < 2 ? "," : "");
@@ -364,6 +432,14 @@ int main(int argc, char** argv) {
                  cyclotomic_sqr_us, gt_pow_unitary_us, kBaselineFpMulNs,
                  kBaselineFp2MulNs, kBaselineFp12MulUs, kBaselineCyclotomicSqrUs,
                  kBaselineGtPowUnitaryUs);
+    std::fprintf(f,
+                 "  \"session_route_anatomy\": {\"bls381_gt_pow_unitary_us\": %.2f, "
+                 "\"bls381_g1_mul_secret_us\": %.2f, \"bls381_session_pow_in_gt\": %s, "
+                 "\"tre512_gt_pow_unitary_us\": %.2f, \"tre512_g1_mul_secret_us\": %.2f, "
+                 "\"tre512_session_pow_in_gt\": %s},\n",
+                 gt_pow_unitary_us, g1_mul_secret_us, kPowInGt381 ? "true" : "false",
+                 gt_pow_unitary512_us, g1_mul_secret512_us,
+                 kPowInGt512 ? "true" : "false");
     std::fprintf(f, "%s\n}\n", bench::metrics_json_field(2).c_str());
     std::fclose(f);
     std::printf("wrote %s\n", json_path);

@@ -18,8 +18,9 @@
 //   update : I_T = s·H1(T) ∈ G_1 (49 B compressed vs the 2005 curve's
 //            65 B, at a far higher security level); verify
 //            ê(H1(T), S) == ê(I_T, G)
-//   encrypt: K = ê(H1(T), r·A2) = ê(H1(T), A2)^r;  C = ⟨rG, M ⊕ H2(K)⟩
-//   decrypt: K' = ê(I_T, U)^a
+//   encrypt: K = ê(r·H1(T), A2) = ê(H1(T), A2)^r;  C = ⟨rG, M ⊕ H2(K)⟩
+//   decrypt: K' = ê(a·I_T, U) = ê(I_T, U)^a
+//            (r and a run the G_1 secret ladder, never a G_T power)
 //
 // Wire formats are the generic backend-tagged framing: points carry their
 // backend-specific compressed width (G_1 49 B, G_2 97 B), so 381 bytes

@@ -31,6 +31,10 @@ struct Tre512Backend {
   /// On a symmetric pairing the user's anchor aG lives in the header
   /// group, so it shares the server-generator comb table.
   static constexpr bool kAnchorIsGh = true;
+  /// seal and open apply r and a as an F_p2 power of the pairing: it
+  /// costs about a fifth of a secret ladder on the 512-bit curve (E17
+  /// session_route_anatomy; PERF381=1 checks it).
+  static constexpr bool kSessionPowInGt = true;
 
   // --- scalars ---------------------------------------------------------------
   static Scalar random_scalar(const Params& p, tre::hashing::RandomSource& rng) {

@@ -64,7 +64,7 @@ bool MultiServerTre::verify_user_key(const MultiServerUserKey& user,
   for (size_t i = 0; i < servers.size(); ++i) {
     if (user.parts[i].is_infinity()) return false;
     // ê(base, a·s_iG_i) == ê(aG, s_iG_i): both are ê(base, s_iG_i)^a.
-    if (!pairing::pairings_equal(base, user.parts[i], user.ag, servers[i].sg)) {
+    if (!counted_pairings_equal(base, user.parts[i], user.ag, servers[i].sg)) {
       return false;
     }
   }
@@ -84,7 +84,7 @@ MultiServerCiphertext MultiServerTre::encrypt(ByteSpan msg,
   // K_new = Σ a·s_iG_i; K = ê(r·K_new, H1(T)).
   G1Point combined = G1Point::infinity(scheme_.params().ctx());
   for (const auto& part : user.parts) combined = combined + part;
-  Gt k = pairing::pair(combined.mul_secret(r), scheme_.hash_tag(tag));
+  Gt k = counted_pair(combined.mul_secret(r), scheme_.hash_tag(tag));
 
   MultiServerCiphertext ct;
   ct.us.reserve(servers.size());
@@ -108,7 +108,7 @@ Bytes MultiServerTre::decrypt(const MultiServerCiphertext& ct, const Scalar& a,
   for (size_t i = 0; i < ct.us.size(); ++i) {
     pairs.emplace_back(ct.us[i].mul_secret(a), updates[i].sig);
   }
-  Gt k = pairing::pair_product(pairs);
+  Gt k = counted_pair_product(pairs);
   return xor_bytes(ct.v, scheme_.mask_h2(k, ct.v.size()));
 }
 

@@ -51,7 +51,7 @@ Ciphertext PolicyLock::lock_all(ByteSpan msg, const UserPublicKey& user,
   const G1Point h = sum_of_hashes(conditions);
   SealedCiphertext ct =
       scheme_.seal_with(Mode::kBasic, msg, witness.g, rng, [&](const Scalar& r) {
-        return pairing::pair(user.asg, h).pow_unitary(r);
+        return counted_pair(user.asg, h).pow_unitary(r);
       });
   return std::get<Ciphertext>(ct.body);
 }
@@ -71,7 +71,7 @@ Bytes PolicyLock::unlock_all(const Ciphertext& ct, const Scalar& a,
   G1Point key = G1Point::infinity(scheme_.params().ctx());
   for (const auto& st : statements) key = key + st.sig;
   return *scheme_.open_with(SealedCiphertext{ct}, witness.g, [&](const G1Point& u) {
-    return pairing::pair(u, key).pow_unitary(a);
+    return counted_pair(u, key).pow_unitary(a);
   });
 }
 
@@ -127,7 +127,7 @@ AnyCiphertext PolicyLock::lock_any(ByteSpan msg, const UserPublicKey& user,
   ct.u = witness.g.mul_secret(r);
   ct.wraps.reserve(conditions.size());
   for (const auto& c : conditions) {
-    Gt k = pairing::pair(rasg, scheme_.hash_tag(c));
+    Gt k = counted_pair(rasg, scheme_.hash_tag(c));
     ct.wraps.emplace_back(c, xor_bytes(session_key, wrap_mask(k)));
   }
   ct.body = xor_bytes(msg, body_stream(session_key, msg.size()));
@@ -140,7 +140,7 @@ Bytes PolicyLock::unlock_any(const AnyCiphertext& ct, const Scalar& a,
   for (const auto& [cond, wrapped] : ct.wraps) {
     if (cond != st.tag) continue;
     require(wrapped.size() == kSessionKeyBytes, "PolicyLock unlock_any: bad wrap size");
-    Gt k = pairing::pair(ct.u, st.sig).pow_unitary(a);
+    Gt k = counted_pair(ct.u, st.sig).pow_unitary(a);
     Bytes session_key = xor_bytes(wrapped, wrap_mask(k));
     return xor_bytes(ct.body, body_stream(session_key, ct.body.size()));
   }

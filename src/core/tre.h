@@ -50,4 +50,12 @@ using TreScheme = BasicTreScheme<Tre512Backend>;
 // translation unit links against that instantiation.
 extern template class BasicTreScheme<Tre512Backend>;
 
+// The type-1 pairings the §5 extensions compute outside the scheme's
+// seal and open steps, counted on the scheme's own `core.pairings`
+// counter: a product over N pairs counts N, as a two-sided check counts 2.
+Gt counted_pair(const ec::G1Point& p, const ec::G1Point& q);
+Gt counted_pair_product(std::span<const std::pair<ec::G1Point, ec::G1Point>> pairs);
+bool counted_pairings_equal(const ec::G1Point& a1, const ec::G1Point& a2,
+                            const ec::G1Point& b1, const ec::G1Point& b2);
+
 }  // namespace tre::core

@@ -113,7 +113,7 @@ bool GsHibe::verify_node_key(const RootPublicKey& root, const NodeKey& key) cons
     IdPath prefix(key.path.begin(), key.path.begin() + static_cast<long>(i));
     pairs.emplace_back(-key.q[i - 2], path_point(prefix));
   }
-  return pairing::pair_product(pairs).is_one();
+  return core::counted_pair_product(pairs).is_one();
 }
 
 HibeCiphertext GsHibe::encrypt(ByteSpan msg, const IdPath& path,
@@ -128,7 +128,7 @@ HibeCiphertext GsHibe::encrypt(ByteSpan msg, const IdPath& path,
     IdPath prefix(path.begin(), path.begin() + static_cast<long>(i));
     ct.us.push_back(path_point(prefix).mul_secret(r));
   }
-  Gt g = pairing::pair(root.q0, path_point(IdPath(path.begin(), path.begin() + 1)));
+  Gt g = core::counted_pair(root.q0, path_point(IdPath(path.begin(), path.begin() + 1)));
   ct.v = xor_bytes(msg, mask_.mask_h2(g.pow_unitary(r), msg.size()));
   return ct;
 }
@@ -143,7 +143,7 @@ Gt GsHibe::key_product(const HibeCiphertext& ct, const NodeKey& key) const {
   for (size_t i = 0; i < ct.us.size(); ++i) {
     pairs.emplace_back(-key.q[i], ct.us[i]);
   }
-  return pairing::pair_product(pairs);
+  return core::counted_pair_product(pairs);
 }
 
 Bytes GsHibe::unmask(const HibeCiphertext& ct, const Gt& k) const {

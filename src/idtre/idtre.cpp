@@ -22,7 +22,7 @@ SealedCiphertext IdTreScheme::seal(Mode mode, ByteSpan msg, std::string_view id,
   require(!authority.sg.is_infinity(), "IdTreScheme: authority key sG is O");
   G1Point ke = scheme_.hash_tag(id) + scheme_.hash_tag(tag);
   return scheme_.seal_with(mode, msg, authority.g, rng, [&](const Scalar& r) {
-    return pairing::pair(authority.sg, ke).pow_unitary(r);
+    return core::counted_pair(authority.sg, ke).pow_unitary(r);
   });
 }
 
@@ -42,7 +42,7 @@ SealedCiphertext IdTreScheme::seal(Mode mode, ByteSpan msg, std::string_view id,
   };
   // One final exponentiation for both pairings.
   return scheme_.seal_with(mode, msg, base, rng, [&](const Scalar& r) {
-    return pairing::pair_product(pairs).pow_unitary(r);
+    return core::counted_pair_product(pairs).pow_unitary(r);
   });
 }
 
@@ -51,7 +51,7 @@ std::optional<Bytes> IdTreScheme::open(const SealedCiphertext& ct,
                                        const ServerPublicKey& authority) const {
   const G1Point kd = key.sig + update.sig;
   return scheme_.open_with(ct, authority.g,
-                           [&](const G1Point& u) { return pairing::pair(u, kd); });
+                           [&](const G1Point& u) { return core::counted_pair(u, kd); });
 }
 
 }  // namespace tre::idtre

@@ -295,6 +295,18 @@ TEST_F(Bls12Test, PairingBilinearity) {
   // Swap sides: ê(aG, H) == ê(G, aH).
   EXPECT_TRUE(ctx_->gt_eq(ctx_->pair(ctx_->g1_mul(g, a), h),
                           ctx_->pair(g, ctx_->g2_mul(h, a))));
+
+  // The identity seal and open rest on: a secret applied on the G1
+  // ladder before the pairing equals the same G_T power after it, at the
+  // ladder's edge scalars and one random one.
+  const G1Point381 p = ctx_->hash_to_g1(to_bytes("bilinearity-edge"));
+  const Gt381 base = ctx_->pair(p, h);
+  const Scalar one = Scalar::from_u64(1);
+  for (const Scalar& k : {one, Scalar::from_u64(2), bigint::sub(ctx_->r(), one),
+                          ctx_->random_scalar(rng_)}) {
+    EXPECT_TRUE(ctx_->gt_eq(ctx_->pair(ctx_->g1_mul_secret(p, k), h),
+                            ctx_->gt_pow(base, k)));
+  }
 }
 
 TEST_F(Bls12Test, PairingOrderAndIdentity) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "hashing/drbg.h"
+#include "obs/metrics.h"
 
 namespace tre::idtre {
 namespace {
@@ -41,10 +42,15 @@ TEST_F(IdTreTest, ExtractedKeyVerifies) {
 
 TEST_F(IdTreTest, RoundtripWithUpdate) {
   Bytes msg = to_bytes("identity-based timed release");
+  const obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t before = reg.counter_value("core.pairings");
   SealedCiphertext ct = seal(msg, kId);
   KeyUpdate upd = scheme_.issue_update(authority_, kTag);
+  Bytes out = open(ct, alice_, upd);
+  // One pairing to seal and one to open, on the core's counter.
+  EXPECT_EQ(reg.counter_value("core.pairings") - before, 2u);
   EXPECT_TRUE(scheme_.verify_update(authority_.pub, upd));
-  EXPECT_EQ(open(ct, alice_, upd), msg);
+  EXPECT_EQ(out, msg);
 }
 
 TEST_F(IdTreTest, WrongIdentityCannotDecrypt) {

@@ -8,8 +8,10 @@
 // suite and every test is pairing-frugal.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "core/tre.h"
 #include "hashing/drbg.h"
 #include "hashing/kdf.h"
+#include "obs/metrics.h"
 
 namespace tre {
 namespace {
@@ -249,12 +252,12 @@ TEST_F(Tre381ParityTest, EpochKeyDecryptsWithoutLongTermSecret) {
 }
 
 // --- The three open routes, on both backends --------------------------------
-// open() reaches K as ê(I_T, U)^a; open_with_epoch_key and open_batch pair
-// with the §5.3.3 epoch key a·I_T through its cached lines. Bilinearity
-// makes the three K equal, so every flavour must open to the sealed
-// plaintext on every route, and every route must reject the same
-// tampering. Opening one REACT ciphertext with an epoch key is covered
-// here only.
+// open() reaches K as ê(I_T, U)^a on the type-1 curve and as ê(a·I_T, U)
+// on BLS12-381; open_with_epoch_key and open_batch pair with the §5.3.3
+// epoch key a·I_T through its cached lines. Bilinearity makes the three K
+// equal, so every flavour must open to the sealed plaintext on every
+// route, and every route must reject the same tampering. Opening one
+// REACT ciphertext with an epoch key is covered here only.
 
 std::shared_ptr<const params::GdhParams> params_for(core::Tre512Backend) {
   return params::load("tre-toy-96");
@@ -314,6 +317,72 @@ TYPED_TEST(OpenRoutesTest, AgreeOnEveryFlavourAndRejectTampering) {
         ++route;
       }
     }
+  }
+}
+
+// --- Where each backend applies the per-message secret ---------------------
+// BLS12-381 applies r and a on the G1 secret ladder before one pairing,
+// outside the pair-base and lines caches; the type-1 curve raises the
+// pairing to r or a in G_T, with seal's base pairing memoized per
+// (receiver, tag).
+
+template <class B>
+class SessionRouteTest : public ::testing::Test {};
+
+TYPED_TEST_SUITE(SessionRouteTest, BothBackends);
+
+TYPED_TEST(SessionRouteTest, SealAndOpenTakeTheBackendsRoute) {
+  using B = TypeParam;
+  core::BasicTreScheme<B> scheme(params_for(B{}));
+  hashing::HmacDrbg rng(to_bytes("session-route"));
+  const core::BasicServerKeyPair<B> server = scheme.server_keygen(rng);
+  const core::BasicUserKeyPair<B> user = scheme.user_keygen(server.pub, rng);
+  const std::string tag = "2031-07-01T00:00:00Z";  // fresh: sealed to nowhere else
+  const core::BasicKeyUpdate<B> update = scheme.issue_update(server, tag);
+  const Bytes msg = to_bytes(kMsg);
+
+  // Deltas of these counters (under the backend's probe prefix) across
+  // one call.
+  using Deltas = std::vector<std::uint64_t>;
+  const char* const kCounters[] = {"mul.varying_base",     "pairings",
+                                   "cache.pair_bases.hit", "cache.pair_bases.miss",
+                                   "cache.lines.hit",      "cache.lines.miss"};
+  auto deltas = [&](auto&& call) {
+    const obs::Registry& reg = obs::Registry::global();
+    Deltas d;
+    for (const char* name : kCounters) {
+      d.push_back(reg.counter_value(std::string(B::kProbePrefix) + name));
+    }
+    call();
+    for (size_t i = 0; i < d.size(); ++i) {
+      d[i] = reg.counter_value(std::string(B::kProbePrefix) + kCounters[i]) - d[i];
+    }
+    return d;
+  };
+  auto seal = [&] {
+    return scheme.seal(Mode::kBasic, msg, user.pub, server.pub, tag, rng,
+                       KeyCheck::kSkip);
+  };
+
+  std::optional<core::BasicSealedCiphertext<B>> sc;
+  std::optional<Bytes> out;
+  const Deltas sealed = deltas([&] { sc.emplace(seal()); });
+  const Deltas opened =
+      deltas([&] { out = scheme.open(*sc, user.a, update, server.pub); });
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, msg);
+
+  if constexpr (B::kSessionPowInGt) {
+    // A power of the memoized pair base: the first seal to (receiver,
+    // tag) misses, the second hits. open raises the pairing through the
+    // update's cached lines. No secret ladder runs.
+    EXPECT_EQ(sealed, (Deltas{0, 1, 0, 1, 0, 0}));
+    EXPECT_EQ(deltas([&] { (void)seal(); }), (Deltas{0, 0, 1, 0, 0, 0}));
+    EXPECT_EQ(opened, (Deltas{0, 1, 0, 0, 0, 1}));
+  } else {
+    // One ladder and one pairing each, and no cache traffic.
+    EXPECT_EQ(sealed, (Deltas{1, 1, 0, 0, 0, 0}));
+    EXPECT_EQ(opened, (Deltas{1, 1, 0, 0, 0, 0}));
   }
 }
 
