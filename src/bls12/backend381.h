@@ -41,25 +41,12 @@ struct Comb381 {
   G2Point381 mul_secret(const core::Scalar& k) const { return comb->mul_secret(k); }
 };
 
-/// Per-update pairing engine. The G_2 argument here (the ciphertext
-/// header U) is fresh per call, so there are no lines to reuse on that
-/// side; what the fast engine gives this path is the projective Miller
-/// loop + cyclotomic final exponentiation. The G_1 `fixed` point is the
-/// cached state, matching the type-1 engine's shape; it holds no
-/// precomputation, so a lines-cache entry saves only this struct.
-struct Lines381 {
-  std::shared_ptr<const Bls12Ctx> ctx;
-  G1Point381 fixed;
-  Gt381 pair(const G2Point381& u) const { return ctx->pair(fixed, u); }
-};
-
 struct Bls381Backend {
   using Params = Bls12Ctx;
   using Gu = G1Point381;
   using Gh = G2Point381;
   using Gt = Gt381;
   using GhPrecomp = Comb381;
-  using PairPrecomp = Lines381;
 
   /// Per-backend probe namespace: the 381 instantiation reports under
   /// "core.bls381.*" so both backends can run in one process without
@@ -151,9 +138,6 @@ struct Bls381Backend {
     return std::make_shared<const Comb381>(
         Comb381{std::make_shared<const G2Comb>(Bls12Ctx::get(), base)});
   }
-  static std::shared_ptr<const PairPrecomp> make_lines(const Params&, const Gu& fixed) {
-    return std::make_shared<const Lines381>(Lines381{Bls12Ctx::get(), fixed});
-  }
 
   // --- pairing ----------------------------------------------------------------
   /// ê(r·H1(T), asG) — the session key (the core passes r·H1(T)). asG
@@ -162,8 +146,9 @@ struct Bls381Backend {
   static Gt pair_session(const Params& p, const Gh& asg, const Gu& h1t) {
     return p.pair_cached(h1t, asg);
   }
-  /// ê(gu, gh) with neither side's lines cached — open's ê(a·I_T, U):
-  /// a·I_T recurs only per (receiver, epoch) and U is per ciphertext.
+  /// ê(gu, gh) with neither side's lines cached — the opens' ê(a·I_T, U).
+  /// The Miller loop runs over the G_2 argument, here the per-ciphertext
+  /// U, so there is no PairPrecomp: nothing on the G_1 side to prepare.
   static Gt pair_fresh(const Params& p, const Gu& gu, const Gh& gh) {
     return p.pair(gu, gh);
   }
@@ -180,12 +165,6 @@ struct Bls381Backend {
   static bool pairings_equal_fresh_hu(const Params& p, const Gh& h1, const Gu& u1,
                                       const Gh& h2, const Gu& u2) {
     return p.pairings_equal_fresh(u1, h1, u2, h2);
-  }
-  /// §5.3.4 check (1): the type-3 anchor a·G1gen is server-independent,
-  /// so "same secret as certified" is a plain G_1 equality — no pairing.
-  static bool same_secret(const Params&, const Gu& cand_ag, const Gh& /*old_gen*/,
-                          const Gu& cert_ag, const Gh& /*new_g*/) {
-    return gu_eq(cand_ag, cert_ag);
   }
   /// Pairing outputs are unitary: cyclotomic squarings + wNAF with
   /// conjugation-inverses.

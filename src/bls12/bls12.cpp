@@ -325,17 +325,13 @@ G1Point381 Bls12Ctx::g1_mul_secret(const G1Point381& a, const Scalar& k) const {
 G1Point381 Bls12Ctx::g1_multiexp(std::span<const G1Point381> points,
                                  std::span<const Scalar> scalars,
                                  unsigned threads) const {
-  require(points.size() == scalars.size(), "g1_multiexp: size mismatch");
-  ec::AffineOps<Fq> ops{points, Fq::one()};
-  return ec::to_affine(ec::multiexp_auto(ops, scalars, threads));
+  return ec::multiexp(points, scalars, threads);
 }
 
 G2Point381 Bls12Ctx::g2_multiexp(std::span<const G2Point381> points,
                                  std::span<const Scalar> scalars,
                                  unsigned threads) const {
-  require(points.size() == scalars.size(), "g2_multiexp: size mismatch");
-  ec::AffineOps<Fq2> ops{points, Fq2::one()};
-  return ec::to_affine(ec::multiexp_auto(ops, scalars, threads));
+  return ec::multiexp(points, scalars, threads);
 }
 
 bool Bls12Ctx::g1_in_subgroup(const G1Point381& a) const {

@@ -79,8 +79,6 @@ struct FetcherConfig {
                                    ///< (must exceed the round-trip time)
   size_t failover_after = 2;       ///< consecutive failures before rotating
   size_t attempts_per_tag = 16;    ///< request budget per tag before fallback
-  int min_health = -8;             ///< health score floor
-  int max_health = 4;              ///< health score ceiling
 };
 
 /// What the trust boundary threw away, by the stage that caught it. Every
@@ -544,12 +542,16 @@ class BasicUpdateFetcher {
   /// or a failed round trip demotes it.
   void rate(size_t slot, bool ok) {
     if (ok) {
-      health_[slot] = std::min(config_.max_health, health_[slot] + 1);
+      health_[slot] = std::min(kMaxHealth, health_[slot] + 1);
       slot_backoff_[slot] = config_.base_backoff;
     } else {
-      health_[slot] = std::max(config_.min_health, health_[slot] - 1);
+      health_[slot] = std::max(kMinHealth, health_[slot] - 1);
     }
   }
+
+  // The health score's floor and ceiling.
+  static constexpr int kMinHealth = -8;
+  static constexpr int kMaxHealth = 4;
 
   // ---- fetch_verified's state machine -----------------------------------
 

@@ -129,13 +129,6 @@ struct Tre512Backend {
                                       const Gh& h2, const Gu& u2) {
     return pairings_equal_hu(p, h1, u1, h2, u2);
   }
-  /// §5.3.4 check (1): does `cand_ag` hide the same secret as the
-  /// certified `cert_ag`? Type-1 needs the cross pairing
-  /// ê(a·G', G_old) == ê(a·G_old, G').
-  static bool same_secret(const Params&, const Gu& cand_ag, const Gh& old_gen,
-                          const Gu& cert_ag, const Gh& new_g) {
-    return pairing::pairings_equal(cand_ag, old_gen, cert_ag, new_g);
-  }
   /// Pairing outputs are norm-1, so the power runs the conjugate-wNAF.
   static Gt gt_pow_unitary(const Params&, const Gt& k, const Scalar& e) {
     return k.pow_unitary(e);

@@ -33,17 +33,21 @@
 // the per-message secret (r to seal, a to open) can be applied in G_T or
 // on the update-group ladder first, K = ê(asG, r·H1(T)) = ê(a·I_T, U);
 // each backend takes the cheaper side (kSessionPowInGt). The other two
-// open routes pair the §5.3.3 epoch key a·I_T through its cached Miller
-// lines. The seal and open steps are public as seal_with and open_with:
+// open routes pair the §5.3.3 epoch key a·I_T, through its cached Miller
+// lines where the backend has a line engine for a fixed Gu point. The
+// seal and open steps are public as seal_with and open_with:
 // the §5 extensions (ID-TRE, the policy lock's conjunction) are their
 // own session values over them.
 //
 // The backend policy (all static; `Params` is the curve context):
-//   types   : Params, Gu, Gh, Gt, GhPrecomp (fixed-base engine),
-//             PairPrecomp (Miller-line engine)
+//   types   : Params, Gu, Gh, Gt, GhPrecomp (fixed-base engine); and,
+//             where the Miller loop runs over the Gu argument (type-1),
+//             PairPrecomp (the line engine for a fixed Gu point)
 //   consts  : kProbePrefix (obs name prefix, e.g. "core." /
 //             "core.bls381."), kAnchorIsGh (type-1: the anchor aG lives
-//             in Gh and shares its comb cache; type-3: it is a·G1gen),
+//             in Gh and shares its comb cache, and a rebound key's
+//             same-secret check is a cross pairing; type-3: it is
+//             a·G1gen, and that check an equality),
 //             kSessionPowInGt (seal and open apply r and a as a G_T
 //             power; false: on the Gu secret ladder before the pairing)
 //   scalars : random_scalar, scalar_bytes, group_order
@@ -52,10 +56,10 @@
 //             from_bytes,wire_bytes,multiexp}, header_base, anchor_base
 //   pairing : pair_session(asg, h1t), pairings_equal_uh/hu,
 //             pairings_equal_fresh_hu (h1 is one-off: not line-cached),
-//             same_secret, gt_pow_unitary, gt_to_bytes; and, only where
-//             kSessionPowInGt is false, pair_fresh(gu, gh) (open's
-//             ê(a·I_T, U), neither side line-cached)
-//   precomp : make_comb, make_lines
+//             gt_pow_unitary, gt_to_bytes; and, where there is no
+//             PairPrecomp, pair_fresh(gu, gh) (ê(a·I_T, U), neither side
+//             line-cached)
+//   precomp : make_comb; make_lines where there is a PairPrecomp
 #pragma once
 
 #include <algorithm>
@@ -167,6 +171,18 @@ struct SchemeProbes {
     static const SchemeProbes p;
     return p;
   }
+};
+
+/// B::PairPrecomp, or void for a backend without a line engine for a
+/// fixed Gu point (BLS12-381 prepares its lines on the G_2 side).
+template <class B>
+struct LinesOf {
+  using type = void;
+};
+template <class B>
+  requires requires { typename B::PairPrecomp; }
+struct LinesOf<B> {
+  using type = typename B::PairPrecomp;
 };
 
 template <class B>
@@ -702,13 +718,10 @@ class BasicTreScheme {
                             const BasicServerPublicKey<B>& server) const {
     return open_with(ct, server.g, [&](const typename B::Gh& u) {
       if constexpr (B::kSessionPowInGt) {
-        return B::gt_pow_unitary(*params_, pair_with_lines(update.sig, u), a);
+        return B::gt_pow_unitary(*params_, pair_fixed(update.sig, u), a);
       } else {
-        // K = ê(a·I_T, U): the secret ladder, then one pairing. a·I_T
-        // recurs only per (receiver, epoch), so it stays out of the lines
-        // cache.
-        probes().pairings.add();
-        return B::pair_fresh(*params_, mul_varying_gu(update.sig, a), u);
+        // K = ê(a·I_T, U): the secret ladder, then one pairing.
+        return pair_fixed(mul_varying_gu(update.sig, a), u);
       }
     });
   }
@@ -716,10 +729,9 @@ class BasicTreScheme {
   /// Batch-opens N same-tag ciphertexts for one receiver through the
   /// multi-exp engine. Two batch effects:
   ///   * The epoch key d = a·I_T is derived ONCE and each K = ê(d, U)
-  ///     pairs through d's cached Miller lines, as open_with_epoch_key
-  ///     does; bilinearity makes it equal open()'s K, so open()'s
-  ///     per-item secret work (a G_T power, or a ladder where
-  ///     !kSessionPowInGt) disappears.
+  ///     pairs as in open_with_epoch_key; bilinearity makes it equal
+  ///     open()'s K, so open()'s per-item secret work (a G_T power, or a
+  ///     ladder where !kSessionPowInGt) disappears.
   ///   * FO re-encryption checks fold into one RLC equation
   ///     (Σᵢ cᵢ·rᵢ)·G == Σᵢ cᵢ·Uᵢ — one comb multiply + one Gh
   ///     multi-exp instead of N comb multiplies — with bisection
@@ -743,9 +755,7 @@ class BasicTreScheme {
     // re-encryption checks so those can fold into one RLC equation.
     std::vector<Scalar> fo_r(cts.size());
     std::vector<std::uint8_t> is_fo(cts.size(), 0);
-    auto epoch_key_of = [&](const typename B::Gh& u) {
-      return pair_with_lines(epoch.d, u);
-    };
+    auto epoch_key_of = [&](const typename B::Gh& u) { return pair_fixed(epoch.d, u); };
     tre::parallel_for(
         cts.size(),
         [&](size_t i) {
@@ -849,13 +859,13 @@ class BasicTreScheme {
   }
 
   /// Insecure-device step: opens any flavour with only the epoch key,
-  /// K = ê(a·I_T, U) through the key's cached Miller lines. Same results
-  /// as open() with the update the key was derived from.
+  /// K = ê(a·I_T, U) (pair_fixed). Same results as open() with the update
+  /// the key was derived from.
   std::optional<Bytes> open_with_epoch_key(const BasicSealedCiphertext<B>& ct,
                                            const BasicEpochKey<B>& key,
                                            const BasicServerPublicKey<B>& server) const {
     return open_with(ct, server.g,
-                     [&](const typename B::Gh& u) { return pair_with_lines(key.d, u); });
+                     [&](const typename B::Gh& u) { return pair_fixed(key.d, u); });
   }
 
   /// The open step every open route runs, gated, counted and timed:
@@ -887,9 +897,9 @@ class BasicTreScheme {
 
   /// Anyone can check a rebound key against the aG certified under the
   /// *old* server (no re-certification, paper §5.3.4):
-  ///   (1) ê(a·G', G_old) == ê(a·G_old, G')  — same secret a (on a
-  ///       type-3 backend the anchor is server-independent, so this
-  ///       degenerates to an equality check — see the backend policy);
+  ///   (1) ê(a·G', G_old) == ê(a·G_old, G')  — same secret a (where the
+  ///       anchor is a·G1gen, not a multiple of the server generator
+  ///       (!kAnchorIsGh), it is the same point: an equality check);
   ///   (2) ê(a·G', s'G') == ê(G', a·s'G')    — well-formed under s'.
   bool verify_rebound_key(const typename B::Gu& certified_ag,
                           const typename B::Gh& old_generator,
@@ -899,8 +909,13 @@ class BasicTreScheme {
       return false;
     }
     // (1) Same secret a as in the certified key.
-    if (!B::same_secret(*params_, candidate.ag, old_generator, certified_ag,
-                        new_server.g)) {
+    if constexpr (B::kAnchorIsGh) {
+      probes().pairings.add(2);
+      if (!B::pairings_equal_uh(*params_, candidate.ag, old_generator, certified_ag,
+                                new_server.g)) {
+        return false;
+      }
+    } else if (!B::gu_eq(candidate.ag, certified_ag)) {
       return false;
     }
     // (2) Well-formed under the new server key.
@@ -971,7 +986,8 @@ class BasicTreScheme {
     SnapshotCache<char> good_keys;       // verified (server, user) keys (presence set)
     SnapshotCache<std::shared_ptr<const typename B::GhPrecomp>> combs;
     SnapshotCache<Gt> pair_bases;  // asg || tag -> ê(asG, H1(T))
-    SnapshotCache<std::shared_ptr<const typename B::PairPrecomp>> lines;
+    // Unused where the backend has no PairPrecomp.
+    SnapshotCache<std::shared_ptr<const typename detail::LinesOf<B>::type>> lines;
   };
 
   /// Comb table for a long-lived generator, memoized per base; nullptr
@@ -1068,21 +1084,27 @@ class BasicTreScheme {
     return base;
   }
 
-  /// ê(fixed, u) with cached Miller line precomp for `fixed` (an update
-  /// signature or epoch key, reused across every ciphertext of an epoch).
-  Gt pair_with_lines(const typename B::Gu& fixed, const typename B::Gh& u) const {
+  /// ê(fixed, u) for an update signature or epoch key `fixed`, which
+  /// recurs across every ciphertext of an epoch: through fixed's cached
+  /// Miller lines where the backend has a line engine for it, else fresh.
+  Gt pair_fixed(const typename B::Gu& fixed, const typename B::Gh& u) const {
     probes().pairings.add();
-    const std::string key = point_key_gu(fixed);
-    std::shared_ptr<const typename B::PairPrecomp> lines;
-    if (auto hit = cache_->lines.find(key)) {
-      probes().lines_hit.add();
-      lines = *hit;
+    using Lines = typename detail::LinesOf<B>::type;
+    if constexpr (std::is_void_v<Lines>) {
+      return B::pair_fresh(*params_, fixed, u);
     } else {
-      probes().lines_miss.add();
-      lines = B::make_lines(*params_, fixed);
-      cache_->lines.insert(key, lines);
+      const std::string key = point_key_gu(fixed);
+      std::shared_ptr<const Lines> lines;
+      if (auto hit = cache_->lines.find(key)) {
+        probes().lines_hit.add();
+        lines = *hit;
+      } else {
+        probes().lines_miss.add();
+        lines = B::make_lines(*params_, fixed);
+        cache_->lines.insert(key, lines);
+      }
+      return lines->pair(u);
     }
-    return lines->pair(u);
   }
 
   /// FO's re-encryption check U == H3(σ, M)·G, through the same comb

@@ -16,6 +16,12 @@ namespace tre::daemon {
 
 namespace {
 
+/// Updates per kGetRange reply, whatever the request asks for.
+constexpr std::uint32_t kMaxRangeItems = 512;
+/// Slow-consumer cutoff: a connection whose unsent replies pass this is
+/// closed.
+constexpr size_t kMaxOutbufBytes = 4 * kMaxPayload;
+
 std::int64_t monotonic_ms() {
   timespec ts{};
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -57,10 +63,6 @@ Daemon::Daemon(std::shared_ptr<Store> store, DaemonConfig config)
     : store_(std::move(store)), cfg_(std::move(config)) {
   require(store_ != nullptr, "Daemon: null store");
   require(cfg_.max_conns > 0, "Daemon: max_conns must be positive");
-  require(cfg_.max_reply_bytes <= kMaxPayload,
-          "Daemon: max_reply_bytes over the wire cap");
-  require(cfg_.max_request_payload <= kMaxPayload,
-          "Daemon: max_request_payload over the wire cap");
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   require(listen_fd_ >= 0, "Daemon: socket() failed");
@@ -211,7 +213,7 @@ void Daemon::accept_ready(std::int64_t now_ms) {
       continue;
     }
 
-    auto conn = std::make_unique<Conn>(cfg_.max_request_payload);
+    auto conn = std::make_unique<Conn>(kMaxRequestPayload);
     conn->fd = fd;
     conn->last_activity_ms = now_ms;
     conns_.push_back(std::move(conn));
@@ -255,7 +257,7 @@ bool Daemon::read_ready(Conn& c, std::int64_t now_ms) {
   }
   // A connection marked for close with nothing left to flush dies now.
   if (c.close_after_flush && c.out_off >= c.out.size()) return false;
-  if (c.out.size() - c.out_off > cfg_.max_outbuf_bytes) return false;  // hog
+  if (c.out.size() - c.out_off > kMaxOutbufBytes) return false;  // hog
   // Opportunistic flush so small replies do not wait one poll cycle.
   if (c.out_off < c.out.size()) return write_ready(c, now_ms);
   return true;
@@ -336,10 +338,8 @@ void Daemon::handle_frame(Conn& c, Frame frame) {
         enqueue_error(c, Errc::kMalformed, "bad range request");
         break;
       }
-      const std::uint32_t capped =
-          std::min(req->max_count, cfg_.max_range_items);
-      Store::RangeView view =
-          store_->range(req->start, capped, cfg_.max_reply_bytes);
+      const std::uint32_t capped = std::min(req->max_count, kMaxRangeItems);
+      Store::RangeView view = store_->range(req->start, capped, kMaxPayload);
       enqueue(c, FrameType::kRangeReply,
               encode_range_reply(view.total, req->start, view.updates));
       break;

@@ -48,10 +48,6 @@ struct DaemonConfig {
   std::uint16_t port = 0;            ///< 0 = ephemeral; see Daemon::port()
   size_t max_conns = 4096;           ///< cap; beyond it, shed gracefully
   std::int64_t idle_timeout_ms = 30000;
-  size_t max_request_payload = kMaxRequestPayload;
-  size_t max_reply_bytes = kMaxPayload;  ///< range replies are capped to fit
-  std::uint32_t max_range_items = 512;   ///< per kGetRange reply
-  size_t max_outbuf_bytes = 4 * kMaxPayload;  ///< slow-consumer cutoff
   int tick_ms = 100;  ///< poll timeout: idle sweep + rate gauge cadence
   int listen_backlog = 1024;
 };

@@ -39,8 +39,8 @@ inline constexpr std::array<std::uint8_t, 4> kMagic = {'T', 'R', 'E', 'd'};
 inline constexpr std::uint8_t kVersion = 1;
 inline constexpr size_t kHeaderBytes = 10;
 
-/// Hard ceiling on a frame payload, both directions. Range replies are
-/// additionally capped by DaemonConfig::max_reply_bytes (<= this).
+/// Hard ceiling on a frame payload, both directions; range replies are
+/// packed to fit it.
 inline constexpr size_t kMaxPayload = size_t{1} << 20;  // 1 MiB
 
 /// Requests are tiny (a tag, a cursor); a peer claiming more is hostile.

@@ -234,12 +234,10 @@ G1Point hash_to_g1(const CurveCtx* curve, ByteSpan msg) {
 G1Point g1_multiexp(const CurveCtx* curve, std::span<const G1Point> points,
                     std::span<const field::FpInt> scalars, unsigned threads) {
   require(curve != nullptr, "g1_multiexp: null curve");
-  require(points.size() == scalars.size(), "g1_multiexp: size mismatch");
   std::vector<Affine<Fp>> affine;
   affine.reserve(points.size());
   for (const G1Point& p : points) affine.push_back(p.affine());
-  AffineOps<Fp> ops{affine, Fp::one(curve->fp.get())};
-  return as_g1(curve, to_affine(multiexp_auto(ops, scalars, threads)));
+  return as_g1(curve, multiexp<Fp>(affine, scalars, threads));
 }
 
 }  // namespace tre::ec

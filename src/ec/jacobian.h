@@ -9,7 +9,8 @@
 //   mul_wnaf                     width-4 wNAF           PUBLIC scalars
 //   mul_secret                   fixed-window ladder    SECRET scalars
 //   Comb                         Lim–Lee fixed-base comb (affine table)
-//   AffineOps                    the ec/multiexp.h Pippenger adapter
+//
+// ec/multiexp.h runs its Pippenger buckets on jac_madd and jac_add.
 //
 // F needs the ring operators, squared(), inverse(), is_zero() and ==.
 // Making 1 is the only thing that differs per field (one_like). Every
@@ -20,7 +21,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -284,28 +284,6 @@ class Comb {
   size_t bits_ = 0;
   size_t cols_ = 0;
   std::vector<Affine<F>> table_;
-};
-
-/// The ec/multiexp.h Ops adapter over a span of affine points: bucket
-/// drops are mixed additions (infinity points are skipped), the
-/// running-sum fold takes full ones. `one` is 1 in F, the identity's
-/// coordinates for an empty batch.
-template <class F>
-struct AffineOps {
-  using Acc = Jac<F>;
-
-  std::span<const Affine<F>> points;
-  F one;
-
-  Acc zero() const { return jac_infinity(one); }
-  void add_point(Acc& acc, size_t i) const {
-    if (!points[i].inf) acc = jac_madd(acc, points[i].x, points[i].y);
-  }
-  void sub_point(Acc& acc, size_t i) const {
-    if (!points[i].inf) acc = jac_madd(acc, points[i].x, -points[i].y);
-  }
-  void add(Acc& acc, const Acc& other) const { acc = jac_add(acc, other); }
-  void dbl(Acc& acc) const { acc = jac_dbl(acc); }
 };
 
 }  // namespace tre::ec

@@ -1,43 +1,23 @@
-// Bucketed Pippenger multi-exponentiation (the BDLO12 shape).
+// Bucketed Pippenger multi-exponentiation with signed window digits (the
+// BDLO12 shape), on the Jacobian kernel of ec/jacobian.h.
 //
-// Computes Σᵢ kᵢ·Pᵢ for N points and N scalars in roughly
-// b/c · (N + 2^c) group additions instead of the ~1.3·b·N a naive
-// per-point ladder pays, where b is the widest scalar's bit length and
-// c the window width chosen from N. Each c-bit window keeps 2^c − 1
-// bucket accumulators; point i is dropped into the bucket named by its
-// window digit, the running-sum trick converts the buckets into the
-// window's partial sum (Σ d·B_d via two adds per bucket), and a Horner
-// fold with c doublings per step combines the windows top-down.
-//
-// The engine is generic over an `Ops` adapter; every group in the tree
-// uses the one in ec/jacobian.h, ec::AffineOps, over its own field:
-//
-//   struct Ops {
-//     using Acc = ...;                       // Jacobian accumulator
-//     Acc    zero() const;                   // identity
-//     void   add_point(Acc&, size_t i) const;// acc += P_i (mixed add; must
-//                                            //   skip infinity points)
-//     void   add(Acc&, const Acc&) const;    // acc += other accumulator
-//     void   dbl(Acc&) const;                // acc = 2·acc
-//     void   sub_point(Acc&, size_t i) const;// OPTIONAL: acc -= P_i (mixed
-//                                            //   add of −P_i; enables the
-//                                            //   signed-digit variant)
-//   };
-//
-// When the adapter provides `sub_point` (negation is one field negation
-// on y for short-Weierstrass curves), the signed-digit variant recodes
-// each window digit into [−2^(c−1), 2^(c−1)]: a digit d > 2^(c−1) becomes
-// d − 2^c with a carry into the next window, and negative digits reuse
-// the positive bucket via subtraction. That halves the bucket array —
-// cost ⌈b/c⌉·(N + 2^(c−1)) — which both shrinks the running-sum fold and
-// lets the optimum window widen one bit earlier. `multiexp_auto` picks
-// whichever integer cost estimate wins for the batch at hand.
+// Computes Σᵢ kᵢ·Pᵢ for N affine points and N scalars in roughly
+// (⌈b/c⌉ + 1)·(N + 2^(c−1)) group additions instead of the ~1.3·b·N a
+// naive per-point ladder pays, where b is the widest scalar's bit length
+// and c the window width chosen from N and b. Each scalar is recoded into
+// c-bit window digits in [−2^(c−1), 2^(c−1)]: a digit d > 2^(c−1) becomes
+// d − 2^c with a carry into the next window, and one extra window holds
+// the last carry. Point i drops into bucket |d| of each window by one
+// mixed addition, of −Pᵢ (y negated) when d < 0, so a window keeps
+// 2^(c−1) buckets. The running-sum trick turns the buckets into the
+// window's partial sum Σ d·B_d with two additions per bucket, and a
+// Horner fold with c doublings per step combines the windows top-down.
 //
 // Windows are independent, so they fan out across the persistent work
 // pool via tre::parallel_for — each worker owns its bucket array and
-// writes one slot of `window_sums`; only the cheap Horner fold is
-// serial. RLC batch-verification scalars are ~128 bits wide, so the
-// effective width (max bit_length, not the limb capacity) halves the
+// writes one slot of `window_sums`; only the recode and the cheap Horner
+// fold are serial. RLC batch-verification scalars are ~128 bits wide, so
+// the effective width (max bit_length, not the limb capacity) halves the
 // window count relative to full-width exponents for free.
 #pragma once
 
@@ -48,95 +28,18 @@
 #include <vector>
 
 #include "bigint/bigint.h"
+#include "common/error.h"
 #include "common/parallel.h"
+#include "ec/jacobian.h"
 
 namespace tre::ec {
 
 /// Window width for a batch of `n` points with `scalar_bits`-wide
-/// exponents: minimizes the ⌈b/c⌉·(n + 2^c) addition estimate over
-/// c ∈ [1, 16] (the doubling term b is constant across c and ignored).
-/// Deterministic integer arithmetic so the choice is stable across
-/// platforms; PERF.md tabulates the resulting c per decade of N.
+/// scalars: minimizes the (⌈b/c⌉ + 1)·(n + 2^(c−1)) addition estimate
+/// over c ∈ [1, 16] (the doubling term b is constant across c and
+/// ignored). Deterministic integer arithmetic, so the choice is stable
+/// across platforms; docs/PERF.md tabulates the resulting c.
 inline unsigned multiexp_window_bits(size_t n, size_t scalar_bits) {
-  unsigned best = 1;
-  std::uint64_t best_cost = ~std::uint64_t{0};
-  for (unsigned c = 1; c <= 16; ++c) {
-    std::uint64_t windows = (scalar_bits + c - 1) / c;
-    std::uint64_t cost = windows * (n + (std::uint64_t{1} << c));
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = c;
-    }
-  }
-  return best;
-}
-
-/// Σᵢ scalars[i]·P_i where the points live behind `ops` (indexed by i).
-/// Returns ops.zero() for an empty batch. Scalars are plain unsigned
-/// integers; zero scalars and infinity points cost nothing.
-template <class Ops, size_t L>
-typename Ops::Acc multiexp_pippenger(const Ops& ops,
-                                     std::span<const bigint::BigInt<L>> scalars,
-                                     unsigned threads = 0) {
-  using Acc = typename Ops::Acc;
-  const size_t n = scalars.size();
-  Acc result = ops.zero();
-  if (n == 0) return result;
-
-  size_t bits = 0;
-  for (const auto& s : scalars) bits = std::max(bits, s.bit_length());
-  if (bits == 0) return result;
-
-  const unsigned c = multiexp_window_bits(n, bits);
-  const size_t num_windows = (bits + c - 1) / c;
-  const std::uint32_t buckets_per_window = (std::uint32_t{1} << c) - 1;
-
-  std::vector<Acc> window_sums(num_windows, ops.zero());
-  tre::parallel_for(
-      num_windows,
-      [&](size_t w) {
-        const size_t base = w * c;
-        std::vector<Acc> buckets(buckets_per_window, ops.zero());
-        for (size_t i = 0; i < n; ++i) {
-          std::uint32_t digit = 0;
-          for (unsigned b = 0; b < c && base + b < bits; ++b) {
-            digit |= static_cast<std::uint32_t>(scalars[i].bit(base + b)) << b;
-          }
-          if (digit == 0) continue;
-          ops.add_point(buckets[digit - 1], i);
-        }
-        // Running sum: Σ_{d=1}^{m} d·B_d as two adds per bucket.
-        Acc running = ops.zero();
-        Acc acc = ops.zero();
-        for (std::uint32_t d = buckets_per_window; d >= 1; --d) {
-          ops.add(running, buckets[d - 1]);
-          ops.add(acc, running);
-        }
-        window_sums[w] = acc;
-      },
-      threads);
-
-  for (size_t w = num_windows; w-- > 0;) {
-    if (w + 1 < num_windows) {
-      for (unsigned b = 0; b < c; ++b) ops.dbl(result);
-    }
-    ops.add(result, window_sums[w]);
-  }
-  return result;
-}
-
-/// True when `Ops` offers the optional mixed subtraction the signed-digit
-/// variant needs.
-template <class Ops>
-concept MultiexpOpsWithSub =
-    requires(const Ops& ops, typename Ops::Acc& acc, size_t i) {
-      ops.sub_point(acc, i);
-    };
-
-/// Window width for the signed-digit variant: same search as
-/// multiexp_window_bits but against the halved bucket count (and one
-/// extra window for the final carry).
-inline unsigned multiexp_window_bits_signed(size_t n, size_t scalar_bits) {
   unsigned best = 1;
   std::uint64_t best_cost = ~std::uint64_t{0};
   for (unsigned c = 1; c <= 16; ++c) {
@@ -150,32 +53,34 @@ inline unsigned multiexp_window_bits_signed(size_t n, size_t scalar_bits) {
   return best;
 }
 
-/// Signed-digit (wNAF-style) Pippenger: identical contract to
-/// multiexp_pippenger, half the buckets per window. Requires
-/// ops.sub_point. Parity with the unsigned fold is pinned by
-/// tests/test_scalarmul.cpp.
-template <MultiexpOpsWithSub Ops, size_t L>
-typename Ops::Acc multiexp_pippenger_signed(
-    const Ops& ops, std::span<const bigint::BigInt<L>> scalars,
-    unsigned threads = 0) {
-  using Acc = typename Ops::Acc;
-  const size_t n = scalars.size();
-  Acc result = ops.zero();
-  if (n == 0) return result;
-
+/// Σᵢ scalars[i]·points[i]. Sizes must match. Infinity for an empty
+/// batch; zero scalars and infinity points cost nothing. Parity with the
+/// naive per-point sum is pinned by tests/test_scalarmul.cpp (type-1 G1)
+/// and tests/test_bls12.cpp (BLS12-381 G2).
+template <class F, size_t L>
+Affine<F> multiexp(std::span<const Affine<F>> points,
+                   std::span<const bigint::BigInt<L>> scalars, unsigned threads = 0) {
+  require(points.size() == scalars.size(), "multiexp: size mismatch");
+  const size_t n = points.size();
   size_t bits = 0;
   for (const auto& s : scalars) bits = std::max(bits, s.bit_length());
-  if (bits == 0) return result;
+  // A finite point supplies the field the accumulators live in
+  // (field::Fp carries its modulus in a context pointer).
+  const auto finite =
+      std::find_if(points.begin(), points.end(), [](const Affine<F>& p) { return !p.inf; });
+  if (bits == 0 || finite == points.end()) return {};
+  const Jac<F> zero = jac_infinity(finite->x);
 
-  const unsigned c = multiexp_window_bits_signed(n, bits);
+  const unsigned c = multiexp_window_bits(n, bits);
   const size_t base_windows = (bits + c - 1) / c;
-  const size_t num_windows = base_windows + 1;  // room for the final carry
+  const size_t stride = base_windows + 1;  // room for a final carry
   const std::int32_t half = std::int32_t{1} << (c - 1);
 
   // Recode every scalar into digits in [−2^(c−1), 2^(c−1)]: carries
   // ripple upward through a scalar's windows, so the table is built in
   // one serial pass; the expensive window loop below stays parallel.
-  std::vector<std::int32_t> digits(n * num_windows, 0);
+  std::vector<std::int32_t> digits(n * stride, 0);
+  bool carried = false;
   for (size_t i = 0; i < n; ++i) {
     std::int32_t carry = 0;
     for (size_t w = 0; w < base_windows; ++w) {
@@ -186,72 +91,50 @@ typename Ops::Acc multiexp_pippenger_signed(
       }
       d += carry;  // the previous window's borrow compensation
       if (d > half) {  // 2^(c−1) itself stays positive: magnitude ≤ half
-        digits[i * num_windows + w] = d - (std::int32_t{1} << c);
+        digits[i * stride + w] = d - (std::int32_t{1} << c);
         carry = 1;
       } else {
-        digits[i * num_windows + w] = d;
+        digits[i * stride + w] = d;
         carry = 0;
       }
     }
-    digits[i * num_windows + base_windows] = carry;
+    digits[i * stride + base_windows] = carry;
+    carried |= carry != 0;
   }
+  // The carry window runs only when some scalar carried into it.
+  const size_t num_windows = base_windows + (carried ? 1 : 0);
 
-  std::vector<Acc> window_sums(num_windows, ops.zero());
+  std::vector<Jac<F>> window_sums(num_windows, zero);
   tre::parallel_for(
       num_windows,
       [&](size_t w) {
-        std::vector<Acc> buckets(static_cast<size_t>(half), ops.zero());
+        std::vector<Jac<F>> buckets(static_cast<size_t>(half), zero);
         for (size_t i = 0; i < n; ++i) {
-          const std::int32_t d = digits[i * num_windows + w];
-          if (d > 0) {
-            ops.add_point(buckets[static_cast<size_t>(d) - 1], i);
-          } else if (d < 0) {
-            ops.sub_point(buckets[static_cast<size_t>(-d) - 1], i);
-          }
+          const std::int32_t d = digits[i * stride + w];
+          const Affine<F>& p = points[i];
+          if (d == 0 || p.inf) continue;
+          Jac<F>& bucket = buckets[static_cast<size_t>(d > 0 ? d : -d) - 1];
+          bucket = d > 0 ? jac_madd(bucket, p.x, p.y) : jac_madd(bucket, p.x, -p.y);
         }
-        Acc running = ops.zero();
-        Acc acc = ops.zero();
-        for (std::int32_t d = half; d >= 1; --d) {
-          ops.add(running, buckets[static_cast<size_t>(d) - 1]);
-          ops.add(acc, running);
+        // Running sum: Σ_{d=1}^{half} d·B_d as two adds per bucket.
+        Jac<F> running = zero;
+        Jac<F> acc = zero;
+        for (size_t d = buckets.size(); d-- > 0;) {
+          running = jac_add(running, buckets[d]);
+          acc = jac_add(acc, running);
         }
         window_sums[w] = acc;
       },
       threads);
 
+  Jac<F> result = zero;
   for (size_t w = num_windows; w-- > 0;) {
     if (w + 1 < num_windows) {
-      for (unsigned b = 0; b < c; ++b) ops.dbl(result);
+      for (unsigned b = 0; b < c; ++b) result = jac_dbl(result);
     }
-    ops.add(result, window_sums[w]);
+    result = jac_add(result, window_sums[w]);
   }
-  return result;
-}
-
-/// Dispatches between the unsigned and signed-digit folds by comparing
-/// their integer cost estimates for this batch. Adapters without
-/// sub_point always take the unsigned path.
-template <class Ops, size_t L>
-typename Ops::Acc multiexp_auto(const Ops& ops,
-                                std::span<const bigint::BigInt<L>> scalars,
-                                unsigned threads = 0) {
-  if constexpr (MultiexpOpsWithSub<Ops>) {
-    const size_t n = scalars.size();
-    size_t bits = 0;
-    for (const auto& s : scalars) bits = std::max(bits, s.bit_length());
-    if (n != 0 && bits != 0) {
-      const unsigned cu = multiexp_window_bits(n, bits);
-      const std::uint64_t unsigned_cost =
-          ((bits + cu - 1) / cu) * (n + (std::uint64_t{1} << cu));
-      const unsigned cs = multiexp_window_bits_signed(n, bits);
-      const std::uint64_t signed_cost =
-          ((bits + cs - 1) / cs + 1) * (n + (std::uint64_t{1} << (cs - 1)));
-      if (signed_cost < unsigned_cost) {
-        return multiexp_pippenger_signed(ops, scalars, threads);
-      }
-    }
-  }
-  return multiexp_pippenger(ops, scalars, threads);
+  return to_affine(result);
 }
 
 }  // namespace tre::ec

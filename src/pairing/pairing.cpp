@@ -324,9 +324,6 @@ MillerValue MillerPrecomp::miller(const ec::G1Point& q) const {
         f_num = f_num * ((qy - Fp2::from_fp(s.y)) - (qx - Fp2::from_fp(s.x)).scale(s.lambda));
         f_den = f_den * (qx - Fp2::from_fp(s.x_after));
         break;
-      case StepKind::kLineFinal:
-        f_num = f_num * ((qy - Fp2::from_fp(s.y)) - (qx - Fp2::from_fp(s.x)).scale(s.lambda));
-        break;
       case StepKind::kVertical:
         f_num = f_num * (qx - Fp2::from_fp(s.x));
         break;

@@ -100,7 +100,6 @@ class MillerPrecomp {
   enum class StepKind : std::uint8_t {
     kSquare,    // square the accumulator (once per bit)
     kLine,      // numerator: line through V (slope lambda at (x, y)); denominator: vertical at x_after
-    kLineFinal, // numerator line only (the step moved V to infinity)
     kVertical,  // numerator: vertical at x (2-torsion / V == -P); loop ends
   };
   struct Step {

@@ -26,8 +26,8 @@
 //     which removes the dealer without changing any type below.
 //
 // The Lagrange combination Σᵢ λᵢ·sigᵢ IS a multi-exponentiation, so
-// combining routes through B::gu_multiexp (bucketed Pippenger, signed
-// digits when they win); batch verification of n partials folds into
+// combining routes through B::gu_multiexp (bucketed Pippenger with
+// signed digits); batch verification of n partials folds into
 // ONE size-2 pairing equation by random linear combination, with
 // bisection attribution of the Byzantine subset — the same machinery
 // the core scheme uses for verify_updates_batch.
@@ -396,46 +396,6 @@ class BasicThresholdScheme {
     probes().multiexp_points.add(sigs.size());
     return core::BasicKeyUpdate<B>{
         partials[0].tag, B::gu_multiexp(params(), sigs, lambdas, threads)};
-  }
-
-  /// Verify-then-combine with typed errors: batch-verifies `partials`,
-  /// drops the Byzantine subset, and combines k good ones. Returns
-  /// Errc::kInsufficientPartials when fewer than k distinct valid
-  /// partials survive; the aggregated update additionally passes a
-  /// sanity verify_update against the group key (belt and braces — a
-  /// combination of verified partials cannot fail it). `bad_out`, when
-  /// non-null, receives the sorted positions of rejected partials for
-  /// caller-side attribution.
-  Result<core::BasicKeyUpdate<B>> try_combine(
-      const BasicThresholdKey<B>& key,
-      std::span<const BasicPartialUpdate<B>> partials,
-      tre::hashing::RandomSource& rng, std::vector<size_t>* bad_out = nullptr,
-      unsigned rlc_bits = 128, unsigned threads = 0) const {
-    std::vector<size_t> bad = verify_partials_batch(key, partials, rng, rlc_bits, threads);
-    if (bad_out != nullptr) *bad_out = bad;
-
-    std::vector<BasicPartialUpdate<B>> good;
-    std::vector<size_t> seen;
-    good.reserve(partials.size());
-    {
-      size_t b = 0;
-      for (size_t i = 0; i < partials.size(); ++i) {
-        if (b < bad.size() && bad[b] == i) {
-          ++b;
-          continue;
-        }
-        if (std::find(seen.begin(), seen.end(), partials[i].index) != seen.end()) {
-          continue;  // duplicate honest index: keep the first
-        }
-        seen.push_back(partials[i].index);
-        good.push_back(partials[i]);
-      }
-    }
-    if (good.size() < key.config.k) return Errc::kInsufficientPartials;
-
-    core::BasicKeyUpdate<B> update = combine(key, good, threads);
-    if (!scheme_.verify_update(key.group, update)) return Errc::kBadPartial;
-    return update;
   }
 
   /// Recovers the master secret from >= k shares — a test/escrow utility

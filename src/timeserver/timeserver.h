@@ -253,10 +253,6 @@ class BasicTimeServer {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Exposed for baseline comparisons that need the master secret
-  /// (e.g. Mont-style extraction). TRE itself never calls this.
-  const core::BasicServerKeyPair<B>& key_pair_for_baselines() const { return keys_; }
-
  private:
   struct Level {
     Granularity granularity;

@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "bigint/prime.h"
 #include "hashing/drbg.h"
@@ -125,6 +128,69 @@ TEST_F(Bls12Test, G2GroupBasics) {
       bigint::add(a.resized<13>(), b.resized<13>()), ctx_->r());
   EXPECT_TRUE(ctx_->g2_eq(ctx_->g2_add(ctx_->g2_mul(h, a), ctx_->g2_mul(h, b)),
                           ctx_->g2_mul(h, sum)));
+}
+
+// The multi-exp engine on G_2 (the DKG's Feldman checks, the RLC check of
+// threshold partials) against the naive per-point sum, serial and on the
+// pool: the DKG's tiny shapes, the signed recode's carry edges, an
+// infinity point and an empty batch.
+TEST_F(Bls12Test, G2MultiexpMatchesNaiveSum) {
+  const G2Point381& h = ctx_->g2_generator();
+  std::vector<G2Point381> pts;
+  for (int i = 0; i < 6; ++i) pts.push_back(ctx_->g2_mul(h, ctx_->random_scalar(rng_)));
+  auto check = [&](std::span<const G2Point381> ps, std::span<const Scalar> ks,
+                   const std::string& what) {
+    G2Point381 want = ctx_->g2_infinity();
+    for (size_t i = 0; i < ps.size(); ++i) {
+      want = ctx_->g2_add(want, ctx_->g2_mul(ps[i], ks[i]));
+    }
+    for (unsigned threads : {1u, 0u}) {
+      EXPECT_TRUE(ctx_->g2_eq(ctx_->g2_multiexp(ps, ks, threads), want))
+          << what << ", threads " << threads;
+    }
+  };
+  const std::span<const G2Point381> all(pts);
+
+  // 2–6 points with scalars 0–3 (every pattern of the first two points),
+  // and all-ones scalars: the Feldman shapes.
+  for (size_t n = 2; n <= 6; ++n) {
+    for (std::uint64_t pattern = 0; pattern < 16; ++pattern) {
+      std::vector<Scalar> ks;
+      for (size_t i = 0; i < n; ++i) {
+        ks.push_back(Scalar::from_u64(i < 2 ? (pattern >> (2 * i)) & 3 : (pattern + i) % 4));
+      }
+      check(all.first(n), ks, std::string("n ").append(std::to_string(n))
+                                  .append(", pattern ").append(std::to_string(pattern)));
+    }
+    check(all.first(n), std::vector<Scalar>(n, Scalar::from_u64(1)),
+          std::string("ones, n ").append(std::to_string(n)));
+  }
+
+  // The carry edges of ScalarMulTest.MultiexpSignedCarryEdges, over r: four
+  // points on one edge scalar, and the scalar alone.
+  const Scalar one = Scalar::from_u64(1);
+  const std::vector<Scalar> edges = {Scalar{},
+                                     one,
+                                     Scalar::from_u64(2),
+                                     bigint::sub(ctx_->r(), one),
+                                     ctx_->r(),
+                                     bigint::add(ctx_->r(), one),
+                                     Scalar::from_hex("ffffffffffffffffffffffff"),
+                                     Scalar::from_hex("800000000000000000000001"),
+                                     Scalar::from_hex("7fffffffffffffffffffffff")};
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const std::string what = std::string("edge ").append(std::to_string(e));
+    check(all.first(4), std::vector<Scalar>(4, edges[e]), what);
+    check(all.first(1), std::vector<Scalar>(1, edges[e]), what + ", alone");
+  }
+
+  // An infinity point among finite ones, only infinity, and no points.
+  const std::vector<G2Point381> with_inf = {pts[0], ctx_->g2_infinity(), pts[1]};
+  const std::vector<Scalar> ks = {Scalar::from_u64(3), Scalar::from_u64(5),
+                                  ctx_->random_scalar(rng_)};
+  check(with_inf, ks, "infinity point");
+  check(std::span(with_inf).subspan(1, 1), std::span(ks).first(1), "only infinity");
+  check({}, {}, "empty");
 }
 
 TEST_F(Bls12Test, SecretLadderTimeDoesNotTrackScalarLength) {

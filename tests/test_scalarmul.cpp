@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ec/multiexp.h"
 #include "field/fp2.h"
 #include "hashing/kdf.h"
 
@@ -45,16 +44,6 @@ class ScalarMulTest : public ::testing::Test {
                                        to_bytes(std::to_string(i)), 24);
     auto v = bigint::BigInt<2 * field::kMaxFieldLimbs>::from_bytes_be(wide);
     return bigint::mod_wide(v, curve_->q);
-  }
-
-  /// The unsigned running-sum fold alone, through the adapter g1_multiexp
-  /// hands the engine.
-  G1Point multiexp_unsigned(std::span<const G1Point> pts, std::span<const FpInt> ks) const {
-    std::vector<Affine<Fp>> affine;
-    for (const G1Point& p : pts) affine.push_back(p.affine());
-    const AffineOps<Fp> ops{affine, Fp::one(curve_->fp.get())};
-    const Affine<Fp> sum = to_affine(multiexp_pippenger(ops, ks));
-    return sum.inf ? G1Point::infinity(curve_.get()) : G1Point::make(curve_.get(), sum.x, sum.y);
   }
 
   std::vector<FpInt> edge_scalars() const {
@@ -186,15 +175,12 @@ TEST_F(ScalarMulTest, Fp2UnitaryPowRejectsNonUnitary) {
   EXPECT_THROW(z.pow_unitary(FpInt::from_u64(5)), Error);
 }
 
-// --- multi-exponentiation (signed-digit vs unsigned vs naive) ----------------
+// --- multi-exponentiation against the naive sum -----------------------------
 //
-// The parity the engine's header promises: the signed-digit recoding
-// (src/ec/multiexp.h) must agree with the unsigned running-sum fold and
-// with the naive per-point reference on random batches AND on every
-// carry-propagation edge (all-ones digits, top-window borrow, q-sized
-// scalars). g1_multiexp auto-selects between the two folds by cost, so
-// checking it against the unsigned fold exercises whichever variant the
-// estimate picked for each shape.
+// The parity the engine's header promises: the signed-digit Pippenger
+// fold (src/ec/multiexp.h) must agree with the naive per-point reference
+// on random batches AND on every carry-propagation edge (all-ones digits,
+// top-window borrow, q-sized scalars).
 
 TEST_F(ScalarMulTest, MultiexpMatchesNaiveSum) {
   for (size_t n : {size_t{1}, size_t{2}, size_t{5}, size_t{33}}) {
@@ -207,7 +193,6 @@ TEST_F(ScalarMulTest, MultiexpMatchesNaiveSum) {
       want = want + naive_mul(pts[i], ks[i]);
     }
     EXPECT_EQ(g1_multiexp(curve_.get(), pts, ks), want) << "n=" << n;
-    EXPECT_EQ(multiexp_unsigned(pts, ks), want) << "n=" << n;
   }
 }
 
@@ -231,9 +216,7 @@ TEST_F(ScalarMulTest, MultiexpSignedCarryEdges) {
       want = want + naive_mul(pts[j], edges[i]);
     }
     EXPECT_EQ(g1_multiexp(curve_.get(), pts, ks), want) << "edge #" << i;
-    EXPECT_EQ(multiexp_unsigned(pts, ks), want) << "edge #" << i;
-    // Single wide scalar: the shape whose cost estimate favours the
-    // signed fold — the regression that pins the carry bug.
+    // A single wide scalar: the regression that pins the carry bug.
     std::vector<G1Point> one_pt = {pts[0]};
     std::vector<FpInt> one_k = {edges[i]};
     EXPECT_EQ(g1_multiexp(curve_.get(), one_pt, one_k),
@@ -242,10 +225,8 @@ TEST_F(ScalarMulTest, MultiexpSignedCarryEdges) {
   }
 }
 
-TEST_F(ScalarMulTest, MultiexpSignedAndUnsignedAgreeOnMixedBatch) {
-  // Mixed magnitudes so different windows go dark for different points;
-  // both folds and the naive sum must agree regardless of which variant
-  // the auto-dispatch picks.
+TEST_F(ScalarMulTest, MultiexpMixedBatchMatchesNaiveSum) {
+  // Mixed magnitudes so different windows go dark for different points.
   std::vector<G1Point> pts;
   std::vector<FpInt> ks;
   G1Point want = G1Point::infinity(curve_.get());
@@ -260,11 +241,7 @@ TEST_F(ScalarMulTest, MultiexpSignedAndUnsignedAgreeOnMixedBatch) {
     ks.push_back(mixed[i]);
     want = want + naive_mul(pts[i], mixed[i]);
   }
-  G1Point auto_sum = g1_multiexp(curve_.get(), pts, ks);
-  G1Point unsigned_sum = multiexp_unsigned(pts, ks);
-  EXPECT_EQ(auto_sum, want);
-  EXPECT_EQ(unsigned_sum, want);
-  EXPECT_EQ(auto_sum, unsigned_sum);
+  EXPECT_EQ(g1_multiexp(curve_.get(), pts, ks), want);
 }
 
 // --- Fp inversion (single-mul Montgomery re-entry) --------------------------

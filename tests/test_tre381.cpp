@@ -324,7 +324,9 @@ TYPED_TEST(OpenRoutesTest, AgreeOnEveryFlavourAndRejectTampering) {
 // BLS12-381 applies r and a on the G1 secret ladder before one pairing,
 // outside the pair-base and lines caches; the type-1 curve raises the
 // pairing to r or a in G_T, with seal's base pairing memoized per
-// (receiver, tag).
+// (receiver, tag). The epoch-key routes pair a·I_T once per item, through
+// its cached Miller lines on the type-1 curve and uncached on BLS12-381,
+// whose line engine prepares the fresh G2 side.
 
 template <class B>
 class SessionRouteTest : public ::testing::Test {};
@@ -372,6 +374,24 @@ TYPED_TEST(SessionRouteTest, SealAndOpenTakeTheBackendsRoute) {
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, msg);
 
+  // The epoch-key routes: one item through open_with_epoch_key, then a
+  // two-item open_batch, which derives the same epoch key itself.
+  const core::BasicEpochKey<B> epoch = scheme.derive_epoch_key(user.a, update);
+  const Deltas keyed =
+      deltas([&] { out = scheme.open_with_epoch_key(*sc, epoch, server.pub); });
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, msg);
+  const std::vector<core::BasicSealedCiphertext<B>> batch = {*sc, seal()};
+  std::vector<std::optional<Bytes>> outs;
+  const Deltas batched = deltas([&] {
+    outs = scheme.open_batch(batch, user.a, update, server.pub, rng, 128, 1);
+  });
+  ASSERT_EQ(outs.size(), 2u);
+  for (const std::optional<Bytes>& o : outs) {
+    ASSERT_TRUE(o.has_value());
+    EXPECT_EQ(*o, msg);
+  }
+
   if constexpr (B::kSessionPowInGt) {
     // A power of the memoized pair base: the first seal to (receiver,
     // tag) misses, the second hits. open raises the pairing through the
@@ -379,11 +399,43 @@ TYPED_TEST(SessionRouteTest, SealAndOpenTakeTheBackendsRoute) {
     EXPECT_EQ(sealed, (Deltas{0, 1, 0, 1, 0, 0}));
     EXPECT_EQ(deltas([&] { (void)seal(); }), (Deltas{0, 0, 1, 0, 0, 0}));
     EXPECT_EQ(opened, (Deltas{0, 1, 0, 0, 0, 1}));
+    // The epoch key's lines miss once, then serve both batch items.
+    EXPECT_EQ(keyed, (Deltas{0, 1, 0, 0, 0, 1}));
+    EXPECT_EQ(batched, (Deltas{1, 2, 0, 0, 2, 0}));
   } else {
     // One ladder and one pairing each, and no cache traffic.
     EXPECT_EQ(sealed, (Deltas{1, 1, 0, 0, 0, 0}));
     EXPECT_EQ(opened, (Deltas{1, 1, 0, 0, 0, 0}));
+    // One pairing per item and no lines-cache traffic.
+    EXPECT_EQ(keyed, (Deltas{0, 1, 0, 0, 0, 0}));
+    EXPECT_EQ(batched, (Deltas{1, 2, 0, 0, 0, 0}));
   }
+}
+
+// --- A rebound key's check counts every pairing ------------------------------
+// The type-1 same-secret check is a cross pairing on top of the
+// receiver-key check's two; the type-3 anchor a·G1gen does not depend on
+// the server, so that check is an equality.
+
+template <class B>
+class ReboundKeyTest : public ::testing::Test {};
+
+TYPED_TEST_SUITE(ReboundKeyTest, BothBackends);
+
+TYPED_TEST(ReboundKeyTest, CheckCountsEveryPairing) {
+  using B = TypeParam;
+  core::BasicTreScheme<B> scheme(params_for(B{}));
+  hashing::HmacDrbg rng(to_bytes("rebound-count"));
+  const core::BasicServerKeyPair<B> old_server = scheme.server_keygen(rng);
+  const core::BasicServerKeyPair<B> new_server = scheme.server_keygen(rng);
+  const core::BasicUserKeyPair<B> user = scheme.user_keygen(old_server.pub, rng);
+  const core::BasicUserPublicKey<B> rebound = scheme.rebind_user_key(user.a, new_server.pub);
+  const std::string pairings = std::string(B::kProbePrefix) + "pairings";
+  const std::uint64_t before = obs::Registry::global().counter_value(pairings);
+  EXPECT_TRUE(scheme.verify_rebound_key(user.pub.ag, old_server.pub.g, new_server.pub,
+                                        rebound));
+  EXPECT_EQ(obs::Registry::global().counter_value(pairings) - before,
+            B::kAnchorIsGh ? 4u : 2u);
 }
 
 }  // namespace

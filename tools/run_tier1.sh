@@ -25,8 +25,11 @@
 #                                            # fault must fail, the clean run pass
 #   DAEMON=1 tools/run_tier1.sh              # networked-daemon gate: boot tred,
 #                                            # socket fetch, bit-identical verify,
-#                                            # then bench_daemon --smoke (>= 1024
-#                                            # concurrent connections)
+#                                            # restart safety (kill -9 tred and
+#                                            # tre_cli serve, restart, catch-up
+#                                            # cmp-identical), then bench_daemon
+#                                            # --smoke (>= 1024 concurrent
+#                                            # connections)
 #   THRESH=1 tools/run_tier1.sh              # threshold-beacon gate: 3-of-4 DKG,
 #                                            # partials over sockets, two quorums
 #                                            # must aggregate bit-identically and
@@ -283,24 +286,41 @@ run_e2e_gate() {
 # boots tred on an ephemeral port (readiness = --port-file appearing),
 # fetches through the Byzantine-hardened client with tre_cli fetch
 # --remote, proves the fetched file is bit-identical AND independently
-# verifiable, then runs the bench_daemon smoke (>= 1024 concurrent
-# connections, zero shed, zero mismatches). The daemon is always torn
-# down, pass or fail.
+# verifiable. Then restart safety: tred on pre-issued updates and
+# tre_cli serve issuing past --tags are caught up with fetch --from/--to,
+# killed with SIGKILL, restarted on the same inputs and caught up again;
+# every file of the second catch-up must cmp equal to the first. Last,
+# the bench_daemon smoke (>= 1024 concurrent connections, zero shed,
+# zero mismatches). Daemons are always torn down, pass or fail.
 run_daemon_gate() {
   local build_dir="$1"
   local cli="$build_dir/tools/tre_cli"
   local tred="$build_dir/tools/tred"
-  local work tred_pid=""
+  local work tred_pid="" serve_pid=""
   work="$(mktemp -d)"
   cleanup_daemon() {
     trap - RETURN  # fire once: RETURN traps outlive the setting function
-    if [[ -n "${tred_pid:-}" ]] && kill -0 "$tred_pid" 2>/dev/null; then
-      kill "$tred_pid" 2>/dev/null || true
-      wait "$tred_pid" 2>/dev/null || true
-    fi
+    local p
+    for p in "${tred_pid:-}" "${serve_pid:-}"; do
+      if [[ -n "$p" ]] && kill -0 "$p" 2>/dev/null; then
+        kill "$p" 2>/dev/null || true
+        wait "$p" 2>/dev/null || true
+      fi
+    done
     rm -rf "$work"
   }
   trap cleanup_daemon RETURN
+  # Prints the port a daemon wrote to FILE, waiting up to 5 s; fails if
+  # the daemon PID exits first or never writes it.
+  wait_port() {
+    local file="$1" pid="$2" i
+    for i in $(seq 1 100); do
+      [[ -s "$file" ]] && { cat "$file"; return 0; }
+      kill -0 "$pid" 2>/dev/null || return 1
+      sleep 0.05
+    done
+    return 1
+  }
 
   echo "=== daemon gate: tred socket roundtrip + midnight-storm smoke ==="
   "$cli" server-keygen --set tre-toy-96 \
@@ -311,13 +331,8 @@ run_daemon_gate() {
   "$tred" --pub "$work/server.pub" --updates "$work/update.bin" \
           --port 0 --port-file "$work/port" &
   tred_pid=$!
-  local i port=""
-  for i in $(seq 1 100); do
-    [[ -s "$work/port" ]] && { port="$(cat "$work/port")"; break; }
-    kill -0 "$tred_pid" 2>/dev/null || break
-    sleep 0.05
-  done
-  if [[ -z "$port" ]]; then
+  local port
+  if ! port="$(wait_port "$work/port" "$tred_pid")"; then
     echo "daemon gate: FAIL — tred never wrote its port file" >&2
     return 1
   fi
@@ -335,6 +350,62 @@ run_daemon_gate() {
   kill "$tred_pid"
   wait "$tred_pid" 2>/dev/null || true
   tred_pid=""
+
+  # Restart safety. Updates are deterministic (s·H1(T)) and neither
+  # daemon holds state beyond its start-up inputs, so a restart on the
+  # same inputs must serve the same history.
+  local from="2005-06-06T09:00:01Z" to="2005-06-06T09:00:03Z"
+  local tags="$from,2005-06-06T09:00:02Z,$to" updates="" t n=0
+  for t in ${tags//,/ }; do
+    n=$((n + 1))
+    "$cli" issue --server-key "$work/server.key" --tag "$t" --out "$work/pre-$n.bin"
+    updates="$updates${updates:+,}$work/pre-$n.bin"
+  done
+  local run name
+  for run in 1 2; do
+    rm -f "$work/tred.port" "$work/serve.port"
+    "$tred" --pub "$work/server.pub" --updates "$updates" \
+            --port 0 --port-file "$work/tred.port" &
+    tred_pid=$!
+    "$cli" serve --server-key "$work/server.key" --tags "$tags" \
+           --port 0 --port-file "$work/serve.port" &
+    serve_pid=$!
+    for name in tred serve; do
+      local pid="$tred_pid"
+      [[ "$name" == serve ]] && pid="$serve_pid"
+      if ! port="$(wait_port "$work/$name.port" "$pid")"; then
+        echo "daemon gate: FAIL — $name (run $run) never wrote its port file" >&2
+        return 1
+      fi
+      mkdir "$work/$name-$run"
+      "$cli" fetch --server-pub "$work/server.pub" --remote "127.0.0.1:$port" \
+             --from "$from" --to "$to" --out-dir "$work/$name-$run"
+    done
+    kill -9 "$tred_pid" "$serve_pid"
+    wait "$tred_pid" 2>/dev/null || true
+    wait "$serve_pid" 2>/dev/null || true
+    tred_pid="" serve_pid=""
+  done
+  local f
+  for name in tred serve; do
+    n="$(find "$work/$name-1" -type f | wc -l)"
+    if [[ "$n" -ne 3 ]]; then
+      echo "daemon gate: FAIL — $name caught up $n updates, want 3" >&2
+      return 1
+    fi
+    if ! diff <(ls "$work/$name-1") <(ls "$work/$name-2") >/dev/null; then
+      echo "daemon gate: FAIL — $name served other files after the restart" >&2
+      return 1
+    fi
+    for f in "$work/$name-1"/*; do
+      if ! cmp -s "$f" "$work/$name-2/$(basename "$f")"; then
+        echo "daemon gate: FAIL — $name's $(basename "$f") changed across" \
+             "kill -9 and restart" >&2
+        return 1
+      fi
+    done
+  done
+  echo "daemon gate: tred and tre_cli serve restart safe (kill -9, byte-identical catch-up)"
 
   "$build_dir/bench/bench_daemon" --smoke \
       --json "$build_dir/BENCH_daemon_smoke.json"
