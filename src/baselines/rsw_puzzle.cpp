@@ -104,27 +104,14 @@ Bytes Rsw::solve(const RswPuzzle& puzzle) {
 }
 
 Bytes Rsw::solve_with_budget(const RswPuzzle& puzzle, std::uint64_t budget, bool* done) {
-  RswProgress progress;  // one-shot semantics: fresh state each call
-  return solve_with_budget(puzzle, budget, done, &progress);
-}
-
-Bytes Rsw::solve_with_budget(const RswPuzzle& puzzle, std::uint64_t budget,
-                             bool* done, RswProgress* progress) {
   require(done != nullptr, "Rsw::solve_with_budget: null done flag");
-  require(progress != nullptr, "Rsw::solve_with_budget: null progress");
-  require(progress->steps <= puzzle.t, "Rsw::solve_with_budget: progress past t");
   bigint::MontCtx<kRswLimbs> mont(puzzle.n);
-  RswInt x = mont.to_mont(progress->steps == 0 ? puzzle.a : progress->x);
-  std::uint64_t steps = std::min(budget, puzzle.t - progress->steps);
+  RswInt x = mont.to_mont(puzzle.a);
+  std::uint64_t steps = std::min(budget, puzzle.t);
   for (std::uint64_t i = 0; i < steps; ++i) x = mont.sqr(x);
-  progress->x = mont.from_mont(x);
-  progress->steps += steps;
-  if (progress->steps < puzzle.t) {
-    *done = false;
-    return {};
-  }
-  *done = true;
-  return unseal(puzzle, progress->x);
+  *done = steps == puzzle.t;
+  if (!*done) return {};
+  return unseal(puzzle, mont.from_mont(x));
 }
 
 Bytes Rsw::unseal(const RswPuzzle& puzzle, const RswInt& b) {

@@ -47,16 +47,6 @@ struct RswPuzzle {
   }
 };
 
-/// Caller-held intermediate solving state: x = a^(2^steps) mod n in plain
-/// (non-Montgomery) form. A fresh default-constructed progress starts at
-/// the base; solve_with_budget advances it in place, so repeated budgeted
-/// calls continue where the previous call stopped instead of redoing the
-/// whole chain (prerequisite for the timelock/ checkpointed solver).
-struct RswProgress {
-  RswInt x;
-  std::uint64_t steps = 0;
-};
-
 class Rsw {
  public:
   /// Generates a fresh RSA modulus (`modulus_bits` total; use small sizes
@@ -70,18 +60,13 @@ class Rsw {
   /// The intended (slow) opening: t sequential squarings.
   static Bytes solve(const RswPuzzle& puzzle);
 
-  /// Runs at most `budget` squarings; sets `*done` to true and returns
-  /// the key if the puzzle finished, otherwise returns empty. Used by the
-  /// precision experiment to model slower/faster machines and preemption.
-  /// This overload always starts from the base (one-shot semantics).
+  /// Runs at most `budget` squarings from the base; sets `*done` to true
+  /// and returns the key if the puzzle finished, otherwise returns empty.
+  /// Used by the precision experiment to model slower/faster machines and
+  /// preemption. Each call starts over: the resumable, checkpointed solver
+  /// is timelock::RswSolver.
   static Bytes solve_with_budget(const RswPuzzle& puzzle, std::uint64_t budget,
                                  bool* done);
-
-  /// Resumable variant: starts from `*progress` (default-constructed =
-  /// the base), advances at most `budget` squarings, and writes the new
-  /// state back, so successive budgeted calls share one squaring chain.
-  static Bytes solve_with_budget(const RswPuzzle& puzzle, std::uint64_t budget,
-                                 bool* done, RswProgress* progress);
 
   /// Opens the sealed key given b = a^(2^t) mod n (plain form) — the
   /// shared tail of solve() and the checkpointed timelock/ solver.

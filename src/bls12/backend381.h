@@ -120,9 +120,6 @@ struct Bls381Backend {
     return p.g1_multiexp(points, scalars, threads);
   }
   static bool gu_is_infinity(const Gu& q) { return q.inf; }
-  static bool gu_in_subgroup(const Params& p, const Gu& q) {
-    return p.g1_in_subgroup(q);
-  }
   static bool gu_eq(const Gu& a, const Gu& b) {
     if (a.inf || b.inf) return a.inf == b.inf;
     return a.x == b.x && a.y == b.y;

@@ -89,9 +89,6 @@ struct Tre512Backend {
     return ec::g1_multiexp(p.ctx(), points, scalars, threads);
   }
   static bool gu_is_infinity(const Gu& p) { return p.is_infinity(); }
-  static bool gu_in_subgroup(const Params& p, const Gu& q) {
-    return gh_in_subgroup(p, q);
-  }
   static bool gu_eq(const Gu& a, const Gu& b) { return a == b; }
   static Bytes gu_to_bytes(const Gu& p) { return p.to_bytes_compressed(); }
   static size_t gu_wire_bytes(const Params& p) { return p.g1_compressed_bytes(); }

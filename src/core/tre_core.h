@@ -52,8 +52,9 @@
 //             power; false: on the Gu secret ladder before the pairing)
 //   scalars : random_scalar, scalar_bytes, group_order
 //   hashing : hash_tag (H1 onto Gu)
-//   groups  : {gu,gh}_{mul_secret,is_infinity,in_subgroup,eq,to_bytes,
-//             from_bytes,wire_bytes,multiexp}, header_base, anchor_base
+//   groups  : {gu,gh}_{mul_secret,is_infinity,eq,to_bytes,from_bytes,
+//             wire_bytes,multiexp}, gu_mul (public scalars),
+//             gh_in_subgroup, header_base, anchor_base
 //   pairing : pair_session(asg, h1t), pairings_equal_uh/hu,
 //             pairings_equal_fresh_hu (h1 is one-off: not line-cached),
 //             gt_pow_unitary, gt_to_bytes; and, where there is no

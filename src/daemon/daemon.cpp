@@ -21,6 +21,8 @@ constexpr std::uint32_t kMaxRangeItems = 512;
 /// Slow-consumer cutoff: a connection whose unsent replies pass this is
 /// closed.
 constexpr size_t kMaxOutbufBytes = 4 * kMaxPayload;
+/// poll(2) timeout: the cadence of the idle sweep and the rate gauge.
+constexpr int kTickMs = 100;
 
 std::int64_t monotonic_ms() {
   timespec ts{};
@@ -151,7 +153,7 @@ void Daemon::run() {
     // `polled` entries have pollfds, so the walk must stop there.
     const size_t polled = conns_.size();
 
-    int rc = ::poll(pfds.data(), pfds.size(), cfg_.tick_ms);
+    int rc = ::poll(pfds.data(), pfds.size(), kTickMs);
     if (rc < 0 && errno != EINTR) break;  // poll itself failed: give up
 
     const std::int64_t now = monotonic_ms();

@@ -48,7 +48,6 @@ struct DaemonConfig {
   std::uint16_t port = 0;            ///< 0 = ephemeral; see Daemon::port()
   size_t max_conns = 4096;           ///< cap; beyond it, shed gracefully
   std::int64_t idle_timeout_ms = 30000;
-  int tick_ms = 100;  ///< poll timeout: idle sweep + rate gauge cadence
   int listen_backlog = 1024;
 };
 

@@ -245,6 +245,7 @@ Result<DkgResult<B>> run_dkg(std::shared_ptr<const typename B::Params> params,
                              const DkgTamper& tamper = nullptr) {
   require(params != nullptr, "dkg: null params");
   require(config.k >= 1 && config.k <= config.n, "dkg: need 1 <= k <= n");
+  require(config.n <= BasicThresholdScheme<B>::kMaxNodes, "dkg: too many nodes");
   detail::ThresholdProbes<B>::get().dkg_runs.add();
 
   std::vector<DkgNode<B>> nodes;

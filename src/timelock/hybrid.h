@@ -169,9 +169,8 @@ std::optional<Bytes> open_hybrid(const core::BasicTreScheme<B>& scheme,
 /// solver and open. For long solves drive RswSolver directly (advance /
 /// checkpoint / restore) and finish with open_hybrid_with_key.
 template <class B>
-std::optional<Bytes> open_hybrid_via_puzzle(const BasicHybridEnvelope<B>& env,
-                                            SolverOptions opts = {}) {
-  RswSolver solver(env.puzzle, opts);
+std::optional<Bytes> open_hybrid_via_puzzle(const BasicHybridEnvelope<B>& env) {
+  RswSolver solver(env.puzzle);
   while (!solver.done()) solver.advance(env.puzzle.t);
   return open_hybrid_with_key(env, solver.key());
 }

@@ -57,15 +57,14 @@ WorkInt work_modulus(const baselines::RswPuzzle& puzzle) {
 
 }  // namespace
 
-RswSolver::RswSolver(const baselines::RswPuzzle& puzzle, SolverOptions opts)
-    : RswSolver(puzzle, opts, puzzle.a.resized<kWorkLimbs>(), 0,
+RswSolver::RswSolver(const baselines::RswPuzzle& puzzle)
+    : RswSolver(puzzle, puzzle.a.resized<kWorkLimbs>(), 0,
                 puzzle.a.resized<kWorkLimbs>(), 0) {}
 
-RswSolver::RswSolver(const baselines::RswPuzzle& puzzle, SolverOptions opts,
-                     WorkInt x_plain, std::uint64_t steps, WorkInt anchor_plain,
+RswSolver::RswSolver(const baselines::RswPuzzle& puzzle, WorkInt x_plain,
+                     std::uint64_t steps, WorkInt anchor_plain,
                      std::uint64_t anchor_steps)
-    : puzzle_(puzzle), opts_(opts), mont_(work_modulus(puzzle)) {
-  require(opts_.replay_window >= 1, "RswSolver: replay_window must be positive");
+    : puzzle_(puzzle), mont_(work_modulus(puzzle)) {
   require(steps <= puzzle_.t, "RswSolver: state past the puzzle's step count");
   require(anchor_steps <= steps, "RswSolver: anchor ahead of head");
   x_ = mont_.to_mont(x_plain);
@@ -79,7 +78,7 @@ std::uint64_t RswSolver::advance(std::uint64_t budget) {
   for (std::uint64_t i = 0; i < todo; ++i) {
     x_ = mont_.sqr(x_);
     ++steps_;
-    if (steps_ - anchor_steps_ >= opts_.replay_window && steps_ < puzzle_.t) {
+    if (steps_ - anchor_steps_ >= kReplayWindow && steps_ < puzzle_.t) {
       anchor_ = x_;
       anchor_steps_ = steps_;
     }
@@ -97,9 +96,8 @@ bool RswSolver::validate() const {
 Bytes RswSolver::key() const {
   health::ensure_operational();
   require(done(), "RswSolver::key: puzzle not finished");
-  if (opts_.validate_lane)
-    require(validate(),
-            "RswSolver::key: check lane mismatch — the squaring chain is corrupt");
+  require(validate(),
+          "RswSolver::key: check lane mismatch — the squaring chain is corrupt");
   // n | n·c, so the head reduced mod n is exactly a^(2^t) mod n.
   WorkInt head = mont_.from_mont(x_);
   baselines::RswInt b =
@@ -121,8 +119,7 @@ Bytes RswSolver::checkpoint() const {
   return concat({state, hashing::sha256(state)});
 }
 
-RswSolver RswSolver::restore(const baselines::RswPuzzle& puzzle, ByteSpan checkpoint,
-                             SolverOptions opts) {
+RswSolver RswSolver::restore(const baselines::RswPuzzle& puzzle, ByteSpan checkpoint) {
   wire::Reader r(checkpoint);
   ByteSpan magic = r.raw(kMagic.size());
   ByteSpan fp = r.raw(kHashBytes);
@@ -144,7 +141,7 @@ RswSolver RswSolver::restore(const baselines::RswPuzzle& puzzle, ByteSpan checkp
 
   require(steps <= puzzle.t, "RswSolver::restore: steps past the puzzle");
   require(anchor_steps <= steps, "RswSolver::restore: anchor ahead of head");
-  require(steps - anchor_steps <= opts.replay_window,
+  require(steps - anchor_steps <= kReplayWindow,
           "RswSolver::restore: anchor gap exceeds the replay window");
 
   WorkInt head = WorkInt::from_bytes_be(head_be);
@@ -153,17 +150,16 @@ RswSolver RswSolver::restore(const baselines::RswPuzzle& puzzle, ByteSpan checkp
   require(head < n_c && anchor < n_c, "RswSolver::restore: residue out of range");
 
   // Replay the anchor forward and compare with the checkpointed head:
-  // at most replay_window squarings re-verify the chain's recent tail.
+  // at most kReplayWindow squarings re-verify the chain's recent tail.
   bigint::MontCtx<kWorkLimbs> mont(n_c);
   WorkInt replay = mont.to_mont(anchor);
   for (std::uint64_t i = anchor_steps; i < steps; ++i) replay = mont.sqr(replay);
   require(mont.from_mont(replay) == head,
           "RswSolver::restore: anchor replay mismatch — corrupt checkpoint");
 
-  RswSolver solver(puzzle, opts, head, steps, anchor, anchor_steps);
-  if (opts.validate_lane)
-    require(solver.validate(),
-            "RswSolver::restore: check lane mismatch — corrupt checkpoint");
+  RswSolver solver(puzzle, head, steps, anchor, anchor_steps);
+  require(solver.validate(),
+          "RswSolver::restore: check lane mismatch — corrupt checkpoint");
   return solver;
 }
 

@@ -13,7 +13,7 @@
 //     from those bytes.
 //  2. **Replay verification on resume.** Alongside the live residue the
 //     solver keeps a *rolling anchor* — the residue from at most
-//     `replay_window` steps ago. `restore()` re-squares the anchor
+//     `kReplayWindow` steps ago. `restore()` re-squares the anchor
 //     forward and compares against the checkpointed head, so a
 //     corrupted (or maliciously edited) checkpoint is rejected instead
 //     of silently poisoning days of work.
@@ -50,27 +50,21 @@ using WorkInt = bigint::BigInt<kWorkLimbs>;
 /// valid Montgomery modulus).
 inline constexpr std::uint64_t kCheckPrime = (std::uint64_t{1} << 61) - 1;
 
-struct SolverOptions {
-  /// Steps between the rolling replay anchor updates; also the maximum
-  /// replay work restore() performs. Small values mean cheap resume
-  /// verification, large values mean less bookkeeping per step.
-  std::uint64_t replay_window = 256;
-  /// Run the mod-c check lane inside key() and restore(). Disabling it
-  /// skips the compare (the chain still runs mod n·c).
-  bool validate_lane = true;
-};
+/// Steps between the rolling replay anchor updates; also the maximum
+/// replay work restore() performs, and the largest anchor gap a
+/// checkpoint may carry.
+inline constexpr std::uint64_t kReplayWindow = 256;
 
 class RswSolver {
  public:
   /// Starts a fresh solve of `puzzle` (state: 0 steps done).
-  explicit RswSolver(const baselines::RswPuzzle& puzzle, SolverOptions opts = {});
+  explicit RswSolver(const baselines::RswPuzzle& puzzle);
 
   /// Resumes from checkpoint bytes. Throws tre::Error when the bytes are
   /// malformed, the integrity hash or puzzle fingerprint mismatches, or
   /// the anchor replay / check lane disagrees with the checkpointed head
   /// (i.e. the checkpoint is corrupt).
-  static RswSolver restore(const baselines::RswPuzzle& puzzle, ByteSpan checkpoint,
-                           SolverOptions opts = {});
+  static RswSolver restore(const baselines::RswPuzzle& puzzle, ByteSpan checkpoint);
 
   /// Runs at most `budget` squarings; returns how many were performed
   /// (0 once done).
@@ -81,8 +75,7 @@ class RswSolver {
   std::uint64_t total_steps() const { return puzzle_.t; }
 
   /// The recovered payload key. Requires done(); runs the check lane
-  /// first (unless disabled) and throws tre::Error if the chain fails
-  /// validation.
+  /// first and throws tre::Error if the chain fails validation.
   Bytes key() const;
 
   /// Serializes the solver state: magic || fingerprint(puzzle) || steps
@@ -98,11 +91,10 @@ class RswSolver {
   void corrupt_state_for_testing();
 
  private:
-  RswSolver(const baselines::RswPuzzle& puzzle, SolverOptions opts, WorkInt x_plain,
-            std::uint64_t steps, WorkInt anchor_plain, std::uint64_t anchor_steps);
+  RswSolver(const baselines::RswPuzzle& puzzle, WorkInt x_plain, std::uint64_t steps,
+            WorkInt anchor_plain, std::uint64_t anchor_steps);
 
   baselines::RswPuzzle puzzle_;
-  SolverOptions opts_;
   bigint::MontCtx<kWorkLimbs> mont_;  // modulus n·c
   WorkInt x_;                         // a^(2^steps) mod n·c, Montgomery form
   std::uint64_t steps_ = 0;

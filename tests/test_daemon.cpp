@@ -500,7 +500,6 @@ TEST_F(DaemonTest, ShedsGracefullyAtTheConnectionCap) {
 TEST_F(DaemonTest, IdleConnectionsAreReaped) {
   DaemonConfig cfg;
   cfg.idle_timeout_ms = 200;
-  cfg.tick_ms = 50;
   boot(cfg);
   RawClient c(daemon_->port());
   ASSERT_TRUE(c.connected());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -202,6 +203,19 @@ TYPED_TEST(ThresholdBeaconTest, DkgAbortsWhenQualifiedBelowThreshold) {
                         kill_dealer_1);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.error(), Errc::kDkgComplaint);
+}
+
+// The DKG takes the dealer's node bound and refuses a larger n before it
+// builds a node: a refused run draws no randomness.
+TYPED_TEST(ThresholdBeaconTest, DkgRefusesMoreThanMaxNodes) {
+  using B = TypeParam;
+  struct NoDraws : hashing::RandomSource {
+    void fill(std::span<std::uint8_t>) override {
+      throw std::logic_error("run_dkg drew randomness before refusing n");
+    }
+  } rng;
+  const size_t n = BasicThresholdScheme<B>::kMaxNodes + 1;
+  EXPECT_THROW(run_dkg<B>(this->params_, ThresholdConfig{n, 2}, rng), Error);
 }
 
 // --- batch verification and typed-error combination --------------------------

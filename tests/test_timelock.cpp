@@ -15,7 +15,6 @@ namespace tre::timelock {
 namespace {
 
 using baselines::Rsw;
-using baselines::RswProgress;
 using baselines::RswPuzzle;
 using baselines::RswTrapdoor;
 
@@ -30,27 +29,7 @@ RswPuzzle make_puzzle(std::uint64_t t = kTestSquarings,
   return Rsw::seal(td, key, t, rng);
 }
 
-// --- Resumable solve_with_budget (satellite fix) ----------------------------
-
-TEST(RswResume, BudgetedCallsShareOneChain) {
-  RswPuzzle puzzle = make_puzzle();
-  Bytes straight = Rsw::solve(puzzle);
-
-  RswProgress progress;
-  bool done = false;
-  Bytes key;
-  int calls = 0;
-  while (!done) {
-    key = Rsw::solve_with_budget(puzzle, 64, &done, &progress);
-    ++calls;
-    ASSERT_LE(progress.steps, puzzle.t);
-  }
-  EXPECT_EQ(key, straight);
-  EXPECT_EQ(progress.steps, puzzle.t);
-  // 600 steps at 64 per call: 10 calls, i.e. the budget really carried
-  // over instead of restarting from the base each time.
-  EXPECT_EQ(calls, 10);
-}
+// --- One-shot solve_with_budget ---------------------------------------------
 
 TEST(RswResume, OneShotOverloadStillRestarts) {
   RswPuzzle puzzle = make_puzzle();
@@ -61,14 +40,6 @@ TEST(RswResume, OneShotOverloadStillRestarts) {
   out = Rsw::solve_with_budget(puzzle, puzzle.t, &done);
   EXPECT_TRUE(done);
   EXPECT_EQ(out, Rsw::solve(puzzle));
-}
-
-TEST(RswResume, ProgressPastTotalThrows) {
-  RswPuzzle puzzle = make_puzzle();
-  RswProgress progress;
-  progress.steps = puzzle.t + 1;
-  bool done = false;
-  EXPECT_THROW(Rsw::solve_with_budget(puzzle, 1, &done, &progress), Error);
 }
 
 // --- Puzzle wire format ------------------------------------------------------
@@ -202,14 +173,19 @@ TEST(Solver, CheckLaneCatchesComputeCorruption) {
 }
 
 TEST(Solver, ReplayCatchesCorruptionEvenWithLaneDisabled) {
-  SolverOptions opts;
-  opts.validate_lane = false;
   RswPuzzle puzzle = make_puzzle();
-  RswSolver solver(puzzle, opts);
+  RswSolver solver(puzzle);
   solver.advance(400);
   solver.corrupt_state_for_testing();
-  // The corrupted head no longer matches the anchor replay.
-  EXPECT_THROW(RswSolver::restore(puzzle, solver.checkpoint(), opts), Error);
+  // The corrupted head no longer matches the anchor replay, which restore
+  // checks before the check lane runs.
+  try {
+    RswSolver::restore(puzzle, solver.checkpoint());
+    FAIL() << "a corrupt checkpoint restored";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("anchor replay mismatch"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Hybrid envelope ---------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -112,6 +113,11 @@ inline Envelope read_envelope(const std::string& path, FileKind expected) {
   return env;
 }
 
+/// Every input file of one command must carry the same parameter set.
+inline void require_same_set(const Envelope& env, const std::string& set_name) {
+  require(env.set_name == set_name, "input files use different parameter sets");
+}
+
 class Args {
  public:
   Args(int argc, char** argv, int first = 2) {
@@ -140,15 +146,20 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-inline std::uint64_t parse_u64(const std::string& s, const char* what) {
+/// Parses a decimal option value into T, refusing any value outside
+/// [min, the largest T]; `what` names the option in the error.
+template <class T = std::uint64_t>
+T parse_uint(const std::string& s, const char* what, T min = 0) {
   if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
     throw Error(std::string(what) + ": expected a decimal number");
   errno = 0;
   char* end = nullptr;
   unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0')
+  if (errno != 0 || end == nullptr || *end != '\0' ||
+      v < static_cast<unsigned long long>(min) ||
+      v > static_cast<unsigned long long>(std::numeric_limits<T>::max()))
     throw Error(std::string(what) + ": number out of range");
-  return v;
+  return static_cast<T>(v);
 }
 
 /// "HOST:PORT" -> (host, port); host may be omitted ("“:7001" or "7001").
@@ -165,9 +176,7 @@ inline HostPort parse_host_port(const std::string& s, const char* what) {
     if (colon > 0) hp.host = s.substr(0, colon);
     port_str = s.substr(colon + 1);
   }
-  std::uint64_t port = parse_u64(port_str, what);
-  require(port > 0 && port <= 65535, "port out of range");
-  hp.port = static_cast<std::uint16_t>(port);
+  hp.port = parse_uint<std::uint16_t>(port_str, what, 1);
   return hp;
 }
 
@@ -184,11 +193,8 @@ inline std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
-/// Loads a server-pub envelope plus update envelopes into a daemon
-/// store: the serving surface for tred / tre_cli serve. Updates are
-/// archived under their envelope PAYLOAD (the exact KeyUpdate wire a
-/// fetcher will parse); the tag is recovered from the wire's leading
-/// length-prefixed tag field, which both backends share by construction.
+/// Tag of a KeyUpdate wire, read from its leading length-prefixed tag
+/// field, which both backends share by construction.
 inline std::string update_wire_tag(ByteSpan update) {
   wire::Reader r(update);
   std::string tag = r.str16();
@@ -206,18 +212,26 @@ inline std::string partial_wire_tag(ByteSpan partial) {
   return tag;
 }
 
+/// Loads update envelopes into a store whose server key is set. Each is
+/// archived under its envelope PAYLOAD, the exact KeyUpdate wire a
+/// fetcher will parse, and must carry the server key's parameter set.
+inline void load_updates(daemon::Store& store, const std::vector<std::string>& paths) {
+  const std::string set_name = store.server_key().first;
+  for (const std::string& path : paths) {
+    Envelope upd = read_envelope(path, FileKind::kUpdate);
+    require_same_set(upd, set_name);
+    auto r = store.put(update_wire_tag(upd.payload), upd.payload);
+    require(r.ok(), "conflicting update for the same tag");
+  }
+}
+
+/// The serving surface for tred / tre_cli serve: a server-pub envelope
+/// plus update envelopes.
 inline void load_store(daemon::Store& store, const std::string& pub_path,
                        const std::vector<std::string>& update_paths) {
   Envelope pub = read_envelope(pub_path, FileKind::kServerPub);
   store.set_server_key(pub.set_name, pub.payload);
-  for (const std::string& path : update_paths) {
-    Envelope upd = read_envelope(path, FileKind::kUpdate);
-    require(upd.set_name == pub.set_name,
-            "update and server key use different parameter sets");
-    std::string tag = update_wire_tag(upd.payload);
-    auto r = store.put(tag, upd.payload);
-    require(r.ok(), "conflicting update for the same tag");
-  }
+  load_updates(store, update_paths);
 }
 
 // The daemon the serve loop is running, for the signal handler.
@@ -236,11 +250,10 @@ inline void serve(std::shared_ptr<daemon::Store> store, const Args& args,
                   const char* prog) {
   daemon::DaemonConfig cfg;
   cfg.bind_address = args.get_or("bind", "127.0.0.1");
-  cfg.port = static_cast<std::uint16_t>(parse_u64(args.get_or("port", "0"), "--port"));
-  cfg.max_conns = static_cast<size_t>(
-      parse_u64(args.get_or("max-conns", "4096"), "--max-conns"));
-  cfg.idle_timeout_ms = static_cast<std::int64_t>(
-      parse_u64(args.get_or("idle-timeout-ms", "30000"), "--idle-timeout-ms"));
+  cfg.port = parse_uint<std::uint16_t>(args.get_or("port", "0"), "--port");
+  cfg.max_conns = parse_uint<size_t>(args.get_or("max-conns", "4096"), "--max-conns");
+  cfg.idle_timeout_ms = parse_uint<std::int64_t>(args.get_or("idle-timeout-ms", "30000"),
+                                                 "--idle-timeout-ms");
 
   daemon::Daemon d(store, cfg);
   g_serving = &d;

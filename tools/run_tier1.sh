@@ -282,6 +282,18 @@ run_e2e_gate() {
   echo "e2e gate: PASS"
 }
 
+# Prints the port a daemon wrote to FILE, waiting up to 5 s; fails if
+# the daemon PID exits first or never writes it.
+wait_port() {
+  local file="$1" pid="$2" i
+  for i in $(seq 1 100); do
+    [[ -s "$file" ]] && { cat "$file"; return 0; }
+    kill -0 "$pid" 2>/dev/null || return 1
+    sleep 0.05
+  done
+  return 1
+}
+
 # DAEMON=1: end-to-end over real sockets. Issues a key pair + one update,
 # boots tred on an ephemeral port (readiness = --port-file appearing),
 # fetches through the Byzantine-hardened client with tre_cli fetch
@@ -310,17 +322,6 @@ run_daemon_gate() {
     rm -rf "$work"
   }
   trap cleanup_daemon RETURN
-  # Prints the port a daemon wrote to FILE, waiting up to 5 s; fails if
-  # the daemon PID exits first or never writes it.
-  wait_port() {
-    local file="$1" pid="$2" i
-    for i in $(seq 1 100); do
-      [[ -s "$file" ]] && { cat "$file"; return 0; }
-      kill -0 "$pid" 2>/dev/null || return 1
-      sleep 0.05
-    done
-    return 1
-  }
 
   echo "=== daemon gate: tred socket roundtrip + midnight-storm smoke ==="
   "$cli" server-keygen --set tre-toy-96 \
@@ -450,14 +451,9 @@ run_thresh_gate() {
            --port 0 --port-file "$work/port-$i" &
     pids+=("$!")
   done
-  local j port
+  local port
   for i in $(seq 1 "$n"); do
-    port=""
-    for j in $(seq 1 100); do
-      [[ -s "$work/port-$i" ]] && { port="$(cat "$work/port-$i")"; break; }
-      sleep 0.05
-    done
-    if [[ -z "$port" ]]; then
+    if ! port="$(wait_port "$work/port-$i" "${pids[i - 1]}")"; then
       echo "threshold gate: FAIL — node $i never wrote its port file" >&2
       return 1
     fi

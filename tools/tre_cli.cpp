@@ -16,16 +16,18 @@
 // set name, then the payload, so mixing parameter sets or file kinds is
 // caught before any cryptography runs.
 //
-// Backends: every command body is ONE template over the pairing backend.
-// `--backend {tre512,bls381}` picks the curve at server-keygen time
-// ("bls381" maps to the reserved set name "bls12-381"); downstream
-// commands dispatch on the set name baked into their input files, so keys
-// made on either curve flow through issue/encrypt/decrypt unchanged.
+// Backends: every command body is ONE template over the pairing backend,
+// run on a Ctx<B>. `--backend {tre512,bls381}` picks the curve for
+// server-keygen and threshold-setup ("bls381" maps to the reserved set
+// name "bls12-381"); every other command runs on the curve of its input
+// file's set name, so keys made on either curve flow through
+// issue/encrypt/decrypt unchanged.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -51,47 +53,18 @@ using cli::Args;
 using cli::Envelope;
 using cli::FileKind;
 using cli::kBls381Set;
-using cli::parse_envelope;
-using cli::parse_u64;
-using cli::read_envelope;
+using cli::parse_uint;
 using cli::read_file;
-using cli::write_envelope;
 using cli::write_file;
-
-// Reads a secret-key file, opening the keystore seal when present.
-Envelope read_secret(const std::string& path, FileKind plain_kind,
-                     FileKind sealed_kind, const std::string& password) {
-  Envelope env = parse_envelope(path);
-  if (env.kind == plain_kind) return env;
-  require(env.kind == sealed_kind, "wrong file kind for this option");
-  require(!password.empty(), "this key file is password-protected: pass --password");
-  auto opened = keystore::open(env.payload, password);
-  require(opened.has_value(), "wrong password or corrupted key file");
-  env.payload = std::move(*opened);
-  env.kind = plain_kind;
-  return env;
-}
 
 // Release addressing: --tag takes a literal tag string, --round N the
 // tlock-shaped round envelope (tag = "round:<N>", timeserver/round.h).
 std::string tag_arg(const Args& args) {
   if (args.has("round")) {
     require(!args.has("tag"), "give --tag or --round, not both");
-    return server::round_tag(cli::parse_u64(args.get("round"), "--round"));
+    return server::round_tag(parse_uint(args.get("round"), "--round"));
   }
   return args.get("tag");
-}
-
-// Writes a secret-key file, sealed under `password` when one is given.
-void write_secret(const std::string& path, FileKind plain_kind, FileKind sealed_kind,
-                  const std::string& set_name, ByteSpan payload,
-                  const std::string& password, tre::hashing::RandomSource& rng) {
-  if (password.empty()) {
-    write_envelope(path, plain_kind, set_name, payload);
-  } else {
-    write_envelope(path, sealed_kind, set_name,
-                   keystore::seal(payload, password, rng));
-  }
 }
 
 int usage() {
@@ -156,21 +129,6 @@ int usage() {
   return 2;
 }
 
-std::shared_ptr<const params::GdhParams> load_set(const std::string& name) {
-  require(name != kBls381Set, "internal: bls12-381 files take the 381 path");
-  return params::load(name);
-}
-
-// An optional --backend on a file-driven command is a cross-check, not a
-// selector: the file's set name is authoritative.
-void check_backend_flag(const Args& args, const std::string& set_name) {
-  std::string b = args.get_or("backend", "");
-  if (b.empty()) return;
-  require(b == "tre512" || b == "bls381", "unknown --backend (use tre512 or bls381)");
-  require((b == "bls381") == (set_name == kBls381Set),
-          "--backend does not match the backend of the input files");
-}
-
 int cmd_params() {
   for (const auto& name : params::available()) {
     auto p = params::load(name);
@@ -185,222 +143,265 @@ int cmd_params() {
   return 0;
 }
 
+// The keystore-sealed kind of a secret-key file kind; public kinds have
+// none.
+std::optional<FileKind> sealed_kind(FileKind kind) {
+  switch (kind) {
+    case FileKind::kServerKey: return FileKind::kServerKeySealed;
+    case FileKind::kUserKey: return FileKind::kUserKeySealed;
+    case FileKind::kThresholdShare: return FileKind::kThresholdShareSealed;
+    default: return std::nullopt;
+  }
+}
+
+// ---- backend dispatch ---------------------------------------------------
+
+// The curve one command runs on: its parameters, the parameter-set name
+// its files carry, and the command's options.
+template <class B>
+struct Ctx {
+  std::shared_ptr<const typename B::Params> p;
+  std::string set;
+  const Args& args;
+
+  // The file behind option `opt`, which must be of `kind` and on this
+  // curve.
+  Envelope read(const std::string& opt, FileKind kind) const {
+    Envelope env = cli::read_envelope(args.get(opt), kind);
+    cli::require_same_set(env, set);
+    return env;
+  }
+
+  template <class T>
+  T load(const std::string& opt, FileKind kind) const {
+    return T::from_bytes(*p, read(opt, kind).payload);
+  }
+
+  void write(const std::string& path, FileKind kind, ByteSpan payload) const {
+    cli::write_envelope(path, kind, set, payload);
+  }
+
+  // Writes a secret-key file, sealed under --password when one is given.
+  void write_secret(const std::string& path, FileKind kind, ByteSpan payload,
+                    hashing::RandomSource& rng) const {
+    const std::string password = args.get_or("password", "");
+    if (password.empty()) {
+      write(path, kind, payload);
+    } else {
+      write(path, *sealed_kind(kind), keystore::seal(payload, password, rng));
+    }
+  }
+};
+
+// Whether a --backend value names BLS12-381 rather than the type-1 curve.
+bool names_bls381(const std::string& backend) {
+  require(backend == "tre512" || backend == "bls381",
+          "unknown --backend (use tre512 or bls381)");
+  return backend == "bls381";
+}
+
+// Runs `cmd(ctx)` on the curve whose files carry the set name `set`.
+template <class Cmd>
+int on_set(const std::string& set, const Args& args, Cmd&& cmd) {
+  if (set == kBls381Set) {
+    return cmd(Ctx<bls12::Bls381Backend>{bls12::Bls12Ctx::get(), set, args});
+  }
+  return cmd(Ctx<core::Tre512Backend>{params::load(set), set, args});
+}
+
+// server-keygen and threshold-setup: the curve --backend names (tre512
+// by default, on the --set parameter set).
+template <class Cmd>
+int on_flag(const Args& args, Cmd&& cmd) {
+  if (names_bls381(args.get_or("backend", "tre512"))) {
+    return on_set(kBls381Set, args, cmd);
+  }
+  const std::string set = args.get_or("set", "tre-512");
+  require(set != kBls381Set, "internal: bls12-381 files take the 381 path");
+  return on_set(set, args, cmd);
+}
+
+// Every other command: `cmd(ctx, in)` on the curve of `in`, the file of
+// `kind` behind option `opt`. A secret-key file sealed under --password
+// is opened first. An optional --backend is a cross-check, not a
+// selector: the file's set name is authoritative.
+template <class Cmd>
+int on_file(const Args& args, const char* opt, FileKind kind, Cmd&& cmd) {
+  Envelope in = cli::parse_envelope(args.get(opt));
+  if (std::optional<FileKind> sealed = sealed_kind(kind); sealed && in.kind == *sealed) {
+    const std::string password = args.get_or("password", "");
+    require(!password.empty(), "this key file is password-protected: pass --password");
+    std::optional<Bytes> opened = keystore::open(in.payload, password);
+    require(opened.has_value(), "wrong password or corrupted key file");
+    in.payload = std::move(*opened);
+    in.kind = kind;
+  }
+  require(in.kind == kind, "wrong file kind for this option");
+  const std::string backend = args.get_or("backend", "");
+  require(backend.empty() || names_bls381(backend) == (in.set_name == kBls381Set),
+          "--backend does not match the backend of the input files");
+  return on_set(in.set_name, args, [&](const auto& c) { return cmd(c, in); });
+}
+
 // ---- backend-generic command bodies -----------------------------------
-// Each body exists once; the dispatchers below instantiate it for the
-// type-1 curve and BLS12-381.
 
 // Secret-key payloads: fixed-width scalar || the public key's own wire.
 template <class B>
-Bytes keypair_payload(const typename B::Params& p, const core::Scalar& secret,
-                      ByteSpan pub) {
-  return wire::Writer().raw(secret.to_bytes_be(B::scalar_bytes(p))).raw(pub).take();
+Bytes keypair_payload(const Ctx<B>& c, const core::Scalar& secret, ByteSpan pub) {
+  return wire::Writer().raw(secret.to_bytes_be(B::scalar_bytes(*c.p))).raw(pub).take();
 }
 
-template <class B, class Pub>
-std::pair<core::Scalar, Pub> read_keypair(const typename B::Params& p, ByteSpan payload) {
-  wire::Reader r(payload);
-  ByteSpan secret = r.raw(B::scalar_bytes(p));
+template <class Pub, class B>
+std::pair<core::Scalar, Pub> read_keypair(const Ctx<B>& c, const Envelope& in) {
+  wire::Reader r(in.payload);
+  ByteSpan secret = r.raw(B::scalar_bytes(*c.p));
   ByteSpan pub = r.rest();
   require(r.ok(), "corrupt key file");
-  return {core::Scalar::from_bytes_be(secret), Pub::from_bytes(p, pub)};
+  return {core::Scalar::from_bytes_be(secret), Pub::from_bytes(*c.p, pub)};
 }
 
 template <class B>
-int cmd_server_keygen_g(std::shared_ptr<const typename B::Params> p,
-                        const std::string& set_name, const Args& args) {
-  core::BasicTreScheme<B> scheme(p);
+int server_keygen(const Ctx<B>& c) {
   hashing::SystemRandom rng;
-  core::BasicServerKeyPair<B> keys = scheme.server_keygen(rng);
-  write_secret(args.get("key"), FileKind::kServerKey, FileKind::kServerKeySealed,
-               set_name, keypair_payload<B>(*p, keys.s, keys.pub.to_bytes()),
-               args.get_or("password", ""), rng);
-  write_envelope(args.get("pub"), FileKind::kServerPub, set_name, keys.pub.to_bytes());
-  std::printf("server key pair written (%s)\n", set_name.c_str());
+  core::BasicServerKeyPair<B> keys = core::BasicTreScheme<B>(c.p).server_keygen(rng);
+  c.write_secret(c.args.get("key"), FileKind::kServerKey,
+                 keypair_payload(c, keys.s, keys.pub.to_bytes()), rng);
+  c.write(c.args.get("pub"), FileKind::kServerPub, keys.pub.to_bytes());
+  std::printf("server key pair written (%s)\n", c.set.c_str());
   return 0;
 }
 
 template <class B>
-int cmd_user_keygen_g(std::shared_ptr<const typename B::Params> p,
-                      const std::string& set_name, const Envelope& server_env,
-                      const Args& args) {
-  core::BasicServerPublicKey<B> server =
-      core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
-  core::BasicTreScheme<B> scheme(p);
+int user_keygen(const Ctx<B>& c, const Envelope& in) {
+  auto server = core::BasicServerPublicKey<B>::from_bytes(*c.p, in.payload);
   hashing::SystemRandom rng;
-  core::BasicUserKeyPair<B> keys = scheme.user_keygen(server, rng);
-  write_secret(args.get("key"), FileKind::kUserKey, FileKind::kUserKeySealed, set_name,
-               keypair_payload<B>(*p, keys.a, keys.pub.to_bytes()),
-               args.get_or("password", ""), rng);
-  write_envelope(args.get("pub"), FileKind::kUserPub, set_name, keys.pub.to_bytes());
-  std::printf("user key pair written, bound to the server key (%s)\n", set_name.c_str());
+  core::BasicUserKeyPair<B> keys = core::BasicTreScheme<B>(c.p).user_keygen(server, rng);
+  c.write_secret(c.args.get("key"), FileKind::kUserKey,
+                 keypair_payload(c, keys.a, keys.pub.to_bytes()), rng);
+  c.write(c.args.get("pub"), FileKind::kUserPub, keys.pub.to_bytes());
+  std::printf("user key pair written, bound to the server key (%s)\n", c.set.c_str());
   return 0;
 }
 
 template <class B>
-int cmd_issue_g(std::shared_ptr<const typename B::Params> p,
-                const std::string& set_name, const Envelope& env, const Args& args) {
-  core::BasicTreScheme<B> scheme(p);
-  auto [s, pub] = read_keypair<B, core::BasicServerPublicKey<B>>(*p, env.payload);
-  core::BasicKeyUpdate<B> upd =
-      scheme.issue_update(core::BasicServerKeyPair<B>{s, pub}, tag_arg(args));
-  write_envelope(args.get("out"), FileKind::kUpdate, set_name, upd.to_bytes());
+int issue(const Ctx<B>& c, const Envelope& in) {
+  auto [s, pub] = read_keypair<core::BasicServerPublicKey<B>>(c, in);
+  core::BasicKeyUpdate<B> upd = core::BasicTreScheme<B>(c.p).issue_update(
+      core::BasicServerKeyPair<B>{s, pub}, tag_arg(c.args));
+  c.write(c.args.get("out"), FileKind::kUpdate, upd.to_bytes());
   std::printf("update issued for \"%s\" (%zu bytes)\n", upd.tag.c_str(),
               upd.to_bytes().size());
   return 0;
 }
 
 template <class B>
-int cmd_verify_update_g(std::shared_ptr<const typename B::Params> p,
-                        const std::string& set_name, const Envelope& server_env,
-                        const Args& args) {
-  core::BasicServerPublicKey<B> server =
-      core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
-  Envelope env = read_envelope(args.get("update"), FileKind::kUpdate);
-  require(env.set_name == set_name, "update and server key use different parameter sets");
-  core::BasicTreScheme<B> scheme(p);
-  core::BasicKeyUpdate<B> upd = core::BasicKeyUpdate<B>::from_bytes(*p, env.payload);
-  bool ok = scheme.verify_update(server, upd);
+int verify_update(const Ctx<B>& c, const Envelope& in) {
+  auto server = core::BasicServerPublicKey<B>::from_bytes(*c.p, in.payload);
+  auto upd = c.template load<core::BasicKeyUpdate<B>>("update", FileKind::kUpdate);
+  bool ok = core::BasicTreScheme<B>(c.p).verify_update(server, upd);
   std::printf("update for \"%s\": %s\n", upd.tag.c_str(), ok ? "VALID" : "INVALID");
   return ok ? 0 : 1;
 }
 
-// --mode: a bare flavour or "sealed[-flavour]" ("sealed" alone is FO).
-struct CtMode {
+// --mode and the file kind it writes. A bare flavour writes its own kind
+// (6-8): the sealed wire without its mode byte, which is the flavour's
+// own encoding. "sealed" (FO) and "sealed-<flavour>" write kind 11, the
+// mode-tagged wire. decrypt reads a bare kind back to its flavour.
+struct Flavour {
+  const char* mode_arg;
   core::Mode mode;
-  bool tagged;  // kind 11, the mode-tagged wire; else the flavour's own kind
+  FileKind kind;
 };
 
-CtMode parse_ct_mode(const std::string& arg) {
-  std::string flavour = arg;
-  bool tagged = false;
-  if (arg == "sealed") {
-    flavour = "fo";
-    tagged = true;
-  } else if (arg.rfind("sealed-", 0) == 0) {
-    flavour = arg.substr(7);
-    tagged = true;
-  }
-  for (core::Mode m : {core::Mode::kBasic, core::Mode::kFo, core::Mode::kReact}) {
-    if (flavour == core::mode_name(m)) return {m, tagged};
-  }
-  throw Error("unknown --mode (use basic, fo, react or sealed[-flavour])");
-}
-
-// File kinds 6-8 hold one flavour each: the sealed wire without its mode
-// byte, which is the flavour's own encoding.
-FileKind bare_kind(core::Mode m) {
-  switch (m) {
-    case core::Mode::kBasic: return FileKind::kCiphertextBasic;
-    case core::Mode::kFo: return FileKind::kCiphertextFo;
-    default: return FileKind::kCiphertextReact;
-  }
-}
-
-std::optional<core::Mode> bare_mode(FileKind kind) {
-  for (core::Mode m : {core::Mode::kBasic, core::Mode::kFo, core::Mode::kReact}) {
-    if (kind == bare_kind(m)) return m;
-  }
-  return std::nullopt;
-}
+constexpr Flavour kFlavours[] = {
+    {"basic", core::Mode::kBasic, FileKind::kCiphertextBasic},
+    {"fo", core::Mode::kFo, FileKind::kCiphertextFo},
+    {"react", core::Mode::kReact, FileKind::kCiphertextReact},
+    {"sealed", core::Mode::kFo, FileKind::kCiphertextSealed},
+    {"sealed-basic", core::Mode::kBasic, FileKind::kCiphertextSealed},
+    {"sealed-fo", core::Mode::kFo, FileKind::kCiphertextSealed},
+    {"sealed-react", core::Mode::kReact, FileKind::kCiphertextSealed},
+};
 
 template <class B>
-int cmd_encrypt_g(std::shared_ptr<const typename B::Params> p,
-                  const std::string& set_name, const Envelope& server_env,
-                  const Args& args) {
-  core::BasicServerPublicKey<B> server =
-      core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
-  Envelope user_env = read_envelope(args.get("user-pub"), FileKind::kUserPub);
-  require(user_env.set_name == set_name, "user and server keys use different sets");
-  core::BasicUserPublicKey<B> user =
-      core::BasicUserPublicKey<B>::from_bytes(*p, user_env.payload);
-  core::BasicTreScheme<B> scheme(p);
+int encrypt(const Ctx<B>& c, const Envelope& in) {
+  auto server = core::BasicServerPublicKey<B>::from_bytes(*c.p, in.payload);
+  auto user = c.template load<core::BasicUserPublicKey<B>>("user-pub", FileKind::kUserPub);
+  core::BasicTreScheme<B> scheme(c.p);
   hashing::SystemRandom rng;
-  Bytes msg = read_file(args.get("in"));
-  std::string tag = tag_arg(args);
-  const std::string mode_arg = args.get_or("mode", "fo");
-  const CtMode mode = parse_ct_mode(mode_arg);
+  Bytes msg = read_file(c.args.get("in"));
+  std::string tag = tag_arg(c.args);
+  const std::string mode_arg = c.args.get_or("mode", "fo");
+  const Flavour* flavour =
+      std::find_if(std::begin(kFlavours), std::end(kFlavours),
+                   [&](const Flavour& f) { return mode_arg == f.mode_arg; });
+  require(flavour != std::end(kFlavours),
+          "unknown --mode (use basic, fo, react or sealed[-flavour])");
 
   // --fallback W adds the time-lock lane: a hybrid envelope whose
   // payload key also sits behind W sequential squarings, openable with
   // `solve` when the server never publishes the update.
-  std::string fallback = args.get_or("fallback", "");
+  std::string fallback = c.args.get_or("fallback", "");
   if (!fallback.empty()) {
     timelock::FallbackParams fb;
-    fb.squarings = parse_u64(fallback, "--fallback");
-    fb.modulus_bits = static_cast<size_t>(
-        parse_u64(args.get_or("fallback-modulus-bits", "1024"),
-                  "--fallback-modulus-bits"));
-    timelock::BasicHybridEnvelope<B> env =
-        timelock::seal_hybrid(scheme, mode.mode, msg, user, server, tag, fb, rng);
+    fb.squarings = parse_uint(fallback, "--fallback");
+    fb.modulus_bits = parse_uint<size_t>(c.args.get_or("fallback-modulus-bits", "1024"),
+                                         "--fallback-modulus-bits");
+    timelock::BasicHybridEnvelope<B> env = timelock::seal_hybrid(
+        scheme, flavour->mode, msg, user, server, tag, fb, rng);
     Bytes wire = env.to_bytes();
-    write_envelope(args.get("out"), FileKind::kCiphertextHybrid, set_name, wire);
+    c.write(c.args.get("out"), FileKind::kCiphertextHybrid, wire);
     std::printf(
         "%zu bytes encrypted for release at \"%s\" (hybrid %s mode, "
         "%llu-squaring fallback, %zu bytes)\n",
-        msg.size(), tag.c_str(), core::mode_name(mode.mode),
+        msg.size(), tag.c_str(), core::mode_name(flavour->mode),
         static_cast<unsigned long long>(fb.squarings), wire.size());
     return 0;
   }
 
-  Bytes payload = scheme.seal(mode.mode, msg, user, server, tag, rng).to_bytes();
-  FileKind kind = FileKind::kCiphertextSealed;
-  if (!mode.tagged) {
-    kind = bare_kind(mode.mode);
-    payload.erase(payload.begin());
-  }
-  write_envelope(args.get("out"), kind, set_name, payload);
+  Bytes payload = scheme.seal(flavour->mode, msg, user, server, tag, rng).to_bytes();
+  if (flavour->kind != FileKind::kCiphertextSealed) payload.erase(payload.begin());
+  c.write(c.args.get("out"), flavour->kind, payload);
   std::printf("%zu bytes encrypted for release at \"%s\" (%s mode, %zu bytes)\n",
-              msg.size(), tag.c_str(), mode_arg.c_str(), payload.size());
+              msg.size(), tag.c_str(), flavour->mode_arg, payload.size());
   return 0;
 }
 
 template <class B>
-int cmd_decrypt_g(std::shared_ptr<const typename B::Params> p,
-                  const std::string& set_name, const Envelope& key_env,
-                  const Args& args) {
-  core::BasicTreScheme<B> scheme(p);
-  const core::Scalar a =
-      read_keypair<B, core::BasicUserPublicKey<B>>(*p, key_env.payload).first;
-
-  Envelope upd_env = read_envelope(args.get("update"), FileKind::kUpdate);
-  require(upd_env.set_name == set_name, "update uses a different parameter set");
-  core::BasicKeyUpdate<B> upd = core::BasicKeyUpdate<B>::from_bytes(*p, upd_env.payload);
-
-  Envelope ct_env = parse_envelope(args.get("in"));
-  require(ct_env.set_name == set_name, "ciphertext uses a different parameter set");
+int decrypt(const Ctx<B>& c, const Envelope& in) {
+  core::BasicTreScheme<B> scheme(c.p);
+  const core::Scalar a = read_keypair<core::BasicUserPublicKey<B>>(c, in).first;
+  auto upd = c.template load<core::BasicKeyUpdate<B>>("update", FileKind::kUpdate);
+  Envelope ct = cli::parse_envelope(c.args.get("in"));
+  cli::require_same_set(ct, c.set);
   // The FO flavour's re-encryption check needs the server key, so open
   // takes it for every flavour.
-  Envelope server_env = read_envelope(args.get("server-pub"), FileKind::kServerPub);
-  require(server_env.set_name == set_name, "server key uses a different parameter set");
-  core::BasicServerPublicKey<B> server =
-      core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
+  auto server =
+      c.template load<core::BasicServerPublicKey<B>>("server-pub", FileKind::kServerPub);
 
   std::optional<Bytes> out;
   std::string what;
-  if (ct_env.kind == FileKind::kCiphertextHybrid) {
+  if (ct.kind == FileKind::kCiphertextHybrid) {
     // Server lane of a hybrid envelope: the epoch update opens it the
     // normal way (the time-lock lane is `solve`'s job).
-    timelock::BasicHybridEnvelope<B> env =
-        timelock::BasicHybridEnvelope<B>::from_bytes(*p, ct_env.payload);
+    auto env = timelock::BasicHybridEnvelope<B>::from_bytes(*c.p, ct.payload);
     out = timelock::open_hybrid(scheme, env, a, upd, server);
     what = "hybrid envelope, server lane";
   } else {
-    // The file kind names the flavour: kinds 6-8 get their mode byte
-    // back, kind 11 carries it.
-    Bytes wire = ct_env.payload;
-    if (std::optional<core::Mode> m = bare_mode(ct_env.kind)) {
-      wire.insert(wire.begin(), static_cast<std::uint8_t>(*m));
-    } else {
-      require(ct_env.kind == FileKind::kCiphertextSealed,
-              "wrong file kind for this option");
+    const Flavour* flavour =
+        std::find_if(std::begin(kFlavours), std::end(kFlavours),
+                     [&](const Flavour& f) { return ct.kind == f.kind; });
+    require(flavour != std::end(kFlavours), "wrong file kind for this option");
+    Bytes wire = ct.payload;
+    if (flavour->kind != FileKind::kCiphertextSealed) {
+      wire.insert(wire.begin(), static_cast<std::uint8_t>(flavour->mode));
     }
-    core::BasicSealedCiphertext<B> sc =
-        core::BasicSealedCiphertext<B>::from_bytes(*p, wire);
+    auto sc = core::BasicSealedCiphertext<B>::from_bytes(*c.p, wire);
     out = scheme.open(sc, a, upd, server);
     what = std::string(core::mode_name(sc.mode())) + " mode";
   }
   require(out.has_value(), "decryption failed: wrong key/update or tampered ciphertext");
-  write_file(args.get("out"), *out);
+  write_file(c.args.get("out"), *out);
   std::printf("%zu bytes decrypted (%s)\n", out->size(), what.c_str());
   return 0;
 }
@@ -412,17 +413,13 @@ int cmd_decrypt_g(std::shared_ptr<const typename B::Params> p,
 // the budget ran out first — rerun with the same --checkpoint to resume.
 
 template <class B>
-int cmd_solve_g(std::shared_ptr<const typename B::Params> p,
-                const std::string& /*set_name*/, const Envelope& ct_env,
-                const Args& args) {
-  timelock::BasicHybridEnvelope<B> env =
-      timelock::BasicHybridEnvelope<B>::from_bytes(*p, ct_env.payload);
+int solve(const Ctx<B>& c, const Envelope& in) {
+  auto env = timelock::BasicHybridEnvelope<B>::from_bytes(*c.p, in.payload);
 
-  std::string ckpt_path = args.get_or("checkpoint", "");
-  std::uint64_t budget = parse_u64(args.get_or("budget", "0"), "--budget");
-  std::uint64_t every =
-      parse_u64(args.get_or("checkpoint-every", "65536"), "--checkpoint-every");
-  require(every >= 1, "--checkpoint-every: must be at least 1");
+  std::string ckpt_path = c.args.get_or("checkpoint", "");
+  std::uint64_t budget = parse_uint(c.args.get_or("budget", "0"), "--budget");
+  std::uint64_t every = parse_uint<std::uint64_t>(
+      c.args.get_or("checkpoint-every", "65536"), "--checkpoint-every", 1);
 
   std::optional<timelock::RswSolver> solver;
   if (!ckpt_path.empty()) {
@@ -461,7 +458,7 @@ int cmd_solve_g(std::shared_ptr<const typename B::Params> p,
   auto out = timelock::open_hybrid_with_key(env, solver->key());
   require(out.has_value(),
           "solve: puzzle solved but the envelope rejected the key (tampered file?)");
-  write_file(args.get("out"), *out);
+  write_file(c.args.get("out"), *out);
   std::printf("%zu bytes decrypted (hybrid envelope, time-lock lane, "
               "%llu squarings)\n",
               out->size(),
@@ -476,70 +473,57 @@ int cmd_solve_g(std::shared_ptr<const typename B::Params> p,
 // update — byte-identical to what a single server holding s would issue.
 
 template <class B>
-int cmd_threshold_setup_g(std::shared_ptr<const typename B::Params> p,
-                          const std::string& set_name, const Args& args) {
+int threshold_setup(const Ctx<B>& c) {
   threshold::ThresholdConfig cfg;
-  cfg.n = static_cast<size_t>(parse_u64(args.get("n"), "--n"));
-  cfg.k = static_cast<size_t>(parse_u64(args.get("t"), "--t"));
+  cfg.n = parse_uint<size_t>(c.args.get("n"), "--n");
+  cfg.k = parse_uint<size_t>(c.args.get("t"), "--t");
   require(cfg.k >= 1 && cfg.k <= cfg.n, "threshold-setup: need 1 <= t <= n");
-  const std::string prefix = args.get("out-prefix");
+  const std::string prefix = c.args.get("out-prefix");
   hashing::SystemRandom rng;
 
   threshold::BasicThresholdKey<B> key;
   std::vector<threshold::BasicServerShare<B>> shares;
-  const bool dealer = args.get_or("dealer", "0") == "1";
+  const bool dealer = c.args.get_or("dealer", "0") == "1";
   if (dealer) {
-    threshold::BasicThresholdScheme<B> ts(p);
+    threshold::BasicThresholdScheme<B> ts(c.p);
     std::tie(key, shares) = ts.setup(cfg, rng);
   } else {
-    auto dkg = threshold::run_dkg<B>(p, cfg, rng);
+    auto dkg = threshold::run_dkg<B>(c.p, cfg, rng);
     require(dkg.ok(), "threshold-setup: DKG failed (complaints disqualified "
                       "too many dealers)");
     key = std::move(dkg->key);
     shares = std::move(dkg->shares);
   }
 
-  write_envelope(prefix + ".tkey", FileKind::kThresholdKey, set_name,
-                 key.to_bytes());
+  c.write(prefix + ".tkey", FileKind::kThresholdKey, key.to_bytes());
   // The group key doubles as an ordinary server-pub: every existing
   // command (encrypt, verify-update, fetch) binds to it unchanged.
-  write_envelope(prefix + ".pub", FileKind::kServerPub, set_name,
-                 key.group.to_bytes());
-  const std::string password = args.get_or("password", "");
+  c.write(prefix + ".pub", FileKind::kServerPub, key.group.to_bytes());
   for (const threshold::BasicServerShare<B>& share : shares) {
-    write_secret(prefix + "-share-" + std::to_string(share.index) + ".key",
-                 FileKind::kThresholdShare, FileKind::kThresholdShareSealed,
-                 set_name, share.to_bytes(*p), password, rng);
+    c.write_secret(prefix + "-share-" + std::to_string(share.index) + ".key",
+                   FileKind::kThresholdShare, share.to_bytes(*c.p), rng);
   }
   std::printf("%zu-of-%zu threshold beacon set up via %s (%s): %s.tkey, "
               "%s.pub, %zu share files\n",
               cfg.k, cfg.n, dealer ? "trusted dealer" : "DKG",
-              set_name.c_str(), prefix.c_str(), prefix.c_str(), shares.size());
+              c.set.c_str(), prefix.c_str(), prefix.c_str(), shares.size());
   return 0;
 }
 
 template <class B>
-int cmd_issue_partial_g(std::shared_ptr<const typename B::Params> p,
-                        const std::string& set_name, const Envelope& share_env,
-                        const Args& args) {
-  Envelope key_env = read_envelope(args.get("tkey"), FileKind::kThresholdKey);
-  require(key_env.set_name == set_name,
-          "share and threshold key use different parameter sets");
-  threshold::BasicThresholdKey<B> key =
-      threshold::BasicThresholdKey<B>::from_bytes(*p, key_env.payload);
-  threshold::BasicServerShare<B> share =
-      threshold::BasicServerShare<B>::from_bytes(*p, share_env.payload);
+int issue_partial(const Ctx<B>& c, const Envelope& in) {
+  auto key =
+      c.template load<threshold::BasicThresholdKey<B>>("tkey", FileKind::kThresholdKey);
+  auto share = threshold::BasicServerShare<B>::from_bytes(*c.p, in.payload);
   require(share.index >= 1 && share.index <= key.config.n,
           "share index out of range for this threshold key");
 
-  threshold::BasicThresholdScheme<B> ts(p);
-  threshold::BasicPartialUpdate<B> partial =
-      ts.issue_partial(share, tag_arg(args));
+  threshold::BasicThresholdScheme<B> ts(c.p);
+  threshold::BasicPartialUpdate<B> partial = ts.issue_partial(share, tag_arg(c.args));
   require(ts.verify_partial(key, partial),
           "issue-partial: fresh partial failed its own pairing check "
           "(share does not match the threshold key?)");
-  write_envelope(args.get("out"), FileKind::kPartialUpdate, set_name,
-                 partial.to_bytes());
+  c.write(c.args.get("out"), FileKind::kPartialUpdate, partial.to_bytes());
   std::printf("partial update %zu/%zu issued for \"%s\" (%zu bytes)\n",
               partial.index, key.config.n, partial.tag.c_str(),
               partial.to_bytes().size());
@@ -557,20 +541,18 @@ client::SocketTransport socket_transport(const Args& args) {
     endpoints.push_back({parsed.host, parsed.port});
   }
   require(!endpoints.empty(), "fetch: --remote needs at least one HOST:PORT");
-  int timeout_ms = static_cast<int>(
-      parse_u64(args.get_or("timeout-ms", "2000"), "--timeout-ms"));
-  return client::SocketTransport(std::move(endpoints), timeout_ms);
+  return client::SocketTransport(
+      std::move(endpoints), parse_uint<int>(args.get_or("timeout-ms", "2000"),
+                                            "--timeout-ms", 1));
 }
 
 template <class B>
 struct SocketFetch {
-  SocketFetch(std::shared_ptr<const typename B::Params> p,
-              core::BasicServerPublicKey<B> server, const Args& args,
-              const char* label, client::FetcherConfig cfg = {})
-      : transport(socket_transport(args)),
-        fetcher(core::BasicTreScheme<B>(std::move(p)), std::move(server),
-                transport, timeline, slots(transport.mirror_count()),
-                to_bytes(label), cfg) {}
+  SocketFetch(const Ctx<B>& c, core::BasicServerPublicKey<B> server, const char* label,
+              client::FetcherConfig cfg = {})
+      : transport(socket_transport(c.args)),
+        fetcher(core::BasicTreScheme<B>(c.p), std::move(server), transport, timeline,
+                slots(transport.mirror_count()), to_bytes(label), cfg) {}
 
   static std::vector<size_t> slots(size_t n) {
     std::vector<size_t> order(n);
@@ -587,20 +569,16 @@ struct SocketFetch {
 // endpoint is one beacon node; the fetcher's RLC batch attributes forged
 // partials to their exact share indices before aggregation.
 template <class B>
-int cmd_fetch_threshold_g(std::shared_ptr<const typename B::Params> p,
-                          const std::string& set_name,
-                          const Envelope& key_env, const Args& args) {
-  threshold::BasicThresholdKey<B> key =
-      threshold::BasicThresholdKey<B>::from_bytes(*p, key_env.payload);
-  const size_t want_k =
-      static_cast<size_t>(parse_u64(args.get("threshold"), "--threshold"));
+int fetch_threshold(const Ctx<B>& c, const Envelope& in) {
+  auto key = threshold::BasicThresholdKey<B>::from_bytes(*c.p, in.payload);
+  const size_t want_k = parse_uint<size_t>(c.args.get("threshold"), "--threshold");
   require(want_k == key.config.k,
           "fetch: --threshold does not match the key's t (cross-check)");
 
-  threshold::BasicThresholdScheme<B> ts(p);
-  SocketFetch<B> net(p, key.as_server_public_key(), args, "tre-cli-threshold");
+  threshold::BasicThresholdScheme<B> ts(c.p);
+  SocketFetch<B> net(c, key.as_server_public_key(), "tre-cli-threshold");
 
-  const std::string tag = tag_arg(args);
+  const std::string tag = tag_arg(c.args);
   auto res = net.fetcher.fetch_threshold(ts, key, tag);
   if (!res.ok()) {
     std::fprintf(stderr,
@@ -609,8 +587,7 @@ int cmd_fetch_threshold_g(std::shared_ptr<const typename B::Params> p,
                  key.config.k, tag.c_str(), net.transport.mirror_count());
     return 1;
   }
-  write_envelope(args.get("out"), FileKind::kUpdate, set_name,
-                 res->update.to_bytes());
+  c.write(c.args.get("out"), FileKind::kUpdate, res->update.to_bytes());
   std::printf("update for \"%s\" aggregated from %zu partials and VERIFIED "
               "(%zu slots polled, %zu rejected",
               tag.c_str(), res->partials_used, res->slots_polled,
@@ -624,16 +601,6 @@ int cmd_fetch_threshold_g(std::shared_ptr<const typename B::Params> p,
   return 0;
 }
 
-// Runs `fn<B>(params, set_name)` for the backend `set_name` selects.
-template <class Fn>
-int with_backend(const std::string& set_name, const Args& args, Fn&& fn) {
-  check_backend_flag(args, set_name);
-  if (set_name == kBls381Set) {
-    return fn(bls12::Bls381Backend{}, bls12::Bls12Ctx::get());
-  }
-  return fn(core::Tre512Backend{}, load_set(set_name));
-}
-
 // ---- serve: the all-in-one daemon front end ----------------------------
 // tred with an issuing convenience: --server-key/--tags signs updates at
 // boot. Trust assumption 2 (the server never discloses I_T early) is
@@ -641,16 +608,13 @@ int with_backend(const std::string& set_name, const Args& args, Fn&& fn) {
 // specification still in the future is refused outright.
 
 template <class B>
-void serve_issue_g(std::shared_ptr<const typename B::Params> p,
-                   const std::string& set_name, const Envelope& key_env,
-                   const std::vector<std::string>& tags,
-                   daemon::Store& store) {
-  core::BasicTreScheme<B> scheme(p);
-  auto [s, pub] = read_keypair<B, core::BasicServerPublicKey<B>>(*p, key_env.payload);
-  store.set_server_key(set_name, pub.to_bytes());
+int serve_issue(const Ctx<B>& c, const Envelope& in, daemon::Store& store) {
+  core::BasicTreScheme<B> scheme(c.p);
+  auto [s, pub] = read_keypair<core::BasicServerPublicKey<B>>(c, in);
+  store.set_server_key(c.set, pub.to_bytes());
 
   const std::int64_t now = static_cast<std::int64_t>(std::time(nullptr));
-  for (const std::string& tag : tags) {
+  for (const std::string& tag : cli::split_commas(c.args.get_or("tags", ""))) {
     if (auto spec = server::TimeSpec::parse(tag)) {
       require(spec->unix_seconds() <= now,
               "serve: refusing to issue an update for a FUTURE instant — the "
@@ -661,50 +625,28 @@ void serve_issue_g(std::shared_ptr<const typename B::Params> p,
     auto r = store.put(tag, upd.to_bytes());
     require(r.ok(), "serve: conflicting update for the same tag");
   }
+  // --pub is optional on this path (the public key came off the secret).
+  if (c.args.has("pub")) c.read("pub", FileKind::kServerPub);
+  return 0;
 }
 
 int cmd_serve(const Args& args) {
   auto store = std::make_shared<daemon::Store>();
-
-  std::string key_path = args.get_or("server-key", "");
-  if (!key_path.empty()) {
-    Envelope env = read_secret(key_path, FileKind::kServerKey,
-                               FileKind::kServerKeySealed,
-                               args.get_or("password", ""));
-    std::vector<std::string> tags = cli::split_commas(args.get_or("tags", ""));
-    with_backend(env.set_name, args, [&](auto b, auto p) {
-      serve_issue_g<decltype(b)>(p, env.set_name, env, tags, *store);
-      return 0;
-    });
-    // --pub is optional on this path (the public key came off the secret).
-    if (args.has("pub")) {
-      Envelope pub = read_envelope(args.get("pub"), FileKind::kServerPub);
-      require(pub.set_name == env.set_name,
-              "serve: --pub and --server-key use different parameter sets");
-    }
+  const std::vector<std::string> updates = cli::split_commas(args.get_or("updates", ""));
+  if (args.get_or("server-key", "").empty()) {
+    cli::load_store(*store, args.get("pub"), updates);
   } else {
-    cli::load_store(*store, args.get("pub"),
-                    cli::split_commas(args.get_or("updates", "")));
-  }
-  if (!key_path.empty() && args.has("updates")) {
+    on_file(args, "server-key", FileKind::kServerKey,
+            [&](const auto& c, const Envelope& in) { return serve_issue(c, in, *store); });
     // Pre-issued files can ride along with the issuing path too.
-    auto [set_name, pub_wire] = store->server_key();
-    for (const std::string& path : cli::split_commas(args.get("updates"))) {
-      Envelope upd = read_envelope(path, FileKind::kUpdate);
-      require(upd.set_name == set_name,
-              "update and server key use different parameter sets");
-      auto r = store->put(cli::update_wire_tag(upd.payload), upd.payload);
-      require(r.ok(), "conflicting update for the same tag");
-    }
+    cli::load_updates(*store, updates);
   }
 
   // Beacon-node serving: pre-issued partial updates ride the kGetPartial
   // lane (one partial per tag per node — this daemon IS one node).
   for (const std::string& path : cli::split_commas(args.get_or("partials", ""))) {
-    Envelope part = read_envelope(path, FileKind::kPartialUpdate);
-    auto [set_name, pub_wire] = store->server_key();
-    require(pub_wire.empty() || part.set_name == set_name,
-            "partial and server key use different parameter sets");
+    Envelope part = cli::read_envelope(path, FileKind::kPartialUpdate);
+    cli::require_same_set(part, store->server_key().first);
     auto r = store->put_partial(cli::partial_wire_tag(part.payload), part.payload);
     require(r.ok(), "serve: conflicting partial for the same tag");
   }
@@ -725,25 +667,20 @@ int cmd_serve(const Args& args) {
 // instants inside [from, to] are written to --out-dir, one envelope per
 // update, in archive order.
 template <class B>
-int cmd_fetch_range_g(std::shared_ptr<const typename B::Params> p,
-                      const std::string& set_name, const Envelope& server_env,
-                      const Args& args) {
-  require(args.has("from") && args.has("to"),
+int fetch_range(const Ctx<B>& c, const Envelope& in) {
+  require(c.args.has("from") && c.args.has("to"),
           "fetch: --from and --to must be given together");
-  std::optional<server::TimeSpec> from = server::TimeSpec::parse(args.get("from"));
-  std::optional<server::TimeSpec> to = server::TimeSpec::parse(args.get("to"));
+  std::optional<server::TimeSpec> from = server::TimeSpec::parse(c.args.get("from"));
+  std::optional<server::TimeSpec> to = server::TimeSpec::parse(c.args.get("to"));
   require(from.has_value(), "fetch: --from is not a canonical time string");
   require(to.has_value(), "fetch: --to is not a canonical time string");
   require(from->unix_seconds() <= to->unix_seconds(),
           "fetch: --from is after --to");
-  const std::string out_dir = args.get("out-dir");
+  const std::string out_dir = c.args.get("out-dir");
+  const auto page_size = parse_uint<std::uint32_t>(c.args.get_or("page", "256"), "--page", 1);
 
-  core::BasicServerPublicKey<B> server =
-      core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
-  SocketFetch<B> net(p, std::move(server), args, "tre-cli-catchup");
-  const std::uint32_t page_size = static_cast<std::uint32_t>(
-      parse_u64(args.get_or("page", "256"), "--page"));
-
+  SocketFetch<B> net(c, core::BasicServerPublicKey<B>::from_bytes(*c.p, in.payload),
+                     "tre-cli-catchup");
   // One mirror after another until one serves a full scan; forged pages
   // demote a mirror but never poison the output.
   client::BasicArchiveFetchResult<B> scan =
@@ -761,8 +698,7 @@ int cmd_fetch_range_g(std::shared_ptr<const typename B::Params> p,
     }
     char name[32];
     std::snprintf(name, sizeof name, "update-%06zu.bin", written);
-    write_envelope(out_dir + "/" + name, FileKind::kUpdate, set_name,
-                   u.to_bytes());
+    c.write(out_dir + "/" + name, FileKind::kUpdate, u.to_bytes());
     ++written;
   }
   std::printf("catch-up [%s, %s]: %zu updates fetched and VERIFIED "
@@ -773,20 +709,14 @@ int cmd_fetch_range_g(std::shared_ptr<const typename B::Params> p,
 }
 
 template <class B>
-int cmd_fetch_g(std::shared_ptr<const typename B::Params> p,
-                const std::string& set_name, const Envelope& server_env,
-                const Args& args) {
-  if (args.has("from") || args.has("to")) {
-    return cmd_fetch_range_g<B>(std::move(p), set_name, server_env, args);
-  }
-  core::BasicServerPublicKey<B> server =
-      core::BasicServerPublicKey<B>::from_bytes(*p, server_env.payload);
+int fetch(const Ctx<B>& c, const Envelope& in) {
+  if (c.args.has("from") || c.args.has("to")) return fetch_range(c, in);
   client::FetcherConfig cfg;
-  cfg.attempts_per_tag = static_cast<size_t>(
-      parse_u64(args.get_or("attempts", "8"), "--attempts"));
-  SocketFetch<B> net(p, std::move(server), args, "tre-cli-fetch", cfg);
+  cfg.attempts_per_tag = parse_uint<size_t>(c.args.get_or("attempts", "8"), "--attempts");
+  SocketFetch<B> net(c, core::BasicServerPublicKey<B>::from_bytes(*c.p, in.payload),
+                     "tre-cli-fetch", cfg);
 
-  std::string tag = tag_arg(args);
+  std::string tag = tag_arg(c.args);
   std::optional<core::BasicKeyUpdate<B>> got;
   client::FetchStats stats;
   net.fetcher.fetch_verified({tag},
@@ -808,29 +738,16 @@ int cmd_fetch_g(std::shared_ptr<const typename B::Params> p,
                  stats.timeouts);
     return 1;
   }
-  write_envelope(args.get("out"), FileKind::kUpdate, set_name, got->to_bytes());
+  c.write(c.args.get("out"), FileKind::kUpdate, got->to_bytes());
   std::printf("update for \"%s\" fetched and VERIFIED (%zu attempts, "
               "%zu rejected)\n",
               got->tag.c_str(), stats.attempts, stats.total_rejected());
   return 0;
 }
 
-int cmd_fetch(const Args& args) {
-  if (args.has("threshold")) {
-    Envelope env = read_envelope(args.get("tkey"), FileKind::kThresholdKey);
-    return with_backend(env.set_name, args, [&](auto b, auto p) {
-      return cmd_fetch_threshold_g<decltype(b)>(p, env.set_name, env, args);
-    });
-  }
-  Envelope env = read_envelope(args.get("server-pub"), FileKind::kServerPub);
-  return with_backend(env.set_name, args, [&](auto b, auto p) {
-    return cmd_fetch_g<decltype(b)>(p, env.set_name, env, args);
-  });
-}
-
 // ---- selftest: run the power-on KAT suite ------------------------------
 
-int cmd_selftest(const Args&) {
+int cmd_selftest() {
   selftest::ensure_registered();
   std::optional<selftest::Kat> fault;
   if (const char* env = std::getenv("TRE_SELFTEST_FAULT")) {
@@ -853,103 +770,52 @@ int cmd_selftest(const Args&) {
   return report.ok() ? 0 : 1;
 }
 
-// ---- dispatchers -------------------------------------------------------
-// server-keygen picks the backend from --backend; every other command
-// reads it off its input files' set name.
-
-int cmd_server_keygen(const Args& args) {
-  std::string backend = args.get_or("backend", "tre512");
-  if (backend == "bls381") {
-    return cmd_server_keygen_g<bls12::Bls381Backend>(bls12::Bls12Ctx::get(),
-                                                     kBls381Set, args);
-  }
-  require(backend == "tre512", "unknown --backend (use tre512 or bls381)");
-  auto p = load_set(args.get_or("set", "tre-512"));
-  return cmd_server_keygen_g<core::Tre512Backend>(p, p->name, args);
-}
-
-int cmd_threshold_setup(const Args& args) {
-  std::string backend = args.get_or("backend", "tre512");
-  if (backend == "bls381") {
-    return cmd_threshold_setup_g<bls12::Bls381Backend>(bls12::Bls12Ctx::get(),
-                                                       kBls381Set, args);
-  }
-  require(backend == "tre512", "unknown --backend (use tre512 or bls381)");
-  auto p = load_set(args.get_or("set", "tre-512"));
-  return cmd_threshold_setup_g<core::Tre512Backend>(p, p->name, args);
-}
-
-int cmd_issue_partial(const Args& args) {
-  Envelope env = read_secret(args.get("share"), FileKind::kThresholdShare,
-                             FileKind::kThresholdShareSealed,
-                             args.get_or("password", ""));
-  return with_backend(env.set_name, args, [&](auto b, auto p) {
-    return cmd_issue_partial_g<decltype(b)>(p, env.set_name, env, args);
-  });
-}
-
-int cmd_user_keygen(const Args& args) {
-  Envelope env = read_envelope(args.get("server-pub"), FileKind::kServerPub);
-  return with_backend(env.set_name, args, [&](auto b, auto p) {
-    return cmd_user_keygen_g<decltype(b)>(p, env.set_name, env, args);
-  });
-}
-
-int cmd_issue(const Args& args) {
-  Envelope env = read_secret(args.get("server-key"), FileKind::kServerKey,
-                             FileKind::kServerKeySealed, args.get_or("password", ""));
-  return with_backend(env.set_name, args, [&](auto b, auto p) {
-    return cmd_issue_g<decltype(b)>(p, env.set_name, env, args);
-  });
-}
-
-int cmd_verify_update(const Args& args) {
-  Envelope env = read_envelope(args.get("server-pub"), FileKind::kServerPub);
-  return with_backend(env.set_name, args, [&](auto b, auto p) {
-    return cmd_verify_update_g<decltype(b)>(p, env.set_name, env, args);
-  });
-}
-
-int cmd_encrypt(const Args& args) {
-  Envelope env = read_envelope(args.get("server-pub"), FileKind::kServerPub);
-  return with_backend(env.set_name, args, [&](auto b, auto p) {
-    return cmd_encrypt_g<decltype(b)>(p, env.set_name, env, args);
-  });
-}
-
-int cmd_decrypt(const Args& args) {
-  Envelope env = read_secret(args.get("user-key"), FileKind::kUserKey,
-                             FileKind::kUserKeySealed, args.get_or("password", ""));
-  return with_backend(env.set_name, args, [&](auto b, auto p) {
-    return cmd_decrypt_g<decltype(b)>(p, env.set_name, env, args);
-  });
-}
-
-int cmd_solve(const Args& args) {
-  Envelope env = read_envelope(args.get("in"), FileKind::kCiphertextHybrid);
-  return with_backend(env.set_name, args, [&](auto b, auto p) {
-    return cmd_solve_g<decltype(b)>(p, env.set_name, env, args);
-  });
-}
-
-}  // namespace
-
-namespace {
-
 int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "params") return cmd_params();
-  if (cmd == "server-keygen") return cmd_server_keygen(args);
-  if (cmd == "user-keygen") return cmd_user_keygen(args);
-  if (cmd == "issue") return cmd_issue(args);
-  if (cmd == "verify-update") return cmd_verify_update(args);
-  if (cmd == "encrypt") return cmd_encrypt(args);
-  if (cmd == "decrypt") return cmd_decrypt(args);
-  if (cmd == "solve") return cmd_solve(args);
-  if (cmd == "threshold-setup") return cmd_threshold_setup(args);
-  if (cmd == "issue-partial") return cmd_issue_partial(args);
-  if (cmd == "selftest") return cmd_selftest(args);
+  if (cmd == "selftest") return cmd_selftest();
   if (cmd == "serve") return cmd_serve(args);
-  if (cmd == "fetch") return cmd_fetch(args);
+  if (cmd == "server-keygen") {
+    return on_flag(args, [](const auto& c) { return server_keygen(c); });
+  }
+  if (cmd == "threshold-setup") {
+    return on_flag(args, [](const auto& c) { return threshold_setup(c); });
+  }
+  if (cmd == "user-keygen") {
+    return on_file(args, "server-pub", FileKind::kServerPub,
+                   [](const auto& c, const Envelope& in) { return user_keygen(c, in); });
+  }
+  if (cmd == "issue") {
+    return on_file(args, "server-key", FileKind::kServerKey,
+                   [](const auto& c, const Envelope& in) { return issue(c, in); });
+  }
+  if (cmd == "verify-update") {
+    return on_file(args, "server-pub", FileKind::kServerPub,
+                   [](const auto& c, const Envelope& in) { return verify_update(c, in); });
+  }
+  if (cmd == "encrypt") {
+    return on_file(args, "server-pub", FileKind::kServerPub,
+                   [](const auto& c, const Envelope& in) { return encrypt(c, in); });
+  }
+  if (cmd == "decrypt") {
+    return on_file(args, "user-key", FileKind::kUserKey,
+                   [](const auto& c, const Envelope& in) { return decrypt(c, in); });
+  }
+  if (cmd == "solve") {
+    return on_file(args, "in", FileKind::kCiphertextHybrid,
+                   [](const auto& c, const Envelope& in) { return solve(c, in); });
+  }
+  if (cmd == "issue-partial") {
+    return on_file(args, "share", FileKind::kThresholdShare,
+                   [](const auto& c, const Envelope& in) { return issue_partial(c, in); });
+  }
+  if (cmd == "fetch" && args.has("threshold")) {
+    return on_file(args, "tkey", FileKind::kThresholdKey,
+                   [](const auto& c, const Envelope& in) { return fetch_threshold(c, in); });
+  }
+  if (cmd == "fetch") {
+    return on_file(args, "server-pub", FileKind::kServerPub,
+                   [](const auto& c, const Envelope& in) { return fetch(c, in); });
+  }
   return usage();
 }
 
